@@ -1,4 +1,4 @@
-// Command bench runs the experiment suite E1–E12 (DESIGN.md §5) and
+// Command bench runs the experiment suite E1–E13 (DESIGN.md §5) and
 // prints each table. It regenerates the numbers recorded in
 // EXPERIMENTS.md.
 //
@@ -6,13 +6,12 @@
 //
 //	bench                        # full suite
 //	bench -quick                 # reduced sweeps
-//	bench -only E4               # a single experiment
+//	bench -only E4               # run a single experiment (and only it)
 //	bench -markdown              # markdown tables (for EXPERIMENTS.md)
-//	bench -parallel 4            # evaluate with 4 workers
 //	bench -json BENCH_eval.json  # also write machine-readable records
 //
 // The -json document carries provenance (Go version, git revision,
-// GOMAXPROCS, worker count) and per-stratum phase timings per record.
+// GOMAXPROCS) and per-stratum phase timings per record.
 // Observability: -profile prints an aggregated span profile to stderr;
 // -trace FILE writes a Chrome trace-event file covering every measured
 // evaluation; -events FILE a JSONL log; -pprof ADDR serves
@@ -35,7 +34,6 @@ func main() {
 	only := flag.String("only", "", "run a single experiment, e.g. E4")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	seed := flag.Int64("seed", 42, "workload seed")
-	parallel := flag.Int("parallel", 0, "eval worker count (0 or 1 = sequential, <0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "write machine-readable bench records to this file")
 	join := flag.String("join", "auto", "join strategy: auto (Generic Join on cyclic bodies), binary, gj")
 	plan := flag.String("plan", "", "plan selection for E13 and record provenance: auto, orig, iso, opt, magic, bounded")
@@ -56,18 +54,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Parallel: *parallel, Tracer: tracer, JoinMode: joinMode, Plan: *plan}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Tracer: tracer, JoinMode: joinMode, Plan: *plan}
 	if *jsonOut != "" {
 		cfg.Rec = &experiments.Recorder{}
 	}
-	tables := experiments.All(cfg)
-	tables = append(tables, experiments.E11ParallelScaling(cfg))
-	tables = append(tables, experiments.E12MixedMaintenance(cfg))
-	tables = append(tables, experiments.E13PlannerSelection(cfg))
-	for _, t := range tables {
-		if *only != "" && !strings.EqualFold(t.ID, *only) {
+	for _, e := range experiments.Suite {
+		if *only != "" && !strings.EqualFold(e.ID, *only) {
 			continue
 		}
+		t := e.Run(cfg)
 		if *markdown {
 			printMarkdown(t)
 		} else {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -233,33 +234,30 @@ func TestBenchQuickSingle(t *testing.T) {
 	}
 }
 
-func TestDlogParallelQuery(t *testing.T) {
-	f := writeFile(t, "anc.dl", ancestry)
-	stdout, stderr, err := run(t, "dlog", "-parallel", "4", "-query", "anc(ann, Y)", f)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, stderr)
-	}
-	for _, want := range []string{"anc(ann, bea)", "anc(ann, cal)", "anc(ann, dee)"} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("missing %q in %q", want, stdout)
-		}
-	}
-	if !strings.Contains(stderr, "3 answers") {
-		t.Errorf("stderr = %q", stderr)
-	}
-}
-
 func TestSemoptVerify(t *testing.T) {
 	f := writeFile(t, "gen.dl", genealogy)
-	_, stderr, err := run(t, "semopt", "-verify", "-parallel", "2", f)
+	_, stderr, err := run(t, "semopt", "-verify", f)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, stderr)
 	}
-	if !strings.Contains(stderr, "verify: answers agree on every visible predicate") {
-		t.Errorf("verify report missing: %q", stderr)
+	// The candidate table: the planner's pick, one timed line per
+	// evaluated candidate (the pick starred), and the agreement verdict.
+	if !strings.Contains(stderr, "verify: chosen plan ") {
+		t.Errorf("verify plan choice missing: %q", stderr)
 	}
-	if !strings.Contains(stderr, "verify: original") || !strings.Contains(stderr, "verify: optimized") {
-		t.Errorf("verify timings missing: %q", stderr)
+	timed := regexp.MustCompile(`(?m)^verify: ([* ]) (orig|iso|opt) +\S+s \(iterations=\d+ probes=\d+ index_probes=\d+ derived=\d+ inserted=\d+\)$`)
+	rows := timed.FindAllStringSubmatch(stderr, -1)
+	starred := 0
+	for _, r := range rows {
+		if r[1] == "*" {
+			starred++
+		}
+	}
+	if len(rows) != 3 || starred != 1 {
+		t.Errorf("verify candidate table: %d timed rows, %d starred, want 3 and 1: %q", len(rows), starred, stderr)
+	}
+	if !strings.Contains(stderr, "verify: all candidates agree with the original on every visible predicate") {
+		t.Errorf("verify verdict missing: %q", stderr)
 	}
 }
 
@@ -267,7 +265,7 @@ func TestBenchJSONRecords(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "bench.json")
 	traceOut := filepath.Join(dir, "trace.json")
-	_, stderr, err := run(t, "bench", "-quick", "-only", "E11", "-json", out, "-trace", traceOut)
+	_, stderr, err := run(t, "bench", "-quick", "-only", "E12", "-json", out, "-trace", traceOut)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, stderr)
 	}
@@ -283,7 +281,6 @@ func TestBenchJSONRecords(t *testing.T) {
 		Records     []struct {
 			Experiment string `json:"experiment"`
 			Label      string `json:"label"`
-			Parallel   int    `json:"parallel"`
 			NsPerOp    int64  `json:"ns_per_op"`
 			Strata     []struct {
 				Preds  []string `json:"preds"`
@@ -306,13 +303,17 @@ func TestBenchJSONRecords(t *testing.T) {
 	if doc.GeneratedAt == "" {
 		t.Error("generated_at missing")
 	}
-	seen := map[int]bool{}
+	// -only selects before running: the document holds E12's two
+	// records (sweep and DRed) and nothing from any other experiment.
+	if len(doc.Records) != 2 {
+		t.Errorf("records = %d, want E12's 2", len(doc.Records))
+	}
 	for _, r := range doc.Records {
+		if r.Experiment != "E12" {
+			t.Errorf("record %s/%s: -only E12 ran another experiment", r.Experiment, r.Label)
+		}
 		if r.NsPerOp <= 0 {
 			t.Errorf("record %s/%s: ns_per_op = %d", r.Experiment, r.Label, r.NsPerOp)
-		}
-		if r.Experiment == "E11" {
-			seen[r.Parallel] = true
 		}
 		if len(r.Strata) == 0 {
 			t.Errorf("record %s/%s: no per-stratum timings", r.Experiment, r.Label)
@@ -327,11 +328,6 @@ func TestBenchJSONRecords(t *testing.T) {
 		}
 		if rounds == 0 {
 			t.Errorf("record %s/%s: zero rounds across strata", r.Experiment, r.Label)
-		}
-	}
-	for _, w := range []int{1, 2, 4} {
-		if !seen[w] {
-			t.Errorf("missing E11 scaling record at %d workers", w)
 		}
 	}
 	// The -trace file must be a non-empty JSON array.

@@ -45,7 +45,6 @@ func main() {
 	small := flag.String("small", "", "comma-separated small predicates for atom introduction")
 	stats := flag.Bool("stats", false, "print evaluation work counters to stderr")
 	interactive := flag.Bool("i", false, "interactive query loop on stdin")
-	parallel := flag.Int("parallel", 0, "eval worker count (0 or 1 = sequential, <0 = GOMAXPROCS)")
 	join := flag.String("join", "auto", "join strategy: auto (Generic Join on cyclic bodies), binary, gj")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -71,7 +70,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sys.Parallel = *parallel
 	sys.JoinMode, err = repro.ParseJoinMode(*join)
 	if err != nil {
 		fatal(err)

@@ -42,7 +42,7 @@
 //
 // Usage:
 //
-//	dlogd -addr :8080 -program family.dl -program fast=opt.dl -optimize -parallel 4
+//	dlogd -addr :8080 -program family.dl -program fast=opt.dl -optimize
 package main
 
 import (
@@ -102,7 +102,6 @@ func run(args []string, sig <-chan os.Signal, logw io.Writer, ready chan<- strin
 	replanEvery := fs.Int("replan-every", 0,
 		"committed batches between adaptive re-planning checks on plan=auto sessions (0 disables)")
 	small := fs.String("small", "", "comma-separated small predicates for atom introduction")
-	parallel := fs.Int("parallel", 0, "eval worker count for full fixpoints (0 or 1 = sequential, <0 = GOMAXPROCS)")
 	join := fs.String("join", "auto", "join strategy: auto (Generic Join on cyclic bodies), binary, gj")
 	maxQueries := fs.Int("max-concurrent-queries", serve.DefaultMaxConcurrentQueries,
 		"in-flight query admission limit; excess requests get 503")
@@ -153,7 +152,6 @@ func run(args []string, sig <-chan os.Signal, logw io.Writer, ready chan<- strin
 		return err
 	}
 	cfg := serve.Config{
-		Parallel:             *parallel,
 		JoinMode:             joinMode,
 		MaxConcurrentQueries: *maxQueries,
 		MaxPendingWrites:     *maxPendingWrites,

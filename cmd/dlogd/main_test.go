@@ -66,7 +66,7 @@ func TestDaemonStartupProgramAndRoundTrip(t *testing.T) {
 	`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	url, sig, done := startDaemon(t, "-program", path, "-parallel", "2")
+	url, sig, done := startDaemon(t, "-program", path)
 
 	res, err := http.Get(url + "/healthz")
 	if err != nil || res.StatusCode != http.StatusOK {

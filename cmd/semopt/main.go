@@ -14,8 +14,8 @@
 // With -verify, cost-based plan selection runs over the loaded facts
 // and every available candidate — the original program, the paper's
 // isolated and optimized rewrites, magic sets (when -goal supplies a
-// bound goal), and the bounded plan — is evaluated to fixpoint (with
-// -parallel workers) and compared against the original's answers.
+// bound goal), and the bounded plan — is evaluated to fixpoint and
+// compared against the original's answers.
 // Per-candidate timings and work counters go to stderr, with the
 // chosen plan starred — an end-to-end check that every transformation
 // preserved answers on this database, and a view of what each one
@@ -57,7 +57,6 @@ func main() {
 	dot := flag.Bool("dot", false, "with -show-graph: emit Graphviz dot instead of text")
 	verify := flag.Bool("verify", false, "evaluate every planner candidate over the loaded facts, compare answers, and time each")
 	goal := flag.String("goal", "", "bound goal for -verify, e.g. 'anc(ann, Y)': makes the magic-sets candidate available")
-	parallel := flag.Int("parallel", 0, "eval worker count for -verify (0 or 1 = sequential, <0 = GOMAXPROCS)")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -167,7 +166,7 @@ func main() {
 	fmt.Print(res.Optimized)
 
 	if *verify {
-		if err := verifyCandidates(sys, smallPreds, *goal, *parallel, tracer); err != nil {
+		if err := verifyCandidates(sys, smallPreds, *goal, tracer); err != nil {
 			fatal(err)
 		}
 	}
@@ -184,7 +183,7 @@ func main() {
 // stderr. The magic candidate computes only the goal's answers, so it
 // is compared on the goal predicate restricted to the goal's bound
 // arguments.
-func verifyCandidates(sys *repro.System, small map[string]bool, goalSrc string, parallel int, tracer *obs.Tracer) error {
+func verifyCandidates(sys *repro.System, small map[string]bool, goalSrc string, tracer *obs.Tracer) error {
 	popts := planner.Options{ICs: sys.ICs, SmallPreds: small}
 	var goal *ast.Atom
 	if goalSrc != "" {
@@ -204,9 +203,6 @@ func verifyCandidates(sys *repro.System, small map[string]bool, goalSrc string, 
 	run := func(prog *ast.Program) (*repro.DB, time.Duration, eval.Stats, error) {
 		db := sys.DB.Clone()
 		e := eval.New(prog, db)
-		if parallel != 0 {
-			e.SetParallel(parallel)
-		}
 		e.SetTracer(tracer)
 		start := time.Now()
 		err := e.Run()

@@ -6,8 +6,8 @@ import (
 )
 
 // Subst is a substitution: a finite mapping from variables to terms.
-// Application is non-recursive (substitutions produced by unification
-// are already idempotent because Unify resolves chains eagerly).
+// Application resolves chains of variable bindings (see Lookup), so a
+// unifier built binding by binding applies as its idempotent closure.
 type Subst map[Var]Term
 
 // NewSubst returns an empty substitution.
@@ -23,9 +23,14 @@ func (s Subst) Clone() Subst {
 }
 
 // Lookup resolves a term through the substitution, following chains of
-// variable bindings. Unbound variables resolve to themselves.
+// variable bindings. Unbound variables resolve to themselves. Unify
+// never builds a cycle, but MatchAtom against a non-ground subject that
+// shares variable names with the pattern can (X -> Y, Y -> X): an
+// acyclic chain follows each binding at most once, so one longer than
+// len(s) has revisited a variable, and such a term resolves to itself.
 func (s Subst) Lookup(t Term) Term {
-	for {
+	orig := t
+	for steps := 0; steps <= len(s); steps++ {
 		v, ok := t.(Var)
 		if !ok {
 			return t
@@ -36,6 +41,7 @@ func (s Subst) Lookup(t Term) Term {
 		}
 		t = next
 	}
+	return orig
 }
 
 // ApplyTerm applies the substitution to a term.
@@ -143,6 +149,10 @@ func UnifyAtoms(s Subst, a, b Atom) bool {
 // pattern. Bindings are single-step — a pattern variable maps directly
 // to a subject term and is never resolved further, so subject variables
 // are never bound even when their names collide with pattern variables.
+// Callers that apply s afterwards must match against a ground subject
+// or rename the pattern apart first (subsume, residue and chase all
+// do): application follows chains, so a collision would resolve a
+// binding through another pattern variable's.
 // It reports success; on failure s may hold partial bindings.
 func MatchAtom(s Subst, pattern, b Atom) bool {
 	if pattern.Pred != b.Pred || len(pattern.Args) != len(b.Args) {

@@ -98,6 +98,31 @@ func TestMatchAtomIsOneWay(t *testing.T) {
 	}
 }
 
+// TestLookupTerminatesOnCycle: matching p(X, Y, Z) against the
+// non-ground p(Y, X, a) binds the two-variable cycle X -> Y, Y -> X
+// (the subject reuses the pattern's names). Lookup used to follow it
+// forever; a cyclic term now resolves to itself, acyclic bindings in
+// the same substitution still resolve, and application is idempotent.
+func TestLookupTerminatesOnCycle(t *testing.T) {
+	pattern := NewAtom("p", Var("X"), Var("Y"), Var("Z"))
+	s := NewSubst()
+	if !MatchAtom(s, pattern, NewAtom("p", Var("Y"), Var("X"), Sym("a"))) {
+		t.Fatal("match should succeed")
+	}
+	for _, v := range []Var{"X", "Y"} {
+		if got := s.Lookup(v); got != Term(v) {
+			t.Errorf("Lookup(%s) = %v, want the variable itself", v, got)
+		}
+	}
+	if got := s.Lookup(Var("Z")); got != Term(Sym("a")) {
+		t.Errorf("Lookup(Z) = %v, want a", got)
+	}
+	once := s.ApplyAtom(pattern)
+	if twice := s.ApplyAtom(once); !twice.Equal(once) {
+		t.Errorf("application not idempotent: %s then %s", once, twice)
+	}
+}
+
 func TestApplyRule(t *testing.T) {
 	r := NewRule("r", NewAtom("p", Var("X")), NewAtom("q", Var("X"), Var("Y")))
 	s := Subst{"X": Sym("a")}

@@ -13,8 +13,8 @@ import (
 // TestZSetMixedBatchDifferential drives random MIXED batches (inserts
 // and deletes applied in one ApplyZSetContext call) and checks, after
 // every batch, that the maintained database is tuple-for-tuple
-// identical to a from-scratch evaluation over the same final EDB —
-// sequential and parallel — and that the reported IDB delta is exact.
+// identical to a from-scratch evaluation over the same final EDB, and
+// that the reported IDB delta is exact.
 func TestZSetMixedBatchDifferential(t *testing.T) {
 	prog := mustProg(t, multiStratumSrc)
 	rng := rand.New(rand.NewSource(11))
@@ -78,12 +78,10 @@ func TestZSetMixedBatchDifferential(t *testing.T) {
 		for _, tu := range edge {
 			live = append(live, tu)
 		}
-		for _, parallel := range []int{1, 4} {
-			want := fromScratch(t, prog, map[string][]storage.Tuple{"edge": live}, parallel)
-			if !db.Equal(want) {
-				t.Fatalf("step %d (parallel=%d): z-set state diverged from from-scratch\nadds=%v dels=%v\nmaintained:\n%s\nfrom-scratch:\n%s",
-					step, parallel, adds, dels, db, want)
-			}
+		want := fromScratch(t, prog, map[string][]storage.Tuple{"edge": live})
+		if !db.Equal(want) {
+			t.Fatalf("step %d: z-set state diverged from from-scratch\nadds=%v dels=%v\nmaintained:\n%s\nfrom-scratch:\n%s",
+				step, adds, dels, db, want)
 		}
 	}
 }
@@ -114,7 +112,7 @@ func TestZSetInsertOnlyBatch(t *testing.T) {
 	})
 	want := fromScratch(t, prog, map[string][]storage.Tuple{
 		"edge": {edgeTuple(0, 1), edgeTuple(1, 2), edgeTuple(2, 3), edgeTuple(3, 4)},
-	}, 1)
+	})
 	if !db.Equal(want) {
 		t.Fatalf("insert-only batch diverged:\n%s\nwant:\n%s", db, want)
 	}

@@ -3,10 +3,8 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/ast"
@@ -15,11 +13,9 @@ import (
 )
 
 // Stats accumulates deterministic work counters, so experiments can
-// report machine-independent effort alongside wall-clock time. In
-// parallel mode each worker counts into a private Stats that is merged
-// at the round barrier, so totals stay exact. Every counter is
-// collected unconditionally — tracing on or off — so differential
-// tests can compare the two paths counter for counter.
+// report machine-independent effort alongside wall-clock time. Every
+// counter is collected unconditionally — tracing on or off — so
+// differential tests can compare the two paths counter for counter.
 type Stats struct {
 	Iterations  int64 // semi-naive rounds across all strata
 	RuleFirings int64 // rule evaluations started
@@ -95,7 +91,6 @@ type Engine struct {
 	prog     *ast.Program
 	db       *storage.Database
 	naive    bool
-	parallel int
 	joinMode JoinMode
 	stats    Stats
 	arity    map[string]int // head predicate -> arity, precomputed
@@ -110,28 +105,19 @@ type Engine struct {
 	// derived tuple; returning false discards the derivation. It is the
 	// hook used by the evaluation-paradigm semantic optimizer, which
 	// checks residues at run time instead of transforming the program.
-	// In parallel mode the filter runs at the round barrier
-	// (single-threaded), after per-worker dedup, so it sees each
-	// candidate tuple at most once per round — strictly fewer
-	// invocations than sequential mode, which consults it once per
-	// derivation. The filter must therefore be a deterministic pure
-	// function of (pred, tuple) for the parallel/sequential
-	// mode-equivalence guarantee to hold; stateful or counting filters
-	// will observe different call sequences across modes.
+	// It is consulted once per derivation, before the dedup check.
 	InsertFilter func(pred string, t storage.Tuple) bool
 
 	// IterationHook, when non-nil, runs at the start of every fixpoint
-	// round (always single-threaded, in parallel mode too). The
-	// evaluation-paradigm baseline of §1 uses it to re-apply residue
-	// analysis to the subqueries of each iteration, which is exactly
-	// the run-time overhead the paper's compile-time transformation
-	// avoids.
+	// round. The evaluation-paradigm baseline of §1 uses it to re-apply
+	// residue analysis to the subqueries of each iteration, which is
+	// exactly the run-time overhead the paper's compile-time
+	// transformation avoids.
 	IterationHook func(round int)
 
 	// rankSink, when non-nil, observes every successful insert of a
 	// derived tuple together with the 1-based fixpoint round of its
-	// stratum (see SetRankSink). Like InsertFilter it is invoked
-	// single-threaded in every mode.
+	// stratum (see SetRankSink).
 	rankSink func(pred string, t storage.Tuple, layer int)
 
 	// cost, when non-nil, refines plan-time estimates (see SetCostModel
@@ -157,7 +143,8 @@ func New(prog *ast.Program, db *storage.Database) *Engine {
 func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
 // UseNaive switches the engine to naive (full re-evaluation) fixpoint
-// iteration; the default is semi-naive. Used by tests and experiment E10.
+// iteration; the default is semi-naive. Only tests call it: naive
+// evaluation is the reference the semi-naive loop is checked against.
 func (e *Engine) UseNaive() { e.naive = true }
 
 // SetJoinMode selects the join execution path: JoinAuto (the default)
@@ -168,17 +155,6 @@ func (e *Engine) UseNaive() { e.naive = true }
 // fixpoint and the Inserted counter are identical in every mode.
 func (e *Engine) SetJoinMode(m JoinMode) { e.joinMode = m }
 
-// SetParallel sets the number of worker goroutines for semi-naive
-// fixpoint rounds. n <= 0 selects runtime.GOMAXPROCS(0); n == 1 keeps
-// evaluation fully sequential. The computed fixpoint (and the Inserted
-// counter) is identical in every mode; only scheduling differs.
-func (e *Engine) SetParallel(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.parallel = n
-}
-
 // SetRankSink attaches a derivation-layer observer: sink is called once
 // for every derived tuple that is actually inserted, with the 1-based
 // round of its stratum's fixpoint at which it first appeared (round-0
@@ -187,9 +163,6 @@ func (e *Engine) SetParallel(n int) {
 // are the rank stratification the Z-set maintenance path
 // (ApplyZSetContext) relies on: a tuple first inserted at layer k has a
 // derivation whose same-component body tuples all have layers < k.
-// Like InsertFilter, the sink runs single-threaded in every mode
-// (sequential, parallel, naive, GJ), so the recorded layers are
-// mode-independent for a deterministic program.
 func (e *Engine) SetRankSink(sink func(pred string, t storage.Tuple, layer int)) {
 	e.rankSink = sink
 }
@@ -231,12 +204,12 @@ func (e *Engine) DB() *storage.Database { return e.db }
 // which this engine must evaluate.
 func (e *Engine) Run() error { return e.RunContext(context.Background()) }
 
-// RunContext is Run with cancellation: both the sequential and the
-// parallel fixpoint check ctx at every round barrier and return
-// ctx.Err() once it is done. Cancellation can leave the database
-// between rounds — a subset of the fixpoint — so a cancelled run's
-// relations are only good for discarding (the long-running service
-// recomputes or drops the working state on cancellation).
+// RunContext is Run with cancellation: the fixpoint checks ctx at the
+// start of every round and returns ctx.Err() once it is done.
+// Cancellation can leave the database between rounds — a subset of the
+// fixpoint — so a cancelled run's relations are only good for
+// discarding (the long-running service recomputes or drops the working
+// state on cancellation).
 func (e *Engine) RunContext(ctx context.Context) error {
 	// Load program facts first.
 	for _, r := range e.prog.Rules {
@@ -403,8 +376,7 @@ type deltaPlan struct {
 }
 
 // compileStratum plans and slot-compiles every rule of the component,
-// and pre-builds every index the compiled programs will probe (so
-// parallel rounds only read).
+// and pre-builds every index the compiled programs will probe.
 func (e *Engine) compileStratum(inSCC map[string]bool, rules []ast.Rule) ([]compiledRule, error) {
 	est := e.estimator()
 	crs := make([]compiledRule, 0, len(rules))
@@ -472,12 +444,9 @@ func (e *Engine) fixpoint(ctx context.Context, scc []string) error {
 	e.strata = append(e.strata, StratumInfo{Preds: scc})
 	e.cur = &e.strata[len(e.strata)-1]
 	start := time.Now()
-	switch {
-	case e.naive:
+	if e.naive {
 		err = e.naiveFixpoint(ctx, crs)
-	case e.parallel > 1:
-		err = e.parallelFixpoint(ctx, inSCC, crs)
-	default:
+	} else {
 		err = e.semiNaiveFixpoint(ctx, inSCC, crs)
 	}
 	e.cur.Time = time.Since(start)
@@ -501,7 +470,7 @@ func (e *Engine) naiveFixpoint(ctx context.Context, crs []compiledRule) error {
 		changed := false
 		for i := range crs {
 			cr := &crs[i]
-			err := e.fireSeq(cr, cr.base, nil, func(storage.Tuple, uint64) {
+			err := e.fire(cr, cr.base, nil, func(storage.Tuple, uint64) {
 				changed = true
 			})
 			if err != nil {
@@ -514,13 +483,13 @@ func (e *Engine) naiveFixpoint(ctx context.Context, crs []compiledRule) error {
 	}
 }
 
-// fireSeq runs one sequential rule firing: execute plan (restricted to
-// delta, if given), insert the derivations, and call onNew for each
-// tuple that was actually new. Work counts into a firing-private Stats
-// that account folds into the engine totals and the rule's profile —
-// the counting is identical whether tracing is on or off; only the
-// clock reads and the trace event are gated on the tracer.
-func (e *Engine) fireSeq(cr *compiledRule, plan *compiled, delta []storage.Tuple, onNew func(storage.Tuple, uint64)) error {
+// fire runs one rule firing: execute plan (restricted to delta, if
+// given), insert the derivations, and call onNew for each tuple that
+// was actually new. Work counts into a firing-private Stats that
+// account folds into the engine totals and the rule's profile — the
+// counting is identical whether tracing is on or off; only the clock
+// reads and the trace event are gated on the tracer.
+func (e *Engine) fire(cr *compiledRule, plan *compiled, delta []storage.Tuple, onNew func(storage.Tuple, uint64)) error {
 	plan.gjPrepare(e.db)
 	st := Stats{RuleFirings: 1}
 	traced := e.tracer.Enabled()
@@ -561,31 +530,18 @@ func (e *Engine) fireSeq(cr *compiledRule, plan *compiled, delta []storage.Tuple
 	return err
 }
 
-// account folds one firing's (or merged task's) counters into the
-// engine totals and the rule's profile.
+// account folds one firing's counters into the engine totals and the
+// rule's profile.
 func (e *Engine) account(label, pred string, st Stats, dur time.Duration) {
 	e.stats.Add(st)
-	rp := e.ruleProfile(label, pred)
-	rp.Stats.Add(st)
-	rp.Time += dur
-}
-
-func (e *Engine) ruleProfile(label, pred string) *RuleProfile {
 	rp := e.rules[label]
 	if rp == nil {
 		rp = &RuleProfile{Label: label, Pred: pred}
 		e.rules[label] = rp
 		e.ruleOrder = append(e.ruleOrder, label)
 	}
-	return rp
-}
-
-// bumpFiring counts a rule firing outside fireSeq (the parallel path
-// counts firings at task creation, once per rule and delta — not per
-// chunk — to match sequential counting).
-func (e *Engine) bumpFiring(label, pred string) {
-	e.stats.RuleFirings++
-	e.ruleProfile(label, pred).Stats.RuleFirings++
+	rp.Stats.Add(st)
+	rp.Time += dur
 }
 
 // semiNaiveFixpoint runs differential evaluation over a component: an
@@ -613,7 +569,7 @@ func (e *Engine) semiNaiveFixpoint(ctx context.Context, inSCC map[string]bool, c
 	round := e.roundSpan(0)
 	for i := range crs {
 		cr := &crs[i]
-		err := e.fireSeq(cr, cr.base, nil, func(t storage.Tuple, h uint64) {
+		err := e.fire(cr, cr.base, nil, func(t storage.Tuple, h uint64) {
 			delta[cr.headPred].InsertHashed(t, h)
 		})
 		if err != nil {
@@ -652,7 +608,7 @@ func (e *Engine) semiNaiveFixpoint(ctx context.Context, inSCC map[string]bool, c
 				if d.Len() == 0 {
 					continue
 				}
-				err := e.fireSeq(cr, dp.plan, d.Tuples(), func(t storage.Tuple, h uint64) {
+				err := e.fire(cr, dp.plan, d.Tuples(), func(t storage.Tuple, h uint64) {
 					next[cr.headPred].InsertHashed(t, h)
 				})
 				if err != nil {
@@ -677,261 +633,6 @@ func (e *Engine) roundSpan(deltaSize int) *obs.Span {
 		n = e.cur.Rounds
 	}
 	return e.tracer.Start("eval", fmt.Sprintf("round %d", n)).Arg("delta", int64(deltaSize))
-}
-
-// evalTask is one unit of parallel work: a compiled plan, possibly
-// restricted to a chunk of the round's delta, deriving into the named
-// head relation.
-type evalTask struct {
-	plan     *compiled
-	label    string // rule label, for profiles and trace lanes
-	headPred string
-	headRel  *storage.Relation
-	delta    []storage.Tuple
-}
-
-type taskResult struct {
-	buf   *storage.TupleSet
-	stats Stats
-	dur   time.Duration // derive wall time; only set when tracing is on
-	err   error
-}
-
-// parallelFixpoint is semiNaiveFixpoint with round-internal
-// parallelism: each round's rule firings (and chunks of each delta) fan
-// out over a bounded worker pool; workers derive into private
-// TupleSet buffers against frozen relations, and the buffers are merged
-// into the relations and next-round deltas at the round barrier, in
-// deterministic task order. The merge (and the InsertFilter, if any)
-// runs single-threaded, so set semantics, the final fixpoint, and the
-// Inserted count are identical to sequential evaluation.
-func (e *Engine) parallelFixpoint(ctx context.Context, inSCC map[string]bool, crs []compiledRule) error {
-	delta := make(map[string]*storage.Relation)
-	for p := range inSCC {
-		delta[p] = storage.NewRelation(p, e.db.Relation(p).Arity)
-	}
-
-	// Round 0: one task per rule, over the full current state.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	e.startIteration()
-	round := e.roundSpan(0)
-	var tasks []evalTask
-	for i := range crs {
-		cr := &crs[i]
-		e.bumpFiring(cr.label, cr.headPred)
-		cr.base.gjPrepare(e.db)
-		tasks = append(tasks, evalTask{plan: cr.base, label: cr.label, headPred: cr.headPred, headRel: cr.headRel})
-	}
-	if err := e.runRound(tasks, delta); err != nil {
-		return err
-	}
-	round.End()
-
-	hasDeltas := false
-	for i := range crs {
-		if len(crs[i].deltas) > 0 {
-			hasDeltas = true
-		}
-	}
-	for hasDeltas {
-		total := 0
-		for _, d := range delta {
-			total += d.Len()
-		}
-		if total == 0 {
-			return nil
-		}
-		// Cancellation is checked at the round barrier only: workers run
-		// rounds to completion, so a cancelled parallel run still stops
-		// between rounds with the merge either fully applied or not
-		// started, never half-merged.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.startIteration()
-		round = e.roundSpan(total)
-		next := make(map[string]*storage.Relation)
-		for p := range inSCC {
-			next[p] = storage.NewRelation(p, e.db.Relation(p).Arity)
-		}
-		tasks = tasks[:0]
-		for i := range crs {
-			cr := &crs[i]
-			for _, dp := range cr.deltas {
-				d := delta[dp.pred]
-				if d.Len() == 0 {
-					continue
-				}
-				e.bumpFiring(cr.label, cr.headPred)
-				dp.plan.gjPrepare(e.db)
-				for _, chunk := range chunkTuples(d.Tuples(), e.parallel) {
-					tasks = append(tasks, evalTask{
-						plan: dp.plan, label: cr.label, headPred: cr.headPred, headRel: cr.headRel, delta: chunk,
-					})
-				}
-			}
-		}
-		if err := e.runRound(tasks, next); err != nil {
-			return err
-		}
-		round.End()
-		delta = next
-	}
-	return nil
-}
-
-// chunkTuples splits ts into at most parts contiguous chunks of near
-// equal size. Tiny deltas stay in one chunk: below this size the
-// per-task overhead outweighs the parallelism.
-const minChunk = 32
-
-func chunkTuples(ts []storage.Tuple, parts int) [][]storage.Tuple {
-	if parts <= 1 || len(ts) <= minChunk {
-		return [][]storage.Tuple{ts}
-	}
-	size := (len(ts) + parts - 1) / parts
-	if size < minChunk {
-		size = minChunk
-	}
-	var out [][]storage.Tuple
-	for start := 0; start < len(ts); start += size {
-		end := start + size
-		if end > len(ts) {
-			end = len(ts)
-		}
-		out = append(out, ts[start:end])
-	}
-	return out
-}
-
-// runRound executes the round's tasks over the worker pool and merges
-// the results. During execution every reachable relation is frozen
-// (workers only read); all mutation happens here after the barrier, in
-// task order, which makes the merge deterministic.
-func (e *Engine) runRound(tasks []evalTask, nextDelta map[string]*storage.Relation) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	workers := e.parallel
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	results := make([]taskResult, len(tasks))
-	traced := e.tracer.Enabled()
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			// Trace events land in a worker-private buffer (no lock
-			// traffic inside the round) merged after the pool drains.
-			var tbuf *obs.Buffer
-			var waitTotal, deriveTotal time.Duration
-			var ntasks int64
-			var last time.Time
-			if traced {
-				tbuf = e.tracer.NewBuffer(int64(wid) + 1)
-				last = time.Now()
-			}
-			for ti := range ch {
-				var tstart time.Time
-				if traced {
-					tstart = time.Now()
-					waitTotal += tstart.Sub(last)
-				}
-				t := &tasks[ti]
-				buf := storage.NewTupleSet()
-				var st Stats
-				err := e.runCompiled(t.plan, t.delta, nil, &st, func(fr frame) error {
-					st.Derived++
-					ht := t.plan.headTuple(fr)
-					// Dedup against the frozen relation and within this
-					// task's buffer; cross-task duplicates fall out at
-					// the merge. The tuple is hashed once and the hash
-					// rides along to the merge.
-					h := ht.Hash()
-					if t.headRel.ContainsHashed(ht, h) {
-						st.Deduped++
-					} else if !buf.AddHashed(ht, h) {
-						st.Deduped++
-					}
-					return nil
-				})
-				results[ti] = taskResult{buf: buf, stats: st, err: err}
-				if traced {
-					end := time.Now()
-					d := end.Sub(tstart)
-					results[ti].dur = d
-					deriveTotal += d
-					ntasks++
-					tbuf.Complete("eval.task", t.label, tstart, d, map[string]int64{
-						"scanned": st.Probes, "derived": st.Derived, "buffered": int64(buf.Len()),
-					})
-					last = end
-				}
-			}
-			if traced {
-				tbuf.Complete("eval.worker", fmt.Sprintf("worker %d", wid+1), last, 0, map[string]int64{
-					"wait_ns": int64(waitTotal), "derive_ns": int64(deriveTotal), "tasks": ntasks,
-				})
-				e.tracer.Merge(tbuf)
-			}
-		}(w)
-	}
-	for i := range tasks {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	// Check all results for errors before merging anything, so a failed
-	// round leaves the database and counters untouched — matching
-	// sequential evaluation, which stops at the failing firing.
-	for i := range results {
-		if results[i].err != nil {
-			return results[i].err
-		}
-	}
-	var mergeSpan *obs.Span
-	if traced {
-		mergeSpan = e.tracer.Start("eval", "merge")
-	}
-	for i := range results {
-		r := &results[i]
-		t := &tasks[i]
-		st := r.stats
-		if e.InsertFilter == nil {
-			news := t.headRel.InsertAllHashed(r.buf.Tuples(), r.buf.Hashes())
-			st.Inserted += int64(len(news))
-			st.Deduped += int64(r.buf.Len() - len(news)) // cross-task duplicates
-			for _, ht := range news {
-				if e.rankSink != nil {
-					e.rankSink(t.headPred, ht, int(e.cur.Rounds))
-				}
-				nextDelta[t.headPred].Insert(ht)
-			}
-		} else {
-			for _, ht := range r.buf.Tuples() {
-				if !e.InsertFilter(t.headPred, ht) {
-					continue
-				}
-				if t.headRel.Insert(ht) {
-					st.Inserted++
-					if e.rankSink != nil {
-						e.rankSink(t.headPred, ht, int(e.cur.Rounds))
-					}
-					nextDelta[t.headPred].Insert(ht)
-				} else {
-					st.Deduped++
-				}
-			}
-		}
-		e.account(t.label, t.headPred, st, r.dur)
-	}
-	mergeSpan.End()
-	return nil
 }
 
 // Query returns the tuples of the goal's relation matching the goal's

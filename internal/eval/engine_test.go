@@ -286,7 +286,6 @@ reach(Y) :- reach(X), edge(X, Y), e(Y, Y).
 	}{
 		{"semi-naive", func(e *Engine) {}},
 		{"naive", func(e *Engine) { e.UseNaive() }},
-		{"parallel", func(e *Engine) { e.SetParallel(4) }},
 	}
 	for _, m := range modes {
 		prog := mustProgram(t, src)

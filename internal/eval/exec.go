@@ -9,9 +9,8 @@ import (
 // executor runs a compiled program depth-first over its register frame.
 // One executor is built per rule firing; the frame is reused across all
 // derivations of that firing (backtracking resets only the slots each
-// step bound). Executors never mutate relations, so any number of them
-// may run concurrently over frozen relations — the parallel engine's
-// workers rely on this.
+// step bound). Executors never mutate relations: every write happens
+// in the emit callback the caller supplies.
 type executor struct {
 	c     *compiled
 	db    *storage.Database

@@ -264,10 +264,9 @@ func compilePlan(plan []planStep, head ast.Atom, db *storage.Database, prebound 
 }
 
 // prepareIndexes builds every hash index the compiled program will
-// probe. Under the parallel engine this must happen before workers
-// start, so rounds only read; indexes on still-growing component
-// relations stay valid because Insert maintains them incrementally at
-// the (single-threaded) round barrier.
+// probe, once per stratum instead of on the first probe of each
+// firing; indexes on still-growing component relations stay valid
+// because Insert maintains them incrementally.
 func (c *compiled) prepareIndexes() {
 	for i := range c.ops {
 		in := &c.ops[i]

@@ -307,10 +307,8 @@ func compileGJ(c *compiled) (*gjProgram, bool) {
 }
 
 // prepare re-resolves relations and builds or catches up every sorted
-// index the program probes. It mutates relations (EnsureSorted), so it
-// must run single-threaded — the engine calls it at round barriers,
-// which keeps the parallel freeze protocol intact: workers executing
-// run() only read.
+// index the program probes. It mutates relations (EnsureSorted); the
+// engine calls it at the start of each firing, so run() only reads.
 func (p *gjProgram) prepare(db *storage.Database) {
 	for _, a := range p.atoms {
 		if a.rel == nil {

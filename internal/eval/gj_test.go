@@ -178,39 +178,6 @@ miss(X, Z) :- e(X, Y), e(Y, Z), not e(X, Z).
 	}
 }
 
-// The parallel engine agrees with sequential under forced GJ.
-func TestForcedGJParallel(t *testing.T) {
-	prog := mustProgram(t, `
-tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(X, Z).
-reach(X, Z) :- tri(X, Y, Z).
-reach(X, Z) :- reach(X, Y), e(Y, Z).
-`)
-	base := triangleDB(40, 400, 21)
-	dSeq := base.Clone()
-	eSeq := New(prog, dSeq)
-	eSeq.SetJoinMode(JoinGJ)
-	if err := eSeq.Run(); err != nil {
-		t.Fatal(err)
-	}
-	dPar := base.Clone()
-	ePar := New(prog, dPar)
-	ePar.SetJoinMode(JoinGJ)
-	ePar.SetParallel(4)
-	if err := ePar.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !dSeq.Equal(dPar) {
-		t.Fatal("parallel GJ fixpoint differs from sequential")
-	}
-	if eSeq.Stats().Inserted != ePar.Stats().Inserted {
-		t.Fatalf("Inserted differs: sequential %d, parallel %d",
-			eSeq.Stats().Inserted, ePar.Stats().Inserted)
-	}
-	if ePar.Stats().GJFirings == 0 {
-		t.Fatal("parallel engine never fired GJ")
-	}
-}
-
 func TestParseJoinMode(t *testing.T) {
 	for _, c := range []struct {
 		in   string

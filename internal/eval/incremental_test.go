@@ -37,7 +37,7 @@ func edgeTuple(a, b int) storage.Tuple {
 
 // fromScratch evaluates prog over a fresh database holding exactly the
 // given EDB tuples.
-func fromScratch(t *testing.T, prog *ast.Program, edb map[string][]storage.Tuple, parallel int) *storage.Database {
+func fromScratch(t *testing.T, prog *ast.Program, edb map[string][]storage.Tuple) *storage.Database {
 	t.Helper()
 	db := storage.NewDatabase()
 	for p, ts := range edb {
@@ -45,11 +45,7 @@ func fromScratch(t *testing.T, prog *ast.Program, edb map[string][]storage.Tuple
 			db.Ensure(p, len(tu)).Insert(tu)
 		}
 	}
-	e := New(prog, db)
-	if parallel > 1 {
-		e.SetParallel(parallel)
-	}
-	if err := e.Run(); err != nil {
+	if err := New(prog, db).Run(); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -115,9 +111,8 @@ func checkReportedDelta(t *testing.T, before, after *storage.Database, out map[s
 // TestIncrementalDifferential drives a random interleaving of single
 // inserts and deletes through ApplyZSetContext and checks, after every
 // operation, that the maintained database is tuple-for-tuple identical
-// to a from-scratch evaluation over the same final EDB — in sequential
-// and parallel from-scratch modes — and that the reported IDB delta is
-// exact.
+// to a from-scratch evaluation over the same final EDB, and that the
+// reported IDB delta is exact.
 func TestIncrementalDifferential(t *testing.T) {
 	prog := mustProg(t, multiStratumSrc)
 	rng := rand.New(rand.NewSource(42))
@@ -160,13 +155,10 @@ func TestIncrementalDifferential(t *testing.T) {
 		}
 		checkReportedDelta(t, before, db, out, map[string]bool{"edge": true})
 
-		edb := map[string][]storage.Tuple{"edge": live}
-		for _, parallel := range []int{1, 4} {
-			want := fromScratch(t, prog, edb, parallel)
-			if !db.Equal(want) {
-				t.Fatalf("step %d (parallel=%d): incremental state diverged from from-scratch\nincremental:\n%s\nfrom-scratch:\n%s",
-					step, parallel, db, want)
-			}
+		want := fromScratch(t, prog, map[string][]storage.Tuple{"edge": live})
+		if !db.Equal(want) {
+			t.Fatalf("step %d: incremental state diverged from from-scratch\nincremental:\n%s\nfrom-scratch:\n%s",
+				step, db, want)
 		}
 	}
 }

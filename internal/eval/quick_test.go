@@ -47,11 +47,11 @@ func TestQuickNaiveEqualsSemiNaiveOnRandomPrograms(t *testing.T) {
 	}
 }
 
-// Parallel, sequential, and naive evaluation agree on random programs:
-// identical final relations and identical Inserted counts. Iterations,
-// Probes, and Derived may legitimately differ between strategies, but
-// the fixpoint and the number of genuinely new tuples must not.
-func TestQuickParallelEqualsSequential(t *testing.T) {
+// Semi-naive and naive evaluation agree on random programs: identical
+// final relations and identical Inserted counts. Iterations, Probes,
+// and Derived may legitimately differ between strategies, but the
+// fixpoint and the number of genuinely new tuples must not.
+func TestQuickNaiveEqualsSemiNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(558))
 	for round := 0; round < 25; round++ {
 		prog, arities := testutil.RandProgram(rng, testutil.RandProgramConfig{
@@ -65,13 +65,7 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		dSeq := db.Clone()
 		eSeq := eval.New(prog, dSeq)
 		if err := eSeq.Run(); err != nil {
-			t.Fatalf("round %d: sequential: %v\n%s", round, err, prog)
-		}
-		dPar := db.Clone()
-		ePar := eval.New(prog, dPar)
-		ePar.SetParallel(4)
-		if err := ePar.Run(); err != nil {
-			t.Fatalf("round %d: parallel: %v\n%s", round, err, prog)
+			t.Fatalf("round %d: semi-naive: %v\n%s", round, err, prog)
 		}
 		dNaive := db.Clone()
 		eNaive := eval.New(prog, dNaive)
@@ -80,26 +74,19 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 			t.Fatalf("round %d: naive: %v", round, err)
 		}
 
-		if !dSeq.Equal(dPar) {
-			t.Fatalf("round %d: parallel fixpoint differs from sequential\nprogram:\n%s", round, prog)
-		}
 		if !dSeq.Equal(dNaive) {
-			t.Fatalf("round %d: naive fixpoint differs from sequential\nprogram:\n%s", round, prog)
-		}
-		if eSeq.Stats().Inserted != ePar.Stats().Inserted {
-			t.Fatalf("round %d: Inserted differs: sequential %d, parallel %d\nprogram:\n%s",
-				round, eSeq.Stats().Inserted, ePar.Stats().Inserted, prog)
+			t.Fatalf("round %d: naive fixpoint differs from semi-naive\nprogram:\n%s", round, prog)
 		}
 		if eSeq.Stats().Inserted != eNaive.Stats().Inserted {
-			t.Fatalf("round %d: Inserted differs: sequential %d, naive %d\nprogram:\n%s",
+			t.Fatalf("round %d: Inserted differs: semi-naive %d, naive %d\nprogram:\n%s",
 				round, eSeq.Stats().Inserted, eNaive.Stats().Inserted, prog)
 		}
 	}
 }
 
 // Forced Generic Join agrees with the binary pipeline on random
-// programs — tuple-identical fixpoints and identical Inserted counts —
-// sequentially and in parallel. Together with the planner's fallback
+// programs — tuple-identical fixpoints and identical Inserted counts.
+// Together with the planner's fallback
 // (shapes compileGJ rejects keep gj == nil), this pins the two
 // execution paths to the same semantics over the whole program class.
 func TestQuickGJEqualsBinary(t *testing.T) {
@@ -113,33 +100,24 @@ func TestQuickGJEqualsBinary(t *testing.T) {
 		})
 		db := testutil.RandDB(rng, arities, 5, 12)
 
-		run := func(mode eval.JoinMode, parallel int) (*storage.Database, eval.Stats) {
+		run := func(mode eval.JoinMode) (*storage.Database, eval.Stats) {
 			d := db.Clone()
 			e := eval.New(prog, d)
 			e.SetJoinMode(mode)
-			if parallel > 1 {
-				e.SetParallel(parallel)
-			}
 			if err := e.Run(); err != nil {
-				t.Fatalf("round %d (%v, parallel=%d): %v\n%s", round, mode, parallel, err, prog)
+				t.Fatalf("round %d (%v): %v\n%s", round, mode, err, prog)
 			}
 			return d, e.Stats()
 		}
-		dBin, stBin := run(eval.JoinBinary, 1)
-		for _, c := range []struct {
-			mode     eval.JoinMode
-			parallel int
-		}{
-			{eval.JoinGJ, 1}, {eval.JoinGJ, 4}, {eval.JoinBinary, 4}, {eval.JoinAuto, 1},
-		} {
-			d, st := run(c.mode, c.parallel)
+		dBin, stBin := run(eval.JoinBinary)
+		for _, mode := range []eval.JoinMode{eval.JoinGJ, eval.JoinAuto} {
+			d, st := run(mode)
 			if !dBin.Equal(d) {
-				t.Fatalf("round %d: fixpoint (%v, parallel=%d) differs from sequential binary\nprogram:\n%s",
-					round, c.mode, c.parallel, prog)
+				t.Fatalf("round %d: fixpoint (%v) differs from binary\nprogram:\n%s", round, mode, prog)
 			}
 			if st.Inserted != stBin.Inserted {
-				t.Fatalf("round %d: Inserted (%v, parallel=%d) = %d, binary = %d\nprogram:\n%s",
-					round, c.mode, c.parallel, st.Inserted, stBin.Inserted, prog)
+				t.Fatalf("round %d: Inserted (%v) = %d, binary = %d\nprogram:\n%s",
+					round, mode, st.Inserted, stBin.Inserted, prog)
 			}
 		}
 	}

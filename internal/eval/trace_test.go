@@ -12,13 +12,10 @@ import (
 
 // runTraced evaluates prog over a clone of db and returns the computed
 // database, the counters, and the per-rule breakdown.
-func runTraced(t *testing.T, prog *ast.Program, db *storage.Database, parallel int, tr *obs.Tracer) (*storage.Database, Stats, RunInfo) {
+func runTraced(t *testing.T, prog *ast.Program, db *storage.Database, tr *obs.Tracer) (*storage.Database, Stats, RunInfo) {
 	t.Helper()
 	work := db.Clone()
 	e := New(prog, work)
-	if parallel != 0 {
-		e.SetParallel(parallel)
-	}
 	e.SetTracer(tr)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -36,78 +33,44 @@ func ruleStats(info RunInfo) map[string]Stats {
 
 // TestTracingDifferential pins the core observability contract: turning
 // the tracer on must not change the fixpoint, the counters, or the
-// per-rule counters — in sequential and in parallel mode. Only timings
-// may differ.
+// per-rule counters. Only timings may differ.
 func TestTracingDifferential(t *testing.T) {
 	s := workload.Organization()
 	rng := rand.New(rand.NewSource(7))
 	db := workload.OrgDB(rng, 2, 6, 2, 0.5)
-	for _, parallel := range []int{0, 4} {
-		mode := "sequential"
-		if parallel > 1 {
-			mode = "parallel"
+	t.Run("sequential", func(t *testing.T) {
+		dbOff, stOff, infoOff := runTraced(t, s.Program, db, nil)
+		dbOn, stOn, infoOn := runTraced(t, s.Program, db, obs.New())
+		if got, want := dbOn.String(), dbOff.String(); got != want {
+			t.Fatal("fixpoint differs with tracing enabled")
 		}
-		t.Run(mode, func(t *testing.T) {
-			dbOff, stOff, infoOff := runTraced(t, s.Program, db, parallel, nil)
-			dbOn, stOn, infoOn := runTraced(t, s.Program, db, parallel, obs.New())
-			if got, want := dbOn.String(), dbOff.String(); got != want {
-				t.Fatal("fixpoint differs with tracing enabled")
-			}
-			if stOn != stOff {
-				t.Errorf("stats differ with tracing enabled:\n on: %+v\noff: %+v", stOn, stOff)
-			}
-			if stOff.Inserted == 0 {
-				t.Fatal("workload derived nothing; the comparison is vacuous")
-			}
-			// No InsertFilter: every derivation is either inserted or a
-			// duplicate.
-			if stOff.Derived != stOff.Inserted+stOff.Deduped {
-				t.Errorf("derived=%d != inserted=%d + deduped=%d",
-					stOff.Derived, stOff.Inserted, stOff.Deduped)
-			}
-			rOff, rOn := ruleStats(infoOff), ruleStats(infoOn)
-			if len(rOff) != len(rOn) {
-				t.Fatalf("rule profile count: on=%d off=%d", len(rOn), len(rOff))
-			}
-			for label, off := range rOff {
-				on, ok := rOn[label]
-				if !ok {
-					t.Errorf("rule %s missing from traced profile", label)
-					continue
-				}
-				if on != off {
-					t.Errorf("rule %s counters differ:\n on: %+v\noff: %+v", label, on, off)
-				}
-			}
-		})
-	}
-}
-
-// TestTracingSequentialParallelAgree pins what the two execution modes
-// are designed to share: the fixpoint and the inserted count. Work
-// counters (firings, derived, deduped) legitimately differ — the
-// parallel engine joins against relations frozen for the round, while
-// the sequential engine sees same-round insertions immediately, so the
-// two take different numbers of rounds to the same fixpoint — but each
-// mode's accounting must balance.
-func TestTracingSequentialParallelAgree(t *testing.T) {
-	s := workload.Organization()
-	rng := rand.New(rand.NewSource(11))
-	db := workload.OrgDB(rng, 2, 6, 2, 0.5)
-	dbSeq, stSeq, _ := runTraced(t, s.Program, db, 0, obs.New())
-	dbPar, stPar, _ := runTraced(t, s.Program, db, 4, obs.New())
-	if dbSeq.String() != dbPar.String() {
-		t.Fatal("fixpoint differs between sequential and parallel mode")
-	}
-	if stSeq.Inserted != stPar.Inserted {
-		t.Errorf("inserted: seq=%d par=%d", stSeq.Inserted, stPar.Inserted)
-	}
-	for mode, st := range map[string]Stats{"seq": stSeq, "par": stPar} {
-		if st.Derived != st.Inserted+st.Deduped {
-			t.Errorf("%s: derived=%d != inserted=%d + deduped=%d",
-				mode, st.Derived, st.Inserted, st.Deduped)
+		if stOn != stOff {
+			t.Errorf("stats differ with tracing enabled:\n on: %+v\noff: %+v", stOn, stOff)
 		}
-	}
+		if stOff.Inserted == 0 {
+			t.Fatal("workload derived nothing; the comparison is vacuous")
+		}
+		// No InsertFilter: every derivation is either inserted or a
+		// duplicate.
+		if stOff.Derived != stOff.Inserted+stOff.Deduped {
+			t.Errorf("derived=%d != inserted=%d + deduped=%d",
+				stOff.Derived, stOff.Inserted, stOff.Deduped)
+		}
+		rOff, rOn := ruleStats(infoOff), ruleStats(infoOn)
+		if len(rOff) != len(rOn) {
+			t.Fatalf("rule profile count: on=%d off=%d", len(rOn), len(rOff))
+		}
+		for label, off := range rOff {
+			on, ok := rOn[label]
+			if !ok {
+				t.Errorf("rule %s missing from traced profile", label)
+				continue
+			}
+			if on != off {
+				t.Errorf("rule %s counters differ:\n on: %+v\noff: %+v", label, on, off)
+			}
+		}
+	})
 }
 
 // benchOrg is the E1 organization workload (Example 4.1) evaluated to

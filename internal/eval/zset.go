@@ -76,10 +76,9 @@ func NewZState() *ZState {
 // in one round and the round number does not stratify supports. The
 // global insertion order does — a tuple's grounding partners are
 // always physically present (hence already recorded) before the tuple
-// itself is inserted, in sequential and parallel modes alike — so
-// Record assigns a monotone counter. Ranks need not be minimal; the
-// sweep only relies on each derived tuple outranking the same-
-// component partners of at least one grounding.
+// itself is inserted — so Record assigns a monotone counter. Ranks
+// need not be minimal; the sweep only relies on each derived tuple
+// outranking the same-component partners of at least one grounding.
 func (z *ZState) Record(pred string, t storage.Tuple, _ int) {
 	m := z.ranks[pred]
 	if m == nil {

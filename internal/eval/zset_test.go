@@ -46,14 +46,12 @@ func ztRandTuple(rng *rand.Rand, arity, domain int) storage.Tuple {
 // under: the base fixpoint (which records the rank state) and the
 // maintenance sweep must agree with each other and across modes.
 var zsetModes = []struct {
-	name     string
-	mode     eval.JoinMode
-	parallel int
+	name string
+	mode eval.JoinMode
 }{
-	{"seq-binary", eval.JoinBinary, 1},
-	{"parallel", eval.JoinBinary, 4},
-	{"gj", eval.JoinGJ, 1},
-	{"auto", eval.JoinAuto, 1},
+	{"binary", eval.JoinBinary},
+	{"gj", eval.JoinGJ},
+	{"auto", eval.JoinAuto},
 }
 
 // deltaFingerprint renders a reported IDB delta into a canonical string
@@ -74,8 +72,8 @@ func deltaFingerprint(out map[string]*storage.ZSet) string {
 // batch — the Z-set-maintained database must be tuple-identical to BOTH
 // a from-scratch recompute over the tracked EDB AND the old DRed path
 // (delete-and-rederive for the deletions, then a monotone fixpoint over
-// the insertions), in sequential, parallel, and Generic Join modes. The
-// reported IDB delta must be identical across modes.
+// the insertions), under every join mode. The reported IDB delta must
+// be identical across modes.
 func TestZSetDifferentialRandomModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	for round := 0; round < 8; round++ {
@@ -161,15 +159,12 @@ func TestZSetDifferentialRandomModes(t *testing.T) {
 			zs := eval.NewZState()
 			e := eval.New(prog, zdb)
 			e.SetJoinMode(mc.mode)
-			if mc.parallel > 1 {
-				e.SetParallel(mc.parallel)
-			}
 			e.SetRankSink(zs.Record)
 			if err := e.Run(); err != nil {
 				t.Fatalf("round %d (%s): base run: %v\n%s", round, mc.name, err, prog)
 			}
 
-			// DRed-oracle state, maintained in parallel with the old
+			// DRed-oracle state, maintained alongside with the old
 			// two-step discipline.
 			ddb := base.Clone()
 			if err := eval.New(prog, ddb).Run(); err != nil {

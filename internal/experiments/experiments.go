@@ -91,9 +91,6 @@ type Config struct {
 	// Quick shrinks every sweep for CI-speed runs.
 	Quick bool
 	Seed  int64
-	// Parallel sets the eval engine's worker count for every measured
-	// run (0 or 1 = sequential; <0 = GOMAXPROCS).
-	Parallel int
 	// Rec, when non-nil, collects a machine-readable record for every
 	// measured evaluation (cmd/bench -json writes them out).
 	Rec *Recorder
@@ -120,7 +117,6 @@ func (c Config) seed() int64 {
 type BenchRecord struct {
 	Experiment string `json:"experiment"`
 	Label      string `json:"label"`
-	Parallel   int    `json:"parallel"`
 	// GoMaxProcs and NumCPU are recorded per measurement (not only at
 	// the document level) so records concatenated across machines or
 	// runtime.GOMAXPROCS changes stay self-describing.
@@ -223,27 +219,32 @@ func gitRevision() string {
 	return rev
 }
 
-// All runs the full suite in order.
-func All(cfg Config) []Table {
-	return []Table{
-		E1AtomElimination(cfg),
-		E2AtomIntroduction(cfg),
-		E3SubtreePruning(cfg),
-		E4ResidueGeneration(cfg),
-		E5MagicComparison(cfg),
-		E6IsolationOverhead(cfg),
-		E7IQA(cfg),
-		E8ChainVsFlat(cfg),
-		E9Chase(cfg),
-		E10EvalVsTransform(cfg),
-	}
+// Suite lists every experiment in report order (E11 was the parallel
+// scaling experiment, removed with the mode it measured). cmd/bench
+// selects from it by ID before running anything, so -only E4 pays for
+// E4 alone.
+var Suite = []struct {
+	ID  string
+	Run func(Config) Table
+}{
+	{"E1", E1AtomElimination},
+	{"E2", E2AtomIntroduction},
+	{"E3", E3SubtreePruning},
+	{"E4", E4ResidueGeneration},
+	{"E5", E5MagicComparison},
+	{"E6", E6IsolationOverhead},
+	{"E7", E7IQA},
+	{"E8", E8ChainVsFlat},
+	{"E9", E9Chase},
+	{"E10", E10EvalVsTransform},
+	{"E12", E12MixedMaintenance},
+	{"E13", E13PlannerSelection},
 }
 
 // runMeasured evaluates prog over clones of db three times and returns
 // the minimum duration (with the stats of that run), damping timing
-// jitter and first-touch effects. The engine's worker count follows
-// cfg.Parallel, and cfg.Rec (if any) gets one record per call, tagged
-// with the experiment id and a row label.
+// jitter and first-touch effects. cfg.Rec (if any) gets one record per
+// call, tagged with the experiment id and a row label.
 func runMeasured(cfg Config, id, label string, prog *ast.Program, db *storage.Database) (time.Duration, eval.Stats, error) {
 	var best time.Duration
 	var bestStats eval.Stats
@@ -255,9 +256,6 @@ func runMeasured(cfg Config, id, label string, prog *ast.Program, db *storage.Da
 	for rep := 0; rep < 3; rep++ {
 		work := db.Clone()
 		e := eval.New(prog, work)
-		if cfg.Parallel != 0 {
-			e.SetParallel(cfg.Parallel)
-		}
 		e.SetJoinMode(cfg.JoinMode)
 		e.SetTracer(cfg.Tracer)
 		start := time.Now()
@@ -270,14 +268,6 @@ func runMeasured(cfg Config, id, label string, prog *ast.Program, db *storage.Da
 			best, bestStats, bestInfo = d, e.Stats(), e.Info()
 		}
 	}
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		if parallel < 0 {
-			parallel = runtime.GOMAXPROCS(0)
-		} else {
-			parallel = 1
-		}
-	}
 	engine := "binary"
 	if bestStats.GJFirings > 0 {
 		engine = "gj"
@@ -287,10 +277,10 @@ func runMeasured(cfg Config, id, label string, prog *ast.Program, db *storage.Da
 		metrics = measurementMetrics(reps[:], bestStats)
 	}
 	cfg.Rec.add(BenchRecord{
-		Experiment: id, Label: label, Parallel: parallel,
+		Experiment: id, Label: label,
 		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Engine: engine,
-		Plan:   cfg.Plan,
+		Engine:  engine,
+		Plan:    cfg.Plan,
 		NsPerOp: best.Nanoseconds(), Stats: bestStats,
 		Strata:  strataRecords(bestInfo),
 		Metrics: metrics,
@@ -775,74 +765,6 @@ func E9Chase(cfg Config) Table {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(len(ics)), ms(dChase), fmt.Sprint(res.Fired), ms(dCont),
 		})
-	}
-	return t
-}
-
-// E11ParallelScaling — the parallel semi-naive engine on round-heavy
-// recursive workloads at 1, 2, and 4 workers. The fixpoint (and the
-// inserted count) is identical at every width by construction; the
-// interesting column is wall-clock scaling, which is bounded above by
-// GOMAXPROCS — on a single-core host the parallel engine can only show
-// its (small) coordination overhead, recorded honestly here.
-func E11ParallelScaling(cfg Config) Table {
-	t := Table{
-		ID:      "E11",
-		Title:   "Parallel semi-naive scaling (round-barrier worker pool)",
-		Claim:   "chunked delta fan-out preserves the fixpoint exactly; wall-clock speedup tracks available cores",
-		Columns: []string{"workload", "edb", "workers", "ms", "speedup vs 1", "inserted"},
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("host: GOMAXPROCS=%d, NumCPU=%d (speedup is capped by available cores)",
-		runtime.GOMAXPROCS(0), runtime.NumCPU()))
-	rng := rand.New(rand.NewSource(cfg.seed()))
-
-	tcProg, err := parser.ParseProgram("tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- tc(X, Z), edge(Z, Y).")
-	if err != nil {
-		t.Notes = append(t.Notes, err.Error())
-		return t
-	}
-	nodes, edges := 300, 900
-	genFam, genDepth := 200, 14
-	if cfg.Quick {
-		nodes, edges = 80, 240
-		genFam, genDepth = 60, 8
-	}
-	tcDB := storage.NewDatabase()
-	for i := 0; i < edges; i++ {
-		tcDB.Add("edge",
-			ast.Sym(fmt.Sprintf("v%d", rng.Intn(nodes))),
-			ast.Sym(fmt.Sprintf("v%d", rng.Intn(nodes))))
-	}
-	gen := workload.Genealogy()
-	rect, _ := ast.Rectify(gen.Program)
-	genDB := workload.GenealogyDB(rng, genFam, genDepth)
-
-	cases := []struct {
-		name string
-		prog *ast.Program
-		db   *storage.Database
-	}{
-		{"tc-random-graph", tcProg, tcDB},
-		{"genealogy", rect, genDB},
-	}
-	for _, c := range cases {
-		var base time.Duration
-		for _, w := range []int{1, 2, 4} {
-			wcfg := cfg
-			wcfg.Parallel = w
-			d, st, err := runMeasured(wcfg, "E11", fmt.Sprintf("%s/p%d", c.name, w), c.prog, c.db)
-			if err != nil {
-				t.Notes = append(t.Notes, err.Error())
-				break
-			}
-			if w == 1 {
-				base = d
-			}
-			t.Rows = append(t.Rows, []string{
-				c.name, fmt.Sprint(c.db.TotalTuples()), fmt.Sprint(w),
-				ms(d), ratio(base, d), fmt.Sprint(st.Inserted),
-			})
-		}
 	}
 	return t
 }

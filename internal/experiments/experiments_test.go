@@ -12,12 +12,12 @@ func TestAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	tables := All(Config{Quick: true})
-	if len(tables) != 10 {
-		t.Fatalf("tables = %d, want 10", len(tables))
-	}
 	ids := map[string]bool{}
-	for _, tab := range tables {
+	for _, e := range Suite {
+		tab := e.Run(Config{Quick: true})
+		if tab.ID != e.ID {
+			t.Errorf("suite entry %s produced table %s", e.ID, tab.ID)
+		}
 		ids[tab.ID] = true
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s: no rows (notes: %v)", tab.ID, tab.Notes)
@@ -38,60 +38,10 @@ func TestAllQuick(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
+	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E12", "E13"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
 		}
-	}
-}
-
-// E11 produces one row per (workload, worker count) and one recorder
-// entry per measured run, tagged with the worker count.
-func TestParallelScalingQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment suite skipped in -short mode")
-	}
-	rec := &Recorder{}
-	tab := E11ParallelScaling(Config{Quick: true, Rec: rec})
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (notes: %v)", len(tab.Rows), tab.Notes)
-	}
-	if len(rec.Records) != 6 {
-		t.Fatalf("records = %d, want 6", len(rec.Records))
-	}
-	widths := map[int]int{}
-	for _, r := range rec.Records {
-		if r.Experiment != "E11" {
-			t.Errorf("record experiment = %q", r.Experiment)
-		}
-		if r.NsPerOp <= 0 {
-			t.Errorf("record %s: ns_per_op = %d", r.Label, r.NsPerOp)
-		}
-		// Each record carries a metrics snapshot: a bench.eval_ns
-		// histogram with one observation per measurement rep, plus the
-		// engine work counters of the best rep.
-		if r.Metrics == nil {
-			t.Fatalf("record %s: no metrics snapshot", r.Label)
-		}
-		if h, ok := r.Metrics.Histograms["bench.eval_ns"]; !ok || h.Count != 3 {
-			t.Errorf("record %s: bench.eval_ns = %+v, want count 3", r.Label, r.Metrics.Histograms["bench.eval_ns"])
-		}
-		if r.Metrics.Counters["bench.iterations"] <= 0 {
-			t.Errorf("record %s: bench.iterations = %d, want > 0", r.Label, r.Metrics.Counters["bench.iterations"])
-		}
-		widths[r.Parallel]++
-	}
-	for _, w := range []int{1, 2, 4} {
-		if widths[w] != 2 {
-			t.Errorf("records at %d workers = %d, want 2", w, widths[w])
-		}
-	}
-	var sb strings.Builder
-	if err := rec.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"gomaxprocs"`) || !strings.Contains(sb.String(), `"ns_per_op"`) {
-		t.Errorf("JSON document malformed:\n%s", sb.String())
 	}
 }
 
@@ -153,6 +103,28 @@ func TestPlannerSelectionQuick(t *testing.T) {
 		if r.Plan == "" {
 			t.Errorf("record %s: no plan provenance", r.Label)
 		}
+		if r.NsPerOp <= 0 {
+			t.Errorf("record %s: ns_per_op = %d", r.Label, r.NsPerOp)
+		}
+		// Each record carries a metrics snapshot: a bench.eval_ns
+		// histogram with one observation per measurement rep, plus the
+		// engine work counters of the best rep.
+		if r.Metrics == nil {
+			t.Fatalf("record %s: no metrics snapshot", r.Label)
+		}
+		if h, ok := r.Metrics.Histograms["bench.eval_ns"]; !ok || h.Count != 3 {
+			t.Errorf("record %s: bench.eval_ns = %+v, want count 3", r.Label, r.Metrics.Histograms["bench.eval_ns"])
+		}
+		if r.Metrics.Counters["bench.iterations"] <= 0 {
+			t.Errorf("record %s: bench.iterations = %d, want > 0", r.Label, r.Metrics.Counters["bench.iterations"])
+		}
+	}
+	var sb strings.Builder
+	if err := rec.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `"gomaxprocs"`) || !strings.Contains(sb.String(), `"ns_per_op"`) {
+		t.Errorf("JSON document malformed:\n%s", sb.String())
 	}
 }
 
@@ -186,6 +158,11 @@ func TestMixedMaintenanceQuick(t *testing.T) {
 			dred = r.Stats.Derived
 		default:
 			t.Errorf("unexpected record label %q", r.Label)
+		}
+		// Per-stratum timings summed over the batches: the tc stratum,
+		// with at least one round per batch.
+		if len(r.Strata) != 1 || r.Strata[0].Rounds < 4 || r.Strata[0].Ns <= 0 {
+			t.Errorf("record %s: strata = %+v, want one tc stratum summed over 4 batches", r.Label, r.Strata)
 		}
 	}
 	if zset <= 0 || dred <= 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/eval"
@@ -62,15 +63,18 @@ func E12MixedMaintenance(cfg Config) Table {
 			return t
 		}
 		var zDerived int64
+		var zStrata []StratumRecord
 		zStart := time.Now()
 		for _, b := range batches {
 			e := eval.New(prog, zdb)
+			e.SetTracer(cfg.Tracer)
 			if _, err := e.ApplyZSetContext(context.Background(), zs,
 				map[string]*storage.ZSet{"edge": storage.ZSetOfChanges(b.adds, b.dels)}); err != nil {
 				t.Notes = append(t.Notes, err.Error())
 				return t
 			}
 			zDerived += e.Stats().Derived
+			zStrata = addStrata(zStrata, e.Info())
 		}
 		zDur := time.Since(zStart)
 
@@ -83,9 +87,11 @@ func E12MixedMaintenance(cfg Config) Table {
 			return t
 		}
 		var dDerived int64
+		var dStrata []StratumRecord
 		dStart := time.Now()
 		for _, b := range batches {
 			del := eval.New(prog, ddb)
+			del.SetTracer(cfg.Tracer)
 			if _, err := del.DeleteAndRederiveContext(context.Background(),
 				map[string][]storage.Tuple{"edge": b.dels}); err != nil {
 				t.Notes = append(t.Notes, err.Error())
@@ -95,11 +101,13 @@ func E12MixedMaintenance(cfg Config) Table {
 				ddb.Relation("edge").Insert(tu)
 			}
 			grow := eval.New(prog, ddb)
+			grow.SetTracer(cfg.Tracer)
 			if err := grow.Run(); err != nil {
 				t.Notes = append(t.Notes, err.Error())
 				return t
 			}
 			dDerived += del.Stats().Derived + grow.Stats().Derived
+			dStrata = addStrata(addStrata(dStrata, del.Info()), grow.Info())
 		}
 		dDur := time.Since(dStart)
 
@@ -111,13 +119,15 @@ func E12MixedMaintenance(cfg Config) Table {
 			path    string
 			dur     time.Duration
 			derived int64
-		}{{"zset", zDur, zDerived}, {"dred", dDur, dDerived}} {
+			strata  []StratumRecord
+		}{{"zset", zDur, zDerived, zStrata}, {"dred", dDur, dDerived, dStrata}} {
 			cfg.Rec.add(BenchRecord{
-				Experiment: "E12", Label: lab + "/" + rec.path, Parallel: 1,
+				Experiment: "E12", Label: lab + "/" + rec.path,
 				GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 				Engine:  "binary",
 				NsPerOp: rec.dur.Nanoseconds(),
 				Stats:   eval.Stats{Derived: rec.derived},
+				Strata:  rec.strata,
 			})
 		}
 		t.Rows = append(t.Rows, []string{
@@ -128,6 +138,24 @@ func E12MixedMaintenance(cfg Config) Table {
 		})
 	}
 	return t
+}
+
+// addStrata folds one engine's per-stratum rounds and wall time into
+// sum, matching strata by their predicates: a maintained sequence runs
+// one engine per batch, and its record reports the totals.
+func addStrata(sum []StratumRecord, info eval.RunInfo) []StratumRecord {
+next:
+	for _, rec := range strataRecords(info) {
+		for i := range sum {
+			if slices.Equal(sum[i].Preds, rec.Preds) {
+				sum[i].Rounds += rec.Rounds
+				sum[i].Ns += rec.Ns
+				continue next
+			}
+		}
+		sum = append(sum, rec)
+	}
+	return sum
 }
 
 type mixedBatch struct {

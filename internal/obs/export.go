@@ -24,8 +24,8 @@ type chromeEvent struct {
 }
 
 // WriteChromeTrace writes events as a Chrome trace-event JSON array,
-// loadable in Perfetto or chrome://tracing. Worker lanes map to
-// thread ids.
+// loadable in Perfetto or chrome://tracing. Event lanes map to thread
+// ids.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	out := make([]chromeEvent, 0, len(events))
 	for _, e := range events {

@@ -5,18 +5,15 @@
 // (loadable in Perfetto / chrome://tracing).
 //
 // The design goal is that *disabled* tracing costs one predictable
-// branch: every method of Tracer, Span, and Buffer is safe on a nil
+// branch: every method of Tracer and Span is safe on a nil
 // receiver and returns immediately, so instrumented code holds a
 // possibly-nil *Tracer and calls it unconditionally. No time is read
 // and nothing is allocated on the nil path, which is what lets the
 // evaluation engine keep its "no run-time overhead when disabled"
 // budget (DESIGN.md §8).
 //
-// Concurrency: Tracer.Emit and Tracer.Merge are safe for concurrent
-// use (one mutex around the event buffer). Hot parallel sections
-// should record into a worker-private Buffer instead and Merge it at a
-// barrier — the evaluation engine's worker pool does exactly that, so
-// tracing adds no lock traffic inside a round.
+// Concurrency: Tracer.Emit is safe for concurrent use (one mutex
+// around the event buffer).
 package obs
 
 import (
@@ -33,7 +30,7 @@ type Event struct {
 	Cat  string
 	TS   time.Duration // start offset since the trace began
 	Dur  time.Duration // zero for instant events
-	TID  int64         // logical lane (0 = main; workers use 1..n)
+	TID  int64         // logical lane (0 = main)
 	Args map[string]int64
 }
 
@@ -117,14 +114,11 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // Span is an open interval being measured. Obtain one from
-// Tracer.Start or Buffer.Start; a nil *Span (from a nil tracer) is
-// inert.
+// Tracer.Start; a nil *Span (from a nil tracer) is inert.
 type Span struct {
 	t    *Tracer
-	b    *Buffer
 	name string
 	cat  string
-	tid  int64
 	beg  time.Duration
 	args map[string]int64
 }
@@ -154,70 +148,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	if s.b != nil {
-		s.b.events = append(s.b.events, Event{
-			Name: s.name, Cat: s.cat, TS: s.beg,
-			Dur: s.b.t.Since() - s.beg, TID: s.tid, Args: s.args,
-		})
-		return
-	}
-	s.t.Emit(Event{Name: s.name, Cat: s.cat, TS: s.beg, Dur: s.t.Since() - s.beg, TID: s.tid, Args: s.args})
-}
-
-// Buffer is a worker-private event sink: appends take no lock, and the
-// whole batch lands in the tracer at Merge. The evaluation engine
-// gives each parallel worker one Buffer and merges at the round
-// barrier, preserving its workers-only-read discipline.
-type Buffer struct {
-	t      *Tracer
-	tid    int64
-	events []Event
-}
-
-// NewBuffer returns a private sink whose events carry the given lane
-// id (nil when the tracer is disabled).
-func (t *Tracer) NewBuffer(tid int64) *Buffer {
-	if t == nil {
-		return nil
-	}
-	return &Buffer{t: t, tid: tid}
-}
-
-// Start opens a span recorded into the buffer.
-func (b *Buffer) Start(cat, name string) *Span {
-	if b == nil {
-		return nil
-	}
-	return &Span{b: b, cat: cat, name: name, tid: b.tid, beg: b.t.Since()}
-}
-
-// Complete records a pre-measured span into the buffer.
-func (b *Buffer) Complete(cat, name string, start time.Time, dur time.Duration, args map[string]int64) {
-	if b == nil {
-		return
-	}
-	b.events = append(b.events, Event{
-		Name: name, Cat: cat, TS: start.Sub(b.t.start), Dur: dur, TID: b.tid, Args: args,
-	})
-}
-
-// Merge appends a buffer's events to the tracer. The buffer may be
-// reused afterwards (it is reset). Safe for concurrent use; typically
-// called single-threaded at a barrier.
-func (t *Tracer) Merge(b *Buffer) {
-	if t == nil || b == nil || len(b.events) == 0 {
-		return
-	}
-	t.mu.Lock()
-	for _, e := range b.events {
-		if len(t.events) < maxEvents {
-			t.events = append(t.events, e)
-		} else {
-			t.dropped++
-		}
-	}
-	t.mu.Unlock()
-	b.events = b.events[:0]
+	s.t.Emit(Event{Name: s.name, Cat: s.cat, TS: s.beg, Dur: s.t.Since() - s.beg, Args: s.args})
 }
 
 // ProfileEntry aggregates every event sharing a (Cat, Name) key: how

@@ -26,13 +26,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp := tr.Start("cat", "name")
 	sp.Arg("k", 1).Arg("j", 2)
 	sp.End()
-	b := tr.NewBuffer(3)
-	if b != nil {
-		t.Fatal("nil tracer must hand out nil buffers")
-	}
-	b.Start("c", "n").End()
-	b.Complete("c", "n", time.Now(), 0, nil)
-	tr.Merge(b)
 	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Error("nil tracer must hold nothing")
 	}
@@ -81,32 +74,6 @@ func TestSpanRecordsDurationAndArgs(t *testing.T) {
 	}
 	if e.Dur <= 0 || e.TS < 0 {
 		t.Errorf("non-positive timing %+v", e)
-	}
-}
-
-func TestBufferMerge(t *testing.T) {
-	tr := New()
-	b := tr.NewBuffer(7)
-	b.Start("eval.task", "r1").Arg("derived", 5).End()
-	b.Complete("eval.worker", "worker 7", time.Now(), time.Millisecond, map[string]int64{"tasks": 2})
-	if got := len(tr.Events()); got != 0 {
-		t.Fatalf("buffer leaked %d events before merge", got)
-	}
-	tr.Merge(b)
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
-	}
-	for _, e := range evs {
-		if e.TID != 7 {
-			t.Errorf("event %q lane = %d, want 7", e.Name, e.TID)
-		}
-	}
-	// Buffer is reusable after merge.
-	b.Start("c", "again").End()
-	tr.Merge(b)
-	if len(tr.Events()) != 3 {
-		t.Error("merge after reuse lost events")
 	}
 }
 

@@ -14,28 +14,22 @@ import (
 // The plan-space differential harness: for random in-class programs
 // with random chain ICs over random constraint-repaired databases,
 // every enumerated candidate — evaluated by every engine configuration
-// (sequential and parallel rounds, binary and Generic Join paths, and
-// JoinAuto steered by the shared cost model) — must produce
-// tuple-identical answers; and the variant auto picks must never
-// measure worse than the best candidate by more than the documented
-// estimator error bound (ErrorBound/ErrorFloor). Run under -race in CI
-// so the parallel combinations double as a data-race probe.
+// (binary and Generic Join paths, and JoinAuto steered by the shared
+// cost model) — must produce tuple-identical answers; and the variant
+// auto picks must never measure worse than the best candidate by more
+// than the documented estimator error bound (ErrorBound/ErrorFloor).
 
 // engineConfig is one evaluation mode a candidate is checked under.
 type engineConfig struct {
-	name     string
-	parallel int
-	join     eval.JoinMode
-	costed   bool // install the shared StatsCostModel
+	name   string
+	join   eval.JoinMode
+	costed bool // install the shared StatsCostModel
 }
 
 var engineConfigs = []engineConfig{
-	{name: "seq/binary", join: eval.JoinBinary},
-	{name: "seq/gj", join: eval.JoinGJ},
-	{name: "seq/auto+cost", join: eval.JoinAuto, costed: true},
-	{name: "par/binary", parallel: 4, join: eval.JoinBinary},
-	{name: "par/gj", parallel: 4, join: eval.JoinGJ},
-	{name: "par/auto+cost", parallel: 4, join: eval.JoinAuto, costed: true},
+	{name: "binary", join: eval.JoinBinary},
+	{name: "gj", join: eval.JoinGJ},
+	{name: "auto+cost", join: eval.JoinAuto, costed: true},
 }
 
 // goalTuples collects pred's tuples restricted to the goal pattern
@@ -150,7 +144,6 @@ func TestPlanSpaceDifferential(t *testing.T) {
 			for _, ec := range engineConfigs {
 				run := db.Clone()
 				eng := eval.New(c.Program, run)
-				eng.SetParallel(ec.parallel)
 				eng.SetJoinMode(ec.join)
 				if ec.costed {
 					eng.SetCostModel(eval.StatsCostModel{DB: run})
@@ -163,7 +156,7 @@ func TestPlanSpaceDifferential(t *testing.T) {
 					t.Fatalf("round %d: %s/%s differs from orig: %s\nprogram:\n%s\nICs: %v",
 						round, c.Variant, ec.name, diffSets(want, got), c.Program, ics)
 				}
-				if ec.name == "seq/binary" {
+				if ec.name == "binary" {
 					st := eng.Stats()
 					measured[c.Variant] = float64(st.Probes + st.IndexProbes)
 				}
@@ -194,7 +187,6 @@ func runWith(t *testing.T, round int, prog *ast.Program, db *storage.Database, e
 	t.Helper()
 	run := db.Clone()
 	eng := eval.New(prog, run)
-	eng.SetParallel(ec.parallel)
 	eng.SetJoinMode(ec.join)
 	if err := eng.Run(); err != nil {
 		t.Fatalf("round %d reference run: %v", round, err)

@@ -15,9 +15,9 @@
 //     queue; a single committer goroutine per session drains the
 //     queue, coalesces concurrent requests to their net effect, and
 //     runs ONE Z-set maintenance pass for the whole batch
-//     (eval.ApplyZSetContext) before publishing one snapshot and
-//     fanning the responses back out — every commit gets a sequence
-//     number, durable or not;
+//     (session.applyDelta) before publishing one snapshot and only
+//     then fanning the responses back out — every commit gets a
+//     sequence number, durable or not;
 //   - updates that reach a negated predicate fall back to a full
 //     recomputation from the extensional relations;
 //   - change-feed subscribers (GET /subscribe, SSE or long-poll)

@@ -108,10 +108,11 @@ func (s *Server) collectBatch(sess *session, first *commitReq) []*commitReq {
 
 // commitBatch applies one commit group under the session mutex:
 // re-validate each request against the authoritative database, then
-// either group-commit the survivors through one maintenance pass or
-// fall back to sequential per-request application (solo batches, dirty
-// sessions, or after a group-path failure). One snapshot is published
-// per group regardless of its size.
+// commit the survivors as one group (commitGroup) — one maintenance
+// pass, one WAL record, one published snapshot, whatever the group's
+// size. A group whose maintenance fails is undone and retried as
+// groups of one, so one poisoned request cannot take its batchmates
+// down with it.
 func (s *Server) commitBatch(sess *session, batch []*commitReq) {
 	if hook := s.testBeforeCommit; hook != nil {
 		hook(len(batch))
@@ -162,14 +163,10 @@ func (s *Server) commitBatch(sess *session, batch []*commitReq) {
 		s.hCommitWait.ObserveDuration(commitStart.Sub(req.enq))
 	}
 
-	// A dirty session needs a rebuild no matter what; the per-request
-	// path already implements repair semantics. Solo requests keep the
-	// exact single-writer behavior (request-scoped context, per-request
-	// modes) the flat API always had.
-	if sess.dirty || len(live) == 1 {
-		s.commitSequential(sess, live)
-	} else {
-		s.commitGrouped(sess, p, live)
+	if !s.commitGroup(sess, live) {
+		for i := range live {
+			s.commitGroup(sess, live[i:i+1])
+		}
 	}
 	// Adaptive re-plan cadence, then checkpoint cadence, both on the
 	// commit path with mu still held. Replan first: an adopted plan
@@ -197,54 +194,6 @@ func (s *Server) commitBatch(sess *session, batch []*commitReq) {
 	}
 }
 
-// commitSequential applies requests one at a time through the
-// single-request Z-set path, preserving its full semantics
-// (request-context cancellation, per-request rollback, noop detection).
-func (s *Server) commitSequential(sess *session, reqs []*commitReq) {
-	changed := false
-	for _, req := range reqs {
-		if req.ctx.Err() != nil {
-			req.fail(statusClientClosedRequest, CodeCancelled, req.ctx.Err())
-			continue
-		}
-		resp, ins, del, err := sess.applyOne(req.ctx, req.adds, req.dels)
-		sess.countWrite(req.kind)
-		if err != nil {
-			status, code := errorStatus(req.ctx, err)
-			req.fail(status, code, err)
-			continue
-		}
-		// Log the applied EDB delta before acknowledging: once ok fires
-		// the client may treat the write as durable. A failed append
-		// rolls this request back out of memory so acked == durable.
-		if len(ins) > 0 || len(del) > 0 {
-			if lerr := sess.logBatch(ins, del); lerr != nil {
-				_ = sess.rollback(ins, del, lerr)
-				req.fail(http.StatusInternalServerError, CodeDurability, lerr)
-				continue
-			}
-		}
-		resp.Seq = sess.seq.Load()
-		resp.Ignored += req.dups
-		resp.Batched = 1
-		switch resp.Mode {
-		case "incremental":
-			sess.incremental.Add(1)
-		case "recompute":
-			sess.recomputes.Add(1)
-		}
-		sess.addEvalStats(resp.Stats)
-		if resp.Mode != "noop" {
-			changed = true
-		}
-		req.ok(resp)
-	}
-	if changed {
-		sess.cache.purge()
-		sess.publish()
-	}
-}
-
 // errorStatus maps a per-request apply error to wire status and code.
 func errorStatus(ctx context.Context, err error) (int, string) {
 	switch {
@@ -257,107 +206,82 @@ func errorStatus(ctx context.Context, err error) (int, string) {
 	}
 }
 
-// commitGrouped runs one maintenance pass for the whole group. The
-// requests are first coalesced to their net effect on the EDB —
-// membership-simulated in arrival order, so each response's
-// Applied/Ignored is exactly what sequential application would have
-// reported (see DESIGN.md §10 for why net-effect application yields
-// the same fixpoint). A group whose net effect is empty commits as a
-// pure noop with no maintenance at all.
+// commitGroup commits reqs as one unit: coalesce them to their net
+// effect on the EDB — membership-simulated in arrival order, so each
+// response's Applied/Ignored is exactly what one-at-a-time application
+// would have reported (see DESIGN.md §10 for why net-effect application
+// yields the same fixpoint) — apply that delta once (applyDelta), log
+// it, publish, and only then acknowledge. A solo request is a group of
+// one; it keeps its own context, so its client going away cancels its
+// maintenance, whereas a real group has no single client to follow. A
+// group whose net effect is empty commits as a pure noop with no
+// maintenance at all (unless the session is dirty: any write heals it).
 //
-// Failure ladder: ErrNeedsRecompute applies the net EDB delta and
-// rebuilds from scratch (the guard refused before mutating anything);
-// any other error rolls the net delta back and retries the whole group
-// through the sequential path, so one poisoned request cannot take its
-// batchmates down with it.
-func (s *Server) commitGrouped(sess *session, p *loadedProgram, reqs []*commitReq) {
+// It reports false — with nothing applied and nobody answered — only
+// when maintenance failed for a group of more than one; the caller
+// retries each member alone. Caller holds mu.
+func (s *Server) commitGroup(sess *session, reqs []*commitReq) bool {
+	ctx := context.Background()
+	if len(reqs) == 1 {
+		ctx = reqs[0].ctx
+	}
 	netIns, netDel, perReq := coalesce(sess.db, reqs)
+	changed := len(netIns) > 0 || len(netDel) > 0
 
-	if len(netIns) == 0 && len(netDel) == 0 {
-		seq := sess.seq.Load()
-		for i, req := range reqs {
-			resp := perReq[i]
-			resp.Mode = "noop"
-			resp.Batched = len(reqs)
-			resp.Ignored += req.dups
-			resp.Seq = seq
-			sess.countWrite(req.kind)
-			req.ok(resp)
-		}
-		return
-	}
-
-	changes := make(map[string]*storage.ZSet, len(netIns)+len(netDel))
-	for pred, ts := range netIns {
-		changes[pred] = storage.ZSetOfChanges(ts, nil)
-	}
-	for pred, ts := range netDel {
-		if z := changes[pred]; z != nil {
-			for _, t := range ts {
-				z.Add(t, -1)
+	mode, st := "noop", eval.Stats{}
+	if changed || sess.dirty {
+		var err error
+		if mode, st, err = sess.applyDelta(ctx, netIns, netDel, false); err != nil {
+			if len(reqs) > 1 {
+				return false
 			}
-		} else {
-			changes[pred] = storage.ZSetOfChanges(nil, ts)
+			sess.countWrite(reqs[0].kind)
+			status, code := errorStatus(ctx, err)
+			reqs[0].fail(status, code, err)
+			return true
 		}
 	}
-	sess.dirty = true
-	eng := sess.engine(p.active, sess.db)
-	_, err := eng.ApplyZSetContext(context.Background(), sess.zs, changes)
-	mode := "incremental"
-	st := eng.Stats()
-	switch {
-	case err == nil:
-		sess.dirty = false
+	// The delta is applied in memory; make it durable before any ack. On
+	// failure the whole group is undone — acked writes must never run
+	// ahead of the log, or a crash would silently drop them.
+	if changed {
+		if err := sess.logBatch(netIns, netDel); err != nil {
+			sess.undoDelta(netIns, netDel)
+			for _, req := range reqs {
+				sess.countWrite(req.kind)
+				req.fail(http.StatusInternalServerError, CodeDurability, err)
+			}
+			return true
+		}
+	}
+	switch mode {
+	case "incremental":
 		sess.incremental.Add(1)
-		s.mGroupCommits.Inc()
-	case errors.Is(err, eval.ErrNeedsRecompute):
-		// The negation guard refused before touching anything. Apply the
-		// net EDB delta directly and rebuild the IDB once for the group.
-		mode = "recompute"
-		applyNet(sess.db, netIns, netDel)
-		rst, rerr := sess.recompute(context.Background())
-		if rerr != nil {
-			sess.rollbackNet(netIns, netDel)
-			s.commitSequential(sess, reqs)
-			return
+		if len(reqs) > 1 {
+			s.mGroupCommits.Inc()
 		}
-		sess.dirty = false
+	case "recompute":
 		sess.recomputes.Add(1)
-		st = rst
-	default:
-		// Maintenance stopped partway; undo the group's EDB delta,
-		// restore the fixpoint, and let each request stand alone.
-		sess.rollbackNet(netIns, netDel)
-		s.commitSequential(sess, reqs)
-		return
 	}
-
-	// The group is applied in memory; make it durable before any ack.
-	// On failure the whole group rolls back — acked writes must never
-	// run ahead of the log, or a crash would silently drop them.
-	if lerr := sess.logBatch(netIns, netDel); lerr != nil {
-		sess.rollbackNet(netIns, netDel)
-		for _, req := range reqs {
-			sess.countWrite(req.kind)
-			req.fail(http.StatusInternalServerError, CodeDurability, lerr)
-		}
-		return
-	}
-
-	seq := sess.seq.Load()
 	sess.addEvalStats(st)
+	// An acknowledged commit is visible: purge, publish, then ack, so a
+	// client that reads right after its reply cannot miss its own write.
+	if mode != "noop" {
+		sess.cache.purge()
+		if hook := s.testBeforePublish; hook != nil {
+			hook()
+		}
+		sess.publish()
+	}
+	seq := sess.seq.Load()
 	for i, req := range reqs {
 		resp := perReq[i]
-		resp.Mode = mode
-		resp.Batched = len(reqs)
+		resp.Mode, resp.Batched, resp.Stats, resp.Seq = mode, len(reqs), st, seq
 		resp.Ignored += req.dups
-		resp.Stats = st
-		resp.Seq = seq
 		sess.countWrite(req.kind)
 		req.ok(resp)
 	}
-	sess.cache.purge()
-	sess.publish()
+	return true
 }
 
 // coalesce simulates the group's requests in arrival order against the
@@ -369,7 +293,8 @@ func (s *Server) commitGrouped(sess *session, p *loadedProgram, reqs []*commitRe
 // simulated before the dels; the two are disjoint by validation).
 // Insert-then-delete (and delete-then-insert) pairs across requests
 // cancel to nothing, which is sound because maintenance only ever
-// reacts to the net EDB change.
+// reacts to the net EDB change. The net sets list tuples in first-
+// mention order, so the same requests always log the same WAL bytes.
 func coalesce(db *storage.Database, reqs []*commitReq) (netIns, netDel map[string][]storage.Tuple, perReq []*UpdateResponse) {
 	type cell struct {
 		pred    string
@@ -378,6 +303,7 @@ func coalesce(db *storage.Database, reqs []*commitReq) (netIns, netDel map[strin
 		present bool // membership at the current simulation point
 	}
 	cells := map[string]*cell{}
+	var order []*cell
 	lookup := func(f groundFact) *cell {
 		k := f.pred + "\x00" + f.tuple.Key()
 		c := cells[k]
@@ -388,6 +314,7 @@ func coalesce(db *storage.Database, reqs []*commitReq) (netIns, netDel map[strin
 			}
 			c = &cell{pred: f.pred, tuple: f.tuple, initial: present, present: present}
 			cells[k] = c
+			order = append(order, c)
 		}
 		return c
 	}
@@ -418,7 +345,7 @@ func coalesce(db *storage.Database, reqs []*commitReq) (netIns, netDel map[strin
 
 	netIns = map[string][]storage.Tuple{}
 	netDel = map[string][]storage.Tuple{}
-	for _, c := range cells {
+	for _, c := range order {
 		switch {
 		case c.present && !c.initial:
 			netIns[c.pred] = append(netIns[c.pred], c.tuple)
@@ -433,36 +360,4 @@ func coalesce(db *storage.Database, reqs []*commitReq) (netIns, netDel map[strin
 		netDel = nil
 	}
 	return netIns, netDel, perReq
-}
-
-// applyNet applies a net EDB delta directly (no maintenance).
-func applyNet(db *storage.Database, netIns, netDel map[string][]storage.Tuple) {
-	for p, ts := range netIns {
-		rel := db.Ensure(p, len(ts[0]))
-		for _, t := range ts {
-			rel.Insert(t)
-		}
-	}
-	for p, ts := range netDel {
-		rel := db.Relation(p)
-		if rel == nil {
-			continue
-		}
-		for _, t := range ts {
-			rel.Remove(t)
-		}
-	}
-}
-
-// rollbackNet undoes a net EDB delta after a failed group maintenance
-// pass and rebuilds the fixpoint; if the rebuild fails the session
-// stays dirty and heals on the next update. Caller holds mu.
-func (sess *session) rollbackNet(netIns, netDel map[string][]storage.Tuple) {
-	// BatchMaintainContext applies inserts itself and may have gotten
-	// partway; removing a tuple it never inserted is a harmless no-op,
-	// as is re-inserting one it never removed.
-	applyNet(sess.db, netDel, netIns) // swap: undo by applying the inverse
-	if _, err := sess.recompute(context.Background()); err == nil {
-		sess.dirty = false
-	}
 }

@@ -29,14 +29,14 @@ import (
 //   - acked => durable: the WAL append (and fsync) happens after
 //     maintenance succeeds but before req.ok.
 //   - not acked => not applied: if the append fails, the committer
-//     rolls the batch out of memory (rollbackNet / rollback) before
-//     failing the requests, so memory never runs ahead of disk.
+//     rolls the batch out of memory (undoDelta) before failing the
+//     requests, so memory never runs ahead of disk.
 //
 // Recovery (RecoverSessions) inverts the pipeline: newest checkpoint,
-// then each logged batch through eval.ReplayBatchContext — the same
-// incremental maintenance that committed it the first time — with the
-// recompute ladder as fallback, then one fresh checkpoint to
-// re-establish a clean base.
+// then each logged batch through applyDelta — the very function that
+// committed it the first time, under the replay failure policy — then,
+// if the tail was torn, one fresh checkpoint to re-establish a clean
+// base.
 
 // logBatch assigns one committed batch's net EDB delta the next
 // sequence number, appends it to the write-ahead log when the session
@@ -301,9 +301,7 @@ func (s *Server) recoverSession(ctx context.Context, name string) (RecoveryRepor
 		return rep, fmt.Errorf("recover %s: rebuild ranks: %w", name, err)
 	}
 
-	// Replay the WAL tail through the same incremental maintenance that
-	// committed it, falling back to a full recompute when a batch
-	// reaches negation (or maintenance fails outright).
+	// Replay the WAL tail through the same applyDelta that committed it.
 	done := s.cfg.Tracer.Start("durable", "replay")
 	replayStart := time.Now()
 	for _, b := range res.Batches {
@@ -336,33 +334,24 @@ func (s *Server) recoverSession(ctx context.Context, name string) (RecoveryRepor
 	return rep, nil
 }
 
-// replayOne applies one WAL batch during recovery. Caller holds
-// sess.mu.
+// replayOne re-applies one already-durable batch — a WAL record during
+// recovery, a leader batch on a follower — and counts how it landed.
+// Replay is apply: logged batches carry net deltas relative to the
+// state they committed against, and the base can already hold part of
+// one (a checkpoint is taken after its batches are logged), which
+// applyDelta's replay policy absorbs. Caller holds sess.mu.
 func (sess *session) replayOne(ctx context.Context, b *durable.Batch) error {
-	p := sess.prog.Load()
-	eng := sess.engine(p.active, sess.db)
-	_, err := eng.ReplayBatchContext(ctx, sess.zs, b.Ins, b.Del)
-	switch {
-	case err == nil:
-		sess.replayIncremental.Add(1)
-		sess.addEvalStats(eng.Stats())
-		return nil
-	case ctx.Err() != nil:
-		return err // startup cancelled; don't mask it with a recompute
-	default:
-		// Either the negation guard refused up front
-		// (ErrNeedsRecompute) or maintenance died partway; both repair
-		// the same way — force the net EDB delta in (idempotently) and
-		// rebuild the IDB from the EDB.
-		applyNet(sess.db, b.Ins, b.Del)
-		st, rerr := sess.recompute(ctx)
-		if rerr != nil {
-			return rerr
-		}
-		sess.replayRecomputes.Add(1)
-		sess.addEvalStats(st)
-		return nil
+	mode, st, err := sess.applyDelta(ctx, b.Ins, b.Del, true)
+	if err != nil {
+		return err
 	}
+	if mode == "recompute" {
+		sess.replayRecomputes.Add(1)
+	} else {
+		sess.replayIncremental.Add(1)
+	}
+	sess.addEvalStats(st)
+	return nil
 }
 
 // programFromMeta rebuilds a session's compiled program from a

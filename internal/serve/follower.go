@@ -25,8 +25,8 @@ import (
 // batch with the discipline the leader's own commit path uses:
 //
 //	append to the local WAL first (disk never behind memory), then
-//	incremental maintenance via replayOne (recompute fallback past
-//	negation), then advance seq and publish a fresh snapshot.
+//	applyDelta under the replay policy (replayOne), then advance seq
+//	and publish a fresh snapshot.
 //
 // A promoted follower — restarted without -follow on the same data
 // directory — therefore recovers through the ordinary RecoverSessions
@@ -341,8 +341,8 @@ func (s *Server) installReplicatedSnapshot(name string, rs *replStatus, raw []by
 
 // applyReplicated lands one leader batch: WAL append first (the disk
 // is never behind memory, the same invariant the leader's commit path
-// keeps), then the incremental-maintenance replay path with its
-// recompute fallback, then seq advance and a fresh published snapshot.
+// keeps), then the same applyDelta the leader committed it with, then
+// seq advance and a fresh published snapshot.
 func (s *Server) applyReplicated(ctx context.Context, name string, b *durable.Batch) error {
 	sess := s.session(name)
 	if sess == nil {
@@ -372,11 +372,10 @@ func (s *Server) applyReplicated(ctx context.Context, name string, b *durable.Ba
 		hook(name, b.Seq)
 	}
 	if err := sess.replayOne(ctx, b); err != nil {
-		// The WAL has the batch but memory does not (even the recompute
-		// fallback failed). Mark the state unusable for incremental work;
-		// the reconnect re-sends the batch, and recovery's at-most-once
-		// filter absorbs the duplicate WAL record.
-		sess.dirty = true
+		// The WAL has the batch but memory does not (even the rebuild
+		// failed), and applyDelta left the session dirty. The reconnect
+		// re-sends the batch, which then forces it in and rebuilds;
+		// recovery's at-most-once filter absorbs the duplicate WAL record.
 		return err
 	}
 	sess.seq.Store(b.Seq)

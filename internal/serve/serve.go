@@ -23,10 +23,6 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// Parallel is the evaluation worker count for full fixpoints
-	// (load, recompute): 0 or 1 sequential, n > 1 workers, n < 0
-	// GOMAXPROCS.
-	Parallel int
 	// JoinMode selects the rule-body join strategy for every
 	// evaluation (load, recompute, incremental maintenance). The zero
 	// value routes cyclic bodies through Generic Join.
@@ -227,6 +223,11 @@ type Server struct {
 	// group size before it takes the session mutex; tests use it to pin
 	// batch boundaries deterministically.
 	testBeforeCommit func(batchSize int)
+	// testBeforePublish, when set, is invoked by the committer between
+	// the query-cache purge and the snapshot publish of a commit; the
+	// ack-ordering test uses it to observe that no writer has been
+	// answered yet.
+	testBeforePublish func()
 	// testFollowerApply, when set, is invoked by the follower apply path
 	// between the local WAL append and the in-memory apply; crash-matrix
 	// tests use it to cut the process (or the stream) at the exact point

@@ -30,18 +30,9 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	return ts
 }
 
-// mustFacts parses and validates an update payload against a session.
-func mustFacts(t *testing.T, sess *session, src string) []groundFact {
-	t.Helper()
-	facts, err := parseFactsSrc(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts, _, err = validateFacts(sess.prog.Load(), sess.db, nil, facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return facts
+// edgeDelta is the net EDB delta holding the one tuple edge(a, b).
+func edgeDelta(a, b string) map[string][]storage.Tuple {
+	return map[string][]storage.Tuple{"edge": {storage.TupleOf(ast.Sym(a), ast.Sym(b))}}
 }
 
 // call posts a JSON request and decodes the JSON reply into out (which
@@ -242,9 +233,9 @@ type differentialCase struct {
 	step func(rng *rand.Rand, mirror map[string]map[string]storage.Tuple) (string, bool)
 }
 
-func runDifferential(t *testing.T, c differentialCase, optimize bool, parallel int, steps int) {
+func runDifferential(t *testing.T, c differentialCase, optimize bool, steps int) {
 	t.Helper()
-	ts := newTestServer(t, Config{Parallel: parallel})
+	ts := newTestServer(t, Config{})
 	mustOK(t, ts, "POST", "/load", LoadRequest{Program: c.program, Optimize: optimize}, nil)
 
 	orig, err := parser.Parse(c.program)
@@ -267,7 +258,7 @@ func runDifferential(t *testing.T, c differentialCase, optimize bool, parallel i
 	prog := &ast.Program{Rules: ruleOnly}
 	prog.EnsureLabels()
 
-	rng := rand.New(rand.NewSource(int64(7 + parallel)))
+	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < steps; step++ {
 		facts, isInsert := c.step(rng, mirror)
 		path := "/insert"
@@ -425,18 +416,15 @@ func TestDifferentialOverHTTP(t *testing.T) {
 		name     string
 		c        differentialCase
 		optimize bool
-		parallel int
 	}{
-		{"tc/seq", tcDifferential, false, 0},
-		{"tc/parallel", tcDifferential, false, 4},
-		{"tc/semopt", tcDifferential, true, 0},
-		{"org/semopt/seq", orgDifferential, true, 0},
-		{"org/semopt/parallel", orgDifferential, true, 4},
-		{"org/plain", orgDifferential, false, 0},
+		{"tc/seq", tcDifferential, false},
+		{"tc/semopt", tcDifferential, true},
+		{"org/semopt/seq", orgDifferential, true},
+		{"org/plain", orgDifferential, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			runDifferential(t, tc.c, tc.optimize, tc.parallel, 40)
+			runDifferential(t, tc.c, tc.optimize, 40)
 		})
 	}
 }
@@ -446,7 +434,7 @@ func TestDifferentialOverHTTP(t *testing.T) {
 // must observe a consistent snapshot: on a chain, the transitive
 // closure always has k(k+1)/2 tuples for some k. Run with -race.
 func TestConcurrentReadersDuringUpdates(t *testing.T) {
-	ts := newTestServer(t, Config{Parallel: 2})
+	ts := newTestServer(t, Config{})
 	mustOK(t, ts, "POST", "/load", LoadRequest{Program: `
 		tc(X, Y) :- edge(X, Y).
 		tc(X, Y) :- tc(X, Z), edge(Z, Y).
@@ -627,8 +615,7 @@ func TestCancelledUpdateRollsBack(t *testing.T) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
-	facts := mustFacts(t, sess, "edge(c, d).")
-	if _, _, _, err := sess.applyOne(cancelled, facts, nil); err == nil {
+	if _, _, err := sess.applyDelta(cancelled, edgeDelta("c", "d"), nil, false); err == nil {
 		t.Fatal("cancelled insert should fail")
 	}
 	if sess.dirty {
@@ -641,8 +628,7 @@ func TestCancelledUpdateRollsBack(t *testing.T) {
 		t.Fatalf("tc has %d tuples after insert rollback, want 3", n)
 	}
 
-	facts = mustFacts(t, sess, "edge(b, c).")
-	if _, _, _, err := sess.applyOne(cancelled, nil, facts); err == nil {
+	if _, _, err := sess.applyDelta(cancelled, nil, edgeDelta("b", "c"), false); err == nil {
 		t.Fatal("cancelled delete should fail")
 	}
 	if sess.dirty {
@@ -656,13 +642,12 @@ func TestCancelledUpdateRollsBack(t *testing.T) {
 	}
 
 	// The rolled-back session still serves incremental updates.
-	facts = mustFacts(t, sess, "edge(c, d).")
-	resp, _, _, err := sess.applyOne(context.Background(), facts, nil)
+	mode, _, err := sess.applyDelta(context.Background(), edgeDelta("c", "d"), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Mode != "incremental" {
-		t.Fatalf("mode after rollback = %q, want incremental", resp.Mode)
+	if mode != "incremental" {
+		t.Fatalf("mode after rollback = %q, want incremental", mode)
 	}
 	if n := sess.db.Count("tc"); n != 6 { // closure of the chain a b c d
 		t.Fatalf("tc has %d tuples, want 6", n)
@@ -687,13 +672,12 @@ func TestDirtySessionRepairsOnNextUpdate(t *testing.T) {
 	sess.db.Ensure("edge", 2).Insert(storage.TupleOf(ast.Sym("c"), ast.Sym("d")))
 	sess.dirty = true
 
-	facts := mustFacts(t, sess, "edge(d, e).")
-	resp, _, _, err := sess.applyOne(context.Background(), facts, nil)
+	mode, _, err := sess.applyDelta(context.Background(), edgeDelta("d", "e"), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Mode != "recompute" {
-		t.Fatalf("dirty insert mode = %q, want recompute", resp.Mode)
+	if mode != "recompute" {
+		t.Fatalf("dirty insert mode = %q, want recompute", mode)
 	}
 	if sess.dirty {
 		t.Fatal("repair should clear the dirty flag")
@@ -702,15 +686,17 @@ func TestDirtySessionRepairsOnNextUpdate(t *testing.T) {
 		t.Fatalf("tc has %d tuples after repair, want 10", n)
 	}
 
-	// The delete path repairs too, even when the payload is a no-op.
+	// The delete path repairs too, even when the payload is a no-op —
+	// through the committer this time, which is what counts Applied.
 	sess.dirty = true
-	facts = mustFacts(t, sess, "edge(z, z).")
-	resp, _, _, err = sess.applyOne(context.Background(), nil, facts)
-	if err != nil {
-		t.Fatal(err)
+	req := mkReq(t, sess, false, "edge(z, z).")
+	s.commitGroup(sess, []*commitReq{req})
+	res := <-req.done
+	if res.err != nil {
+		t.Fatal(res.err)
 	}
-	if resp.Mode != "recompute" || resp.Applied != 0 {
-		t.Fatalf("dirty no-op delete = %+v, want recompute with 0 applied", resp)
+	if res.resp.Mode != "recompute" || res.resp.Applied != 0 {
+		t.Fatalf("dirty no-op delete = %+v, want recompute with 0 applied", res.resp)
 	}
 	if sess.dirty {
 		t.Fatal("no-op repair should clear the dirty flag")

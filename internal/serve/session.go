@@ -78,18 +78,20 @@ type session struct {
 	// zs is the rank state of db's current fixpoint — the certificate
 	// the Z-set maintenance sweep consults to decide which derived
 	// tuples a deletion actually kills. It moves with db: every full
-	// evaluation (load, recompute, recovery) rebuilds it from scratch,
-	// every ApplyZSetContext call keeps it current.
+	// evaluation (load, recompute) rebuilds it from scratch, recovery
+	// reinstates it from the checkpoint, and applyDelta's sweep keeps it
+	// current.
 	zs *eval.ZState
 	// seedIDB preserves ground facts the source program stated for
 	// derived predicates. The update API cannot touch them, so a full
 	// recomputation re-seeds the IDB from this frozen copy.
 	seedIDB map[string]*storage.Relation
-	// dirty records that a failed update could not be rolled back, so db
-	// is not at fixpoint. Incremental maintenance assumes a fixpoint
-	// database; while dirty, the next update (even a no-op) must rebuild
-	// from the EDB before incremental maintenance resumes. Readers are
-	// never exposed: snapshots are only published after a full success.
+	// dirty records that db is not at fixpoint: maintenance is under
+	// way, or a failed update could not be undone. Incremental
+	// maintenance assumes a fixpoint database; while dirty, the next
+	// delta (even an empty one) rebuilds from the EDB instead — see
+	// applyDelta. Readers are never exposed: snapshots are only
+	// published after a full success.
 	dirty bool
 
 	snap atomic.Pointer[storage.Database]
@@ -221,15 +223,11 @@ func (sess *session) publish() {
 	sess.snap.Store(sess.db.Snapshot())
 }
 
-// engine builds an evaluation engine honoring the server's parallelism
-// and tracer configuration. Full fixpoints (load, recompute) use the
-// parallel workers; the maintenance loops are sequential by design —
-// deltas are small, so round startup cost would dominate.
+// engine builds an evaluation engine honoring the server's join-mode
+// and tracer configuration, with the statistics cost model on planned
+// sessions.
 func (sess *session) engine(prog *ast.Program, db *storage.Database) *eval.Engine {
 	e := eval.New(prog, db)
-	if sess.srv.cfg.Parallel != 0 {
-		e.SetParallel(sess.srv.cfg.Parallel)
-	}
 	e.SetJoinMode(sess.srv.cfg.JoinMode)
 	e.SetTracer(sess.srv.cfg.Tracer)
 	if p := sess.prog.Load(); p != nil && p.planned() {
@@ -254,7 +252,7 @@ func (sess *session) addEvalStats(st eval.Stats) {
 }
 
 // writeKind is the route a write request arrived on, for the per-kind
-// stats counters. All three kinds commit through the same Z-set pass.
+// stats counters. All three kinds commit through the same applyDelta.
 type writeKind int
 
 const (
@@ -457,9 +455,6 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 
 	zs := eval.NewZState()
 	eng := eval.New(active, db)
-	if s.cfg.Parallel != 0 {
-		eng.SetParallel(s.cfg.Parallel)
-	}
 	eng.SetJoinMode(s.cfg.JoinMode)
 	eng.SetTracer(s.cfg.Tracer)
 	if lp.planned() {
@@ -562,8 +557,8 @@ func validateFacts(p *loadedProgram, db *storage.Database, arityOver map[string]
 // sides go through validateFacts against the same arity view, and a
 // fact named on both sides is refused outright — "add then delete in
 // one request" has no single-commit meaning (the net effect depends on
-// prior state), and refusing it keeps the sequential and group-commit
-// paths trivially equivalent.
+// prior state), and refusing it keeps a request's own net effect
+// independent of how it is grouped.
 func validateChanges(p *loadedProgram, db *storage.Database, arityOver map[string]int, adds, dels []groundFact) (va, vd []groundFact, dups int, err error) {
 	va, dupsA, err := validateFacts(p, db, arityOver, adds)
 	if err != nil {
@@ -609,151 +604,117 @@ func relationOf(db *storage.Database, pred string) *storage.Relation {
 	return db.Relation(pred)
 }
 
-// factsMap groups ordered facts by predicate.
-func factsMap(facts []groundFact) map[string][]storage.Tuple {
-	out := map[string][]storage.Tuple{}
-	for _, f := range facts {
-		out[f.pred] = append(out[f.pred], f.tuple)
+// applyDelta is the one place a net EDB delta reaches a session's
+// database: the committer (for commit groups of any size), WAL recovery
+// and follower batch apply all land here. Caller holds mu. It returns
+// the maintenance that ran — "incremental" or "recompute" — and its
+// work counters.
+//
+// The ladder, top to bottom:
+//
+//   - A dirty session has an IDB nobody can trust: force the delta
+//     into the EDB and rebuild from it. Any delta heals a dirty
+//     session, an empty one included.
+//   - Otherwise build the Z-set once and run the sweep.
+//   - ErrNeedsRecompute means the negation guard refused before
+//     touching anything: force the delta in and rebuild.
+//   - Any other failure (cancellation, a sweep error) may have stopped
+//     maintenance partway. What happens next is the failure policy, the
+//     only thing a commit and a replay disagree on. A commit must apply
+//     nothing: the delta is undone, the pre-request fixpoint rebuilt
+//     (undoDelta) and the cause returned for the reply. A replay is
+//     re-applying a batch that is already durable, so unless ctx itself
+//     is done it forces the delta in and rebuilds.
+//
+// A commit's ins and del must be effective — tuples absent resp.
+// present, as coalesce returns them — so the undo is exact. A replayed
+// batch may overlap what the base already holds: the sweep ignores
+// ineffective changes and forcing is idempotent. On error the session
+// stays dirty unless an undo restored the fixpoint.
+func (sess *session) applyDelta(ctx context.Context, ins, del map[string][]storage.Tuple, replay bool) (string, eval.Stats, error) {
+	var err error
+	if !sess.dirty {
+		sess.dirty = true // out of fixpoint until maintenance lands
+		eng := sess.engine(sess.prog.Load().active, sess.db)
+		if _, err = eng.ApplyZSetContext(ctx, sess.zs, zsetOfDelta(ins, del)); err == nil {
+			sess.dirty = false
+			return "incremental", eng.Stats(), nil
+		}
 	}
-	return out
+	// The rebuild rung: dirty on entry, refused by the guard, or a replay
+	// whose sweep died while ctx is still live (a done ctx means shutdown;
+	// don't mask it with a rebuild).
+	if err == nil || errors.Is(err, eval.ErrNeedsRecompute) || (replay && ctx.Err() == nil) {
+		applyNet(sess.db, ins, del)
+		var st eval.Stats
+		if st, err = sess.recompute(ctx); err == nil {
+			sess.dirty = false
+			return "recompute", st, nil
+		}
+	}
+	if !replay {
+		sess.undoDelta(ins, del)
+	}
+	return "", eval.Stats{}, err
 }
 
-// applyOne applies one request's adds and dels (pre-validated,
-// disjoint) and maintains the IDB through a single Z-set pass — the
-// per-request path used for solo commits, dirty sessions, and
-// poisoned-batch isolation. Caller holds mu. A failed update applies
-// nothing: every error path restores the pre-request fixpoint via
-// rollback, and only if that repair itself fails does the session stay
-// dirty for the next update to rebuild. The second and third returns
-// are the EDB delta actually applied (tuples newly inserted resp.
-// actually removed), which the committer logs to the write-ahead log
-// before acknowledging.
-func (sess *session) applyOne(ctx context.Context, adds, dels []groundFact) (*UpdateResponse, map[string][]storage.Tuple, map[string][]storage.Tuple, error) {
-	wasDirty := sess.dirty
-	resp := &UpdateResponse{Mode: "noop"}
-	ins := map[string][]storage.Tuple{}
-	del := map[string][]storage.Tuple{}
-	for _, f := range adds {
-		if rel := relationOf(sess.db, f.pred); rel != nil && rel.Contains(f.tuple) {
-			resp.Ignored++
-			continue
-		}
-		ins[f.pred] = append(ins[f.pred], f.tuple)
-		resp.Applied++
-	}
-	for _, f := range dels {
-		rel := relationOf(sess.db, f.pred)
-		if rel == nil || !rel.Contains(f.tuple) {
-			resp.Ignored++
-			continue
-		}
-		del[f.pred] = append(del[f.pred], f.tuple)
-		resp.Applied++
-	}
-	if len(ins) == 0 && len(del) == 0 {
-		if !wasDirty {
-			return resp, nil, nil, nil // no effective change, fixpoint intact
-		}
-		resp, err := sess.repair(ctx, resp)
-		return resp, nil, nil, err
-	}
-	if wasDirty {
-		// The IDB cannot be trusted; force the EDB delta in and rebuild.
-		applyNet(sess.db, ins, del)
-		resp, err := sess.repair(ctx, resp)
-		return resp, ins, del, err
-	}
+// zsetOfDelta renders a net EDB delta as the per-predicate Z-sets the
+// sweep consumes: insertions weight +1, deletions weight −1.
+func zsetOfDelta(ins, del map[string][]storage.Tuple) map[string]*storage.ZSet {
 	changes := make(map[string]*storage.ZSet, len(ins)+len(del))
 	for p, ts := range ins {
-		changes[p] = storage.ZSetOfChanges(ts, nil)
+		changes[p] = storage.ZSetOfChanges(ts, del[p])
 	}
 	for p, ts := range del {
-		if z := changes[p]; z != nil {
-			for _, t := range ts {
-				z.Add(t, -1)
-			}
-		} else {
+		if changes[p] == nil {
 			changes[p] = storage.ZSetOfChanges(nil, ts)
 		}
 	}
-	sess.dirty = true // out of fixpoint until the sweep lands
-	p := sess.prog.Load()
-	eng := sess.engine(p.active, sess.db)
-	_, err := eng.ApplyZSetContext(ctx, sess.zs, changes)
-	switch {
-	case err == nil:
-		sess.dirty = false
-		resp.Mode = "incremental"
-		resp.Stats = eng.Stats()
-	case errors.Is(err, eval.ErrNeedsRecompute):
-		// The negation guard refused before mutating anything; apply the
-		// EDB delta directly and rebuild.
-		resp.Mode = "recompute"
-		applyNet(sess.db, ins, del)
-		st, rerr := sess.recompute(ctx)
-		if rerr != nil {
-			return nil, nil, nil, sess.rollback(ins, del, rerr)
-		}
-		sess.dirty = false
-		resp.Stats = st
-	default:
-		// The sweep may have stopped partway; revert this request's
-		// tuples and rebuild.
-		return nil, nil, nil, sess.rollback(ins, del, err)
-	}
-	return resp, ins, del, nil
+	return changes
 }
 
-// rollback restores the pre-request fixpoint after a failed update: it
-// reverts the request's EDB delta, then rebuilds the IDB from the EDB
-// under a server-scoped context (the request's context is typically the
-// very cancellation that got us here), since maintenance may have left
-// partial derivations or over-deletions behind. On success the session
-// is clean again; if even the rebuild fails the session stays dirty and
-// the next update recomputes before any incremental maintenance. The
-// caller's error is returned unchanged for the response.
-func (sess *session) rollback(inserted, deleted map[string][]storage.Tuple, cause error) error {
-	for p, ts := range inserted {
-		rel := sess.db.Relation(p)
-		for _, t := range ts {
-			rel.Remove(t)
-		}
-	}
-	for p, ts := range deleted {
-		rel := sess.db.Ensure(p, len(ts[0]))
+// applyNet forces a net EDB delta into db with no maintenance.
+// Inserting a present tuple and removing an absent one are no-ops.
+func applyNet(db *storage.Database, ins, del map[string][]storage.Tuple) {
+	for p, ts := range ins {
+		rel := db.Ensure(p, len(ts[0]))
 		for _, t := range ts {
 			rel.Insert(t)
 		}
 	}
+	for p, ts := range del {
+		rel := db.Relation(p)
+		if rel == nil {
+			continue
+		}
+		for _, t := range ts {
+			rel.Remove(t)
+		}
+	}
+}
+
+// undoDelta restores the pre-commit fixpoint after a commit failed
+// partway (maintenance, or the WAL append after it): it reverts the
+// delta — the inverse applied through applyNet, where undoing what
+// maintenance never got to is a no-op — then rebuilds the IDB under a
+// server-scoped context (the request's context is typically the very
+// cancellation that got us here), since maintenance may have left
+// partial derivations or retractions behind. If even the rebuild fails
+// the session stays dirty and the next delta heals it. Caller holds mu.
+func (sess *session) undoDelta(ins, del map[string][]storage.Tuple) {
+	applyNet(sess.db, del, ins)
 	if _, err := sess.recompute(context.Background()); err == nil {
 		sess.dirty = false
 	}
-	return cause
-}
-
-// repair serves an update against a dirty session: the request's EDB
-// delta has already been applied by the caller, and the IDB cannot be
-// trusted, so the only sound move is a full rebuild from the EDB. Note
-// this runs even when the request itself was a no-op — any update
-// heals a dirty session.
-func (sess *session) repair(ctx context.Context, resp *UpdateResponse) (*UpdateResponse, error) {
-	resp.Mode = "recompute"
-	st, err := sess.recompute(ctx)
-	if err != nil {
-		return nil, err // still dirty; the next update tries again
-	}
-	sess.dirty = false
-	resp.Stats = st
-	return resp, nil
 }
 
 // recompute rebuilds the IDB from scratch: a fresh database seeded
 // with the current extensional relations (plus the frozen IDB seed
 // facts), evaluated to fixpoint, replaces the session database — along
 // with a fresh rank state recorded during that evaluation, so Z-set
-// maintenance can resume from the rebuilt fixpoint. Used when an
-// update reaches a negated predicate and incremental maintenance would
-// be unsound, and to re-derive rank state after a snapshot restore.
+// maintenance can resume from the rebuilt fixpoint. It is applyDelta's
+// rebuild rung, and how rank state is re-derived after restoring a
+// pre-rank snapshot.
 func (sess *session) recompute(ctx context.Context) (eval.Stats, error) {
 	p := sess.prog.Load()
 	fresh := storage.NewDatabase()

@@ -49,32 +49,6 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkInsertAllHashed(b *testing.B) {
-	ts := benchTuples(b.N)
-	hs := make([]uint64, len(ts))
-	for i, t := range ts {
-		hs[i] = t.Hash()
-	}
-	r := NewRelation("e", 2)
-	b.ResetTimer()
-	r.InsertAllHashed(ts, hs)
-}
-
-func BenchmarkContainsHashed(b *testing.B) {
-	ts := benchTuples(4096)
-	r := NewRelation("e", 2)
-	for _, t := range ts {
-		r.Insert(t)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := ts[i%len(ts)]
-		if !r.ContainsHashed(t, t.Hash()) {
-			b.Fatal("missing tuple")
-		}
-	}
-}
-
 func BenchmarkLookupNoBuild(b *testing.B) {
 	ts := benchTuples(4096)
 	r := NewRelation("e", 2)

@@ -26,7 +26,7 @@ import (
 //
 // Like EnsureIndex, EnsureSorted mutates the relation (the map) and
 // must only be called while the relation is not shared between
-// goroutines — the parallel engine calls it at round barriers.
+// goroutines — the engine calls it at the start of a rule firing.
 
 // SortedIndex is an immutable columnar view of a relation's tuples
 // sorted by a column permutation. See the file comment for layout and
@@ -184,8 +184,7 @@ func lessCols2(x [][]Value, i int, y [][]Value, j int) bool {
 // since the index was built and merges them with the existing runs —
 // the delta-aware maintenance path incremental evaluation relies on.
 //
-// Mutates the relation's index map; single-threaded callers only (the
-// parallel engine refreshes indexes at round barriers).
+// Mutates the relation's index map; single-threaded callers only.
 func (r *Relation) EnsureSorted(perm []int) *SortedIndex {
 	key := permKey(perm)
 	if r.sorted == nil {

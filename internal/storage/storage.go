@@ -13,14 +13,13 @@
 // maintained incrementally afterwards; sorted indexes catch up to
 // appended tuples by merging (never a full rebuild).
 //
-// Concurrency discipline: relations have no internal locking. The
-// evaluation engine's parallel mode relies on a freeze protocol —
-// during a parallel fixpoint round every relation a worker can reach is
-// read-only (all mutation happens at the round barrier, single
-// threaded), and workers probe only through the read-only paths
-// (Contains, Tuples, At, LookupNoBuild). EnsureIndex/Lookup/
-// EnsureSorted mutate the relation on first use and must only be
-// called while the relation is not shared.
+// Concurrency discipline: relations have no internal locking. A
+// relation has one writer at a time (the evaluation engine, or the
+// service's committer under the session mutex); published snapshots
+// are shared between reader goroutines, which probe only through the
+// read-only paths (Contains, Tuples, At, LookupNoBuild).
+// EnsureIndex/Lookup/EnsureSorted mutate the relation on first use and
+// must only be called while the relation is not shared.
 package storage
 
 import (
@@ -301,16 +300,16 @@ func (ix *tupleIndex) replacePos(h uint64, old, new int) {
 }
 
 // removeSwap deletes t from the (tuples, ix) pair by swapping the last
-// tuple into the vacated position. It returns the updated slice, the
-// position that was vacated (-1 if absent), and whether t was present.
+// tuple into the vacated position. It returns the updated slice and
+// whether t was present.
 // Iteration order is not preserved across removals (the last element
 // moves), which every caller here tolerates: set semantics make order a
 // determinism nicety, not a correctness property, and removal happens
 // only outside evaluation rounds.
-func (ix *tupleIndex) removeSwap(tuples []Tuple, t Tuple) ([]Tuple, int, bool) {
+func (ix *tupleIndex) removeSwap(tuples []Tuple, t Tuple) ([]Tuple, bool) {
 	pos := ix.find(tuples, t, t.Hash())
 	if pos < 0 {
-		return tuples, -1, false
+		return tuples, false
 	}
 	last := len(tuples) - 1
 	ix.dropPos(t.Hash(), pos)
@@ -320,18 +319,14 @@ func (ix *tupleIndex) removeSwap(tuples []Tuple, t Tuple) ([]Tuple, int, bool) {
 		tuples[pos] = moved
 	}
 	tuples[last] = nil
-	return tuples[:last], pos, true
+	return tuples[:last], true
 }
 
 // TupleSet is a standalone set of tuples with insertion-order
-// iteration. The parallel evaluation engine uses one per worker as a
-// private derivation buffer that is merged into relations at the round
-// barrier; the set remembers each tuple's hash so the merge never
-// re-hashes.
+// iteration.
 type TupleSet struct {
 	index  tupleIndex
 	tuples []Tuple
-	hashes []uint64
 }
 
 // NewTupleSet returns an empty set.
@@ -340,15 +335,11 @@ func NewTupleSet() *TupleSet {
 }
 
 // Add inserts t if absent and reports whether it was new.
-func (s *TupleSet) Add(t Tuple) bool { return s.AddHashed(t, t.Hash()) }
-
-// AddHashed is Add for callers that already hold t's hash.
-func (s *TupleSet) AddHashed(t Tuple, h uint64) bool {
-	if !s.index.add(s.tuples, t, h, len(s.tuples)) {
+func (s *TupleSet) Add(t Tuple) bool {
+	if !s.index.add(s.tuples, t, t.Hash(), len(s.tuples)) {
 		return false
 	}
 	s.tuples = append(s.tuples, t)
-	s.hashes = append(s.hashes, h)
 	return true
 }
 
@@ -356,25 +347,13 @@ func (s *TupleSet) AddHashed(t Tuple, h uint64) bool {
 // iteration order is not preserved across removals: the last tuple is
 // swapped into the vacated slot.
 func (s *TupleSet) Remove(t Tuple) bool {
-	tuples, pos, ok := s.index.removeSwap(s.tuples, t)
+	tuples, ok := s.index.removeSwap(s.tuples, t)
 	s.tuples = tuples
-	if ok {
-		last := len(s.hashes) - 1
-		if pos < last {
-			s.hashes[pos] = s.hashes[last]
-		}
-		s.hashes = s.hashes[:last]
-	}
 	return ok
 }
 
 // Contains reports membership.
 func (s *TupleSet) Contains(t Tuple) bool { return s.index.contains(s.tuples, t, t.Hash()) }
-
-// ContainsHashed is Contains for callers that already hold t's hash.
-func (s *TupleSet) ContainsHashed(t Tuple, h uint64) bool {
-	return s.index.contains(s.tuples, t, h)
-}
 
 // Len returns the number of tuples.
 func (s *TupleSet) Len() int { return len(s.tuples) }
@@ -382,10 +361,6 @@ func (s *TupleSet) Len() int { return len(s.tuples) }
 // Tuples returns the backing slice in insertion order (callers must not
 // mutate it).
 func (s *TupleSet) Tuples() []Tuple { return s.tuples }
-
-// Hashes returns the hash of each tuple, aligned with Tuples (callers
-// must not mutate it).
-func (s *TupleSet) Hashes() []uint64 { return s.hashes }
 
 // Relation is a set of equal-arity tuples with optional per-column hash
 // indexes and optional columnar sorted indexes (sorted.go).
@@ -510,33 +485,6 @@ func (r *Relation) InsertHashed(t Tuple, h uint64) bool {
 	return true
 }
 
-// InsertAll bulk-inserts tuples and returns the ones that were new, in
-// insertion order.
-func (r *Relation) InsertAll(ts []Tuple) []Tuple {
-	var news []Tuple
-	for _, t := range ts {
-		if r.Insert(t) {
-			news = append(news, t)
-		}
-	}
-	return news
-}
-
-// InsertAllHashed bulk-inserts tuples with precomputed hashes (aligned
-// slices, as TupleSet.Tuples/Hashes return them) and returns the new
-// ones in order. It is the merge path for per-worker derivation buffers
-// at the round barrier, where the new tuples become the next round's
-// delta.
-func (r *Relation) InsertAllHashed(ts []Tuple, hs []uint64) []Tuple {
-	var news []Tuple
-	for i, t := range ts {
-		if r.InsertHashed(t, hs[i]) {
-			news = append(news, t)
-		}
-	}
-	return news
-}
-
 // Remove deletes t if present and reports whether it was. Column and
 // sorted indexes are dropped (they rebuild lazily on the next use)
 // because the swap-removal renumbers positions; the membership index is
@@ -551,7 +499,7 @@ func (r *Relation) Remove(t Tuple) bool {
 		return false
 	}
 	r.detach()
-	tuples, _, ok := r.index.removeSwap(r.tuples, t)
+	tuples, ok := r.index.removeSwap(r.tuples, t)
 	r.tuples = tuples
 	if ok {
 		for i := range r.colIndex {
@@ -568,17 +516,11 @@ func (r *Relation) Remove(t Tuple) bool {
 // Contains reports whether the relation holds t. Read-only.
 func (r *Relation) Contains(t Tuple) bool { return r.index.contains(r.tuples, t, t.Hash()) }
 
-// ContainsHashed is Contains for callers that already hold t's hash.
-func (r *Relation) ContainsHashed(t Tuple, h uint64) bool {
-	return r.index.contains(r.tuples, t, h)
-}
-
 // Tuples returns the backing slice (callers must not mutate it).
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // EnsureIndex builds (if needed) and returns the hash index on column
-// col. It mutates the relation on first use; under the parallel
-// engine's freeze protocol it must be called before a round starts.
+// col. It mutates the relation on first use.
 //
 // Building a missing index is safe on a copy-on-write relation without
 // detaching: the colIndex slice itself is never shared (snapshotRef
@@ -605,7 +547,7 @@ func (r *Relation) Lookup(col int, v Value) []int {
 // LookupNoBuild returns the positions of tuples whose column col equals
 // v if the column index already exists; ok is false when the index has
 // not been built. It never mutates the relation, so concurrent readers
-// may call it during a frozen round.
+// of a published snapshot may call it.
 func (r *Relation) LookupNoBuild(col int, v Value) (positions []int, ok bool) {
 	idx := r.colIndex[col]
 	if idx == nil {

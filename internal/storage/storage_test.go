@@ -64,26 +64,6 @@ func TestRelationSetSemantics(t *testing.T) {
 	}
 }
 
-func TestInsertAll(t *testing.T) {
-	r := NewRelation("p", 2)
-	r.Insert(tup(ast.Sym("a"), ast.Int(1)))
-	news := r.InsertAll([]Tuple{
-		tup(ast.Sym("a"), ast.Int(1)), // duplicate of stored
-		tup(ast.Sym("b"), ast.Int(2)),
-		tup(ast.Sym("b"), ast.Int(2)), // duplicate within batch
-		tup(ast.Sym("c"), ast.Int(3)),
-	})
-	if len(news) != 2 {
-		t.Fatalf("new tuples = %d, want 2: %v", len(news), news)
-	}
-	if !news[0].Equal(tup(ast.Sym("b"), ast.Int(2))) || !news[1].Equal(tup(ast.Sym("c"), ast.Int(3))) {
-		t.Errorf("new tuples out of order: %v", news)
-	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d, want 3", r.Len())
-	}
-}
-
 func TestTupleSet(t *testing.T) {
 	s := NewTupleSet()
 	if !s.Add(tup(ast.Sym("a"))) || s.Add(tup(ast.Sym("a"))) {

@@ -120,12 +120,6 @@ type System struct {
 	ICs     []IC
 	DB      *DB
 
-	// Parallel sets the evaluation engine's worker count for Run,
-	// Query, QueryMagic and Explain: 0 or 1 evaluates sequentially,
-	// n > 1 uses n workers, n < 0 uses GOMAXPROCS. The computed
-	// fixpoint is identical in every mode.
-	Parallel int
-
 	// JoinMode selects the rule-body join strategy for every
 	// evaluation this system runs. The zero value (JoinAuto) sends
 	// cyclic bodies through Generic Join; the computed fixpoint is
@@ -143,12 +137,9 @@ type System struct {
 }
 
 // engine builds an evaluation engine for prog over db honoring the
-// system's Parallel and Tracer settings.
+// system's JoinMode and Tracer settings.
 func (s *System) engine(prog *Program, db *DB) *eval.Engine {
 	e := eval.New(prog, db)
-	if s.Parallel != 0 {
-		e.SetParallel(s.Parallel)
-	}
 	e.SetJoinMode(s.JoinMode)
 	e.SetTracer(s.Tracer)
 	return e
