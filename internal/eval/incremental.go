@@ -9,29 +9,26 @@ import (
 	"repro/internal/storage"
 )
 
-// This file holds the shared guards of incremental view maintenance and
-// the classic delete-and-rederive (DRed) algorithm. Live maintenance
-// now runs through the uniform Z-set sweep (ApplyZSetContext, zset.go);
-// the earlier split entry points — delta-seeded semi-naive for inserts
-// (RunDeltaContext), DRed for deletes, and their batch composition
-// (BatchMaintainContext) — collapsed into it. DeleteAndRederiveContext
-// is kept solely as the differential-test oracle the Z-set path is
-// checked against: its over-delete cone against the old state and full
-// re-derivation (the provenance-free core of DRed as analyzed by
-// Ramusat et al., arXiv:2112.01132) is exactly the conservative work
-// the weighted sweep avoids, so comparing the two proves both the
-// result and the saving.
+// This file holds the classic delete-and-rederive (DRed) algorithm and
+// its monotonicity guard. Live maintenance runs through the uniform
+// Z-set sweep (ApplyZSetContext, zset.go), which is total;
+// DeleteAndRederiveContext is kept solely as the differential-test
+// oracle the Z-set path is checked against: its over-delete cone
+// against the old state and full re-derivation (the provenance-free
+// core of DRed as analyzed by Ramusat et al., arXiv:2112.01132) is
+// exactly the conservative work the weighted sweep avoids, so comparing
+// the two proves both the result and the saving.
 
-// ErrNeedsRecompute reports that a maintenance request cannot be served
-// by delta propagation — some rule negates a predicate whose extension
-// the update may change, so previously derived tuples could become
-// underivable (on insert) or new tuples could appear through the
-// negation (on delete). The caller must fall back to a from-scratch
-// evaluation over the updated EDB. The guard runs before any mutation,
-// so the database is untouched when this error is returned.
+// ErrNeedsRecompute is the DRed oracle's refusal (the Z-set sweep never
+// returns it): some rule negates a predicate whose extension the
+// deletion may change, so new tuples could appear through the negation
+// and an over-delete cone followed by monotone re-derivation is not
+// enough. The caller must fall back to a from-scratch evaluation over
+// the updated EDB. The guard runs before any mutation, so the database
+// is untouched when this error is returned.
 var ErrNeedsRecompute = errors.New("eval: update reaches a negated predicate; full recomputation required")
 
-// maintenanceSafe reports whether delta maintenance for an update of
+// maintenanceSafe reports whether DRed maintenance for an update of
 // the given predicates is monotone: no rule of the program negates a
 // predicate whose extension the update can (transitively) change.
 func (e *Engine) maintenanceSafe(changed map[string][]storage.Tuple) bool {

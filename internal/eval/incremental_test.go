@@ -314,48 +314,61 @@ func TestZSetNoOverDelete(t *testing.T) {
 	}
 }
 
-// TestMaintenanceNeedsRecomputeOnNegation: updates reaching a negated
-// predicate must refuse delta maintenance before mutating anything.
+// TestMaintenanceNeedsRecomputeOnNegation: an update reaching a negated
+// predicate needs a recompute only on the DRed oracle. The sweep serves
+// it incrementally — an insert that closes a cycle retracts isolated(a),
+// the delete that opens it again brings it back — with an exact reported
+// delta and the from-scratch state after every step.
 func TestMaintenanceNeedsRecomputeOnNegation(t *testing.T) {
 	prog := mustProg(t, `
 		tc(X, Y) :- edge(X, Y).
 		tc(X, Y) :- tc(X, Z), edge(Z, Y).
 		isolated(X) :- node(X), not tc(X, X).
 	`)
+	a, b, c := ast.Sym("a"), ast.Sym("b"), ast.Sym("c")
+	ab, ba := storage.TupleOf(a, b), storage.TupleOf(b, a)
+	edb := map[string]bool{"edge": true, "node": true}
 	db := storage.NewDatabase()
-	db.Add("node", ast.Sym("a"))
-	db.Add("edge", ast.Sym("a"), ast.Sym("b"))
+	db.Add("node", a)
+	db.Add("edge", a, b)
 	zs := runRanked(t, prog, db)
-	before := db.TotalTuples()
 
-	eng := New(prog, db)
-	_, err := eng.ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
-		"edge": storage.ZSetOfChanges([]storage.Tuple{storage.TupleOf(ast.Sym("b"), ast.Sym("a"))}, nil),
-	})
-	if !errors.Is(err, ErrNeedsRecompute) {
-		t.Fatalf("ApplyZSetContext = %v, want ErrNeedsRecompute", err)
+	apply := func(pred string, adds, dels []storage.Tuple, want map[string][]storage.Tuple) map[string]*storage.ZSet {
+		t.Helper()
+		before := db.Snapshot()
+		out, err := New(prog, db).ApplyZSetContext(context.Background(), zs,
+			map[string]*storage.ZSet{pred: storage.ZSetOfChanges(adds, dels)})
+		if err != nil {
+			t.Fatalf("ApplyZSetContext(%s +%v -%v) = %v, want incremental maintenance", pred, adds, dels, err)
+		}
+		checkReportedDelta(t, before, db, out, edb)
+		if fresh := fromScratch(t, prog, want); !db.Equal(fresh) {
+			t.Fatalf("after %s +%v -%v:\n%s\nfrom scratch:\n%s", pred, adds, dels, db, fresh)
+		}
+		return out
 	}
-	if db.TotalTuples() != before {
-		t.Fatal("guard mutated the database")
+	out := apply("edge", []storage.Tuple{ba}, nil, map[string][]storage.Tuple{"node": {{storage.Intern(a)}}, "edge": {ab, ba}})
+	if z := out["isolated"]; z == nil || z.Weight(storage.TupleOf(a)) != -1 {
+		t.Fatalf("closing the cycle must retract isolated(a); delta = %v", out)
 	}
-	_, err = eng.ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
-		"edge": storage.ZSetOfChanges(nil, []storage.Tuple{storage.TupleOf(ast.Sym("a"), ast.Sym("b"))}),
-	})
-	if !errors.Is(err, ErrNeedsRecompute) {
-		t.Fatalf("ApplyZSetContext (delete) = %v, want ErrNeedsRecompute", err)
-	}
-	_, err = eng.DeleteAndRederiveContext(context.Background(), map[string][]storage.Tuple{"edge": {storage.TupleOf(ast.Sym("a"), ast.Sym("b"))}})
+
+	// The oracle still refuses, before touching anything.
+	before := db.Snapshot()
+	_, err := New(prog, db).DeleteAndRederiveContext(context.Background(), map[string][]storage.Tuple{"edge": {ab}})
 	if !errors.Is(err, ErrNeedsRecompute) {
 		t.Fatalf("DeleteAndRederiveContext = %v, want ErrNeedsRecompute", err)
 	}
-	// Updates that cannot reach the negated predicate stay incremental.
-	out, err := New(prog, db).ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
-		"node": storage.ZSetOfChanges([]storage.Tuple{storage.TupleOf(ast.Sym("c"))}, nil),
-	})
-	if err != nil {
-		t.Fatalf("update not reaching negation should be incremental, got %v", err)
+	if !db.Equal(before) {
+		t.Fatal("DRed guard mutated the database")
 	}
-	if z := out["isolated"]; z == nil || z.Weight(storage.TupleOf(ast.Sym("c"))) != 1 {
+
+	out = apply("edge", nil, []storage.Tuple{ab}, map[string][]storage.Tuple{"node": {{storage.Intern(a)}}, "edge": {ba}})
+	if z := out["isolated"]; z == nil || z.Weight(storage.TupleOf(a)) != 1 {
+		t.Fatalf("opening the cycle must restore isolated(a); delta = %v", out)
+	}
+	out = apply("node", []storage.Tuple{storage.TupleOf(c)}, nil,
+		map[string][]storage.Tuple{"node": {{storage.Intern(a)}, {storage.Intern(c)}}, "edge": {ba}})
+	if z := out["isolated"]; z == nil || z.Weight(storage.TupleOf(c)) != 1 {
 		t.Fatalf("isolated(c) should appear (c has no tc cycle); delta = %v", out)
 	}
 }

@@ -196,17 +196,20 @@ func (z *ZState) drop(pred, key string) {
 // split, one uniform pass serves pure insertions, pure deletions, and
 // mixed batches, with no over-deletion and no full re-derivation.
 //
-// ErrNeedsRecompute is returned — before anything is mutated — when
-// the update reaches a negated predicate. Any other error (including
-// cancellation) can leave the database mid-maintenance; callers must
-// treat the state as poisoned and rebuild, exactly as they would for
-// the previous maintenance entry points.
+// Stratified negation rides the same sweep: a lower stratum's delta is
+// a signed input to every literal above it, and under "not p" the sign
+// is flipped (see zOcc). No update is refused.
+//
+// An error (including cancellation) can leave the database
+// mid-maintenance; callers must treat the state as poisoned and
+// rebuild. Only the derived-predicate rejection is reported before
+// anything is mutated.
 func (e *Engine) ApplyZSetContext(ctx context.Context, zs *ZState, changes map[string]*storage.ZSet) (map[string]*storage.ZSet, error) {
 	if zs == nil {
 		return nil, fmt.Errorf("eval: ApplyZSetContext requires a ZState")
 	}
 	idb := e.prog.IDBPreds()
-	union := make(map[string][]storage.Tuple, len(changes))
+	arity := make(map[string]int, len(changes))
 	for p, z := range changes {
 		if z == nil || z.Len() == 0 {
 			continue
@@ -214,15 +217,21 @@ func (e *Engine) ApplyZSetContext(ctx context.Context, zs *ZState, changes map[s
 		if idb[p] {
 			return nil, fmt.Errorf("eval: %s is derived by the program; z-set changes must be extensional", p)
 		}
-		z.Each(func(t storage.Tuple, w int64) {
-			union[p] = append(union[p], t)
-		})
+		z.Each(func(t storage.Tuple, w int64) { arity[p] = len(t) })
 	}
-	if len(union) == 0 {
+	if len(arity) == 0 {
 		return map[string]*storage.ZSet{}, nil
 	}
-	if !e.maintenanceSafe(union) {
-		return nil, ErrNeedsRecompute
+
+	// Every relation the batch can touch must exist before the freeze: a
+	// plan compiled against a snapshot that lacks a relation falls back
+	// to the live one (exec.go), and the old state of a relation born in
+	// this batch is empty, not its new contents.
+	for p, a := range arity {
+		e.db.Ensure(p, a)
+	}
+	for p := range idb {
+		e.db.Ensure(p, e.arityOf(p))
 	}
 
 	// Freeze the pre-batch state: vanished-support discovery must see
@@ -233,16 +242,10 @@ func (e *Engine) ApplyZSetContext(ctx context.Context, zs *ZState, changes map[s
 	// Apply the EDB changes and keep the effective delta (insertions
 	// that were new, deletions that were present).
 	lower := make(map[string]*storage.ZSet)
-	for p, z := range changes {
-		if z == nil || z.Len() == 0 {
-			continue
-		}
+	for p := range arity {
 		eff := storage.NewZSet()
-		var rel *storage.Relation
-		z.Each(func(t storage.Tuple, w int64) {
-			if rel == nil {
-				rel = e.db.Ensure(p, len(t))
-			}
+		rel := e.db.Relation(p)
+		changes[p].Each(func(t storage.Tuple, w int64) {
 			if w > 0 {
 				if rel.Insert(t) {
 					eff.Add(t, 1)
@@ -317,14 +320,21 @@ func slotMap(c *compiled) map[ast.Var]int {
 	return m
 }
 
-// zOcc is one positive body occurrence of a changeable predicate in
-// one rule, compiled twice: the add plan evaluates against the live
-// (new) database to discover appearing groundings, the del plan
-// against the frozen pre-batch snapshot to discover vanishing ones.
+// zOcc is one body occurrence of a changeable predicate in one rule,
+// compiled twice with that literal as the delta position: the add plan
+// evaluates against the live (new) database to discover appearing
+// groundings, the del plan against the frozen pre-batch snapshot to
+// discover vanishing ones.
+//
+// A negated occurrence ("not p", p in a lower stratum — stratification
+// rules out the component's own predicates) is the same thing with the
+// sign flipped: the delta scan binds the literal's variables from p's
+// change, tuples that entered p take the del plan (groundings that
+// relied on their absence vanish) and tuples that left p the add plan.
+// It is never a rank partner, so it contributes no layer.
 type zOcc struct {
 	label    string
 	headPred string
-	pred     string
 	selfSCC  bool // occurrence of a same-component predicate
 
 	addPlan     *compiled
@@ -388,8 +398,9 @@ type zsweep struct {
 	oldDB *storage.Database
 	inSCC map[string]bool
 
-	occs   map[string][]*zOcc // delta predicate -> occurrence plans
-	checks map[string][]*zCheck
+	occs    map[string][]*zOcc // delta predicate -> positive occurrence plans
+	negOccs map[string][]*zOcc // lower predicate -> negated occurrence plans
+	checks  map[string][]*zCheck
 
 	sched    map[uint32]map[string]zcand
 	maxLayer uint32
@@ -514,12 +525,16 @@ func (w *zsweep) check(pred string, t storage.Tuple, l uint32) (ok bool, minL ui
 }
 
 // fireAdd discovers groundings that appear because the given tuples
-// were added (or entered a lower layer) at rank extra: for each
-// occurrence plan of pred, the delta position ranges over ts against
-// the live database, and every emitted head is scheduled at the layer
-// where the new grounding first counts.
-func (w *zsweep) fireAdd(pred string, ts []storage.Tuple, extra uint32) error {
-	for _, occ := range w.occs[pred] {
+// were added (or entered a lower layer) at rank extra — or, for negated
+// occurrences, left the negated predicate: for each occurrence plan,
+// the delta position ranges over ts against the live database, and
+// every emitted head is scheduled at the layer where the new grounding
+// first counts.
+func (w *zsweep) fireAdd(occs []*zOcc, ts []storage.Tuple, extra uint32) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	for _, occ := range occs {
 		st := Stats{RuleFirings: 1}
 		occ.addPlan.prepareIndexes()
 		headRel := w.e.db.Relation(occ.headPred)
@@ -554,15 +569,19 @@ func (w *zsweep) fireAdd(pred string, ts []storage.Tuple, extra uint32) error {
 }
 
 // fireDel discovers tuples whose support may have vanished because the
-// given tuples were deleted: the delta position ranges over ts against
-// the frozen pre-batch snapshot, so exactly the groundings that
-// existed before the change are enumerated. Each affected head is
+// given tuples were deleted — or, for negated occurrences, entered the
+// negated predicate: the delta position ranges over ts against the
+// frozen pre-batch snapshot, so exactly the groundings that existed
+// before the change are enumerated. Each affected head is
 // scheduled for a support re-check at its own layer. cur is the layer
 // being processed (or 0 at the pre-sweep phase): heads whose layer is
 // already settled need no re-check, because their membership was
 // decided from layers the deletion cannot reach.
-func (w *zsweep) fireDel(pred string, ts []storage.Tuple, extra, cur uint32, preSweep bool) error {
-	for _, occ := range w.occs[pred] {
+func (w *zsweep) fireDel(occs []*zOcc, ts []storage.Tuple, extra, cur uint32, preSweep bool) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	for _, occ := range occs {
 		st := Stats{RuleFirings: 1}
 		occ.delPlan.prepareIndexes()
 		headRel := w.e.db.Relation(occ.headPred)
@@ -633,7 +652,7 @@ func (w *zsweep) process(cand zcand, t uint32) error {
 		}
 		w.zs.set(cand.pred, key, minL)
 		w.noteOut(cand.pred, cand.t, 1)
-		return w.fireAdd(cand.pred, []storage.Tuple{cand.t}, minL)
+		return w.fireAdd(w.occs[cand.pred], []storage.Tuple{cand.t}, minL)
 	case !present && !ok:
 		for _, g := range future {
 			w.schedule(cand.pred, cand.t, g)
@@ -642,7 +661,7 @@ func (w *zsweep) process(cand zcand, t uint32) error {
 	case ok: // present, supported at ≤ t
 		if minL < r {
 			w.zs.set(cand.pred, key, minL)
-			return w.fireAdd(cand.pred, []storage.Tuple{cand.t}, minL)
+			return w.fireAdd(w.occs[cand.pred], []storage.Tuple{cand.t}, minL)
 		}
 		return nil
 	default: // present, refuted
@@ -655,7 +674,7 @@ func (w *zsweep) process(cand zcand, t uint32) error {
 		for _, g := range future {
 			w.schedule(cand.pred, cand.t, g)
 		}
-		return w.fireDel(cand.pred, []storage.Tuple{cand.t}, r, t, false)
+		return w.fireDel(w.occs[cand.pred], []storage.Tuple{cand.t}, r, t, false)
 	}
 }
 
@@ -665,7 +684,6 @@ func (e *Engine) zsweepSCC(ctx context.Context, zs *ZState, oldDB *storage.Datab
 	inSCC := make(map[string]bool, len(scc))
 	for _, p := range scc {
 		inSCC[p] = true
-		e.db.Ensure(p, e.arityOf(p))
 	}
 	rules, err := e.sccRules(inSCC)
 	if err != nil {
@@ -677,7 +695,7 @@ func (e *Engine) zsweepSCC(ctx context.Context, zs *ZState, oldDB *storage.Datab
 	touched := false
 	for _, r := range rules {
 		for _, l := range r.Body {
-			if !l.Neg && !l.Atom.IsEvaluable() && lower[l.Atom.Pred] != nil {
+			if !l.Atom.IsEvaluable() && lower[l.Atom.Pred] != nil {
 				touched = true
 			}
 		}
@@ -688,10 +706,11 @@ func (e *Engine) zsweepSCC(ctx context.Context, zs *ZState, oldDB *storage.Datab
 
 	w := &zsweep{
 		e: e, zs: zs, oldDB: oldDB, inSCC: inSCC,
-		occs:   make(map[string][]*zOcc),
-		checks: make(map[string][]*zCheck),
-		sched:  make(map[uint32]map[string]zcand),
-		out:    make(map[string]*storage.ZSet),
+		occs:    make(map[string][]*zOcc),
+		negOccs: make(map[string][]*zOcc),
+		checks:  make(map[string][]*zCheck),
+		sched:   make(map[uint32]map[string]zcand),
+		out:     make(map[string]*storage.ZSet),
 	}
 	if err := w.compile(rules, lower); err != nil {
 		return nil, err
@@ -714,23 +733,32 @@ func (e *Engine) zsweepSCC(ctx context.Context, zs *ZState, oldDB *storage.Datab
 }
 
 // compile lowers the component's rules into occurrence-discovery plans
-// (for predicates that can change: the already-changed lower ones and
-// the component's own) and head-bound support checkers.
+// (for predicates that can change: the already-changed lower ones,
+// positive or negated, and the component's own) and head-bound support
+// checkers.
 func (w *zsweep) compile(rules []ast.Rule, lower map[string]*storage.ZSet) error {
 	est := w.e.estimator()
 	for _, r := range rules {
 		for j, l := range r.Body {
-			if l.Neg || l.Atom.IsEvaluable() {
+			if l.Atom.IsEvaluable() {
 				continue
 			}
 			p := l.Atom.Pred
 			if lower[p] == nil && !w.inSCC[p] {
 				continue
 			}
+			suffix := "#zset"
+			if l.Neg {
+				// A negated literal of the wrong arity holds whatever p
+				// contains (evalNegCheck), so p's change cannot move it.
+				if rel := w.e.db.Relation(p); rel == nil || rel.Arity != len(l.Atom.Args) {
+					continue
+				}
+				suffix = "#zset-neg"
+			}
 			occ := &zOcc{
-				label:    ruleLabel(r) + "#zset",
+				label:    ruleLabel(r) + suffix,
 				headPred: r.Head.Pred,
-				pred:     p,
 				selfSCC:  w.inSCC[p],
 			}
 			plan, err := planBody(r.Body, j, est, nil)
@@ -749,7 +777,11 @@ func (w *zsweep) compile(rules []ast.Rule, lower map[string]*storage.ZSet) error
 			if occ.delPartners, err = w.partnersOf(occ.delPlan, r.Body, j); err != nil {
 				return err
 			}
-			w.occs[p] = append(w.occs[p], occ)
+			if l.Neg {
+				w.negOccs[p] = append(w.negOccs[p], occ)
+			} else {
+				w.occs[p] = append(w.occs[p], occ)
+			}
 		}
 
 		var prebound []ast.Var
@@ -806,22 +838,26 @@ func (w *zsweep) partnersOf(c *compiled, body []ast.Literal, deltaIdx int) ([]zP
 func (w *zsweep) run(ctx context.Context, lower map[string]*storage.ZSet) error {
 	preds := make([]string, 0, len(lower))
 	for p := range lower {
-		if len(w.occs[p]) > 0 {
+		if len(w.occs[p]) > 0 || len(w.negOccs[p]) > 0 {
 			preds = append(preds, p)
 		}
 	}
 	sort.Strings(preds)
 	for _, p := range preds {
+		// Groundings vanish where a positive occurrence lost its tuple or
+		// a negated one gained it, and appear the other way round.
 		adds, dels := lower[p].Split()
-		if len(dels) > 0 {
-			if err := w.fireDel(p, dels, 0, 0, true); err != nil {
-				return err
-			}
+		if err := w.fireDel(w.occs[p], dels, 0, 0, true); err != nil {
+			return err
 		}
-		if len(adds) > 0 {
-			if err := w.fireAdd(p, adds, 0); err != nil {
-				return err
-			}
+		if err := w.fireDel(w.negOccs[p], adds, 0, 0, true); err != nil {
+			return err
+		}
+		if err := w.fireAdd(w.occs[p], adds, 0); err != nil {
+			return err
+		}
+		if err := w.fireAdd(w.negOccs[p], dels, 0); err != nil {
+			return err
 		}
 	}
 

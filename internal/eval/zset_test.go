@@ -15,7 +15,7 @@ import (
 	"repro/internal/testutil"
 )
 
-func ztProg(t *testing.T, src string) *ast.Program {
+func ztProg(t testing.TB, src string) *ast.Program {
 	t.Helper()
 	prog, err := parser.ParseProgram(src)
 	if err != nil {
@@ -67,188 +67,242 @@ func deltaFingerprint(out map[string]*storage.ZSet) string {
 	return strings.Join(lines, "\n")
 }
 
+// actualDelta fingerprints the real difference between two database
+// states over the derived predicates, in deltaFingerprint's format.
+func actualDelta(before, after *storage.Database, idb map[string]bool) string {
+	var lines []string
+	diff := func(a, b *storage.Database, sign string) {
+		for _, p := range a.Preds() {
+			if !idb[p] {
+				continue
+			}
+			for _, tu := range a.Relation(p).Tuples() {
+				if rb := b.Relation(p); rb == nil || !rb.Contains(tu) {
+					lines = append(lines, fmt.Sprintf("%s1 %s%s", sign, p, tu))
+				}
+			}
+		}
+	}
+	diff(after, before, "+")
+	diff(before, after, "-")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 // TestZSetDifferentialRandomModes is the tentpole differential: random
 // programs, random mixed insert/delete interleavings, and — after every
-// batch — the Z-set-maintained database must be tuple-identical to BOTH
-// a from-scratch recompute over the tracked EDB AND the old DRed path
-// (delete-and-rederive for the deletions, then a monotone fixpoint over
-// the insertions), under every join mode. The reported IDB delta must
-// be identical across modes.
+// batch — the Z-set-maintained database must be tuple-identical to a
+// from-scratch recompute over the tracked EDB and the returned Z-set
+// must be the actual before/after difference of every derived
+// predicate, under every join mode. Programs inside the paper's class
+// are also held against the old DRed path (delete-and-rederive for the
+// deletions, then a monotone fixpoint over the insertions); programs
+// with stratified negation, which DRed refuses, run longer sequences
+// that include unary EDB changes (node/1).
 func TestZSetDifferentialRandomModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	for round := 0; round < 8; round++ {
-		prog, arities := testutil.RandProgram(rng, testutil.RandProgramConfig{
-			Arity:     2,
-			EDBPreds:  2,
-			RecRules:  1 + rng.Intn(2),
-			ExitRules: 1,
+	for _, tc := range []struct {
+		name            string
+		seed            int64
+		rounds, batches int
+		negation        bool
+	}{
+		{"positive", 909, 8, 6, false},
+		{"negation", 1807, 6, 25, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			for round := 0; round < tc.rounds; round++ {
+				zsetDifferentialRound(t, rng, round, tc.batches, tc.negation)
+			}
 		})
-		base := testutil.RandDB(rng, arities, 5, 12)
+	}
+}
 
-		// Track the live EDB as pred -> key -> tuple.
-		type edbState map[string]map[string]storage.Tuple
-		mkState := func(db *storage.Database) edbState {
-			st := edbState{}
-			for p := range arities {
-				st[p] = map[string]storage.Tuple{}
-				if rel := db.Relation(p); rel != nil {
-					for _, tu := range rel.Tuples() {
-						st[p][tu.Key()] = tu
-					}
-				}
-			}
-			return st
-		}
+func zsetDifferentialRound(t *testing.T, rng *rand.Rand, round, nBatches int, negation bool) {
+	prog, arities := testutil.RandProgram(rng, testutil.RandProgramConfig{
+		Arity:     2,
+		EDBPreds:  2,
+		RecRules:  1 + rng.Intn(2),
+		ExitRules: 1,
+		Negation:  negation,
+	})
+	base := testutil.RandDB(rng, arities, 5, 12)
+	idb := prog.IDBPreds()
 
-		// Pre-generate the batch sequence so every mode replays the
-		// identical interleaving.
-		type batch struct{ adds, dels map[string][]storage.Tuple }
-		var batches []batch
-		{
-			sim := mkState(base.Clone())
-			preds := make([]string, 0, len(arities))
-			for p := range arities {
-				preds = append(preds, p)
-			}
-			sort.Strings(preds)
-			for b := 0; b < 6; b++ {
-				adds := map[string][]storage.Tuple{}
-				dels := map[string][]storage.Tuple{}
-				for i := 0; i < 1+rng.Intn(4); i++ {
-					p := preds[rng.Intn(len(preds))]
-					tu := ztRandTuple(rng, arities[p], 5)
-					if _, ok := sim[p][tu.Key()]; ok {
-						continue
-					}
-					sim[p][tu.Key()] = tu
-					adds[p] = append(adds[p], tu)
+	// Track the live EDB as pred -> key -> tuple.
+	type edbState map[string]map[string]storage.Tuple
+	mkState := func(db *storage.Database) edbState {
+		st := edbState{}
+		for p := range arities {
+			st[p] = map[string]storage.Tuple{}
+			if rel := db.Relation(p); rel != nil {
+				for _, tu := range rel.Tuples() {
+					st[p][tu.Key()] = tu
 				}
-				for i := 0; i < rng.Intn(3); i++ {
-					p := preds[rng.Intn(len(preds))]
-					if len(sim[p]) == 0 {
-						continue
-					}
-					keys := make([]string, 0, len(sim[p]))
-					for k := range sim[p] {
-						keys = append(keys, k)
-					}
-					sort.Strings(keys)
-					k := keys[rng.Intn(len(keys))]
-					// Skip tuples this batch just added: the service
-					// coalescer cancels those before maintenance.
-					already := false
-					for _, a := range adds[p] {
-						if a.Key() == k {
-							already = true
-						}
-					}
-					if already {
-						continue
-					}
-					dels[p] = append(dels[p], sim[p][k])
-					delete(sim[p], k)
-				}
-				batches = append(batches, batch{adds: adds, dels: dels})
 			}
 		}
+		return st
+	}
 
-		fingerprints := make([][]string, len(batches))
-		for _, mc := range zsetModes {
-			// Z-set-maintained engine state.
-			zdb := base.Clone()
-			zs := eval.NewZState()
-			e := eval.New(prog, zdb)
-			e.SetJoinMode(mc.mode)
-			e.SetRankSink(zs.Record)
-			if err := e.Run(); err != nil {
-				t.Fatalf("round %d (%s): base run: %v\n%s", round, mc.name, err, prog)
+	// Pre-generate the batch sequence so every mode replays the
+	// identical interleaving.
+	type batch struct{ adds, dels map[string][]storage.Tuple }
+	var batches []batch
+	{
+		sim := mkState(base.Clone())
+		preds := make([]string, 0, len(arities))
+		for p := range arities {
+			preds = append(preds, p)
+		}
+		sort.Strings(preds)
+		for b := 0; b < nBatches; b++ {
+			adds := map[string][]storage.Tuple{}
+			dels := map[string][]storage.Tuple{}
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				p := preds[rng.Intn(len(preds))]
+				tu := ztRandTuple(rng, arities[p], 5)
+				if _, ok := sim[p][tu.Key()]; ok {
+					continue
+				}
+				sim[p][tu.Key()] = tu
+				adds[p] = append(adds[p], tu)
 			}
+			for i := 0; i < rng.Intn(3); i++ {
+				p := preds[rng.Intn(len(preds))]
+				if len(sim[p]) == 0 {
+					continue
+				}
+				keys := make([]string, 0, len(sim[p]))
+				for k := range sim[p] {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				k := keys[rng.Intn(len(keys))]
+				// Skip tuples this batch just added: the service
+				// coalescer cancels those before maintenance.
+				already := false
+				for _, a := range adds[p] {
+					if a.Key() == k {
+						already = true
+					}
+				}
+				if already {
+					continue
+				}
+				dels[p] = append(dels[p], sim[p][k])
+				delete(sim[p], k)
+			}
+			batches = append(batches, batch{adds: adds, dels: dels})
+		}
+	}
 
-			// DRed-oracle state, maintained alongside with the old
-			// two-step discipline.
-			ddb := base.Clone()
+	fingerprints := make([][]string, len(batches))
+	for _, mc := range zsetModes {
+		// Z-set-maintained engine state.
+		zdb := base.Clone()
+		zs := eval.NewZState()
+		e := eval.New(prog, zdb)
+		e.SetJoinMode(mc.mode)
+		e.SetRankSink(zs.Record)
+		if err := e.Run(); err != nil {
+			t.Fatalf("round %d (%s): base run: %v\n%s", round, mc.name, err, prog)
+		}
+
+		// DRed-oracle state, maintained alongside with the old
+		// two-step discipline.
+		var ddb *storage.Database
+		if !negation {
+			ddb = base.Clone()
 			if err := eval.New(prog, ddb).Run(); err != nil {
 				t.Fatalf("round %d (%s): oracle base run: %v", round, mc.name, err)
 			}
+		}
 
-			live := mkState(base.Clone())
-			for bi, b := range batches {
-				for p, ts := range b.adds {
-					for _, tu := range ts {
-						live[p][tu.Key()] = tu
-					}
-				}
-				for p, ts := range b.dels {
-					for _, tu := range ts {
-						delete(live[p], tu.Key())
-					}
-				}
-
-				// Z-set path: one uniform mixed application.
-				changes := map[string]*storage.ZSet{}
-				for p := range arities {
-					if z := storage.ZSetOfChanges(b.adds[p], b.dels[p]); z.Len() > 0 {
-						changes[p] = z
-					}
-				}
-				eng := eval.New(prog, zdb)
-				eng.SetJoinMode(mc.mode)
-				out, err := eng.ApplyZSetContext(context.Background(), zs, changes)
-				if err != nil {
-					t.Fatalf("round %d (%s) batch %d: ApplyZSet: %v\n%s", round, mc.name, bi, err, prog)
-				}
-				fingerprints[bi] = append(fingerprints[bi], deltaFingerprint(out))
-
-				// DRed oracle: delete-and-rederive, then grow monotonically.
-				if _, err := eval.New(prog, ddb).DeleteAndRederiveContext(context.Background(), b.dels); err != nil {
-					t.Fatalf("round %d (%s) batch %d: DRed: %v", round, mc.name, bi, err)
-				}
-				for p, ts := range b.adds {
-					for _, tu := range ts {
-						ddb.Ensure(p, len(tu)).Insert(tu)
-					}
-				}
-				if err := eval.New(prog, ddb).Run(); err != nil {
-					t.Fatalf("round %d (%s) batch %d: oracle fixpoint: %v", round, mc.name, bi, err)
-				}
-
-				// From-scratch recompute over the tracked EDB.
-				fresh := storage.NewDatabase()
-				for p, m := range live {
-					fresh.Ensure(p, arities[p])
-					for _, tu := range m {
-						fresh.Relation(p).Insert(tu)
-					}
-				}
-				if err := eval.New(prog, fresh).Run(); err != nil {
-					t.Fatalf("round %d (%s) batch %d: from-scratch: %v", round, mc.name, bi, err)
-				}
-
-				if !zdb.Equal(fresh) {
-					var diffs []string
-					seen := map[string]bool{}
-					for _, p := range append(zdb.Preds(), fresh.Preds()...) {
-						if !seen[p] && !testutil.SamePredicate(zdb, fresh, p) {
-							diffs = append(diffs, p+": "+testutil.Diff(zdb, fresh, p))
-						}
-						seen[p] = true
-					}
-					t.Fatalf("round %d (%s) batch %d: z-set state diverged from from-scratch\nprogram:\n%s\n%s\nbatch adds=%v dels=%v",
-						round, mc.name, bi, prog, strings.Join(diffs, "\n"), b.adds, b.dels)
-				}
-				if !zdb.Equal(ddb) {
-					t.Fatalf("round %d (%s) batch %d: z-set state diverged from DRed oracle\nprogram:\n%s\nz-set:\n%s\ndred:\n%s",
-						round, mc.name, bi, prog, zdb, ddb)
+		live := mkState(base.Clone())
+		for bi, b := range batches {
+			for p, ts := range b.adds {
+				for _, tu := range ts {
+					live[p][tu.Key()] = tu
 				}
 			}
-		}
-		// The reported delta is mode-independent.
-		for bi, fps := range fingerprints {
-			for i := 1; i < len(fps); i++ {
-				if fps[i] != fps[0] {
-					t.Fatalf("round %d batch %d: delta differs between %s and %s:\n%q\nvs\n%q",
-						round, bi, zsetModes[0].name, zsetModes[i].name, fps[0], fps[i])
+			for p, ts := range b.dels {
+				for _, tu := range ts {
+					delete(live[p], tu.Key())
 				}
+			}
+
+			// Z-set path: one uniform mixed application.
+			changes := map[string]*storage.ZSet{}
+			for p := range arities {
+				if z := storage.ZSetOfChanges(b.adds[p], b.dels[p]); z.Len() > 0 {
+					changes[p] = z
+				}
+			}
+			before := zdb.Snapshot()
+			eng := eval.New(prog, zdb)
+			eng.SetJoinMode(mc.mode)
+			out, err := eng.ApplyZSetContext(context.Background(), zs, changes)
+			if err != nil {
+				t.Fatalf("round %d (%s) batch %d: ApplyZSet: %v\n%s", round, mc.name, bi, err, prog)
+			}
+			fp := deltaFingerprint(out)
+			fingerprints[bi] = append(fingerprints[bi], fp)
+			if want := actualDelta(before, zdb, idb); fp != want {
+				t.Fatalf("round %d (%s) batch %d: reported delta is not the actual difference\nprogram:\n%s\nbatch adds=%v dels=%v\nreported:\n%s\nactual:\n%s",
+					round, mc.name, bi, prog, b.adds, b.dels, fp, want)
+			}
+
+			// From-scratch recompute over the tracked EDB.
+			fresh := storage.NewDatabase()
+			for p, m := range live {
+				fresh.Ensure(p, arities[p])
+				for _, tu := range m {
+					fresh.Relation(p).Insert(tu)
+				}
+			}
+			if err := eval.New(prog, fresh).Run(); err != nil {
+				t.Fatalf("round %d (%s) batch %d: from-scratch: %v", round, mc.name, bi, err)
+			}
+			if !zdb.Equal(fresh) {
+				var diffs []string
+				seen := map[string]bool{}
+				for _, p := range append(zdb.Preds(), fresh.Preds()...) {
+					if !seen[p] && !testutil.SamePredicate(zdb, fresh, p) {
+						diffs = append(diffs, p+": "+testutil.Diff(zdb, fresh, p))
+					}
+					seen[p] = true
+				}
+				t.Fatalf("round %d (%s) batch %d: z-set state diverged from from-scratch\nprogram:\n%s\n%s\nbatch adds=%v dels=%v",
+					round, mc.name, bi, prog, strings.Join(diffs, "\n"), b.adds, b.dels)
+			}
+
+			if ddb == nil {
+				continue
+			}
+			// DRed oracle: delete-and-rederive, then grow monotonically.
+			if _, err := eval.New(prog, ddb).DeleteAndRederiveContext(context.Background(), b.dels); err != nil {
+				t.Fatalf("round %d (%s) batch %d: DRed: %v", round, mc.name, bi, err)
+			}
+			for p, ts := range b.adds {
+				for _, tu := range ts {
+					ddb.Ensure(p, len(tu)).Insert(tu)
+				}
+			}
+			if err := eval.New(prog, ddb).Run(); err != nil {
+				t.Fatalf("round %d (%s) batch %d: oracle fixpoint: %v", round, mc.name, bi, err)
+			}
+			if !zdb.Equal(ddb) {
+				t.Fatalf("round %d (%s) batch %d: z-set state diverged from DRed oracle\nprogram:\n%s\nz-set:\n%s\ndred:\n%s",
+					round, mc.name, bi, prog, zdb, ddb)
+			}
+		}
+	}
+	// The reported delta is mode-independent.
+	for bi, fps := range fingerprints {
+		for i := 1; i < len(fps); i++ {
+			if fps[i] != fps[0] {
+				t.Fatalf("round %d batch %d: delta differs between %s and %s:\n%q\nvs\n%q",
+					round, bi, zsetModes[0].name, zsetModes[i].name, fps[0], fps[i])
 			}
 		}
 	}

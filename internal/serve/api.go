@@ -18,8 +18,9 @@
 //     (session.applyDelta) before publishing one snapshot and only
 //     then fanning the responses back out — every commit gets a
 //     sequence number, durable or not;
-//   - updates that reach a negated predicate fall back to a full
-//     recomputation from the extensional relations;
+//   - the pass is total: updates that reach a negated predicate are
+//     swept like any other, and a from-scratch rebuild happens only to
+//     heal a session an earlier failure left dirty;
 //   - change-feed subscribers (GET /subscribe, SSE or long-poll)
 //     receive each committed batch as a {seq, adds, dels} delta frame,
 //     resumable from any replayable sequence via ?from=.
@@ -53,9 +54,6 @@ const (
 	CodeOverloaded = "overloaded"
 	// CodeCancelled: the client went away before the request committed.
 	CodeCancelled = "cancelled"
-	// CodeNeedsRecompute: maintenance required a full recomputation and
-	// that recomputation itself failed; the write was rolled back.
-	CodeNeedsRecompute = "needs_recompute"
 	// CodeTooLarge: the request body exceeded the configured limit.
 	CodeTooLarge = "too_large"
 	// CodeUnsupportedMedia: Content-Type was set but not JSON.
@@ -212,11 +210,12 @@ type UpdateResponse struct {
 	// would have reported.
 	Applied int `json:"applied"`
 	Ignored int `json:"ignored"`
-	// Mode is "incremental" when the Z-set maintenance pass ran,
-	// "recompute" when the update reached a negated predicate and the
-	// IDB was rebuilt from scratch, "noop" when the committed group
-	// changed nothing. For group-committed requests the mode describes
-	// the batch's single maintenance pass.
+	// Mode is "incremental" when the Z-set maintenance pass ran (it
+	// serves every update, negation included), "recompute" when the
+	// write healed a dirty session by rebuilding the IDB from scratch,
+	// "noop" when the committed group changed nothing. For
+	// group-committed requests the mode describes the batch's single
+	// maintenance pass.
 	Mode string `json:"mode"`
 	// Batched is the number of write requests group-committed in the
 	// same maintenance pass as this one (1 = committed alone).

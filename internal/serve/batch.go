@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"time"
 
@@ -194,16 +193,13 @@ func (s *Server) commitBatch(sess *session, batch []*commitReq) {
 	}
 }
 
-// errorStatus maps a per-request apply error to wire status and code.
-func errorStatus(ctx context.Context, err error) (int, string) {
-	switch {
-	case ctx.Err() != nil:
+// errorStatus maps a failed apply to wire status and code: the request's
+// own cancellation, or an internal evaluation failure.
+func errorStatus(ctx context.Context) (int, string) {
+	if ctx.Err() != nil {
 		return statusClientClosedRequest, CodeCancelled
-	case errors.Is(err, eval.ErrNeedsRecompute):
-		return http.StatusInternalServerError, CodeNeedsRecompute
-	default:
-		return http.StatusInternalServerError, CodeInternal
 	}
+	return http.StatusInternalServerError, CodeInternal
 }
 
 // commitGroup commits reqs as one unit: coalesce them to their net
@@ -236,7 +232,7 @@ func (s *Server) commitGroup(sess *session, reqs []*commitReq) bool {
 				return false
 			}
 			sess.countWrite(reqs[0].kind)
-			status, code := errorStatus(ctx, err)
+			status, code := errorStatus(ctx)
 			reqs[0].fail(status, code, err)
 			return true
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,30 +56,39 @@ func awaitQueued(t *testing.T, sess *session, want int) {
 	}
 }
 
+// groupOp is one write request of the group-commit differential.
+type groupOp struct {
+	path  string
+	facts string
+}
+
+// groupCase is one program, its concurrent writers, and the goals whose
+// answers the differential compares.
+type groupCase struct {
+	name     string
+	optimize bool
+	rules    string // no facts: the from-scratch reference re-states the EDB
+	facts    string
+	ops      []groupOp
+	edb      []string // goals enumerating the final EDB
+	goals    []string
+}
+
 // TestGroupCommitDifferential fires N concurrent mixed inserts and
 // deletes at a group-committing server and checks the resulting tuples
 // are identical to the same operations applied sequentially to a second
-// server — with and without semantic optimization. It also asserts the
-// tentpole criterion: the batch counters show strictly fewer maintenance
-// fixpoints than write requests. Run with -race.
+// server and to a from-scratch load of the final EDB on a third — with
+// and without semantic optimization, and under a program whose unreach
+// stratum negates the closure the writers reshape (every group is one
+// sweep, never a recompute). It also asserts the tentpole criterion:
+// the batch counters show strictly fewer maintenance fixpoints than
+// write requests. Run with -race.
 func TestGroupCommitDifferential(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		optimize bool
-	}{
-		{"seq", false},
-		{"semopt/seq", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			runGroupDifferential(t, tc.optimize)
-		})
-	}
-}
-
-func runGroupDifferential(t *testing.T, optimize bool) {
-	program := `
+	const tcRules = `
 		tc(X, Y) :- edge(X, Y).
 		tc(X, Y) :- tc(X, Z), edge(Z, Y).
+	`
+	const chain = `
 		edge(root, d0).
 		edge(d0, d1). edge(d1, d2). edge(d2, d3). edge(d3, d4).
 		edge(d4, d5). edge(d5, d6). edge(d6, d7).
@@ -86,28 +96,53 @@ func runGroupDifferential(t *testing.T, optimize bool) {
 	// Half the writers delete chain edges, half insert fresh ones that
 	// reattach below root, so batches mix both kinds and the closure
 	// changes shape.
-	type op struct {
-		path  string
-		facts string
-	}
-	var ops []op
+	var ops []groupOp
 	for i := 0; i < 8; i++ {
-		ops = append(ops, op{"/delete", fmt.Sprintf("edge(d%d, d%d).", i, i+1)})
+		ops = append(ops, groupOp{"/delete", fmt.Sprintf("edge(d%d, d%d).", i, i+1)})
 	}
 	for i := 0; i < 8; i++ {
-		ops = append(ops, op{"/insert", fmt.Sprintf("edge(root, e%d). edge(e%d, e%d).", i, i, (i+1)%8)})
+		ops = append(ops, groupOp{"/insert", fmt.Sprintf("edge(root, e%d). edge(e%d, e%d).", i, i, (i+1)%8)})
 	}
-	n := len(ops)
+	// Under negation node/1 moves too: unreach loses and gains whole
+	// rows and columns while tc changes beneath it.
+	negOps := append([]groupOp(nil), ops...)
+	for i := 0; i < 4; i++ {
+		negOps = append(negOps,
+			groupOp{"/delete", fmt.Sprintf("node(d%d).", 2*i)},
+			groupOp{"/insert", fmt.Sprintf("node(e%d).", i)})
+	}
+	tcGoals := []string{"tc(X, Y)", "tc(root, Y)"}
+	for _, tc := range []groupCase{
+		{name: "seq", rules: tcRules, facts: chain, ops: ops, edb: []string{"edge(X, Y)"}, goals: tcGoals},
+		{name: "semopt/seq", optimize: true, rules: tcRules, facts: chain, ops: ops, edb: []string{"edge(X, Y)"}, goals: tcGoals},
+		{
+			name:  "negation/seq",
+			rules: tcRules + "unreach(X, Y) :- node(X), node(Y), not tc(X, Y).\n",
+			facts: chain + "node(root). node(d0). node(d1). node(d2). node(d3). node(d4). node(d5). node(d6). node(d7).\n",
+			ops:   negOps,
+			edb:   []string{"edge(X, Y)", "node(X)"},
+			goals: append([]string{"unreach(X, Y)", "unreach(root, Y)"}, tcGoals...),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runGroupDifferential(t, tc)
+		})
+	}
+}
+
+func runGroupDifferential(t *testing.T, c groupCase) {
+	program := c.rules + c.facts
+	n := len(c.ops)
 
 	srv, ts, entered, release := groupTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: program, Optimize: optimize}, nil)
+	mustOK(t, ts, "POST", "/load", LoadRequest{Program: program, Optimize: c.optimize}, nil)
 	sess := srv.session(DefaultSession)
 
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
-	for _, o := range ops {
+	for _, o := range c.ops {
 		wg.Add(1)
-		go func(o op) {
+		go func(o groupOp) {
 			defer wg.Done()
 			var resp UpdateResponse
 			if code := call(t, ts, "POST", o.path, UpdateRequest{Facts: o.facts}, &resp); code != http.StatusOK {
@@ -129,24 +164,40 @@ func runGroupDifferential(t *testing.T, optimize bool) {
 
 	// Sequential reference: same operations, one at a time.
 	ref := newTestServer(t, Config{})
-	mustOK(t, ref, "POST", "/load", LoadRequest{Program: program, Optimize: optimize}, nil)
-	for _, o := range ops {
+	mustOK(t, ref, "POST", "/load", LoadRequest{Program: program, Optimize: c.optimize}, nil)
+	for _, o := range c.ops {
 		mustOK(t, ref, "POST", o.path, UpdateRequest{Facts: o.facts}, nil)
 	}
-	for _, goal := range []string{"tc(X, Y)", "tc(root, Y)", "edge(X, Y)"} {
+	// From-scratch reference: the rules over the final EDB, stated as
+	// program facts, evaluated by one load.
+	final := c.rules
+	for _, goal := range c.edb {
+		pred := goal[:strings.IndexByte(goal, '(')]
+		for _, row := range queryTuples(t, ts, goal) {
+			final += fmt.Sprintf("%s(%s).\n", pred, strings.Join(row, ", "))
+		}
+	}
+	scratch := newTestServer(t, Config{})
+	mustOK(t, scratch, "POST", "/load", LoadRequest{Program: final, Optimize: c.optimize}, nil)
+	for _, goal := range append(c.goals, c.edb...) {
 		got := renderSorted(queryTuples(t, ts, goal))
-		want := renderSorted(queryTuples(t, ref, goal))
-		if got != want {
+		if want := renderSorted(queryTuples(t, ref, goal)); got != want {
 			t.Fatalf("%s: group-committed state diverged from sequential\ngot:  %s\nwant: %s", goal, got, want)
+		}
+		if want := renderSorted(queryTuples(t, scratch, goal)); got != want {
+			t.Fatalf("%s: group-committed state diverged from from-scratch\ngot:  %s\nwant: %s", goal, got, want)
 		}
 	}
 
-	// Tentpole criterion: N writes, strictly fewer maintenance passes.
+	// Tentpole criterion: N writes, strictly fewer maintenance passes,
+	// every one of them the sweep.
 	var st SessionStats
 	mustOK(t, ts, "GET", "/v1/sessions/default/stats", nil, &st)
-	passes := st.Incremental + st.Recomputes
-	if passes >= int64(n) {
-		t.Fatalf("ran %d maintenance passes for %d writes; batching did not amortize", passes, n)
+	if st.Recomputes != 0 {
+		t.Fatalf("Recomputes = %d, want 0", st.Recomputes)
+	}
+	if st.Incremental >= int64(n) {
+		t.Fatalf("ran %d maintenance passes for %d writes; batching did not amortize", st.Incremental, n)
 	}
 	if st.BatchedWrites != int64(n) {
 		t.Fatalf("BatchedWrites = %d, want %d", st.BatchedWrites, n)

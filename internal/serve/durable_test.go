@@ -365,42 +365,73 @@ func TestRecoveryReplaysIncrementally(t *testing.T) {
 	}
 }
 
+// negationSrc is the tc + unreach shape of the benchmark's
+// write_negation workload: every edge or node change moves a stratum
+// that negates the closure.
+const negationSrc = `
+	tc(X, Y) :- edge(X, Y).
+	tc(X, Y) :- tc(X, Z), edge(Z, Y).
+	unreach(X, Y) :- node(X), node(Y), not tc(X, Y).
+	node(a). node(b). node(c).
+	edge(a, b).
+`
+
+// negationChanges is a commit sequence over negationSrc that closes a
+// cycle, reshapes it with a mixed batch, and moves node/1 — each batch
+// adds and removes unreach tuples.
+var negationChanges = []ChangesRequest{
+	{Adds: []string{"edge(b, a)."}},
+	{Adds: []string{"edge(b, c)."}, Dels: []string{"edge(a, b)."}},
+	{Adds: []string{"node(d).", "edge(c, d)."}, Dels: []string{"node(a)."}},
+}
+
 // TestRecoveryRecomputesThroughNegation: batches whose delta reaches a
-// negated predicate were recomputed at commit time, and recovery walks
-// the same ladder — the report must show recompute replays and the
-// recovered answers must match the pre-crash ones.
+// negated predicate are swept at commit time, and recovery walks the
+// same applyDelta — the report must show incremental replays only, and
+// the recovered database must equal both the pre-crash one and a
+// from-scratch rebuild.
 func TestRecoveryRecomputesThroughNegation(t *testing.T) {
-	const src = `
-		tc(X, Y) :- edge(X, Y).
-		tc(X, Y) :- tc(X, Z), edge(Z, Y).
-		isolated(X) :- node(X), not tc(X, X).
-		node(a). node(b).
-		edge(a, b).
-	`
 	fs := testutil.NewFaultFS()
+	var before *storage.Database
 	func() {
 		srv := New(durableCfg(fs, true, 1000))
 		defer srv.Close()
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		mustOK(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: src}, nil)
-		if code := post(t, ts, "POST", "/v1/sessions/m/facts", UpdateRequest{Facts: "edge(b, a)."}); code != http.StatusOK {
-			t.Fatalf("insert = %d", code)
+		mustOK(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: negationSrc}, nil)
+		for _, ch := range negationChanges {
+			var upd UpdateResponse
+			mustOK(t, ts, "POST", "/v1/sessions/m/changes", ch, &upd)
+			if upd.Mode != "incremental" {
+				t.Fatalf("changes %+v: mode = %q, want incremental", ch, upd.Mode)
+			}
 		}
+		before = srv.session("m").snap.Load()
 	}()
 
 	srv, reports := recoverOnto(t, fs.Recovered(), true, 1000)
-	if len(reports) != 1 || reports[0].ReplayedRecomp != 1 {
-		t.Fatalf("reports = %+v, want one session with 1 recomputed batch", reports)
+	if len(reports) != 1 || reports[0].ReplayedIncr != len(negationChanges) || reports[0].ReplayedRecomp != 0 {
+		t.Fatalf("reports = %+v, want one session with %d incremental replays and no recompute", reports, len(negationChanges))
 	}
-	// a and b sit on a cycle: neither is isolated after the replayed
-	// insert.
-	db := srv.session("m").snap.Load()
-	if n := db.Count("isolated"); n != 0 {
-		t.Fatalf("isolated has %d tuples after recovery, want 0", n)
+	sess := srv.session("m")
+	db := sess.snap.Load()
+	if !db.Equal(before) {
+		t.Fatalf("recovered database differs from the pre-crash one\nrecovered:\n%s\npre-crash:\n%s", db, before)
 	}
-	if n := db.Count("tc"); n != 4 {
-		t.Fatalf("tc has %d tuples after recovery, want 4", n)
+	// a left node/1 and nothing reaches back from d: 3 nodes, 9 pairs,
+	// minus tc's (b,c), (b,d), (c,d).
+	if n := db.Count("unreach"); n != 6 {
+		t.Fatalf("unreach has %d tuples after recovery, want 6", n)
+	}
+	sess.mu.Lock()
+	_, err := sess.recompute(context.Background())
+	fresh := sess.db
+	sess.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.Equal(db) {
+		t.Fatalf("recovered database differs from a from-scratch rebuild\nrecovered:\n%s\nfrom scratch:\n%s", db, fresh)
 	}
 }
 

@@ -215,6 +215,47 @@ func TestReplicationConverges(t *testing.T) {
 	})
 }
 
+// TestFollowerReplaysThroughNegation: a follower applies batches that
+// reach a negated predicate through the same sweep the leader committed
+// them with — bootstrap, live apply, and a restart that replays its own
+// WAL tail all converge on the leader's database with no recompute.
+func TestFollowerReplaysThroughNegation(t *testing.T) {
+	leader, leaderTS := durableServer(t, t.TempDir(), Config{Heartbeat: 20 * time.Millisecond})
+	mustOK(t, leaderTS, "POST", "/v1/sessions/m", LoadRequest{Program: negationSrc}, nil)
+	mustOK(t, leaderTS, "POST", "/v1/sessions/m/changes", negationChanges[0], nil)
+
+	// replays asserts the session replayed at least one batch, all of
+	// them through the sweep.
+	replays := func(srv *Server, what string) {
+		t.Helper()
+		sess := srv.session("m")
+		if incr, recomp := sess.replayIncremental.Load(), sess.replayRecomputes.Load(); incr == 0 || recomp != 0 {
+			t.Fatalf("%s replayed %d batches incrementally and %d by recompute, want > 0 and 0", what, incr, recomp)
+		}
+	}
+
+	dir := t.TempDir()
+	f1, _, stop := startFollower(t, dir, leaderTS.URL, Config{})
+	mustOK(t, leaderTS, "POST", "/v1/sessions/m/changes", negationChanges[1], nil)
+	waitConverged(t, leader, f1, "m")
+	replays(f1, "live follower")
+	stop()
+	f1.Close()
+
+	// The restarted follower recovers its checkpoint, replays its WAL
+	// tail, then tails the leader for the batch it missed.
+	mustOK(t, leaderTS, "POST", "/v1/sessions/m/changes", negationChanges[2], nil)
+	f2, f2TS, _ := startFollower(t, dir, leaderTS.URL, Config{})
+	waitConverged(t, leader, f2, "m")
+	replays(f2, "restarted follower")
+
+	var q QueryResponse
+	mustOK(t, f2TS, "POST", "/v1/sessions/m/query", QueryRequest{Goal: "unreach(X, Y)"}, &q)
+	if q.Total != 6 {
+		t.Fatalf("follower unreach total = %d, want 6", q.Total)
+	}
+}
+
 // TestFollowerRejectsWrites: every mutating route on a replica answers
 // 403 not_leader naming the leader, with a Retry-After nudge.
 func TestFollowerRejectsWrites(t *testing.T) {

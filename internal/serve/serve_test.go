@@ -183,8 +183,10 @@ func TestErrorsAndGuards(t *testing.T) {
 	}
 }
 
-// TestRecomputeOnNegation: updates reaching a negated predicate fall
-// back to a full recomputation and still produce correct results.
+// TestRecomputeOnNegation: an update reaching a negated predicate is no
+// longer a recompute. The sweep maintains it incrementally — the insert
+// that closes a cycle retracts isolated/1, the delete that opens it
+// brings it back — and the session never rebuilds.
 func TestRecomputeOnNegation(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	mustOK(t, ts, "POST", "/load", LoadRequest{Program: `
@@ -200,24 +202,30 @@ func TestRecomputeOnNegation(t *testing.T) {
 	}
 	var upd UpdateResponse
 	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(b, a)."}, &upd)
-	if upd.Mode != "recompute" {
-		t.Fatalf("insert reaching negation: mode = %q, want recompute", upd.Mode)
+	if upd.Mode != "incremental" {
+		t.Fatalf("insert reaching negation: mode = %q, want incremental", upd.Mode)
 	}
 	// a and b are now on a cycle: neither is isolated.
 	if got := queryTuples(t, ts, "isolated(X)"); len(got) != 0 {
 		t.Fatalf("after cycle, isolated = %v, want none", got)
 	}
+	if got := queryTuples(t, ts, "tc(X, Y)"); len(got) != 4 {
+		t.Fatalf("after cycle, tc = %v, want all four pairs", got)
+	}
 	mustOK(t, ts, "POST", "/delete", UpdateRequest{Facts: "edge(b, a)."}, &upd)
-	if upd.Mode != "recompute" {
-		t.Fatalf("delete reaching negation: mode = %q, want recompute", upd.Mode)
+	if upd.Mode != "incremental" {
+		t.Fatalf("delete reaching negation: mode = %q, want incremental", upd.Mode)
 	}
 	if got := queryTuples(t, ts, "isolated(X)"); len(got) != 2 {
 		t.Fatalf("after cycle removed, isolated = %v, want a and b", got)
 	}
+	if got := queryTuples(t, ts, "tc(X, Y)"); len(got) != 1 {
+		t.Fatalf("after cycle removed, tc = %v, want only (a, b)", got)
+	}
 	var st StatsResponse
 	mustOK(t, ts, "GET", "/stats", nil, &st)
-	if st.Recomputes != 2 {
-		t.Fatalf("stats recomputes = %d, want 2", st.Recomputes)
+	if st.Recomputes != 0 || st.Incremental != 2 {
+		t.Fatalf("stats recomputes = %d incremental = %d, want 0 and 2", st.Recomputes, st.Incremental)
 	}
 }
 

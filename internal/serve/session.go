@@ -615,10 +615,9 @@ func relationOf(db *storage.Database, pred string) *storage.Relation {
 //   - A dirty session has an IDB nobody can trust: force the delta
 //     into the EDB and rebuild from it. Any delta heals a dirty
 //     session, an empty one included.
-//   - Otherwise build the Z-set once and run the sweep.
-//   - ErrNeedsRecompute means the negation guard refused before
-//     touching anything: force the delta in and rebuild.
-//   - Any other failure (cancellation, a sweep error) may have stopped
+//   - Otherwise build the Z-set once and run the sweep. It is total:
+//     no update, negation included, is refused.
+//   - A failure (cancellation, a sweep error) may have stopped
 //     maintenance partway. What happens next is the failure policy, the
 //     only thing a commit and a replay disagree on. A commit must apply
 //     nothing: the delta is undone, the pre-request fixpoint rebuilt
@@ -641,10 +640,10 @@ func (sess *session) applyDelta(ctx context.Context, ins, del map[string][]stora
 			return "incremental", eng.Stats(), nil
 		}
 	}
-	// The rebuild rung: dirty on entry, refused by the guard, or a replay
-	// whose sweep died while ctx is still live (a done ctx means shutdown;
-	// don't mask it with a rebuild).
-	if err == nil || errors.Is(err, eval.ErrNeedsRecompute) || (replay && ctx.Err() == nil) {
+	// The rebuild rung: dirty on entry, or a replay whose sweep died
+	// while ctx is still live (a done ctx means shutdown; don't mask it
+	// with a rebuild).
+	if err == nil || (replay && ctx.Err() == nil) {
 		applyNet(sess.db, ins, del)
 		var st eval.Stats
 		if st, err = sess.recompute(ctx); err == nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -249,6 +250,113 @@ func TestRemoveRebuildsColumnIndexLazily(t *testing.T) {
 	for _, pos := range r.Lookup(0, InternInt(0)) {
 		if tu := r.At(pos); tu[0] != InternInt(0) {
 			t.Fatalf("stale index position %d -> %v", pos, tu)
+		}
+	}
+}
+
+// scanIndex is what a column index must hold: for every value of the
+// column, the ascending positions of the tuples carrying it.
+func scanIndex(tuples []Tuple, col int) map[Value][]int {
+	idx := map[Value][]int{}
+	for pos, tu := range tuples {
+		idx[tu[col]] = append(idx[tu[col]], pos)
+	}
+	return idx
+}
+
+// frozenView is a snapshot plus a private copy of what it held when it
+// was taken.
+type frozenView struct {
+	rel    *Relation
+	tuples []Tuple
+}
+
+// checkIndexed verifies r's built column indexes against a scan of
+// tuples (r's own, or the copy a snapshot was frozen with): exactly the
+// columns in indexed are built, every position list is the ascending
+// list a rebuild would produce, and no emptied list survives — the map
+// size, which the planner's estimator reads as len(EnsureIndex(col)),
+// is the column's distinct count.
+func checkIndexed(t *testing.T, what string, r *Relation, tuples []Tuple, indexed []int) {
+	t.Helper()
+	if r.Len() != len(tuples) {
+		t.Fatalf("%s: %d tuples, want %d", what, r.Len(), len(tuples))
+	}
+	for pos, tu := range tuples {
+		if !r.At(pos).Equal(tu) || !r.Contains(tu) {
+			t.Fatalf("%s: position %d holds %v, want %v", what, pos, r.At(pos), tu)
+		}
+	}
+	if got := r.IndexedColumns(); !reflect.DeepEqual(got, indexed) {
+		t.Fatalf("%s: indexed columns = %v, want %v", what, got, indexed)
+	}
+	for _, col := range indexed {
+		want := scanIndex(tuples, col)
+		for v, positions := range want {
+			if got, ok := r.LookupNoBuild(col, v); !ok || !reflect.DeepEqual(got, positions) {
+				t.Fatalf("%s: LookupNoBuild(%d, %v) = %v, %v; a scan finds %v", what, col, v, got, ok, positions)
+			}
+		}
+		// Every scanned value matched; equal sizes leave no room for a
+		// stale or emptied list.
+		if got := len(r.colIndex[col]); got != len(want) {
+			t.Fatalf("%s: column %d index has %d keys, %d distinct values", what, col, got, len(want))
+		}
+	}
+}
+
+// TestRemoveKeepsColumnIndexesUnderChurn drives Insert/Remove/Snapshot
+// over an arity-2 and an arity-3 relation that keep indexes on a subset
+// of their columns. Remove maintains those indexes in place, so after
+// every step each must equal a rebuild and RelStats a recount; and
+// every snapshot taken
+// along the way must keep answering from its own frozen tuples and
+// indexes while the live side moves on.
+func TestRemoveKeepsColumnIndexesUnderChurn(t *testing.T) {
+	for _, tc := range []struct {
+		arity, domain int
+		indexed       []int
+	}{
+		{arity: 2, domain: 8, indexed: []int{1}},
+		{arity: 3, domain: 4, indexed: []int{0, 2}},
+	} {
+		rng := rand.New(rand.NewSource(int64(31 * tc.arity)))
+		db := NewDatabase()
+		r := db.Ensure("r", tc.arity)
+		r.EnsureStats()
+		for _, col := range tc.indexed {
+			r.EnsureIndex(col)
+		}
+		var views []frozenView
+		for step := 0; step < 20000; step++ {
+			tu := make(Tuple, tc.arity)
+			for i := range tu {
+				tu[i] = InternInt(rng.Int63n(int64(tc.domain)))
+			}
+			switch k := rng.Intn(200); {
+			case k == 0:
+				views = append(views, frozenView{db.Snapshot().Relation("r"), append([]Tuple(nil), r.Tuples()...)})
+				if len(views) > 16 {
+					views = views[1:]
+				}
+			case k < 100:
+				r.Insert(tu)
+			default:
+				r.Remove(tu)
+			}
+			what := fmt.Sprintf("arity %d step %d", tc.arity, step)
+			checkIndexed(t, what, r, r.Tuples(), tc.indexed)
+			if !r.Stats().Equal(rebuilt(r)) {
+				t.Fatalf("%s: incremental stats diverged from a rebuild", what)
+			}
+			if step%100 == 0 {
+				for i, v := range views {
+					checkIndexed(t, fmt.Sprintf("%s, snapshot %d", what, i), v.rel, v.tuples, tc.indexed)
+				}
+			}
+		}
+		for i, v := range views {
+			checkIndexed(t, fmt.Sprintf("arity %d, final, snapshot %d", tc.arity, i), v.rel, v.tuples, tc.indexed)
 		}
 	}
 }

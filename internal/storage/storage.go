@@ -311,15 +311,20 @@ func (ix *tupleIndex) removeSwap(tuples []Tuple, t Tuple) ([]Tuple, bool) {
 	if pos < 0 {
 		return tuples, false
 	}
+	return ix.removeAt(tuples, pos), true
+}
+
+// removeAt is removeSwap for a caller that already located the tuple.
+func (ix *tupleIndex) removeAt(tuples []Tuple, pos int) []Tuple {
 	last := len(tuples) - 1
-	ix.dropPos(t.Hash(), pos)
+	ix.dropPos(tuples[pos].Hash(), pos)
 	if pos != last {
 		moved := tuples[last]
 		ix.replacePos(moved.Hash(), last, pos)
 		tuples[pos] = moved
 	}
 	tuples[last] = nil
-	return tuples[:last], true
+	return tuples[:last]
 }
 
 // TupleSet is a standalone set of tuples with insertion-order
@@ -485,32 +490,67 @@ func (r *Relation) InsertHashed(t Tuple, h uint64) bool {
 	return true
 }
 
-// Remove deletes t if present and reports whether it was. Column and
-// sorted indexes are dropped (they rebuild lazily on the next use)
-// because the swap-removal renumbers positions; the membership index is
-// maintained in place. Iteration order is not preserved across
-// removals. Removal is a maintenance-time operation (delete-and-
-// rederive); it must not run during an evaluation round.
+// Remove deletes t if present and reports whether it was. The
+// swap-removal moves the last tuple into the vacated position; the
+// membership index and every built column index follow that
+// renumbering in place, so a removal costs O(change), not a rebuild of
+// each index on its next use. Sorted indexes are dropped (they rebuild
+// lazily). Iteration order is not preserved across removals. Removal
+// is a maintenance-time operation; it must not run during an
+// evaluation round.
 func (r *Relation) Remove(t Tuple) bool {
 	if len(t) != r.Arity {
 		return false
 	}
-	if !r.Contains(t) {
+	pos := r.index.find(r.tuples, t, t.Hash())
+	if pos < 0 {
 		return false
 	}
 	r.detach()
-	tuples, ok := r.index.removeSwap(r.tuples, t)
-	r.tuples = tuples
-	if ok {
-		for i := range r.colIndex {
-			r.colIndex[i] = nil
-		}
-		r.sorted = nil
-		if r.stats != nil {
-			r.stats.remove(t)
+	last := len(r.tuples) - 1
+	moved := r.tuples[last]
+	r.tuples = r.index.removeAt(r.tuples, pos)
+	for col, idx := range r.colIndex {
+		if idx != nil {
+			unindexSwap(idx, t[col], moved[col], pos, last)
 		}
 	}
-	return ok
+	r.sorted = nil
+	if r.stats != nil {
+		r.stats.remove(t)
+	}
+	return true
+}
+
+// unindexSwap updates one column index for a swap-removal: the tuple at
+// pos (column value gone) leaves, and the tuple at last (column value
+// moved) now lives at pos. Position lists stay ascending — exactly what
+// a rebuild would produce — which makes last, the largest position in
+// the relation, the tail of its list. A list that empties is deleted,
+// so len(index) stays the column's distinct count.
+func unindexSwap(idx map[Value][]int, gone, moved Value, pos, last int) {
+	if gone == moved {
+		// One list loses a member and renames last to pos: whichever of
+		// the two tuples was removed, the net effect is dropping the tail.
+		dropPosition(idx, gone, last)
+		return
+	}
+	dropPosition(idx, gone, pos)
+	l := idx[moved]
+	i := sort.SearchInts(l, pos)
+	copy(l[i+1:], l[i:len(l)-1])
+	l[i] = pos
+}
+
+// dropPosition removes pos from v's ascending position list.
+func dropPosition(idx map[Value][]int, v Value, pos int) {
+	l := idx[v]
+	if len(l) == 1 {
+		delete(idx, v)
+		return
+	}
+	i := sort.SearchInts(l, pos)
+	idx[v] = append(l[:i], l[i+1:]...)
 }
 
 // Contains reports whether the relation holds t. Read-only.
@@ -526,7 +566,7 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 // detaching: the colIndex slice itself is never shared (snapshotRef
 // copies the slice header), and a freshly built map mutates nothing the
 // other side can see. Only in-place updates of existing inner maps
-// (Insert) and position renumbering (Remove) require detach.
+// (Insert, and Remove's position renumbering) require detach.
 func (r *Relation) EnsureIndex(col int) map[Value][]int {
 	if r.colIndex[col] == nil {
 		idx := make(map[Value][]int)

@@ -16,6 +16,13 @@ type RandProgramConfig struct {
 	// RecRules and ExitRules count the rules generated (at least 1
 	// each).
 	RecRules, ExitRules int
+	// Negation leaves the paper's class on purpose, for the maintenance
+	// differentials: every recursive rule gains a negated EDB literal,
+	// and strata are stacked above p that negate it (see negationStrata).
+	// The extra EDB predicate node/1 joins the returned arities. It only
+	// adds random draws: with it off, a seed yields the same program as
+	// before the field existed.
+	Negation bool
 }
 
 func (c RandProgramConfig) norm() RandProgramConfig {
@@ -117,10 +124,78 @@ func RandProgram(rng *rand.Rand, cfg RandProgramConfig) (*ast.Program, map[strin
 			body = append(body, ast.Pos(extraAtom()))
 		}
 		body = append(body, ast.Pos(ast.Atom{Pred: "p", Args: recArgs}))
+		if cfg.Negation {
+			// A negated EDB literal over variables the rule binds (head
+			// variables and the recursive literal's locals), sometimes
+			// with a constant or one variable repeated throughout.
+			e := edb[rng.Intn(len(edb))]
+			vars := append(append([]ast.Term(nil), head.Args...), recArgs...)
+			args := make([]ast.Term, arities[e])
+			for i := range args {
+				args[i] = vars[rng.Intn(len(vars))]
+			}
+			switch rng.Intn(3) {
+			case 0:
+				for i := range args {
+					args[i] = args[0]
+				}
+			case 1:
+				args[rng.Intn(len(args))] = ast.Sym("c0")
+			}
+			body = append(body, ast.Neg(ast.Atom{Pred: e, Args: args}))
+		}
 		prog.Rules = append(prog.Rules, ast.Rule{Head: head.Clone(), Body: body})
+	}
+	if cfg.Negation {
+		arities["node"] = 1
+		prog.Rules = append(prog.Rules, negationStrata(head)...)
 	}
 	prog.EnsureLabels()
 	return prog, arities
+}
+
+// negationStrata stacks the shapes stratified negation can take above
+// the recursive predicate whose head atom is given (variables X1..Xn):
+//
+//	np(X1..Xn)     :- node(X1), …, node(Xn), not p(X1..Xn).   a stratum negating p
+//	oneway(X1..Xn) :- p(X1..Xn), not p(Xn..X1).               p positive and negated in one rule
+//	noloop(X1)     :- node(X1), not p(X1, …, X1).             a repeated variable under not
+//	nc(X1)         :- node(X1), not p(c0, X1, …, X1).         a constant under not
+//	two(X1)        :- node(X1), not noloop(X1), not nc(X1).   a second level, two negated literals
+//	up(X1..Xn)     :- oneway(X1..Xn).                         recursion above negation, with a
+//	up(X1..Xn)     :- up(X1..Xn-1, Z), oneway(Z, X2..Xn),     negated lower IDB literal inside
+//	                  not nc(Xn).                             the recursive rule
+func negationStrata(head ast.Atom) []ast.Rule {
+	n := len(head.Args)
+	x := head.Args
+	atom := func(pred string, args ...ast.Term) ast.Atom { return ast.Atom{Pred: pred, Args: args} }
+	over := func(pred string) ast.Atom { return atom(pred, append([]ast.Term(nil), x...)...) }
+	node := func(v ast.Term) ast.Literal { return ast.Pos(atom("node", v)) }
+
+	var nodes []ast.Literal
+	reversed := make([]ast.Term, n)
+	loop := make([]ast.Term, n)
+	withConst := make([]ast.Term, n)
+	for i, v := range x {
+		nodes = append(nodes, node(v))
+		reversed[n-1-i] = v
+		loop[i] = x[0]
+		withConst[i] = x[0]
+	}
+	withConst[0] = ast.Sym("c0")
+
+	z := ast.Var("Z")
+	upRec := append(append([]ast.Term(nil), x[:n-1]...), z)
+	step := append([]ast.Term{z}, x[1:]...)
+	return []ast.Rule{
+		{Head: over("np"), Body: append(nodes, ast.Neg(over("p")))},
+		{Head: over("oneway"), Body: []ast.Literal{ast.Pos(over("p")), ast.Neg(atom("p", reversed...))}},
+		{Head: atom("noloop", x[0]), Body: []ast.Literal{node(x[0]), ast.Neg(atom("p", loop...))}},
+		{Head: atom("nc", x[0]), Body: []ast.Literal{node(x[0]), ast.Neg(atom("p", withConst...))}},
+		{Head: atom("two", x[0]), Body: []ast.Literal{node(x[0]), ast.Neg(atom("noloop", x[0])), ast.Neg(atom("nc", x[0]))}},
+		{Head: over("up"), Body: []ast.Literal{ast.Pos(over("oneway"))}},
+		{Head: over("up"), Body: []ast.Literal{ast.Pos(atom("up", upRec...)), ast.Pos(atom("oneway", step...)), ast.Neg(atom("nc", x[n-1]))}},
+	}
 }
 
 // RandChainIC generates a random integrity constraint in the §3 chain
