@@ -1,29 +1,27 @@
 // Command dlogd is a long-running Datalog service. It hosts named
-// sessions — each a loaded program with a materialized IDB, optionally
-// run through the paper's semantic optimizer at load time — and serves
-// a versioned REST surface:
+// sessions — each a loaded program with a materialized IDB, evaluated
+// as written or under a plan chosen from the paper's rewrite space at
+// load time — and serves one versioned REST surface:
 //
-//	POST   /v1/sessions/{name}        {"program": "...", "optimize": true}
-//	POST   /v1/sessions/{name}/query  {"goal": "anc(ann, Y)", "limit": 100}
-//	POST   /v1/sessions/{name}/facts  {"facts": "par(x, y)."}   insert
-//	DELETE /v1/sessions/{name}/facts  {"facts": "par(x, y)."}   delete
-//	GET    /v1/sessions/{name}/stats                            session counters
-//	GET    /v1/sessions                                         list sessions
-//	DELETE /v1/sessions/{name}                                  drop a session
-//	GET    /v1/stats                                            server counters
-//	GET    /metrics                                             Prometheus exposition
-//	GET    /healthz                                             liveness
-//	GET    /readyz                                              readiness (follower: catching_up until caught up)
-//	GET    /v1/sessions/{name}/replicate?from=SEQ               WAL-shipping replication stream
+//	POST   /v1/sessions/{name}            {"program": "...", "plan": "auto"}
+//	POST   /v1/sessions/{name}/query      {"goal": "anc(ann, Y)", "limit": 100}
+//	POST   /v1/sessions/{name}/changes    {"adds": ["par(x, y)"], "dels": ["par(u, v)"]}
+//	GET    /v1/sessions/{name}/subscribe  change feed (SSE or long-poll), ?from=SEQ
+//	GET    /v1/sessions/{name}/stats      session counters
+//	POST   /v1/sessions/{name}/checkpoint force a checkpoint (needs -data-dir)
+//	GET    /v1/sessions/{name}/replicate  WAL-shipping replication stream, ?from=SEQ
+//	GET    /v1/sessions                   list sessions
+//	DELETE /v1/sessions/{name}            drop a session
+//	GET    /v1/stats                      server counters
+//	GET    /metrics                       Prometheus exposition
+//	GET    /healthz                       liveness
+//	GET    /readyz                        readiness (follower: catching_up until caught up)
 //
 // With -follow http://leader:port the daemon runs as a read-only
 // replica: sessions are discovered from the leader, bootstrapped from
 // its checkpoints, and fed committed WAL batches into -data-dir; every
 // write answers 403 not_leader naming the leader. Restarting the same
 // data directory without -follow promotes the replica to a leader.
-//
-// The original flat routes (/load, /query, /insert, /delete, /stats)
-// remain as aliases onto the "default" session.
 //
 // Every request is answered with an X-Request-Id header; with tracing
 // enabled (-trace/-events) the same ID appears on the request's serve
@@ -33,16 +31,17 @@
 // stderr.
 //
 // Queries are served lock-free against an immutable copy-on-write
-// snapshot of the session's database. Writes flow through a per-session
-// group-committed pipeline: concurrent inserts and deletes are
-// coalesced to their net effect and maintained with ONE incremental
+// snapshot of the session's database, and every reply names the
+// sequence number of the snapshot it was served from. Writes flow
+// through a per-session group-committed pipeline: concurrent changes
+// are coalesced to their net effect and maintained with ONE incremental
 // fixpoint per batch instead of one per request. On SIGINT or SIGTERM
 // the daemon stops accepting connections, lets in-flight requests
 // finish (bounded by -drain), and exits.
 //
 // Usage:
 //
-//	dlogd -addr :8080 -program family.dl -program fast=opt.dl -optimize
+//	dlogd -addr :8080 -program family.dl -program fast=opt.dl -plan auto
 package main
 
 import (
@@ -84,9 +83,9 @@ func run(args []string, sig <-chan os.Signal, logw io.Writer, ready chan<- strin
 	addr := fs.String("addr", ":8080", "listen address")
 	type programArg struct{ session, path string }
 	var programs []programArg
-	fs.Func("program", "program file to load at startup, PATH or NAME=PATH for a named session; repeatable (the service starts empty without it)",
+	fs.Func("program", "program file to load at startup, NAME=PATH, or PATH for the session named \"default\"; repeatable (the service starts empty without it)",
 		func(v string) error {
-			session := serve.DefaultSession
+			session := "default"
 			path := v
 			if name, p, ok := strings.Cut(v, "="); ok {
 				session, path = name, p
@@ -97,8 +96,7 @@ func run(args []string, sig <-chan os.Signal, logw io.Writer, ready chan<- strin
 			programs = append(programs, programArg{session: session, path: path})
 			return nil
 		})
-	optimize := fs.Bool("optimize", false, "run the semantic optimizer on the startup programs")
-	plan := fs.String("plan", "", "cost-based plan selection for loaded sessions: auto, orig, iso, opt, magic, bounded (supersedes -optimize)")
+	plan := fs.String("plan", "", "plan selection for sessions whose load names none: auto (cost-based), orig, iso, opt, magic, bounded (empty = evaluate each program as written)")
 	replanEvery := fs.Int("replan-every", 0,
 		"committed batches between adaptive re-planning checks on plan=auto sessions (0 disables)")
 	small := fs.String("small", "", "comma-separated small predicates for atom introduction")
@@ -224,7 +222,6 @@ func run(args []string, sig <-chan os.Signal, logw io.Writer, ready chan<- strin
 		}
 		resp, err := srv.LoadSession(context.Background(), pa.session, serve.LoadRequest{
 			Program:    string(src),
-			Optimize:   *optimize,
 			SmallPreds: smallPreds,
 		})
 		if err != nil {

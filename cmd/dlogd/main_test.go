@@ -54,6 +54,11 @@ func post(t *testing.T, url string, body any, out any) int {
 	return res.StatusCode
 }
 
+// addFacts and delFacts build the one-sided /changes payload that
+// inserts or deletes src (one entry may carry several facts).
+func addFacts(src string) serve.ChangesRequest { return serve.ChangesRequest{Adds: []string{src}} }
+func delFacts(src string) serve.ChangesRequest { return serve.ChangesRequest{Dels: []string{src}} }
+
 // TestDaemonStartupProgramAndRoundTrip boots with -program and checks
 // the full load → query → insert → query → delete flow over a real
 // listener.
@@ -75,20 +80,20 @@ func TestDaemonStartupProgramAndRoundTrip(t *testing.T) {
 	res.Body.Close()
 
 	var q serve.QueryResponse
-	if code := post(t, url+"/query", serve.QueryRequest{Goal: "tc(a, Y)"}, &q); code != 200 || q.Count != 1 {
+	if code := post(t, url+"/v1/sessions/default/query", serve.QueryRequest{Goal: "tc(a, Y)"}, &q); code != 200 || q.Count != 1 {
 		t.Fatalf("startup query: code=%d resp=%+v", code, q)
 	}
 	var upd serve.UpdateResponse
-	if code := post(t, url+"/insert", serve.UpdateRequest{Facts: "edge(b, c)."}, &upd); code != 200 || upd.Mode != "incremental" {
+	if code := post(t, url+"/v1/sessions/default/changes", addFacts("edge(b, c)."), &upd); code != 200 || upd.Mode != "incremental" {
 		t.Fatalf("insert: code=%d resp=%+v", code, upd)
 	}
-	if post(t, url+"/query", serve.QueryRequest{Goal: "tc(a, Y)"}, &q); q.Count != 2 {
+	if post(t, url+"/v1/sessions/default/query", serve.QueryRequest{Goal: "tc(a, Y)"}, &q); q.Count != 2 {
 		t.Fatalf("after insert: %+v", q)
 	}
-	if code := post(t, url+"/delete", serve.UpdateRequest{Facts: "edge(a, b)."}, &upd); code != 200 {
+	if code := post(t, url+"/v1/sessions/default/changes", delFacts("edge(a, b)."), &upd); code != 200 {
 		t.Fatalf("delete: code=%d", code)
 	}
-	if post(t, url+"/query", serve.QueryRequest{Goal: "tc(a, Y)"}, &q); q.Count != 0 {
+	if post(t, url+"/v1/sessions/default/query", serve.QueryRequest{Goal: "tc(a, Y)"}, &q); q.Count != 0 {
 		t.Fatalf("after delete: %+v", q)
 	}
 
@@ -107,7 +112,7 @@ func TestDaemonStartupProgramAndRoundTrip(t *testing.T) {
 // in-flight request and refuses new ones.
 func TestDaemonGracefulShutdown(t *testing.T) {
 	url, sig, done := startDaemon(t)
-	if code := post(t, url+"/load", serve.LoadRequest{Program: "p(a). q(X) :- p(X)."}, nil); code != 200 {
+	if code := post(t, url+"/v1/sessions/default", serve.LoadRequest{Program: "p(a). q(X) :- p(X)."}, nil); code != 200 {
 		t.Fatalf("load: %d", code)
 	}
 
@@ -115,7 +120,7 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 	pr, pw := io.Pipe()
 	inflight := make(chan error, 1)
 	go func() {
-		req, _ := http.NewRequest("POST", url+"/query", pr)
+		req, _ := http.NewRequest("POST", url+"/v1/sessions/default/query", pr)
 		res, err := http.DefaultTransport.RoundTrip(req)
 		if err != nil {
 			inflight <- err
@@ -173,6 +178,9 @@ func TestDaemonBadStartup(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, sig, io.Discard, nil); err == nil {
 		t.Error("bad flag should fail")
 	}
+	if err := run([]string{"-optimize"}, sig, io.Discard, nil); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("the removed -optimize flag: err = %v", err)
+	}
 	path := filepath.Join(t.TempDir(), "bad.dl")
 	os.WriteFile(path, []byte("p(X :-"), 0o644)
 	err := run([]string{"-program", path}, sig, io.Discard, nil)
@@ -183,7 +191,7 @@ func TestDaemonBadStartup(t *testing.T) {
 
 // TestDaemonMultiProgramV1 boots with two -program flags (one default,
 // one named) and exercises the /v1 surface end to end: per-session
-// query, facts, stats, and the server-wide stats with both sessions.
+// query, changes, stats, and the server-wide stats with both sessions.
 func TestDaemonMultiProgramV1(t *testing.T) {
 	dir := t.TempDir()
 	tcPath := filepath.Join(dir, "tc.dl")
@@ -200,7 +208,7 @@ func TestDaemonMultiProgramV1(t *testing.T) {
 	}
 	url, sig, done := startDaemon(t, "-program", tcPath, "-program", "aux="+pqPath, "-query-cache", "16")
 
-	// The default session serves the legacy surface and /v1 identically.
+	// An unnamed -program lands in the session called "default".
 	var q serve.QueryResponse
 	if code := post(t, url+"/v1/sessions/default/query", serve.QueryRequest{Goal: "tc(a, Y)"}, &q); code != 200 || q.Total != 1 {
 		t.Fatalf("v1 default query: code=%d resp=%+v", code, q)
@@ -210,8 +218,8 @@ func TestDaemonMultiProgramV1(t *testing.T) {
 	}
 
 	var upd serve.UpdateResponse
-	if code := post(t, url+"/v1/sessions/aux/facts", serve.UpdateRequest{Facts: "p(b)."}, &upd); code != 200 || upd.Applied != 1 {
-		t.Fatalf("v1 facts insert: code=%d resp=%+v", code, upd)
+	if code := post(t, url+"/v1/sessions/aux/changes", addFacts("p(b)."), &upd); code != 200 || upd.Applied != 1 {
+		t.Fatalf("v1 changes add: code=%d resp=%+v", code, upd)
 	}
 	if post(t, url+"/v1/sessions/aux/query", serve.QueryRequest{Goal: "q(X)"}, &q); q.Total != 2 {
 		t.Fatalf("aux after insert: %+v", q)

@@ -96,7 +96,7 @@ func TestFollowerPromotionAfterLeaderSIGKILL(t *testing.T) {
 	leaderURL, leaderCmd := spawnDaemon(t, "-data-dir", leaderData, "-program", prog, "-checkpoint-every", "2")
 	for _, f := range []string{"edge(b, c).", "edge(c, d)."} {
 		var upd serve.UpdateResponse
-		if code := post(t, leaderURL+"/v1/sessions/default/facts", serve.UpdateRequest{Facts: f}, &upd); code != 200 {
+		if code := post(t, leaderURL+"/v1/sessions/default/changes", addFacts(f), &upd); code != 200 {
 			t.Fatalf("insert %q = %d", f, code)
 		}
 	}
@@ -111,7 +111,7 @@ func TestFollowerPromotionAfterLeaderSIGKILL(t *testing.T) {
 
 	// The replica is read-only and names its leader.
 	var er serve.ErrorResponse
-	code, err := postQuiet(followerURL+"/v1/sessions/default/facts", serve.UpdateRequest{Facts: "edge(x, y)."}, &er)
+	code, err := postQuiet(followerURL+"/v1/sessions/default/changes", addFacts("edge(x, y)."), &er)
 	if err != nil || code != http.StatusForbidden || er.Error.Code != serve.CodeNotLeader {
 		t.Fatalf("replica write = %d %q (%v), want 403 not_leader", code, er.Error.Code, err)
 	}
@@ -146,7 +146,7 @@ func TestFollowerPromotionAfterLeaderSIGKILL(t *testing.T) {
 
 	// A promoted daemon is a leader: writes are accepted and durable.
 	var upd serve.UpdateResponse
-	if code := post(t, promotedURL+"/v1/sessions/default/facts", serve.UpdateRequest{Facts: "edge(d, e)."}, &upd); code != 200 {
+	if code := post(t, promotedURL+"/v1/sessions/default/changes", addFacts("edge(d, e)."), &upd); code != 200 {
 		t.Fatalf("post-promotion insert = %d", code)
 	}
 	if got := tcAnswers(t, promotedURL); len(got) != 10 {

@@ -144,12 +144,12 @@ func TestDaemonSurvivesSIGKILL(t *testing.T) {
 	url, cmd := spawnDaemon(t, "-data-dir", data, "-program", prog, "-checkpoint-every", "2")
 	for _, f := range []string{"edge(b, c).", "edge(c, d).", "edge(d, e)."} {
 		var upd serve.UpdateResponse
-		if code := post(t, url+"/v1/sessions/default/facts", serve.UpdateRequest{Facts: f}, &upd); code != 200 {
+		if code := post(t, url+"/v1/sessions/default/changes", addFacts(f), &upd); code != 200 {
 			t.Fatalf("insert %q = %d", f, code)
 		}
 	}
 	var upd serve.UpdateResponse
-	if code := post(t, url+"/v1/sessions/default/facts", serve.UpdateRequest{Facts: "edge(a, b)."}, &upd); code != 200 {
+	if code := post(t, url+"/v1/sessions/default/changes", addFacts("edge(a, b)."), &upd); code != 200 {
 		t.Fatalf("duplicate insert = %d", code)
 	}
 	want := tcAnswers(t, url)
@@ -195,7 +195,7 @@ func TestDaemonSurvivesSIGKILL(t *testing.T) {
 	}
 
 	// The recovered session keeps taking writes durably.
-	if code := post(t, url2+"/v1/sessions/default/facts", serve.UpdateRequest{Facts: "edge(e, f)."}, &upd); code != 200 {
+	if code := post(t, url2+"/v1/sessions/default/changes", addFacts("edge(e, f)."), &upd); code != 200 {
 		t.Fatalf("post-recovery insert = %d", code)
 	}
 	if got := tcAnswers(t, url2); len(got) != 15 {
@@ -250,7 +250,7 @@ func TestDaemonSIGKILLNoFsync(t *testing.T) {
 	chain := []string{"edge(b, c).", "edge(c, d).", "edge(d, e)."}
 	for _, f := range chain {
 		var upd serve.UpdateResponse
-		if code := post(t, url+"/v1/sessions/default/facts", serve.UpdateRequest{Facts: f}, &upd); code != 200 {
+		if code := post(t, url+"/v1/sessions/default/changes", addFacts(f), &upd); code != 200 {
 			t.Fatalf("insert %q = %d", f, code)
 		}
 	}

@@ -44,9 +44,6 @@ func (s Subst) Lookup(t Term) Term {
 	return orig
 }
 
-// ApplyTerm applies the substitution to a term.
-func (s Subst) ApplyTerm(t Term) Term { return s.Lookup(t) }
-
 // ApplyAtom applies the substitution to every argument of a.
 func (s Subst) ApplyAtom(a Atom) Atom {
 	args := make([]Term, len(a.Args))

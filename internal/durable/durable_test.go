@@ -187,6 +187,28 @@ func TestStoreCheckpointAppendRecover(t *testing.T) {
 	}
 }
 
+// TestLegacyOptimizeHeaderRecovers: checkpoints written while loads
+// still took an "optimize" flag say so in their header, and the header
+// is decoded strictly, so the field must stay decodable.
+func TestLegacyOptimizeHeaderRecovers(t *testing.T) {
+	old := testSnapshot(3)
+	old.Meta.Optimize = true
+	raw, err := EncodeSnapshot(old)
+	if err != nil || !bytes.Contains(raw, []byte(`"optimize":true`)) {
+		t.Fatalf("encode = %v; the header must carry \"optimize\":true", err)
+	}
+	st, opts := newMemStore(t, newTestFS(), true)
+	if err := st.CheckpointRaw(raw, 3); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st2, res := reopen(t, opts)
+	defer st2.Close()
+	if res.Snapshot == nil || res.Snapshot.Meta.Seq != 3 || !res.Snapshot.DB.Equal(old.DB) {
+		t.Fatalf("legacy checkpoint not recovered: %+v", res)
+	}
+}
+
 func TestStoreTornTailTruncated(t *testing.T) {
 	fs := newTestFS()
 	st, opts := newMemStore(t, fs, true)

@@ -51,8 +51,10 @@ type Meta struct {
 	// parseable source syntax. Recovery re-parses Active instead of
 	// re-running the semantic-optimization pipeline.
 	Active string `json:"active"`
-	// Optimize and SmallPreds echo the load request, so a future
-	// explicit reload reproduces the same pipeline.
+	// Optimize is decode-only: checkpoints written while loads still
+	// took an "optimize" flag carry it, and the strict header decode must
+	// keep accepting them. Nothing writes or reads it (Active is what
+	// recovery runs). SmallPreds echoes the load request.
 	Optimize   bool     `json:"optimize,omitempty"`
 	SmallPreds []string `json:"small_preds,omitempty"`
 	// Plan, PlanChosen and Goal persist the cost-based planner's mode,

@@ -67,20 +67,3 @@ func CompareValues(op string, a, b storage.Value) (bool, error) {
 	}
 	return false, fmt.Errorf("eval: unknown comparison operator %q", op)
 }
-
-// EvalLiteral evaluates a fully-bound evaluable literal under env.
-func EvalLiteral(l ast.Literal, env ast.Subst) (bool, error) {
-	if !l.Atom.IsEvaluable() || len(l.Atom.Args) != 2 {
-		return false, fmt.Errorf("eval: %s is not a binary evaluable literal", l)
-	}
-	a := env.Lookup(l.Atom.Args[0])
-	b := env.Lookup(l.Atom.Args[1])
-	ok, err := Compare(l.Atom.Pred, a, b)
-	if err != nil {
-		return false, err
-	}
-	if l.Neg {
-		ok = !ok
-	}
-	return ok, nil
-}

@@ -702,16 +702,6 @@ func (e *Engine) Query(goal ast.Atom) ([]storage.Tuple, error) {
 	return out, nil
 }
 
-// RunAndQuery is a convenience: Run the program, then Query the goal.
-func RunAndQuery(prog *ast.Program, db *storage.Database, goal ast.Atom) ([]storage.Tuple, Stats, error) {
-	e := New(prog, db)
-	if err := e.Run(); err != nil {
-		return nil, e.Stats(), err
-	}
-	res, err := e.Query(goal)
-	return res, e.Stats(), err
-}
-
 // startIteration counts a fixpoint round (globally and for the current
 // stratum) and invokes the hook.
 func (e *Engine) startIteration() {

@@ -76,21 +76,6 @@ func hasDelta(delta map[string]*storage.Relation, pred string) bool {
 	return d != nil && d.Len() > 0
 }
 
-// applyInserts adds the tuples to the extensional relations, creating
-// relations for predicates the database has not seen (arity taken from
-// the first tuple).
-func (e *Engine) applyInserts(inserted map[string][]storage.Tuple) {
-	for p, ts := range inserted {
-		if len(ts) == 0 {
-			continue
-		}
-		rel := e.db.Ensure(p, len(ts[0]))
-		for _, t := range ts {
-			rel.Insert(t)
-		}
-	}
-}
-
 // sccRules gathers the component's non-fact rules, enforcing the same
 // stratification condition as fixpoint.
 func (e *Engine) sccRules(inSCC map[string]bool) ([]ast.Rule, error) {

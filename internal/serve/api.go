@@ -2,19 +2,21 @@
 //
 // A server hosts a registry of named sessions, each an independently
 // loaded program with its own materialized IDB, published snapshot,
-// and write pipeline. Loading a session parses the source, optionally
-// runs the full semantic-optimization pipeline (§3–§4 of the paper)
-// once at load time, evaluates the IDB to fixpoint, and publishes an
-// immutable copy-on-write snapshot of the database. From then on:
+// and write pipeline. Loading a session parses the source, picks its
+// evaluation plan when the load (or the server default) names a plan
+// mode — the paper's semantic-optimization pipeline (§3–§4) is one
+// candidate in that space — evaluates the IDB to fixpoint, and
+// publishes an immutable copy-on-write snapshot of the database
+// together with the sequence number it was taken at. From then on:
 //
 //   - queries are served lock-free against the session's latest
 //     snapshot, with pagination and an optional snapshot-generation
-//     keyed result cache for hot repeated goals;
-//   - writes (POST /changes with {adds, dels}, plus the /facts and
-//     legacy insert/delete aliases) enqueue onto the session's commit
-//     queue; a single committer goroutine per session drains the
-//     queue, coalesces concurrent requests to their net effect, and
-//     runs ONE Z-set maintenance pass for the whole batch
+//     keyed result cache for hot repeated goals; every reply carries
+//     the sequence of the snapshot that served it;
+//   - writes (POST /changes with {adds, dels}) enqueue onto the
+//     session's commit queue; a single committer goroutine per session
+//     drains the queue, coalesces concurrent requests to their net
+//     effect, and runs ONE Z-set maintenance pass for the whole batch
 //     (session.applyDelta) before publishing one snapshot and only
 //     then fanning the responses back out — every commit gets a
 //     sequence number, durable or not;
@@ -25,9 +27,8 @@
 //     receive each committed batch as a {seq, adds, dels} delta frame,
 //     resumable from any replayable sequence via ?from=.
 //
-// The versioned surface lives under /v1 (sessions are addressed by
-// name); the original flat routes remain as aliases onto the "default"
-// session for one release. See README.md for the mapping.
+// Sessions are addressed by name under /v1; beside it the server
+// answers only /healthz, /readyz and /metrics. See README.md.
 package serve
 
 import (
@@ -44,10 +45,7 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeBadGoal marks an unparsable or arity-mismatched query goal.
 	CodeBadGoal = "bad_goal"
-	// CodeNoProgram: the addressed (legacy default) session has no
-	// loaded program yet.
-	CodeNoProgram = "no_program"
-	// CodeNoSession: the named /v1 session does not exist.
+	// CodeNoSession: the named session does not exist.
 	CodeNoSession = "no_session"
 	// CodeOverloaded: an admission gate or write queue is full; the
 	// Retry-After header is computed from the current depth.
@@ -110,17 +108,13 @@ type ErrorResponse struct {
 // notation.
 type LoadRequest struct {
 	Program string `json:"program"`
-	// Optimize runs the semantic-optimization pipeline against the
-	// program's integrity constraints before the first evaluation.
-	Optimize bool `json:"optimize,omitempty"`
 	// SmallPreds names database predicates treated as small relations
 	// for §4(2) atom introduction.
 	SmallPreds []string `json:"small_preds,omitempty"`
 	// Plan selects the session's evaluation plan from the rewrite
 	// space: "auto" (cost-based), "orig", "iso", "opt", "magic" or
 	// "bounded". Empty falls back to the server's configured default;
-	// if that is empty too, the legacy Optimize flag decides. When set,
-	// Plan supersedes Optimize.
+	// if that is empty too, the program is evaluated as written.
 	Plan string `json:"plan,omitempty"`
 	// Goal is a query goal atom (e.g. `reach(a, Y)`) scoping the
 	// session to that goal's answers; a goal binding at least one
@@ -130,12 +124,10 @@ type LoadRequest struct {
 
 // LoadResponse reports the loaded program and its initial fixpoint.
 type LoadResponse struct {
-	Session   string   `json:"session,omitempty"`
-	Rules     int      `json:"rules"`
-	ICs       int      `json:"ics"`
-	Optimized bool     `json:"optimized"`
-	Reports   []string `json:"reports,omitempty"`
-	Notes     []string `json:"notes,omitempty"`
+	Session   string `json:"session,omitempty"`
+	Rules     int    `json:"rules"`
+	ICs       int    `json:"ics"`
+	Optimized bool   `json:"optimized"`
 	// Plan reports the planner's decision when the load ran plan
 	// selection (LoadRequest.Plan or the server default).
 	Plan      *planner.Decision `json:"plan,omitempty"`
@@ -173,35 +165,29 @@ type QueryResponse struct {
 	// Cached reports whether the result came from the session's
 	// query-result cache.
 	Cached bool `json:"cached,omitempty"`
-	// Seq is the session's newest committed sequence at serve time
-	// (durable WAL sequence when a data directory is configured). On a
-	// follower it tells the client how far behind the leader this read
-	// may be, together with the session's replication stats.
+	// Seq is the sequence number of the commit that produced the
+	// snapshot this page was served from (the durable WAL sequence when
+	// a data directory is configured): the answer is exactly the
+	// session's state at Seq. On a follower it tells the client how far
+	// behind the leader this read may be, together with the session's
+	// replication stats.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// UpdateRequest carries ground facts for a legacy insert or delete, in
-// source syntax: "edge(a, b). edge(b, c)." Only extensional predicates
-// may be updated. The legacy /insert and /delete routes are aliases
-// for a one-sided ChangesRequest.
-type UpdateRequest struct {
-	Facts string `json:"facts"`
-}
-
-// ChangesRequest is the unified write payload of POST
+// ChangesRequest is the write payload of POST
 // /v1/sessions/{name}/changes: facts to add and facts to delete,
 // committed together as ONE batch under one sequence number, restored
 // to fixpoint by one Z-set maintenance pass. Each entry is a ground
 // fact in source syntax ("edge(a, b)", trailing period optional; an
-// entry may also carry several period-separated facts). A fact may not
-// appear on both sides of one request.
+// entry may also carry several period-separated facts). Only
+// extensional predicates may be updated, and a fact may not appear on
+// both sides of one request.
 type ChangesRequest struct {
 	Adds []string `json:"adds,omitempty"`
 	Dels []string `json:"dels,omitempty"`
 }
 
-// UpdateResponse reports one committed write (insert, delete, or mixed
-// changes).
+// UpdateResponse reports one committed POST /changes request.
 type UpdateResponse struct {
 	// Applied counts facts that effectively changed the EDB (adds of
 	// absent tuples, dels of present ones); Ignored counts the rest.
@@ -257,14 +243,12 @@ type SessionStats struct {
 	Optimized  bool   `json:"optimized"`
 	Generation uint64 `json:"generation"`
 	Queries    int64  `json:"queries"`
-	Inserts    int64  `json:"inserts"`
-	Deletes    int64  `json:"deletes"`
-	// Changes counts unified POST /changes requests (legacy inserts and
-	// deletes are counted separately above).
+	// Changes counts the write requests (POST /changes) a commit group
+	// carried to a verdict.
 	Changes int64 `json:"changes"`
 	// Incremental + Recomputes is the number of maintenance fixpoints
-	// actually run; under group commit it is strictly less than
-	// Inserts + Deletes whenever batching kicked in.
+	// actually run; under group commit it is strictly less than Changes
+	// whenever batching kicked in.
 	Incremental int64 `json:"incremental"`
 	Recomputes  int64 `json:"recomputes"`
 	// Batches counts commit groups; BatchedWrites the write requests
@@ -320,31 +304,6 @@ type PlannerStats struct {
 type CheckpointResponse struct {
 	Session string `json:"session"`
 	Seq     uint64 `json:"seq"`
-}
-
-// StatsResponse is the legacy flat observability snapshot: the
-// "default" session's counters plus server-wide gate counters. New
-// clients should prefer GET /v1/stats.
-type StatsResponse struct {
-	Loaded        bool           `json:"loaded"`
-	Rules         int            `json:"rules"`
-	Optimized     bool           `json:"optimized"`
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	Queries       int64          `json:"queries"`
-	Rejected      int64          `json:"rejected"`
-	Inserts       int64          `json:"inserts"`
-	Deletes       int64          `json:"deletes"`
-	Incremental   int64          `json:"incremental"`
-	Recomputes    int64          `json:"recomputes"`
-	Batches       int64          `json:"batches"`
-	BatchedWrites int64          `json:"batched_writes"`
-	Sessions      int            `json:"sessions"`
-	Relations     map[string]int `json:"relations,omitempty"`
-	Eval          eval.Stats     `json:"eval"`
-	// Metrics is the same registry snapshot /v1/stats and /metrics
-	// render: all three surfaces share one serializer
-	// (Server.metricsSnapshot), so they cannot drift.
-	Metrics *obs.MetricsSnapshot `json:"metrics,omitempty"`
 }
 
 // ServerStatsResponse is the /v1/stats snapshot: server-wide counters

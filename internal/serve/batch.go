@@ -17,12 +17,10 @@ import (
 // the same ID the client saw in X-Request-Id, spanning enqueue to
 // commit so queue wait is visible in the trace.
 type commitReq struct {
-	id   uint64    // request ID minted by the traced middleware
-	enq  time.Time // when the handler enqueued the request
-	kind writeKind // arrival route, for the per-kind counters
+	id  uint64    // request ID minted by the traced middleware
+	enq time.Time // when the handler enqueued the request
 	// adds and dels are parsed, handler-validated, deduplicated and
-	// disjoint. Legacy /insert and /delete requests populate exactly one
-	// side; POST /changes may populate both.
+	// disjoint.
 	adds []groundFact
 	dels []groundFact
 	dups int // duplicates dropped by handler-side dedup
@@ -231,7 +229,7 @@ func (s *Server) commitGroup(sess *session, reqs []*commitReq) bool {
 			if len(reqs) > 1 {
 				return false
 			}
-			sess.countWrite(reqs[0].kind)
+			sess.changeReqs.Add(1)
 			status, code := errorStatus(ctx)
 			reqs[0].fail(status, code, err)
 			return true
@@ -244,7 +242,7 @@ func (s *Server) commitGroup(sess *session, reqs []*commitReq) bool {
 		if err := sess.logBatch(netIns, netDel); err != nil {
 			sess.undoDelta(netIns, netDel)
 			for _, req := range reqs {
-				sess.countWrite(req.kind)
+				sess.changeReqs.Add(1)
 				req.fail(http.StatusInternalServerError, CodeDurability, err)
 			}
 			return true
@@ -274,7 +272,7 @@ func (s *Server) commitGroup(sess *session, reqs []*commitReq) bool {
 		resp := perReq[i]
 		resp.Mode, resp.Batched, resp.Stats, resp.Seq = mode, len(reqs), st, seq
 		resp.Ignored += req.dups
-		sess.countWrite(req.kind)
+		sess.changeReqs.Add(1)
 		req.ok(resp)
 	}
 	return true

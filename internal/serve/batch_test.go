@@ -28,18 +28,13 @@ func jsonBody(t *testing.T, v any) io.Reader {
 // entered — tests use it to pin batch boundaries deterministically.
 func groupTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan int, chan struct{}) {
 	t.Helper()
-	srv := New(cfg)
+	srv, ts := startTestServer(t, cfg)
 	entered := make(chan int, 128)
 	release := make(chan struct{})
 	srv.testBeforeCommit = func(n int) {
 		entered <- n
 		<-release
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
 	return srv, ts, entered, release
 }
 
@@ -56,31 +51,26 @@ func awaitQueued(t *testing.T, sess *session, want int) {
 	}
 }
 
-// groupOp is one write request of the group-commit differential.
-type groupOp struct {
-	path  string
-	facts string
-}
-
 // groupCase is one program, its concurrent writers, and the goals whose
 // answers the differential compares.
 type groupCase struct {
-	name     string
-	optimize bool
-	rules    string // no facts: the from-scratch reference re-states the EDB
-	facts    string
-	ops      []groupOp
-	edb      []string // goals enumerating the final EDB
-	goals    []string
+	name  string
+	plan  string
+	rules string // no facts: the from-scratch reference re-states the EDB
+	facts string
+	ops   []ChangesRequest
+	edb   []string // goals enumerating the final EDB
+	goals []string
 }
 
 // TestGroupCommitDifferential fires N concurrent mixed inserts and
 // deletes at a group-committing server and checks the resulting tuples
 // are identical to the same operations applied sequentially to a second
 // server and to a from-scratch load of the final EDB on a third — with
-// and without semantic optimization, and under a program whose unreach
-// stratum negates the closure the writers reshape (every group is one
-// sweep, never a recompute). It also asserts the tentpole criterion:
+// and without plan selection (no constraint applies to tc, so the
+// planner's semantic candidates come up empty), and under a program
+// whose unreach stratum negates the closure the writers reshape (every
+// group is one sweep, never a recompute). It also asserts the tentpole criterion:
 // the batch counters show strictly fewer maintenance fixpoints than
 // write requests. Run with -race.
 func TestGroupCommitDifferential(t *testing.T) {
@@ -96,25 +86,25 @@ func TestGroupCommitDifferential(t *testing.T) {
 	// Half the writers delete chain edges, half insert fresh ones that
 	// reattach below root, so batches mix both kinds and the closure
 	// changes shape.
-	var ops []groupOp
+	var ops []ChangesRequest
 	for i := 0; i < 8; i++ {
-		ops = append(ops, groupOp{"/delete", fmt.Sprintf("edge(d%d, d%d).", i, i+1)})
+		ops = append(ops, delFacts(fmt.Sprintf("edge(d%d, d%d).", i, i+1)))
 	}
 	for i := 0; i < 8; i++ {
-		ops = append(ops, groupOp{"/insert", fmt.Sprintf("edge(root, e%d). edge(e%d, e%d).", i, i, (i+1)%8)})
+		ops = append(ops, addFacts(fmt.Sprintf("edge(root, e%d). edge(e%d, e%d).", i, i, (i+1)%8)))
 	}
 	// Under negation node/1 moves too: unreach loses and gains whole
 	// rows and columns while tc changes beneath it.
-	negOps := append([]groupOp(nil), ops...)
+	negOps := append([]ChangesRequest(nil), ops...)
 	for i := 0; i < 4; i++ {
 		negOps = append(negOps,
-			groupOp{"/delete", fmt.Sprintf("node(d%d).", 2*i)},
-			groupOp{"/insert", fmt.Sprintf("node(e%d).", i)})
+			delFacts(fmt.Sprintf("node(d%d).", 2*i)),
+			addFacts(fmt.Sprintf("node(e%d).", i)))
 	}
 	tcGoals := []string{"tc(X, Y)", "tc(root, Y)"}
 	for _, tc := range []groupCase{
 		{name: "seq", rules: tcRules, facts: chain, ops: ops, edb: []string{"edge(X, Y)"}, goals: tcGoals},
-		{name: "semopt/seq", optimize: true, rules: tcRules, facts: chain, ops: ops, edb: []string{"edge(X, Y)"}, goals: tcGoals},
+		{name: "semopt/seq", plan: "auto", rules: tcRules, facts: chain, ops: ops, edb: []string{"edge(X, Y)"}, goals: tcGoals},
 		{
 			name:  "negation/seq",
 			rules: tcRules + "unreach(X, Y) :- node(X), node(Y), not tc(X, Y).\n",
@@ -135,18 +125,18 @@ func runGroupDifferential(t *testing.T, c groupCase) {
 	n := len(c.ops)
 
 	srv, ts, entered, release := groupTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: program, Optimize: c.optimize}, nil)
-	sess := srv.session(DefaultSession)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: program, Plan: c.plan}, nil)
+	sess := srv.session(testSession)
 
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
 	for _, o := range c.ops {
 		wg.Add(1)
-		go func(o groupOp) {
+		go func(o ChangesRequest) {
 			defer wg.Done()
 			var resp UpdateResponse
-			if code := call(t, ts, "POST", o.path, UpdateRequest{Facts: o.facts}, &resp); code != http.StatusOK {
-				errs <- fmt.Errorf("%s %q = %d", o.path, o.facts, code)
+			if code := call(t, ts, "POST", changesPath, o, &resp); code != http.StatusOK {
+				errs <- fmt.Errorf("changes %+v = %d", o, code)
 			}
 		}(o)
 	}
@@ -164,9 +154,9 @@ func runGroupDifferential(t *testing.T, c groupCase) {
 
 	// Sequential reference: same operations, one at a time.
 	ref := newTestServer(t, Config{})
-	mustOK(t, ref, "POST", "/load", LoadRequest{Program: program, Optimize: c.optimize}, nil)
+	mustOK(t, ref, "POST", loadPath, LoadRequest{Program: program, Plan: c.plan}, nil)
 	for _, o := range c.ops {
-		mustOK(t, ref, "POST", o.path, UpdateRequest{Facts: o.facts}, nil)
+		mustOK(t, ref, "POST", changesPath, o, nil)
 	}
 	// From-scratch reference: the rules over the final EDB, stated as
 	// program facts, evaluated by one load.
@@ -178,7 +168,7 @@ func runGroupDifferential(t *testing.T, c groupCase) {
 		}
 	}
 	scratch := newTestServer(t, Config{})
-	mustOK(t, scratch, "POST", "/load", LoadRequest{Program: final, Optimize: c.optimize}, nil)
+	mustOK(t, scratch, "POST", loadPath, LoadRequest{Program: final, Plan: c.plan}, nil)
 	for _, goal := range append(c.goals, c.edb...) {
 		got := renderSorted(queryTuples(t, ts, goal))
 		if want := renderSorted(queryTuples(t, ref, goal)); got != want {
@@ -207,7 +197,8 @@ func runGroupDifferential(t *testing.T, c groupCase) {
 	}
 }
 
-// mkReq builds a validated commitReq the way handleUpdate would.
+// mkReq builds a validated one-sided commitReq the way commitChanges
+// would.
 func mkReq(t *testing.T, sess *session, isInsert bool, src string) *commitReq {
 	t.Helper()
 	facts, err := parseFactsSrc(src)
@@ -219,9 +210,9 @@ func mkReq(t *testing.T, sess *session, isInsert bool, src string) *commitReq {
 		done: make(chan commitResult, 1),
 	}
 	if isInsert {
-		req.kind, req.adds = writeInsert, facts
+		req.adds = facts
 	} else {
-		req.kind, req.dels = writeDelete, facts
+		req.dels = facts
 	}
 	return req
 }
@@ -233,10 +224,10 @@ func mkReq(t *testing.T, sess *session, isInsert bool, src string) *commitReq {
 func TestCoalesceNetZero(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
-	if _, err := srv.Load(context.Background(), LoadRequest{Program: tcSrc}); err != nil {
+	if _, err := srv.LoadSession(context.Background(), testSession, LoadRequest{Program: tcSrc}); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.session(DefaultSession)
+	sess := srv.session(testSession)
 
 	ins := mkReq(t, sess, true, "edge(x, y).")
 	del := mkReq(t, sess, false, "edge(x, y).")
@@ -268,10 +259,10 @@ func TestCoalesceNetZero(t *testing.T) {
 func TestCoalesceDedupAcrossRequests(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
-	if _, err := srv.Load(context.Background(), LoadRequest{Program: tcSrc}); err != nil {
+	if _, err := srv.LoadSession(context.Background(), testSession, LoadRequest{Program: tcSrc}); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.session(DefaultSession)
+	sess := srv.session(testSession)
 
 	r1 := mkReq(t, sess, true, "edge(c, d).")
 	r2 := mkReq(t, sess, true, "edge(c, d). edge(d, e).")
@@ -302,10 +293,10 @@ func TestCoalesceDedupAcrossRequests(t *testing.T) {
 func TestBatchPoisonIsolation(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
-	if _, err := srv.Load(context.Background(), LoadRequest{Program: tcSrc}); err != nil {
+	if _, err := srv.LoadSession(context.Background(), testSession, LoadRequest{Program: tcSrc}); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.session(DefaultSession)
+	sess := srv.session(testSession)
 
 	good := mkReq(t, sess, true, "p(a).")
 	bad := mkReq(t, sess, true, "p(b, c).") // conflicts with the batchmate's arity
@@ -334,10 +325,10 @@ func TestBatchPoisonIsolation(t *testing.T) {
 func TestBatchCancelledRequest(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
-	if _, err := srv.Load(context.Background(), LoadRequest{Program: tcSrc}); err != nil {
+	if _, err := srv.LoadSession(context.Background(), testSession, LoadRequest{Program: tcSrc}); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.session(DefaultSession)
+	sess := srv.session(testSession)
 
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -364,17 +355,17 @@ func TestBatchCancelledRequest(t *testing.T) {
 func TestAckAfterPublish(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
-	if _, err := srv.Load(context.Background(), LoadRequest{Program: tcSrc}); err != nil {
+	if _, err := srv.LoadSession(context.Background(), testSession, LoadRequest{Program: tcSrc}); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.session(DefaultSession)
+	sess := srv.session(testSession)
 
 	for _, facts := range [][]string{{"edge(c, d)."}, {"edge(d, e).", "edge(e, f)."}} {
 		var reqs []*commitReq
 		for _, f := range facts {
 			reqs = append(reqs, mkReq(t, sess, true, f))
 		}
-		before := sess.snap.Load()
+		before := sess.snap.Load().db
 		reached := false
 		srv.testBeforePublish = func() {
 			reached = true
@@ -383,7 +374,7 @@ func TestAckAfterPublish(t *testing.T) {
 					t.Errorf("group of %d: a writer was answered before its commit was published", len(reqs))
 				}
 			}
-			if sess.snap.Load() != before {
+			if sess.snap.Load().db != before {
 				t.Errorf("group of %d: hook ran after the publish", len(reqs))
 			}
 		}
@@ -397,9 +388,36 @@ func TestAckAfterPublish(t *testing.T) {
 			}
 		}
 		// What the answered writers can now read holds their writes.
-		if got, want := sess.snap.Load().Count("edge"), before.Count("edge")+len(reqs); got != want {
+		if got, want := sess.snap.Load().db.Count("edge"), before.Count("edge")+len(reqs); got != want {
 			t.Fatalf("group of %d: published snapshot has %d edges, want %d", len(reqs), got, want)
 		}
+	}
+}
+
+// TestReplySeqIsSnapshotSeq: a reply's seq names the state the reply
+// was served from. A query landing after a commit has advanced the
+// session's sequence but before it publishes must answer the old state
+// under the old seq — never the new seq over the old rows.
+func TestReplySeqIsSnapshotSeq(t *testing.T) {
+	srv, ts := startTestServer(t, Config{})
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
+	sess := srv.session(testSession)
+
+	// The commit runs on this goroutine, so the hook may use mustOK.
+	var before, during, after QueryResponse
+	goal := QueryRequest{Goal: "tc(X, Y)"}
+	mustOK(t, ts, "POST", queryPath, goal, &before)
+	srv.testBeforePublish = func() { mustOK(t, ts, "POST", queryPath, goal, &during) }
+	srv.commitBatch(sess, []*commitReq{mkReq(t, sess, true, "edge(c, d).")})
+	mustOK(t, ts, "POST", queryPath, goal, &after)
+
+	if during.Seq != before.Seq || during.Total != before.Total {
+		t.Errorf("read inside the commit = seq %d total %d, want the published state: seq %d total %d",
+			during.Seq, during.Total, before.Seq, before.Total)
+	}
+	if after.Seq != before.Seq+1 || after.Total != before.Total+3 {
+		t.Errorf("read after the commit = seq %d total %d, want seq %d total %d",
+			after.Seq, after.Total, before.Seq+1, before.Total+3)
 	}
 }
 
@@ -408,15 +426,15 @@ func TestAckAfterPublish(t *testing.T) {
 // write_rejected count.
 func TestWriteQueueFull(t *testing.T) {
 	srv, ts, entered, release := groupTestServer(t, Config{MaxPendingWrites: 1})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
-	sess := srv.session(DefaultSession)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
+	sess := srv.session(testSession)
 
 	var wg sync.WaitGroup
 	post := func(facts string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			call(t, ts, "POST", "/insert", UpdateRequest{Facts: facts}, nil)
+			call(t, ts, "POST", changesPath, addFacts(facts), nil)
 		}()
 	}
 	post("edge(c, d).") // dequeued by the committer, parked in the hook
@@ -424,7 +442,7 @@ func TestWriteQueueFull(t *testing.T) {
 	post("edge(d, e).") // fills the single queue slot
 	awaitQueued(t, sess, 1)
 
-	req, _ := http.NewRequest("POST", ts.URL+"/insert", jsonBody(t, UpdateRequest{Facts: "edge(e, f)."}))
+	req, _ := http.NewRequest("POST", ts.URL+changesPath, jsonBody(t, addFacts("edge(e, f).")))
 	res, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

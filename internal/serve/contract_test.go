@@ -5,97 +5,87 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 )
 
-// contractStep is one request of the golden API script.
+// contractStep is one request of the pinned API script and the
+// normalized reply it must produce.
 type contractStep struct {
-	Op         string `json:"op"` // load | query | insert | delete | stats
-	Program    string `json:"program,omitempty"`
-	Goal       string `json:"goal,omitempty"`
-	Facts      string `json:"facts,omitempty"`
-	WantStatus int    `json:"want_status"`
+	Op         string          `json:"op"` // load | query | changes | stats
+	Program    string          `json:"program,omitempty"`
+	Goal       string          `json:"goal,omitempty"`
+	Adds       []string        `json:"adds,omitempty"`
+	Dels       []string        `json:"dels,omitempty"`
+	WantStatus int             `json:"want_status"`
+	Want       json.RawMessage `json:"want"`
 }
 
-// TestAPIContract replays testdata/contract.json against two fresh
-// servers — one through the legacy flat routes, one through /v1 — and
-// requires every step to produce the same status and the same
-// normalized payload on both surfaces. This is the compatibility
-// contract for the deprecation window: the flat routes are pure aliases
-// of /v1 on the "default" session.
+// TestAPIContract replays testdata/contract.json against a fresh server
+// and requires every step to produce the recorded status and normalized
+// payload. The wants were recorded from the /v1 replies of the last
+// release that still served the flat aliases beside /v1, so the file
+// pins behaviour across that removal; bump its version when a reply is
+// meant to change.
 func TestAPIContract(t *testing.T) {
 	raw, err := os.ReadFile("testdata/contract.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var steps []contractStep
-	if err := json.Unmarshal(raw, &steps); err != nil {
-		t.Fatal(err)
+	var script struct {
+		Version int            `json:"version"`
+		Steps   []contractStep `json:"steps"`
+	}
+	mustUnmarshal(t, raw, &script)
+	if script.Version != 2 {
+		t.Fatalf("contract.json version = %d, this runner speaks 2", script.Version)
 	}
 
-	legacy := newTestServer(t, Config{})
-	v1 := newTestServer(t, Config{})
-
-	for i, step := range steps {
-		ls, lbody := runContractStep(t, legacy, step, true)
-		vs, vbody := runContractStep(t, v1, step, false)
-		if ls != step.WantStatus || vs != step.WantStatus {
-			t.Fatalf("step %d (%s): status legacy=%d v1=%d, want %d", i, step.Op, ls, vs, step.WantStatus)
-		}
-		if lbody != vbody {
-			t.Fatalf("step %d (%s): surfaces disagree\nlegacy: %s\nv1:     %s", i, step.Op, lbody, vbody)
+	ts := newTestServer(t, Config{})
+	for i, step := range script.Steps {
+		status, got := runContractStep(t, ts, step)
+		var want any
+		mustUnmarshal(t, step.Want, &want)
+		if status != step.WantStatus || !reflect.DeepEqual(got, want) {
+			g, _ := json.Marshal(got)
+			t.Fatalf("step %d (%s): status %d, want %d\ngot:  %s\nwant: %s", i, step.Op, status, step.WantStatus, g, step.Want)
 		}
 	}
 }
 
-// runContractStep executes one step and returns the status plus a
-// normalized rendering of the comparable response fields.
-func runContractStep(t *testing.T, ts *httptest.Server, step contractStep, legacy bool) (int, string) {
+// runContractStep executes one step and returns the status plus the
+// normalized rendering of the reply, decoded the way a want decodes.
+func runContractStep(t *testing.T, ts *httptest.Server, step contractStep) (int, any) {
 	t.Helper()
 	var (
-		method, path string
+		method, path = "POST", loadPath
 		req          any
 	)
 	switch step.Op {
 	case "load":
-		method, path, req = "POST", "/load", LoadRequest{Program: step.Program}
-		if !legacy {
-			path = "/v1/sessions/default"
-		}
+		req = LoadRequest{Program: step.Program}
 	case "query":
-		method, path, req = "POST", "/query", QueryRequest{Goal: step.Goal}
-		if !legacy {
-			path = "/v1/sessions/default/query"
-		}
-	case "insert":
-		method, path, req = "POST", "/insert", UpdateRequest{Facts: step.Facts}
-		if !legacy {
-			path = "/v1/sessions/default/facts"
-		}
-	case "delete":
-		method, path, req = "POST", "/delete", UpdateRequest{Facts: step.Facts}
-		if !legacy {
-			method, path = "DELETE", "/v1/sessions/default/facts"
-		}
+		path, req = queryPath, QueryRequest{Goal: step.Goal}
+	case "changes":
+		path, req = changesPath, ChangesRequest{Adds: step.Adds, Dels: step.Dels}
 	case "stats":
-		method, path = "GET", "/stats"
-		if !legacy {
-			path = "/v1/sessions/default/stats"
-		}
+		method, path = "GET", statsPath
 	default:
 		t.Fatalf("unknown contract op %q", step.Op)
 	}
 
 	var body json.RawMessage
 	status := call(t, ts, method, path, req, &body)
-	return status, normalizeContract(t, step.Op, status, body)
+	var got any
+	mustUnmarshal(t, normalizeContract(t, step.Op, status, body), &got)
+	return status, got
 }
 
-// normalizeContract projects a response onto the fields both surfaces
-// must agree on. Errors compare by code (messages may differ in
-// wording); stats compare the counters a client can rely on.
-func normalizeContract(t *testing.T, op string, status int, body json.RawMessage) string {
+// normalizeContract projects a response onto the fields the contract
+// pins. Errors compare by code (messages may change wording); stats
+// compare the counters a client can rely on.
+func normalizeContract(t *testing.T, op string, status int, body json.RawMessage) []byte {
 	t.Helper()
 	out := map[string]any{}
 	if status != http.StatusOK {
@@ -126,35 +116,30 @@ func normalizeContract(t *testing.T, op string, status int, body json.RawMessage
 			out["count"] = r.Count
 			out["total"] = r.Total
 			out["tuples"] = rows
-		case "insert", "delete":
+		case "changes":
 			var r UpdateResponse
 			mustUnmarshal(t, body, &r)
 			out["applied"] = r.Applied
 			out["ignored"] = r.Ignored
 			out["mode"] = r.Mode
 		case "stats":
-			// Legacy /stats and /v1 session stats have different shapes;
-			// the shared counters must agree.
-			var r struct {
-				Rules       int   `json:"rules"`
-				Queries     int64 `json:"queries"`
-				Inserts     int64 `json:"inserts"`
-				Deletes     int64 `json:"deletes"`
-				Incremental int64 `json:"incremental"`
-				Recomputes  int64 `json:"recomputes"`
-			}
+			var r SessionStats
 			mustUnmarshal(t, body, &r)
-			out["stats"] = r
+			out["rules"] = r.Rules
+			out["queries"] = r.Queries
+			out["changes"] = r.Changes
+			out["incremental"] = r.Incremental
+			out["recomputes"] = r.Recomputes
 		}
 	}
 	b, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return b
 }
 
-func mustUnmarshal(t *testing.T, body json.RawMessage, out any) {
+func mustUnmarshal(t *testing.T, body []byte, out any) {
 	t.Helper()
 	if err := json.Unmarshal(body, out); err != nil {
 		t.Fatalf("unmarshal %s: %v", body, err)

@@ -71,33 +71,37 @@ func (sess *session) logBatch(netIns, netDel map[string][]storage.Tuple) error {
 	return nil
 }
 
-// snapshotForCheckpoint assembles the durable image of the session's
-// current state. Caller holds sess.mu, so db and seedIDB cannot move.
-func (sess *session) snapshotForCheckpoint() *durable.Snapshot {
-	p := sess.prog.Load()
+// checkpointImage assembles the durable image of one session state —
+// the only place a checkpoint header is written. A load passes the
+// state it is about to install, at the sequence the load consumes; the
+// periodic and explicit checkpoints pass the installed state. Caller
+// holds sess.mu, so nothing it is handed can move.
+func (sess *session) checkpointImage(lp *loadedProgram, db *storage.Database, zs *eval.ZState, seedIDB map[string]*storage.Relation, seq uint64) *durable.Snapshot {
 	meta := durable.Meta{
-		Session:    sess.name,
-		Seq:        sess.seq.Load(),
+		Session: sess.name,
+		Seq:     seq,
+		// The live database reports generation 0; what must stay
+		// monotonic across restarts is the last PUBLISHED snapshot
+		// generation, so record that.
 		Generation: publishedGeneration(sess),
 	}
-	if p != nil {
-		meta.Program = p.source
-		meta.Active = p.active.String()
-		meta.Optimize = p.optimize
-		meta.SmallPreds = p.smallPreds
-		meta.Rules = p.rules
-		meta.ICs = p.ics
-		meta.Optimized = p.optimized
-		meta.Plan = p.plan
-		meta.PlanChosen = string(p.variant)
-		if p.goal != nil {
-			meta.Goal = p.goal.String()
+	if lp != nil {
+		meta.Program = lp.source
+		meta.Active = lp.active.String()
+		meta.SmallPreds = lp.smallPreds
+		meta.Rules = lp.rules
+		meta.ICs = lp.ics
+		meta.Optimized = lp.optimized
+		meta.Plan = lp.plan
+		meta.PlanChosen = string(lp.variant)
+		if lp.goal != nil {
+			meta.Goal = lp.goal.String()
 		}
 	}
-	snap := &durable.Snapshot{Meta: meta, DB: sess.db, Seed: sess.seedIDB}
-	if sess.zs != nil {
+	snap := &durable.Snapshot{Meta: meta, DB: db, Seed: seedIDB}
+	if zs != nil {
 		snap.Meta.HasRanks = true
-		snap.Ranks = exportRanks(sess.zs)
+		snap.Ranks = exportRanks(zs)
 	}
 	return snap
 }
@@ -145,7 +149,7 @@ func (sess *session) checkpointLocked() error {
 	}
 	done := sess.srv.cfg.Tracer.Start("durable", "checkpoint")
 	start := time.Now()
-	err := sess.dur.Checkpoint(sess.snapshotForCheckpoint())
+	err := sess.dur.Checkpoint(sess.checkpointImage(sess.prog.Load(), sess.db, sess.zs, sess.seedIDB, sess.seq.Load()))
 	sess.srv.hCheckpoint.ObserveSince(start)
 	done.End()
 	if err != nil {
@@ -172,8 +176,8 @@ var errNotDurable = errors.New("server has no durable data directory configured"
 // publishedGeneration is the session's latest published snapshot
 // generation (0 before the first publish).
 func publishedGeneration(sess *session) uint64 {
-	if snap := sess.snap.Load(); snap != nil {
-		return snap.Generation()
+	if db := sess.snap.Load().db; db != nil {
+		return db.Generation()
 	}
 	return 0
 }
@@ -373,7 +377,6 @@ func programFromMeta(meta durable.Meta) (*loadedProgram, error) {
 		ics:        meta.ICs,
 		optimized:  meta.Optimized,
 		source:     meta.Program,
-		optimize:   meta.Optimize,
 		smallPreds: meta.SmallPreds,
 		plan:       meta.Plan,
 		variant:    planner.Variant(meta.PlanChosen),
@@ -453,7 +456,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sess := s.session(name)
 	if sess == nil {
-		missingSession(w, name, false)
+		missingSession(w, name)
 		return
 	}
 	sess.mu.Lock()

@@ -24,18 +24,15 @@ const crashSrc = `
 	edge(n0, n1).
 `
 
-var crashWrites = []struct {
-	insert bool
-	facts  string
-}{
-	{true, "edge(n1, n2)."},
-	{true, "edge(n2, n3)."},
-	{false, "edge(n1, n2)."},
-	{true, "edge(n2, n4). edge(n4, n5)."},
-	{true, "edge(n5, n0)."},
-	{false, "edge(n0, n1)."},
-	{true, "edge(n3, n6)."},
-	{true, "edge(n6, n7)."},
+var crashWrites = []ChangesRequest{
+	addFacts("edge(n1, n2)."),
+	addFacts("edge(n2, n3)."),
+	delFacts("edge(n1, n2)."),
+	addFacts("edge(n2, n4). edge(n4, n5)."),
+	addFacts("edge(n5, n0)."),
+	delFacts("edge(n0, n1)."),
+	addFacts("edge(n3, n6)."),
+	addFacts("edge(n6, n7)."),
 }
 
 func durableCfg(fs durable.FS, fsync bool, every int) Config {
@@ -81,11 +78,7 @@ func runCrashWorkload(t *testing.T, ts *httptest.Server) (first int) {
 	post(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: crashSrc})
 	first = len(crashWrites)
 	for i, w := range crashWrites {
-		method := "POST"
-		if !w.insert {
-			method = "DELETE"
-		}
-		code := post(t, ts, method, "/v1/sessions/m/facts", UpdateRequest{Facts: w.facts})
+		code := post(t, ts, "POST", "/v1/sessions/m/changes", w)
 		if code != http.StatusOK && i < first {
 			first = i
 		}
@@ -105,7 +98,7 @@ func referenceStates(t *testing.T) []*storage.Database {
 
 	var states []*storage.Database
 	snap := func() {
-		db := srv.session("m").snap.Load()
+		db := srv.session("m").snap.Load().db
 		if db == nil {
 			t.Fatal("reference session has no snapshot")
 		}
@@ -114,12 +107,8 @@ func referenceStates(t *testing.T) []*storage.Database {
 	mustOK(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: crashSrc}, nil)
 	snap()
 	for _, w := range crashWrites {
-		method := "POST"
-		if !w.insert {
-			method = "DELETE"
-		}
-		if code := post(t, ts, method, "/v1/sessions/m/facts", UpdateRequest{Facts: w.facts}); code != http.StatusOK {
-			t.Fatalf("reference write %q = %d, want 200", w.facts, code)
+		if code := post(t, ts, "POST", "/v1/sessions/m/changes", w); code != http.StatusOK {
+			t.Fatalf("reference write %+v = %d, want 200", w, code)
 		}
 		snap()
 	}
@@ -187,7 +176,7 @@ func TestCrashMatrix(t *testing.T) {
 		t.Fatalf("workload performed only %d fs ops; matrix would prove little", total)
 	}
 	srv, _ := recoverOnto(t, probe.Recovered(), true, every)
-	if got := matchState(states, srv.session("m").snap.Load()); got != len(crashWrites) {
+	if got := matchState(states, srv.session("m").snap.Load().db); got != len(crashWrites) {
 		t.Fatalf("fault-free recovery = state %d, want %d", got, len(crashWrites))
 	}
 
@@ -231,7 +220,7 @@ func TestCrashMatrix(t *testing.T) {
 				if hi > len(crashWrites) {
 					hi = len(crashWrites)
 				}
-				got := matchState(states, sess.snap.Load())
+				got := matchState(states, sess.snap.Load().db)
 				if got < first || got > hi {
 					t.Fatalf("op %d (%s): recovered to state %d, want %d..%d",
 						n, pol.name, got, first, hi)
@@ -286,7 +275,7 @@ func TestCrashMatrixNoFsync(t *testing.T) {
 			if hi > len(crashWrites) {
 				hi = len(crashWrites)
 			}
-			got := matchState(states, sess.snap.Load())
+			got := matchState(states, sess.snap.Load().db)
 			if got < 0 || got > hi {
 				t.Fatalf("keep=%d op %d: recovered to state %d, want a prefix <= %d",
 					keep, n, got, hi)
@@ -323,7 +312,7 @@ func TestRecoveryReplaysIncrementally(t *testing.T) {
 		defer ts.Close()
 		mustOK(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: sb.String()}, nil)
 		for _, f := range []string{"edge(vd0, vd1).", "edge(vd1, vd2).", "edge(vd2, vd3)."} {
-			if code := post(t, ts, "POST", "/v1/sessions/m/facts", UpdateRequest{Facts: f}); code != http.StatusOK {
+			if code := post(t, ts, "POST", "/v1/sessions/m/changes", addFacts(f)); code != http.StatusOK {
 				t.Fatalf("insert %q = %d", f, code)
 			}
 		}
@@ -406,7 +395,7 @@ func TestRecoveryRecomputesThroughNegation(t *testing.T) {
 				t.Fatalf("changes %+v: mode = %q, want incremental", ch, upd.Mode)
 			}
 		}
-		before = srv.session("m").snap.Load()
+		before = srv.session("m").snap.Load().db
 	}()
 
 	srv, reports := recoverOnto(t, fs.Recovered(), true, 1000)
@@ -414,7 +403,7 @@ func TestRecoveryRecomputesThroughNegation(t *testing.T) {
 		t.Fatalf("reports = %+v, want one session with %d incremental replays and no recompute", reports, len(negationChanges))
 	}
 	sess := srv.session("m")
-	db := sess.snap.Load()
+	db := sess.snap.Load().db
 	if !db.Equal(before) {
 		t.Fatalf("recovered database differs from the pre-crash one\nrecovered:\n%s\npre-crash:\n%s", db, before)
 	}
@@ -445,7 +434,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	mustOK(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: crashSrc}, nil)
-	if code := post(t, ts, "POST", "/v1/sessions/m/facts", UpdateRequest{Facts: "edge(n1, n2)."}); code != http.StatusOK {
+	if code := post(t, ts, "POST", "/v1/sessions/m/changes", addFacts("edge(n1, n2).")); code != http.StatusOK {
 		t.Fatalf("insert = %d", code)
 	}
 	// Seq 1 was consumed by the load's own checkpoint, seq 2 by the

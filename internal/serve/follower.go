@@ -26,7 +26,7 @@ import (
 //
 //	append to the local WAL first (disk never behind memory), then
 //	applyDelta under the replay policy (replayOne), then advance seq
-//	and publish a fresh snapshot.
+//	and publish a fresh snapshot stamped with it.
 //
 // A promoted follower — restarted without -follow on the same data
 // directory — therefore recovers through the ordinary RecoverSessions
@@ -41,6 +41,15 @@ type replStatus struct {
 	leader    string
 	leaderSeq atomic.Uint64
 	connected atomic.Bool
+}
+
+// lag is how many sequence numbers a snapshot published at local is
+// behind the leader's newest reported sequence.
+func (rs *replStatus) lag(local uint64) uint64 {
+	if l := rs.leaderSeq.Load(); l > local {
+		return l - local
+	}
+	return 0
 }
 
 // followerState tracks the discovery loop and the per-session
@@ -155,8 +164,10 @@ func (s *Server) stopReplicators() {
 
 // followerReadiness reports the worst session lag and whether the
 // follower may advertise ready: leader list fetched, every replicated
-// session connected and present locally, and no session lagging more
-// than maxLag sequence numbers.
+// session connected and answering locally, and no session's published
+// snapshot more than maxLag sequence numbers behind the leader. Lag is
+// measured from what a query would be served from, so ready means "the
+// session answers at the advertised seq".
 func (s *Server) followerReadiness(maxLag uint64) (lag uint64, ready bool) {
 	fs := s.follower
 	fs.mu.Lock()
@@ -174,18 +185,20 @@ func (s *Server) followerReadiness(maxLag uint64) (lag uint64, ready bool) {
 		if !rs.connected.Load() {
 			ready = false
 		}
-		sess := s.session(name)
-		if sess == nil {
-			ready = false
+		var pub published
+		if sess := s.session(name); sess != nil {
+			pub = *sess.snap.Load()
+		}
+		if pub.db == nil {
+			ready = false // nothing published: a query would 404
 			continue
 		}
-		if l, local := rs.leaderSeq.Load(), sess.seq.Load(); l > local {
-			if d := l - local; d > lag {
-				lag = d
-			}
-			if l-local > maxLag {
-				ready = false
-			}
+		d := rs.lag(pub.seq)
+		if d > lag {
+			lag = d
+		}
+		if d > maxLag {
+			ready = false
 		}
 	}
 	return lag, ready
@@ -221,7 +234,8 @@ func (s *Server) runReplicator(ctx context.Context, name string, rs *replStatus)
 }
 
 // localSeq is the session's last durable sequence (0 when the session
-// does not exist locally yet).
+// does not exist locally yet): the committer-side counter, since the
+// stream resumes after what is on disk, published or not.
 func (s *Server) localSeq(name string) uint64 {
 	if sess := s.session(name); sess != nil {
 		return sess.seq.Load()
@@ -342,7 +356,7 @@ func (s *Server) installReplicatedSnapshot(name string, rs *replStatus, raw []by
 // applyReplicated lands one leader batch: WAL append first (the disk
 // is never behind memory, the same invariant the leader's commit path
 // keeps), then the same applyDelta the leader committed it with, then
-// seq advance and a fresh published snapshot.
+// seq advance and a fresh snapshot published at that seq.
 func (s *Server) applyReplicated(ctx context.Context, name string, b *durable.Batch) error {
 	sess := s.session(name)
 	if sess == nil {

@@ -85,6 +85,14 @@ func TestLoadWithPlan(t *testing.T) {
 	if load.Plan == nil || load.Plan.Chosen != "opt" || !strings.Contains(load.Plan.Reason, "forced") {
 		t.Fatalf("pinned load.Plan = %+v", load.Plan)
 	}
+	// The paper's organization example under the pinned rewrite reports
+	// itself optimized and answers what the program as written answers.
+	var q QueryResponse
+	mustOK(t, ts, "POST", "/v1/sessions/o", LoadRequest{Program: orgDifferential.program, Plan: "opt"}, &load)
+	mustOK(t, ts, "POST", "/v1/sessions/o/query", QueryRequest{Goal: "triple(A, B, C)"}, &q)
+	if !load.Optimized || q.Total != 1 {
+		t.Fatalf("org under plan=opt: optimized=%v, triple total %d; want true and the seeded same_level row", load.Optimized, q.Total)
+	}
 
 	// Forcing magic without a goal cannot be served; the failed load
 	// must not register a session.

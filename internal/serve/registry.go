@@ -11,7 +11,7 @@ import (
 	"repro/internal/storage"
 )
 
-// sessionNameRe constrains /v1 session names to safe path segments.
+// sessionNameRe constrains session names to safe path segments.
 var sessionNameRe = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
 // session returns the named live session, or nil.
@@ -144,32 +144,7 @@ func (s *Server) checkpointNewState(sess *session, lp *loadedProgram, db *storag
 	// replaces the EDB wholesale and no WAL delta bridges the two
 	// programs.
 	newSeq := sess.seq.Load() + 1
-	snap := &durable.Snapshot{
-		Meta: durable.Meta{
-			Session:    sess.name,
-			Seq:        newSeq,
-			Program:    lp.source,
-			Active:     lp.active.String(),
-			Optimize:   lp.optimize,
-			SmallPreds: lp.smallPreds,
-			Rules:      lp.rules,
-			ICs:        lp.ics,
-			Optimized:  lp.optimized,
-			Plan:       lp.plan,
-			PlanChosen: string(lp.variant),
-			// The live database reports generation 0; what must stay
-			// monotonic across restarts is the last PUBLISHED snapshot
-			// generation, so record that.
-			Generation: publishedGeneration(sess),
-		},
-		DB:    db,
-		Seed:  seedIDB,
-		Ranks: exportRanks(zs),
-	}
-	snap.Meta.HasRanks = true
-	if lp.goal != nil {
-		snap.Meta.Goal = lp.goal.String()
-	}
+	snap := sess.checkpointImage(lp, db, zs, seedIDB, newSeq)
 	if err := sess.dur.Checkpoint(snap); err != nil {
 		sess.ckptFailures.Add(1)
 		return err
@@ -179,12 +154,6 @@ func (s *Server) checkpointNewState(sess *session, lp *loadedProgram, db *storag
 	sess.sinceCkpt.Store(0)
 	sess.lastCkptNano.Store(time.Now().UnixNano())
 	return nil
-}
-
-// Load is the legacy single-session entry point: it loads into the
-// "default" session, which the flat routes alias.
-func (s *Server) Load(ctx context.Context, req LoadRequest) (*LoadResponse, error) {
-	return s.LoadSession(ctx, DefaultSession, req)
 }
 
 // dropSession deletes a named session: it disappears from the registry

@@ -92,7 +92,8 @@ type ReplicationStats struct {
 	Slots     int `json:"slots,omitempty"`
 	SlotDepth int `json:"slot_depth,omitempty"`
 	// Leader is the followed base URL; LeaderSeq the leader's newest
-	// sequence as last reported; LagSeqs max(LeaderSeq - local seq, 0).
+	// sequence as last reported; LagSeqs max(LeaderSeq - published seq,
+	// 0), the distance a query served right now is behind.
 	Leader    string `json:"leader,omitempty"`
 	LeaderSeq uint64 `json:"leader_seq,omitempty"`
 	LagSeqs   uint64 `json:"lag_seqs"`
@@ -102,18 +103,13 @@ type ReplicationStats struct {
 
 func (sess *session) replicationStats() *ReplicationStats {
 	if rs := sess.repl.Load(); rs != nil {
-		leaderSeq := rs.leaderSeq.Load()
-		local := sess.seq.Load()
-		st := &ReplicationStats{
+		return &ReplicationStats{
 			Role:      "follower",
 			Leader:    rs.leader,
-			LeaderSeq: leaderSeq,
+			LeaderSeq: rs.leaderSeq.Load(),
+			LagSeqs:   rs.lag(sess.snap.Load().seq),
 			Connected: rs.connected.Load(),
 		}
-		if leaderSeq > local {
-			st.LagSeqs = leaderSeq - local
-		}
-		return st
 	}
 	if slots, depth := sess.slotGauges(); slots > 0 {
 		return &ReplicationStats{Role: "leader", Slots: slots, SlotDepth: depth}
@@ -153,8 +149,8 @@ type readyzResponse struct {
 
 // handleReadyz is readiness. A leader is ready as soon as it serves
 // HTTP. A follower is ready once it has discovered the leader's
-// session list and every replicated session is connected and within
-// Config.ReadyMaxLag of the leader; until then it answers 503
+// session list and every replicated session is connected and answers
+// within Config.ReadyMaxLag of the leader; until then it answers 503
 // catching_up with a Retry-After, so load balancers keep it out of
 // rotation while its snapshots are stale.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -182,7 +178,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sess := s.session(name)
 	if sess == nil {
-		missingSession(w, name, false)
+		missingSession(w, name)
 		return
 	}
 	var from uint64

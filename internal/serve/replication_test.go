@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -106,17 +107,27 @@ func waitConverged(t *testing.T, leader, follower *Server, name string) {
 	t.Helper()
 	waitFor(t, "convergence of "+name, func() bool {
 		ls, fs := leader.session(name), follower.session(name)
-		if ls == nil || fs == nil || ls.seq.Load() != fs.seq.Load() {
+		if ls == nil || fs == nil {
 			return false
 		}
-		ldb, fdb := ls.snap.Load(), fs.snap.Load()
-		return ldb != nil && fdb != nil && ldb.Equal(fdb)
+		l, f := ls.snap.Load(), fs.snap.Load()
+		return l.db != nil && f.db != nil && l.seq == f.seq && l.db.Equal(f.db)
 	})
 }
 
 func insertFacts(t *testing.T, ts *httptest.Server, session, facts string) {
 	t.Helper()
-	mustOK(t, ts, "POST", "/v1/sessions/"+session+"/facts", UpdateRequest{Facts: facts}, nil)
+	mustOK(t, ts, "POST", "/v1/sessions/"+session+"/changes", addFacts(facts), nil)
+}
+
+// ready reports whether GET /readyz answers 200.
+func ready(ts *httptest.Server) bool {
+	resp, err := ts.Client().Get(ts.URL + "/readyz")
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }
 
 func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
@@ -205,14 +216,56 @@ func TestReplicationConverges(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	waitFor(t, "follower readyz", func() bool {
-		resp, err := c.followerTS.Client().Get(c.followerTS.URL + "/readyz")
-		if err != nil {
-			return false
+	waitFor(t, "follower readyz", func() bool { return ready(c.followerTS) })
+}
+
+// TestFollowerReadyMeansAnswering polls a follower's /readyz and /query
+// while it bootstraps and then tails N single-edge commits: every ready
+// is followed by a query that answers, and every reply at seq k is
+// exactly the state at k. The load is seq 1 with one edge out of n0 and
+// each commit extends the chain by one, so that state has k tc(n0, _)
+// rows. Run with -race.
+func TestFollowerReadyMeansAnswering(t *testing.T) {
+	leader, leaderTS := durableServer(t, t.TempDir(), Config{Heartbeat: 20 * time.Millisecond})
+	mustOK(t, leaderTS, "POST", "/v1/sessions/m", LoadRequest{Program: replSrc}, nil)
+	insertFacts(t, leaderTS, "m", "edge(n1, n2).")
+	follower, followerTS, _ := startFollower(t, t.TempDir(), leaderTS.URL, Config{})
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	var readies atomic.Int64
+	poll := func() error {
+		for {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			wasReady := ready(followerTS)
+			var q QueryResponse
+			code := call(t, followerTS, "POST", "/v1/sessions/m/query", QueryRequest{Goal: "tc(n0, Y)", Limit: 1}, &q)
+			switch {
+			case wasReady && code != http.StatusOK:
+				return fmt.Errorf("/readyz said ready, then /query answered %d", code)
+			case code == http.StatusOK && q.Total != int(q.Seq):
+				return fmt.Errorf("reply at seq %d has %d rows, the state at that seq has %d", q.Seq, q.Total, q.Seq)
+			case wasReady:
+				readies.Add(1)
+			}
 		}
-		defer resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
+	}
+	go func() { done <- poll() }()
+	for i := 2; i < 42; i++ {
+		insertFacts(t, leaderTS, "m", fmt.Sprintf("edge(n%d, n%d).", i, i+1))
+	}
+	waitConverged(t, leader, follower, "m")
+	waitFor(t, "the reader to find the follower ready and answering", func() bool {
+		return len(done) > 0 || readies.Load() > 0
 	})
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestFollowerReplaysThroughNegation: a follower applies batches that
@@ -268,8 +321,8 @@ func TestFollowerRejectsWrites(t *testing.T) {
 		body         any
 	}{
 		{"POST", "/v1/sessions/m", LoadRequest{Program: replSrc}},
-		{"POST", "/v1/sessions/m/facts", UpdateRequest{Facts: "edge(x, y)."}},
-		{"DELETE", "/v1/sessions/m/facts", UpdateRequest{Facts: "edge(n0, n1)."}},
+		{"POST", "/v1/sessions/m/changes", addFacts("edge(x, y).")},
+		{"POST", "/v1/sessions/m/changes", delFacts("edge(n0, n1).")},
 		{"POST", "/v1/sessions/m/checkpoint", nil},
 		{"DELETE", "/v1/sessions/m", nil},
 	}
@@ -758,7 +811,7 @@ func TestPromotion(t *testing.T) {
 	followerDir := t.TempDir()
 	follower, followerTS, cancel := startFollower(t, followerDir, leaderTS.URL, Config{})
 	waitConverged(t, leader, follower, "m")
-	wantDB := leader.session("m").snap.Load()
+	wantDB := leader.session("m").snap.Load().db
 	wantSeq := leader.session("m").seq.Load()
 
 	// The leader is gone for good; the follower shuts down too. The
@@ -781,7 +834,7 @@ func TestPromotion(t *testing.T) {
 	if got := promoted.session("m").seq.Load(); got != wantSeq {
 		t.Fatalf("promoted seq = %d, want %d", got, wantSeq)
 	}
-	if !promoted.session("m").snap.Load().Equal(wantDB) {
+	if !promoted.session("m").snap.Load().db.Equal(wantDB) {
 		t.Fatal("promoted database differs from the leader's final state")
 	}
 

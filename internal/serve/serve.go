@@ -97,9 +97,9 @@ type Config struct {
 	// DefaultMaxSubscribers.
 	MaxSubscribers int
 	// Plan is the default plan-selection mode for loads that do not set
-	// LoadRequest.Plan: "" keeps the legacy behavior (the Optimize flag
-	// decides), "auto" runs the cost-based planner, any variant name
-	// pins that plan. See internal/planner.
+	// LoadRequest.Plan: "" evaluates each program as written, "auto"
+	// runs the cost-based planner, any variant name pins that plan. See
+	// internal/planner.
 	Plan string
 	// ReplanEvery, when positive, re-runs the planner every that many
 	// committed write batches on sessions loaded with plan=auto,
@@ -125,8 +125,6 @@ const (
 	DefaultQueryLimit = 10000
 	// MaxQueryLimit is the largest page a query may request.
 	MaxQueryLimit = 10000
-	// DefaultSession is the session the legacy flat routes alias.
-	DefaultSession = "default"
 	// DefaultReplicationBuffer is the per-follower live-batch slot
 	// depth before a slow stream is cut over to disk catch-up.
 	DefaultReplicationBuffer = 128
@@ -320,46 +318,19 @@ func New(cfg Config) *Server {
 	s.vRejections = s.metrics.CounterVec("serve.rejections", "kind")
 	s.accessLog = newJSONLog(cfg.AccessLog)
 
-	// Legacy flat surface: aliases onto the "default" session. Kept
-	// verbatim for one release; see README.md for the /v1 mapping.
-	s.route("POST /load", func(w http.ResponseWriter, r *http.Request) {
-		s.handleLoad(w, r, DefaultSession, true)
-	})
-	s.route("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		s.handleQuery(w, r, DefaultSession, true)
-	})
-	s.route("POST /insert", func(w http.ResponseWriter, r *http.Request) {
-		s.handleUpdate(w, r, DefaultSession, true, writeInsert)
-	})
-	s.route("POST /delete", func(w http.ResponseWriter, r *http.Request) {
-		s.handleUpdate(w, r, DefaultSession, true, writeDelete)
-	})
-	s.route("GET /stats", s.handleLegacyStats)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
 	s.route("GET /metrics", s.handleMetrics)
-
-	// Versioned surface: sessions addressed by name.
+	s.route("GET /v1/stats", s.handleServerStats)
 	s.route("GET /v1/sessions", s.handleSessionList)
-	s.route("POST /v1/sessions/{name}", func(w http.ResponseWriter, r *http.Request) {
-		s.handleLoad(w, r, r.PathValue("name"), false)
-	})
+	s.route("POST /v1/sessions/{name}", s.handleLoad)
 	s.route("DELETE /v1/sessions/{name}", s.handleSessionDrop)
-	s.route("POST /v1/sessions/{name}/query", func(w http.ResponseWriter, r *http.Request) {
-		s.handleQuery(w, r, r.PathValue("name"), false)
-	})
-	s.route("POST /v1/sessions/{name}/facts", func(w http.ResponseWriter, r *http.Request) {
-		s.handleUpdate(w, r, r.PathValue("name"), false, writeInsert)
-	})
-	s.route("DELETE /v1/sessions/{name}/facts", func(w http.ResponseWriter, r *http.Request) {
-		s.handleUpdate(w, r, r.PathValue("name"), false, writeDelete)
-	})
+	s.route("POST /v1/sessions/{name}/query", s.handleQuery)
 	s.route("POST /v1/sessions/{name}/changes", s.handleChanges)
 	s.route("GET /v1/sessions/{name}/subscribe", s.handleSubscribe)
 	s.route("GET /v1/sessions/{name}/stats", s.handleSessionStats)
 	s.route("POST /v1/sessions/{name}/checkpoint", s.handleCheckpoint)
 	s.route("GET /v1/sessions/{name}/replicate", s.handleReplicate)
-	s.route("GET /v1/stats", s.handleServerStats)
 
 	if cfg.Follow != "" {
 		s.follower = newFollowerState()
@@ -385,7 +356,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 
 // traced is the per-request telemetry middleware: it mints the request
 // ID, answers it in X-Request-Id, stores it in the request context
-// (handleUpdate carries that context into the commit queue, so the
+// (commitChanges carries that context into the commit queue, so the
 // committer's serve.commit span bears the same ID), opens the request
 // span, and on completion bumps serve.requests{route,code} and writes
 // the access-log line.
@@ -472,18 +443,12 @@ func retryAfterSeconds(depth, perSecond int) string {
 }
 
 // missingSession answers a request addressed at a session that does
-// not exist: 409 no_program on the legacy surface (where the default
-// session not existing means "nothing loaded yet"), 404 no_session on
-// /v1.
-func missingSession(w http.ResponseWriter, name string, legacy bool) {
-	if legacy {
-		writeErr(w, http.StatusConflict, CodeNoProgram, "no program loaded")
-		return
-	}
+// not exist (or has published nothing yet): 404 no_session.
+func missingSession(w http.ResponseWriter, name string) {
 	writeErr(w, http.StatusNotFound, CodeNoSession, "no session %q", name)
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, name string, legacy bool) {
+func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if s.rejectNotLeader(w) {
 		return
 	}
@@ -491,7 +456,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, name string,
 	if !ok {
 		return
 	}
-	resp, err := s.LoadSession(r.Context(), name, req)
+	resp, err := s.LoadSession(r.Context(), r.PathValue("name"), req)
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
@@ -503,9 +468,6 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, name string,
 		}
 		return
 	}
-	if legacy {
-		resp.Session = "" // the flat surface predates session names
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -514,7 +476,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, name string,
 // giving every query a consistent point-in-time view even while
 // updates land concurrently. Results are paginated and, when the cache
 // is enabled, memoized per snapshot generation.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string, legacy bool) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.gate <- struct{}{}:
 		defer func() { <-s.gate }()
@@ -532,9 +494,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	if !ok {
 		return
 	}
+	name := r.PathValue("name")
 	sess := s.session(name)
 	if sess == nil {
-		missingSession(w, name, legacy)
+		missingSession(w, name)
 		return
 	}
 	goal, err := parser.ParseAtom(req.Goal)
@@ -542,9 +505,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 		writeErr(w, http.StatusBadRequest, CodeBadGoal, "bad goal: %v", err)
 		return
 	}
-	db := sess.snap.Load()
+	// One load: the reply's Seq names exactly the state it answers from.
+	pub := sess.snap.Load()
+	db := pub.db
 	if db == nil {
-		missingSession(w, name, legacy)
+		missingSession(w, name)
 		return
 	}
 	gen := db.Generation()
@@ -616,7 +581,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 		Tuples:     page,
 		Generation: gen,
 		Cached:     hit,
-		Seq:        sess.seq.Load(),
+		Seq:        pub.seq,
 	}
 	if end < total {
 		resp.NextCursor = strconv.Itoa(end)
@@ -646,29 +611,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleUpdate serves the legacy one-sided write surface (/insert,
-// /delete, and the /v1 facts routes): the facts payload becomes the
-// adds or dels side of a unified change commit.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, name string, legacy bool, kind writeKind) {
-	if s.rejectNotLeader(w) {
-		return
-	}
-	req, ok := decode[UpdateRequest](w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return
-	}
-	facts, err := parseFactsSrc(req.Facts)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if kind == writeInsert {
-		s.commitChanges(w, r, name, legacy, kind, facts, nil)
-	} else {
-		s.commitChanges(w, r, name, legacy, kind, nil, facts)
-	}
-}
-
 // handleChanges serves POST /v1/sessions/{name}/changes: adds and dels
 // committed together as one batch under one sequence number.
 func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
@@ -689,7 +631,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "dels: %v", err)
 		return
 	}
-	s.commitChanges(w, r, r.PathValue("name"), false, writeChange, adds, dels)
+	s.commitChanges(w, r, r.PathValue("name"), adds, dels)
 }
 
 // parseFactList parses the entries of a ChangesRequest side. Each
@@ -719,13 +661,13 @@ func parseFactList(entries []string) ([]groundFact, error) {
 // committer's verdict. Obviously bad requests fail fast without a
 // queue slot; the committer re-validates against the authoritative
 // database at commit time.
-func (s *Server) commitChanges(w http.ResponseWriter, r *http.Request, name string, legacy bool, kind writeKind, adds, dels []groundFact) {
+func (s *Server) commitChanges(w http.ResponseWriter, r *http.Request, name string, adds, dels []groundFact) {
 	sess := s.session(name)
 	if sess == nil {
-		missingSession(w, name, legacy)
+		missingSession(w, name)
 		return
 	}
-	adds, dels, dups, err := validateChanges(sess.prog.Load(), sess.snap.Load(), nil, adds, dels)
+	adds, dels, dups, err := validateChanges(sess.prog.Load(), sess.snap.Load().db, nil, adds, dels)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
@@ -734,7 +676,6 @@ func (s *Server) commitChanges(w http.ResponseWriter, r *http.Request, name stri
 	creq := &commitReq{
 		id:   requestIDFrom(r.Context()),
 		enq:  time.Now(),
-		kind: kind,
 		adds: adds,
 		dels: dels,
 		dups: dups,
@@ -769,36 +710,11 @@ func (s *Server) commitChanges(w http.ResponseWriter, r *http.Request, name stri
 	writeJSON(w, http.StatusOK, res.resp)
 }
 
-func (s *Server) handleLegacyStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Rejected:      s.rejected.Load(),
-		Sessions:      len(s.sessionNames()),
-		Metrics:       s.metricsSnapshot(),
-	}
-	if sess := s.session(DefaultSession); sess != nil {
-		st := sess.stats()
-		resp.Loaded = true
-		resp.Rules = st.Rules
-		resp.Optimized = st.Optimized
-		resp.Queries = st.Queries
-		resp.Inserts = st.Inserts
-		resp.Deletes = st.Deletes
-		resp.Incremental = st.Incremental
-		resp.Recomputes = st.Recomputes
-		resp.Batches = st.Batches
-		resp.BatchedWrites = st.BatchedWrites
-		resp.Relations = st.Relations
-		resp.Eval = st.Eval
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sess := s.session(name)
 	if sess == nil {
-		missingSession(w, name, false)
+		missingSession(w, name)
 		return
 	}
 	writeJSON(w, http.StatusOK, sess.stats())
@@ -831,7 +747,7 @@ func (s *Server) handleSessionDrop(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	if !s.dropSession(name) {
-		missingSession(w, name, false)
+		missingSession(w, name)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -20,6 +20,13 @@ import (
 )
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
+	_, ts := startTestServer(t, cfg)
+	return ts
+}
+
+// startTestServer also hands back the Server, for tests that install
+// hooks or look inside a session.
+func startTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
@@ -27,7 +34,7 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 		ts.Close()
 		srv.Close()
 	})
-	return ts
+	return srv, ts
 }
 
 // edgeDelta is the net EDB delta holding the one tuple edge(a, b).
@@ -71,10 +78,24 @@ func mustOK(t *testing.T, ts *httptest.Server, method, path string, req, out any
 	}
 }
 
+// Most tests drive one session; these are its routes.
+const (
+	testSession = "default"
+	loadPath    = "/v1/sessions/" + testSession
+	queryPath   = loadPath + "/query"
+	changesPath = loadPath + "/changes"
+	statsPath   = loadPath + "/stats"
+)
+
+// addFacts and delFacts build the one-sided ChangesRequest that inserts
+// or deletes src (one entry may carry several period-separated facts).
+func addFacts(src string) ChangesRequest { return ChangesRequest{Adds: []string{src}} }
+func delFacts(src string) ChangesRequest { return ChangesRequest{Dels: []string{src}} }
+
 func queryTuples(t *testing.T, ts *httptest.Server, goal string) [][]string {
 	t.Helper()
 	var resp QueryResponse
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: goal}, &resp)
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: goal}, &resp)
 	return resp.Tuples
 }
 
@@ -91,7 +112,7 @@ func TestEndToEnd(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
 	var load LoadResponse
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, &load)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, &load)
 	if load.Rules != 2 || load.EDBTuples != 2 {
 		t.Fatalf("load = %+v, want 2 rules, 2 EDB tuples", load)
 	}
@@ -104,7 +125,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	var ins UpdateResponse
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d)."}, &ins)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(c, d)."), &ins)
 	if ins.Applied != 1 || ins.Mode != "incremental" {
 		t.Fatalf("insert = %+v, want 1 applied incremental", ins)
 	}
@@ -112,13 +133,13 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("after insert, tc(a, Y) = %v, want 3 answers", got)
 	}
 	// Duplicate insert is a no-op.
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d)."}, &ins)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(c, d)."), &ins)
 	if ins.Applied != 0 || ins.Ignored != 1 || ins.Mode != "noop" {
 		t.Fatalf("duplicate insert = %+v", ins)
 	}
 
 	var del UpdateResponse
-	mustOK(t, ts, "POST", "/delete", UpdateRequest{Facts: "edge(b, c)."}, &del)
+	mustOK(t, ts, "POST", changesPath, delFacts("edge(b, c)."), &del)
 	if del.Applied != 1 || del.Mode != "incremental" {
 		t.Fatalf("delete = %+v", del)
 	}
@@ -129,9 +150,9 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("tc(c, d) should survive, got %v", got)
 	}
 
-	var st StatsResponse
-	mustOK(t, ts, "GET", "/stats", nil, &st)
-	if !st.Loaded || st.Inserts != 2 || st.Deletes != 1 || st.Incremental != 2 {
+	var st SessionStats
+	mustOK(t, ts, "GET", statsPath, nil, &st)
+	if st.Rules != 2 || st.Changes != 3 || st.Incremental != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Relations["tc"] != 2 || st.Relations["edge"] != 2 {
@@ -145,28 +166,28 @@ func TestEndToEnd(t *testing.T) {
 func TestErrorsAndGuards(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
-	// Everything but load requires a program.
-	if code := call(t, ts, "POST", "/query", QueryRequest{Goal: "p(X)"}, nil); code != http.StatusConflict {
-		t.Fatalf("query before load = %d, want 409", code)
+	// Everything but load requires a loaded session.
+	if code := call(t, ts, "POST", queryPath, QueryRequest{Goal: "p(X)"}, nil); code != http.StatusNotFound {
+		t.Fatalf("query before load = %d, want 404", code)
 	}
-	if code := call(t, ts, "POST", "/insert", UpdateRequest{Facts: "p(a)."}, nil); code != http.StatusConflict {
-		t.Fatalf("insert before load = %d, want 409", code)
+	if code := call(t, ts, "POST", changesPath, addFacts("p(a)."), nil); code != http.StatusNotFound {
+		t.Fatalf("insert before load = %d, want 404", code)
 	}
 
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
 	for name, tc := range map[string]struct {
 		path string
 		req  any
 	}{
-		"bad program":     {"/load", LoadRequest{Program: "tc(X :-"}},
-		"bad goal":        {"/query", QueryRequest{Goal: "tc(X,"}},
-		"goal arity":      {"/query", QueryRequest{Goal: "tc(X, Y, Z)"}},
-		"rule as fact":    {"/insert", UpdateRequest{Facts: "p(X) :- q(X)."}},
-		"ic as fact":      {"/insert", UpdateRequest{Facts: "p(X) -> q(X)."}},
-		"idb insert":      {"/insert", UpdateRequest{Facts: "tc(a, z)."}},
-		"idb delete":      {"/delete", UpdateRequest{Facts: "tc(a, b)."}},
-		"non-ground fact": {"/insert", UpdateRequest{Facts: "edge(a, X)."}},
+		"bad program":     {loadPath, LoadRequest{Program: "tc(X :-"}},
+		"bad goal":        {queryPath, QueryRequest{Goal: "tc(X,"}},
+		"goal arity":      {queryPath, QueryRequest{Goal: "tc(X, Y, Z)"}},
+		"rule as fact":    {changesPath, addFacts("p(X) :- q(X).")},
+		"ic as fact":      {changesPath, addFacts("p(X) -> q(X).")},
+		"idb insert":      {changesPath, addFacts("tc(a, z).")},
+		"idb delete":      {changesPath, delFacts("tc(a, b).")},
+		"non-ground fact": {changesPath, addFacts("edge(a, X).")},
 	} {
 		if code := call(t, ts, "POST", tc.path, tc.req, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: POST %s = %d, want 400", name, tc.path, code)
@@ -189,7 +210,7 @@ func TestErrorsAndGuards(t *testing.T) {
 // brings it back — and the session never rebuilds.
 func TestRecomputeOnNegation(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: `
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: `
 		tc(X, Y) :- edge(X, Y).
 		tc(X, Y) :- tc(X, Z), edge(Z, Y).
 		isolated(X) :- node(X), not tc(X, X).
@@ -201,7 +222,7 @@ func TestRecomputeOnNegation(t *testing.T) {
 		t.Fatalf("isolated = %v, want a and b", got)
 	}
 	var upd UpdateResponse
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(b, a)."}, &upd)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(b, a)."), &upd)
 	if upd.Mode != "incremental" {
 		t.Fatalf("insert reaching negation: mode = %q, want incremental", upd.Mode)
 	}
@@ -212,7 +233,7 @@ func TestRecomputeOnNegation(t *testing.T) {
 	if got := queryTuples(t, ts, "tc(X, Y)"); len(got) != 4 {
 		t.Fatalf("after cycle, tc = %v, want all four pairs", got)
 	}
-	mustOK(t, ts, "POST", "/delete", UpdateRequest{Facts: "edge(b, a)."}, &upd)
+	mustOK(t, ts, "POST", changesPath, delFacts("edge(b, a)."), &upd)
 	if upd.Mode != "incremental" {
 		t.Fatalf("delete reaching negation: mode = %q, want incremental", upd.Mode)
 	}
@@ -222,8 +243,8 @@ func TestRecomputeOnNegation(t *testing.T) {
 	if got := queryTuples(t, ts, "tc(X, Y)"); len(got) != 1 {
 		t.Fatalf("after cycle removed, tc = %v, want only (a, b)", got)
 	}
-	var st StatsResponse
-	mustOK(t, ts, "GET", "/stats", nil, &st)
+	var st SessionStats
+	mustOK(t, ts, "GET", statsPath, nil, &st)
 	if st.Recomputes != 0 || st.Incremental != 2 {
 		t.Fatalf("stats recomputes = %d incremental = %d, want 0 and 2", st.Recomputes, st.Incremental)
 	}
@@ -236,15 +257,14 @@ func TestRecomputeOnNegation(t *testing.T) {
 type differentialCase struct {
 	program string // source loaded into the server
 	goals   map[string]string
-	// step returns (facts source, isInsert) and maintains the local
-	// EDB mirror.
-	step func(rng *rand.Rand, mirror map[string]map[string]storage.Tuple) (string, bool)
+	// step returns the next write and maintains the local EDB mirror.
+	step func(rng *rand.Rand, mirror map[string]map[string]storage.Tuple) ChangesRequest
 }
 
-func runDifferential(t *testing.T, c differentialCase, optimize bool, steps int) {
+func runDifferential(t *testing.T, c differentialCase, plan string, steps int) {
 	t.Helper()
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: c.program, Optimize: optimize}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: c.program, Plan: plan}, nil)
 
 	orig, err := parser.Parse(c.program)
 	if err != nil {
@@ -268,12 +288,8 @@ func runDifferential(t *testing.T, c differentialCase, optimize bool, steps int)
 
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < steps; step++ {
-		facts, isInsert := c.step(rng, mirror)
-		path := "/insert"
-		if !isInsert {
-			path = "/delete"
-		}
-		mustOK(t, ts, "POST", path, UpdateRequest{Facts: facts}, nil)
+		change := c.step(rng, mirror)
+		mustOK(t, ts, "POST", changesPath, change, nil)
 
 		// From-scratch reference over the mirrored EDB.
 		db := storage.NewDatabase()
@@ -299,8 +315,8 @@ func runDifferential(t *testing.T, c differentialCase, optimize bool, steps int)
 			}
 			want := renderSorted(wantTuples)
 			if got != want {
-				t.Fatalf("step %d (%s %q): %s over HTTP diverged from from-scratch\ngot:  %s\nwant: %s",
-					step, path, facts, pred, got, want)
+				t.Fatalf("step %d (%+v): %s over HTTP diverged from from-scratch\ngot:  %s\nwant: %s",
+					step, change, pred, got, want)
 			}
 		}
 	}
@@ -328,12 +344,12 @@ var tcDifferential = differentialCase{
 		edge(root, n0).
 	`,
 	goals: map[string]string{"tc": "tc(X, Y)", "reach": "reach(X)", "pair": "pair(X, Y)"},
-	step: func(rng *rand.Rand, mirror map[string]map[string]storage.Tuple) (string, bool) {
+	step: func(rng *rand.Rand, mirror map[string]map[string]storage.Tuple) ChangesRequest {
 		edges := mirror["edge"]
 		tu := storage.TupleOf(ast.Sym(fmt.Sprintf("n%d", rng.Intn(9))), ast.Sym(fmt.Sprintf("n%d", rng.Intn(9))))
 		if rng.Intn(3) > 0 || len(edges) <= 1 {
 			edges[tu.Key()] = tu
-			return fmt.Sprintf("edge(%s, %s).", tu[0], tu[1]), true
+			return addFacts(fmt.Sprintf("edge(%s, %s).", tu[0], tu[1]))
 		}
 		keys := make([]string, 0, len(edges))
 		for k := range edges {
@@ -343,7 +359,7 @@ var tcDifferential = differentialCase{
 		k := keys[rng.Intn(len(keys))]
 		tu = edges[k]
 		delete(edges, k)
-		return fmt.Sprintf("edge(%s, %s).", tu[0], tu[1]), false
+		return delFacts(fmt.Sprintf("edge(%s, %s).", tu[0], tu[1]))
 	},
 }
 
@@ -359,7 +375,7 @@ var orgDifferential = differentialCase{
 		same_level(u0, u1, u2).
 	` + "boss(E, B, R), R = executive -> experienced(B).\n",
 	goals: map[string]string{"triple": "triple(A, B, C)"},
-	step: func(rng *rand.Rand, mirror map[string]map[string]storage.Tuple) (string, bool) {
+	step: func(rng *rand.Rand, mirror map[string]map[string]storage.Tuple) ChangesRequest {
 		u := func() ast.Term { return ast.Sym(fmt.Sprintf("u%d", rng.Intn(7))) }
 		add := func(pred string, tu storage.Tuple) {
 			if mirror[pred] == nil {
@@ -371,17 +387,17 @@ var orgDifferential = differentialCase{
 		case 0: // same_level insert
 			tu := storage.TupleOf(u(), u(), u())
 			add("same_level", tu)
-			return fmt.Sprintf("same_level(%s, %s, %s).", tu[0], tu[1], tu[2]), true
+			return addFacts(fmt.Sprintf("same_level(%s, %s, %s).", tu[0], tu[1], tu[2]))
 		case 1: // executive boss: keep the IC satisfied
 			tu := storage.TupleOf(u(), u(), ast.Sym("executive"))
 			add("boss", tu)
 			exp := storage.Tuple{tu[1]}
 			add("experienced", exp)
-			return fmt.Sprintf("boss(%s, %s, executive). experienced(%s).", tu[0], tu[1], tu[1]), true
+			return addFacts(fmt.Sprintf("boss(%s, %s, executive). experienced(%s).", tu[0], tu[1], tu[1]))
 		case 2: // manager boss: no IC obligation
 			tu := storage.TupleOf(u(), u(), ast.Sym("manager"))
 			add("boss", tu)
-			return fmt.Sprintf("boss(%s, %s, manager).", tu[0], tu[1]), true
+			return addFacts(fmt.Sprintf("boss(%s, %s, manager).", tu[0], tu[1]))
 		default: // delete a boss or same_level fact (never experienced)
 			for _, pred := range []string{"boss", "same_level"} {
 				facts := mirror[pred]
@@ -396,43 +412,30 @@ var orgDifferential = differentialCase{
 				k := keys[rng.Intn(len(keys))]
 				tu := facts[k]
 				delete(facts, k)
-				args := make([]string, len(tu))
-				for i, term := range tu {
-					args[i] = term.String()
-				}
-				b, _ := json.Marshal(args) // reuse for joining
-				_ = b
-				src := pred + "("
-				for i, a := range args {
-					if i > 0 {
-						src += ", "
-					}
-					src += a
-				}
-				return src + ").", false
+				return delFacts(fmt.Sprintf("%s%s.", pred, tu))
 			}
 			// Nothing to delete: insert instead.
 			tu := storage.TupleOf(u(), u(), u())
 			add("same_level", tu)
-			return fmt.Sprintf("same_level(%s, %s, %s).", tu[0], tu[1], tu[2]), true
+			return addFacts(fmt.Sprintf("same_level(%s, %s, %s).", tu[0], tu[1], tu[2]))
 		}
 	},
 }
 
 func TestDifferentialOverHTTP(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		c        differentialCase
-		optimize bool
+		name string
+		c    differentialCase
+		plan string
 	}{
-		{"tc/seq", tcDifferential, false},
-		{"tc/semopt", tcDifferential, true},
-		{"org/semopt/seq", orgDifferential, true},
-		{"org/plain", orgDifferential, false},
+		{"tc/seq", tcDifferential, ""},
+		{"tc/semopt", tcDifferential, "auto"}, // no IC: the semantic candidates come up empty
+		{"org/semopt/seq", orgDifferential, "opt"},
+		{"org/plain", orgDifferential, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			runDifferential(t, tc.c, tc.optimize, 40)
+			runDifferential(t, tc.c, tc.plan, 40)
 		})
 	}
 }
@@ -443,7 +446,7 @@ func TestDifferentialOverHTTP(t *testing.T) {
 // closure always has k(k+1)/2 tuples for some k. Run with -race.
 func TestConcurrentReadersDuringUpdates(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: `
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: `
 		tc(X, Y) :- edge(X, Y).
 		tc(X, Y) :- tc(X, Z), edge(Z, Y).
 		edge(n0, n1).
@@ -469,7 +472,7 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 				default:
 				}
 				var resp QueryResponse
-				code := call(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, &resp)
+				code := call(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, &resp)
 				if code == http.StatusServiceUnavailable {
 					continue // admission gate; fine
 				}
@@ -481,8 +484,8 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 					errs <- fmt.Errorf("tc count %d is not a consistent chain closure", resp.Count)
 					return
 				}
-				var st StatsResponse
-				if code := call(t, ts, "GET", "/stats", nil, &st); code != http.StatusOK {
+				var st SessionStats
+				if code := call(t, ts, "GET", statsPath, nil, &st); code != http.StatusOK {
 					errs <- fmt.Errorf("stats = %d", code)
 					return
 				}
@@ -491,8 +494,8 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 	}
 	for i := 1; i <= writes; i++ {
 		var upd UpdateResponse
-		mustOK(t, ts, "POST", "/insert",
-			UpdateRequest{Facts: fmt.Sprintf("edge(n%d, n%d).", i, i+1)}, &upd)
+		mustOK(t, ts, "POST", changesPath,
+			addFacts(fmt.Sprintf("edge(n%d, n%d).", i, i+1)), &upd)
 		if upd.Mode != "incremental" {
 			t.Fatalf("write %d: mode = %q", i, upd.Mode)
 		}
@@ -512,13 +515,13 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 // body never arrives, then checks the next query is refused with 503.
 func TestAdmissionGate(t *testing.T) {
 	ts := newTestServer(t, Config{MaxConcurrentQueries: 1})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
 	pr, pw := io.Pipe()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		req, _ := http.NewRequest("POST", ts.URL+"/query", pr)
+		req, _ := http.NewRequest("POST", ts.URL+queryPath, pr)
 		req.ContentLength = -1 // chunked: server must read to see the body
 		res, err := ts.Client().Do(req)
 		if err == nil {
@@ -529,7 +532,7 @@ func TestAdmissionGate(t *testing.T) {
 	// Wait until the slow request holds the gate slot, then expect 503.
 	gotBusy := false
 	for i := 0; i < 200 && !gotBusy; i++ {
-		code := call(t, ts, "POST", "/query", QueryRequest{Goal: "tc(a, Y)"}, nil)
+		code := call(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(a, Y)"}, nil)
 		gotBusy = code == http.StatusServiceUnavailable
 	}
 	if !gotBusy {
@@ -544,8 +547,8 @@ func TestAdmissionGate(t *testing.T) {
 		t.Fatalf("after release, tc(a, Y) = %v", got)
 	}
 
-	var st StatsResponse
-	mustOK(t, ts, "GET", "/stats", nil, &st)
+	var st ServerStatsResponse
+	mustOK(t, ts, "GET", "/v1/stats", nil, &st)
 	if st.Rejected == 0 {
 		t.Fatal("stats should count rejected queries")
 	}
@@ -556,10 +559,10 @@ func TestAdmissionGate(t *testing.T) {
 // whole payload is validated before the first tuple lands.
 func TestUpdateArityValidationIsAtomic(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
 	// Inconsistent arity within one request for a brand-new predicate.
-	if code := call(t, ts, "POST", "/insert", UpdateRequest{Facts: "q(a). q(a, b)."}, nil); code != http.StatusBadRequest {
+	if code := call(t, ts, "POST", changesPath, addFacts("q(a). q(a, b)."), nil); code != http.StatusBadRequest {
 		t.Fatalf("mixed-arity insert = %d, want 400", code)
 	}
 	if got := queryTuples(t, ts, "q(X)"); len(got) != 0 {
@@ -567,7 +570,7 @@ func TestUpdateArityValidationIsAtomic(t *testing.T) {
 	}
 
 	// Arity mismatch against an existing relation, behind a valid fact.
-	if code := call(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(x, y). edge(a, b, c)."}, nil); code != http.StatusBadRequest {
+	if code := call(t, ts, "POST", changesPath, addFacts("edge(x, y). edge(a, b, c)."), nil); code != http.StatusBadRequest {
 		t.Fatalf("bad-arity insert = %d, want 400", code)
 	}
 	if got := queryTuples(t, ts, "edge(x, Y)"); len(got) != 0 {
@@ -580,7 +583,7 @@ func TestUpdateArityValidationIsAtomic(t *testing.T) {
 	// Refused requests leave the session clean: the next update still
 	// runs incrementally.
 	var upd UpdateResponse
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d)."}, &upd)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(c, d)."), &upd)
 	if upd.Mode != "incremental" {
 		t.Fatalf("mode after refused requests = %q, want incremental", upd.Mode)
 	}
@@ -591,15 +594,15 @@ func TestUpdateArityValidationIsAtomic(t *testing.T) {
 // deletes just like inserts.
 func TestDuplicateFactsInOneRequest(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
 	var ins UpdateResponse
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d). edge(c, d)."}, &ins)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(c, d). edge(c, d)."), &ins)
 	if ins.Applied != 1 || ins.Ignored != 1 || ins.Mode != "incremental" {
 		t.Fatalf("duplicate insert = %+v, want 1 applied / 1 ignored", ins)
 	}
 	var del UpdateResponse
-	mustOK(t, ts, "POST", "/delete", UpdateRequest{Facts: "edge(c, d). edge(c, d)."}, &del)
+	mustOK(t, ts, "POST", changesPath, delFacts("edge(c, d). edge(c, d)."), &del)
 	if del.Applied != 1 || del.Ignored != 1 || del.Mode != "incremental" {
 		t.Fatalf("duplicate delete = %+v, want 1 applied / 1 ignored", del)
 	}
@@ -614,12 +617,12 @@ func TestDuplicateFactsInOneRequest(t *testing.T) {
 func TestCancelledUpdateRollsBack(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	if _, err := s.Load(context.Background(), LoadRequest{Program: tcSrc}); err != nil {
+	if _, err := s.LoadSession(context.Background(), testSession, LoadRequest{Program: tcSrc}); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	sess := s.session(DefaultSession)
+	sess := s.session(testSession)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
@@ -668,10 +671,10 @@ func TestCancelledUpdateRollsBack(t *testing.T) {
 func TestDirtySessionRepairsOnNextUpdate(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	if _, err := s.Load(context.Background(), LoadRequest{Program: tcSrc}); err != nil {
+	if _, err := s.LoadSession(context.Background(), testSession, LoadRequest{Program: tcSrc}); err != nil {
 		t.Fatal(err)
 	}
-	sess := s.session(DefaultSession)
+	sess := s.session(testSession)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
@@ -708,25 +711,5 @@ func TestDirtySessionRepairsOnNextUpdate(t *testing.T) {
 	}
 	if sess.dirty {
 		t.Fatal("no-op repair should clear the dirty flag")
-	}
-}
-
-// TestLoadWithOptimize checks the load-time semopt hook reports its
-// work.
-func TestLoadWithOptimize(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	var load LoadResponse
-	mustOK(t, ts, "POST", "/load", LoadRequest{
-		Program:  orgDifferential.program,
-		Optimize: true,
-	}, &load)
-	if !load.Optimized {
-		t.Fatal("load did not run the optimizer")
-	}
-	if len(load.Reports) == 0 {
-		t.Fatalf("optimizer found nothing on the org example: notes=%v", load.Notes)
-	}
-	if got := queryTuples(t, ts, "triple(A, B, C)"); len(got) != 1 {
-		t.Fatalf("triple = %v, want the seeded same_level row", got)
 	}
 }

@@ -13,8 +13,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/planner"
 	"repro/internal/replicate"
-	"repro/internal/residue"
-	"repro/internal/semopt"
 	"repro/internal/storage"
 )
 
@@ -22,15 +20,14 @@ import (
 // atomically on (re)load so request validation can read it without the
 // session mutex.
 type loadedProgram struct {
-	active    *ast.Program    // the program evaluation runs (optimized when requested)
+	active    *ast.Program    // the program evaluation runs (the chosen plan's rewrite)
 	idb       map[string]bool // predicates derived by active rules; not updatable via the API
 	rules     int
 	ics       int
 	optimized bool
-	// source, optimize and smallPreds echo the load request; they ride
-	// in checkpoints so a recovered session knows its provenance.
+	// source and smallPreds echo the load request; they ride in
+	// checkpoints so a recovered session knows its provenance.
 	source     string
-	optimize   bool
 	smallPreds []string
 	// plan is the requested plan mode ("" = planner off); decision is
 	// the planner's verdict, which the adaptive re-plan path revisits.
@@ -57,6 +54,16 @@ func (lp *loadedProgram) planned() bool { return lp.plan != "" }
 // with a live decision to compare against.
 func (lp *loadedProgram) adaptive() bool {
 	return lp.plan == string(planner.Auto) && lp.decision != nil
+}
+
+// published is what a session's readers see: a frozen copy-on-write
+// snapshot of the database and the sequence number of the commit (or
+// load) that produced it, swapped in as one pointer so no reader can
+// pair a sequence number with a state it does not name. db is nil until
+// the session's first publish.
+type published struct {
+	db  *storage.Database
+	seq uint64
 }
 
 // session is one named program served by the daemon: an authoritative
@@ -94,7 +101,9 @@ type session struct {
 	// published after a full success.
 	dirty bool
 
-	snap atomic.Pointer[storage.Database]
+	// snap is never nil. Whatever a reply, /readyz or a lag figure says
+	// about where this session is comes from it, never from seq below.
+	snap atomic.Pointer[published]
 
 	// qmu makes enqueue-vs-close atomic: once qclosed is set no new
 	// request can enter the queue, so the committer's final drain after
@@ -106,18 +115,19 @@ type session struct {
 
 	cache *queryCache
 
-	queries, inserts, deletes atomic.Int64
-	changeReqs                atomic.Int64
-	incremental, recomputes   atomic.Int64
-	batches, batchedWrites    atomic.Int64
-	maxBatch                  atomic.Int64
-	cacheHits, cacheMisses    atomic.Int64
+	queries, changeReqs     atomic.Int64
+	incremental, recomputes atomic.Int64
+	batches, batchedWrites  atomic.Int64
+	maxBatch                atomic.Int64
+	cacheHits, cacheMisses  atomic.Int64
 
 	// Durability state (nil dur = in-memory session). dur is only
-	// touched under mu; seq and the counters are atomics so stats can
-	// read them without the session mutex.
+	// touched under mu. seq is the committer's own counter (WAL
+	// numbering, follower resume cursor, subscriber live edges),
+	// advanced under mu; what readers are told comes from snap. It and
+	// the counters are atomics so stats can read them without mu.
 	dur                                 *durable.Store
-	seq                                 atomic.Uint64 // last durably logged batch
+	seq                                 atomic.Uint64 // last logged batch
 	sinceCkpt                           atomic.Int64  // logged batches since last checkpoint
 	walBatches, walBytes                atomic.Int64
 	checkpoints, ckptFailures           atomic.Int64
@@ -177,6 +187,7 @@ func newSession(srv *Server, name string) *session {
 		closed: make(chan struct{}),
 		cache:  newQueryCache(srv.cfg.QueryCache, srv.mCacheEvicts, srv.vCache.With(name, "evict")),
 	}
+	sess.snap.Store(&published{})
 	go srv.committer(sess)
 	return sess
 }
@@ -191,12 +202,6 @@ func (sess *session) close() {
 		sess.qclosed = true
 		close(sess.closed)
 	}
-}
-
-func (sess *session) isClosed() bool {
-	sess.qmu.Lock()
-	defer sess.qmu.Unlock()
-	return sess.qclosed
 }
 
 // enqueue adds a write request to the commit queue. It fails with
@@ -218,9 +223,10 @@ func (sess *session) enqueue(req *commitReq) error {
 }
 
 // publish makes the current authoritative database visible to readers
-// as a fresh copy-on-write snapshot. Caller holds mu.
+// as a fresh copy-on-write snapshot, stamped with the sequence it is
+// the state at. Caller holds mu.
 func (sess *session) publish() {
-	sess.snap.Store(sess.db.Snapshot())
+	sess.snap.Store(&published{db: sess.db.Snapshot(), seq: sess.seq.Load()})
 }
 
 // engine builds an evaluation engine honoring the server's join-mode
@@ -251,28 +257,6 @@ func (sess *session) addEvalStats(st eval.Stats) {
 	}
 }
 
-// writeKind is the route a write request arrived on, for the per-kind
-// stats counters. All three kinds commit through the same applyDelta.
-type writeKind int
-
-const (
-	writeInsert writeKind = iota // POST /facts, legacy /insert
-	writeDelete                  // DELETE /facts, legacy /delete
-	writeChange                  // POST /changes (mixed adds+dels)
-)
-
-// countWrite bumps the request-kind counter.
-func (sess *session) countWrite(kind writeKind) {
-	switch kind {
-	case writeInsert:
-		sess.inserts.Add(1)
-	case writeDelete:
-		sess.deletes.Add(1)
-	default:
-		sess.changeReqs.Add(1)
-	}
-}
-
 // noteBatch records one commit group of n write requests.
 func (sess *session) noteBatch(n int) {
 	sess.batches.Add(1)
@@ -294,8 +278,6 @@ func (sess *session) stats() SessionStats {
 	st := SessionStats{
 		Name:           sess.name,
 		Queries:        sess.queries.Load(),
-		Inserts:        sess.inserts.Load(),
-		Deletes:        sess.deletes.Load(),
 		Changes:        sess.changeReqs.Load(),
 		Incremental:    sess.incremental.Load(),
 		Recomputes:     sess.recomputes.Load(),
@@ -330,7 +312,7 @@ func (sess *session) stats() SessionStats {
 			st.Planner = ps
 		}
 	}
-	if db := sess.snap.Load(); db != nil {
+	if db := sess.snap.Load().db; db != nil {
 		st.Relations = db.Sizes()
 		st.Generation = db.Generation()
 	}
@@ -342,10 +324,10 @@ func (sess *session) stats() SessionStats {
 	return st
 }
 
-// buildProgram parses src, optionally optimizes, and evaluates the
-// initial fixpoint into a fresh database, recording the rank state the
-// Z-set maintenance sweep needs. It touches no server or session
-// state, so a failed load keeps the previous program serving.
+// buildProgram parses src, selects a plan when one is asked for, and
+// evaluates the initial fixpoint into a fresh database, recording the
+// rank state the Z-set maintenance sweep needs. It touches no server or
+// session state, so a failed load keeps the previous program serving.
 func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProgram, *storage.Database, *eval.ZState, map[string]*storage.Relation, *LoadResponse, error) {
 	parsed, err := parser.Parse(req.Program)
 	if err != nil {
@@ -371,7 +353,7 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 	}
 
 	// The request's plan mode wins over the server default; both empty
-	// keeps the legacy behavior where the Optimize flag alone decides.
+	// evaluates the program as written.
 	planMode := req.Plan
 	if planMode == "" {
 		planMode = s.cfg.Plan
@@ -381,8 +363,7 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 		variant  planner.Variant
 		goal     *ast.Atom
 	)
-	switch {
-	case planMode != "":
+	if planMode != "" {
 		v, err := planner.ParseVariant(planMode)
 		if err != nil {
 			return nil, nil, nil, nil, nil, err
@@ -408,20 +389,6 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 		resp.Plan = d
 		resp.Optimized = d.Chosen != planner.Orig
 		s.vPlanChoice.With(string(d.Chosen)).Inc()
-	case req.Optimize:
-		res, err := semopt.Optimize(prog, parsed.ICs, semopt.Options{
-			Residue: residue.Options{IntroducePreds: small},
-			Tracer:  s.cfg.Tracer,
-		})
-		if err != nil {
-			return nil, nil, nil, nil, nil, fmt.Errorf("optimize: %w", err)
-		}
-		active = res.Optimized
-		resp.Optimized = true
-		resp.Notes = res.Notes
-		for _, r := range res.Reports {
-			resp.Reports = append(resp.Reports, r.String())
-		}
 	}
 
 	lp := &loadedProgram{
@@ -431,7 +398,6 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 		ics:        len(parsed.ICs),
 		optimized:  resp.Optimized,
 		source:     req.Program,
-		optimize:   req.Optimize,
 		smallPreds: req.SmallPreds,
 		plan:       planMode,
 		variant:    variant,

@@ -88,7 +88,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sess := s.session(name)
 	if sess == nil {
-		missingSession(w, name, false)
+		missingSession(w, name)
 		return
 	}
 
@@ -350,16 +350,4 @@ func appendFacts(out []string, m map[string][]storage.Tuple) []string {
 		}
 	}
 	return out
-}
-
-// subGauges sums the session's open subscriptions and their buffered
-// depth (for stats; the server-wide gauge reads Server.subscribers).
-func (sess *session) subGauges() (subs, depth int) {
-	sess.subMu.Lock()
-	subs = len(sess.subs)
-	for _, sl := range sess.subs {
-		depth += sl.Depth()
-	}
-	sess.subMu.Unlock()
-	return subs, depth
 }

@@ -51,7 +51,7 @@ func TestChangesEndpoint(t *testing.T) {
 
 	// The legacy write routes are aliases of the same pipeline and
 	// return the committed seq too.
-	mustOK(t, ts, "POST", "/v1/sessions/default/facts", UpdateRequest{Facts: "edge(f, g)."}, &resp)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(f, g)."), &resp)
 	if resp.Seq != first+2 {
 		t.Fatalf("legacy insert seq = %d, want %d", resp.Seq, first+2)
 	}

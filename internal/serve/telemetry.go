@@ -167,11 +167,11 @@ type slowQueryRecord struct {
 }
 
 // metricsSnapshot is the one serializer behind every metrics surface:
-// GET /metrics, GET /v1/stats, and the legacy GET /stats all render
-// its output, so the three can never drift. Point-in-time gauges
-// (queue depth, cache size, live sessions, admission-gate occupancy)
-// are refreshed here rather than on every mutation — they are derived
-// values, and scrape time is the only moment their freshness matters.
+// GET /metrics and GET /v1/stats both render its output, so the two
+// can never drift. Point-in-time gauges (queue depth, cache size, live
+// sessions, admission-gate occupancy) are refreshed here rather than on
+// every mutation — they are derived values, and scrape time is the only
+// moment their freshness matters.
 func (s *Server) metricsSnapshot() *obs.MetricsSnapshot {
 	var depth int64
 	var cacheSize int64
@@ -199,10 +199,8 @@ func (s *Server) metricsSnapshot() *obs.MetricsSnapshot {
 			lag = int64(nDepth)
 		}
 		if rs := sess.repl.Load(); rs != nil {
-			if l, local := rs.leaderSeq.Load(), sess.seq.Load(); l > local {
-				if d := int64(l - local); d > lag {
-					lag = d
-				}
+			if d := int64(rs.lag(sess.snap.Load().seq)); d > lag {
+				lag = d
 			}
 		}
 	}

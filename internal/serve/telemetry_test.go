@@ -67,14 +67,14 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path string, body any) *h
 // a client wants to correlate with server logs.
 func TestRequestIDHeader(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
 	cases := []struct {
 		method, path string
 		body         any
 	}{
-		{"POST", "/query", QueryRequest{Goal: "tc(X, Y)"}},
-		{"GET", "/stats", nil},
+		{"POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}},
+		{"GET", statsPath, nil},
 		{"GET", "/v1/stats", nil},
 		{"POST", "/v1/sessions/nope/query", QueryRequest{Goal: "tc(X, Y)"}}, // 404 still gets an ID
 	}
@@ -101,10 +101,10 @@ func TestRequestIDHeader(t *testing.T) {
 // gauges, the per-route request family, and planner decisions.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, nil) // miss
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, nil) // hit
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d)."}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, nil) // miss
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, nil) // hit
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(c, d)."), nil)
 
 	resp := doJSON(t, ts, "GET", "/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -131,7 +131,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE serve_sessions gauge",
 		"serve_sessions 1",
 		"# TYPE serve_requests counter",
-		`serve_requests{route="POST /query",code="200"} 2`,
+		`serve_requests{route="POST /v1/sessions/{name}/query",code="200"} 2`,
 		`serve_cache{session="default",event="hit"} 1`,
 		`serve_cache{session="default",event="miss"} 1`,
 		"serve_batches 1",
@@ -153,8 +153,8 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestAccessLogAndSlowQuery(t *testing.T) {
 	var logBuf syncBuffer
 	ts := newTestServer(t, Config{AccessLog: &logBuf, SlowQuery: time.Nanosecond})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
-	resp := doJSON(t, ts, "POST", "/v1/sessions/default/query", QueryRequest{Goal: "tc(a, Y)"})
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
+	resp := doJSON(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(a, Y)"})
 	wantID := resp.Header.Get("X-Request-Id")
 	if resp.StatusCode != http.StatusOK || wantID == "" {
 		t.Fatalf("query = %d, id %q", resp.StatusCode, wantID)
@@ -182,7 +182,7 @@ func TestAccessLogAndSlowQuery(t *testing.T) {
 	if q["request_id"] != wantID {
 		t.Errorf("access request_id = %v, want %v", q["request_id"], wantID)
 	}
-	if q["route"] != "POST /v1/sessions/{name}/query" || q["path"] != "/v1/sessions/default/query" {
+	if q["route"] != "POST /v1/sessions/{name}/query" || q["path"] != queryPath {
 		t.Errorf("access route/path = %v / %v", q["route"], q["path"])
 	}
 	if q["status"] != float64(200) {
@@ -204,29 +204,29 @@ func TestAccessLogAndSlowQuery(t *testing.T) {
 	}
 }
 
-// TestStatsMetricsParity: the legacy /stats, /v1/stats, and /metrics
-// all render the same registry snapshot — counter values must agree
-// when the server is quiescent.
+// TestStatsMetricsParity: /v1/stats and /metrics render the same
+// registry snapshot — counter values must agree when the server is
+// quiescent.
 func TestStatsMetricsParity(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d)."}, nil)
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(c, d)."), nil)
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, nil)
 
-	var legacy StatsResponse
 	var v1 ServerStatsResponse
-	mustOK(t, ts, "GET", "/stats", nil, &legacy)
 	mustOK(t, ts, "GET", "/v1/stats", nil, &v1)
-	if legacy.Metrics == nil || v1.Metrics == nil {
-		t.Fatal("both stats surfaces must carry the metrics snapshot")
+	if v1.Metrics == nil {
+		t.Fatal("/v1/stats must carry the metrics snapshot")
 	}
+	exposition := scrapeMetrics(t, ts)
 	for _, name := range []string{"serve.batches", "serve.batched_writes", "serve.cache_misses"} {
-		if lg, v := legacy.Metrics.Counters[name], v1.Metrics.Counters[name]; lg != v {
-			t.Errorf("%s: legacy %d vs v1 %d", name, lg, v)
+		prom := metricValue(t, exposition, strings.ReplaceAll(name, ".", "_"))
+		if v := strconv.FormatInt(v1.Metrics.Counters[name], 10); prom != v {
+			t.Errorf("%s: /metrics %s vs /v1/stats %s", name, prom, v)
 		}
 	}
-	if legacy.Metrics.Counters["serve.batches"] != 1 {
-		t.Errorf("serve.batches = %d, want 1", legacy.Metrics.Counters["serve.batches"])
+	if v1.Metrics.Counters["serve.batches"] != 1 {
+		t.Errorf("serve.batches = %d, want 1", v1.Metrics.Counters["serve.batches"])
 	}
 	// Histograms ride the same snapshot: one commit was observed.
 	if h, ok := v1.Metrics.Histograms["serve.commit_ns"]; !ok || h.Count != 1 {
@@ -244,8 +244,8 @@ func TestCommitTraceLinksRequestID(t *testing.T) {
 		Tracer:     tracer,
 		Durability: &durable.Options{Dir: t.TempDir()},
 	})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
-	resp := doJSON(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d)."})
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
+	resp := doJSON(t, ts, "POST", changesPath, addFacts("edge(c, d)."))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert = %d", resp.StatusCode)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -12,14 +13,14 @@ import (
 // write bumps the snapshot generation, which invalidates it.
 func TestQueryCache(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
 	var q1, q2, q3 QueryResponse
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, &q1)
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, &q1)
 	if q1.Cached {
 		t.Fatal("first query should miss the cache")
 	}
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, &q2)
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, &q2)
 	if !q2.Cached || q2.Generation != q1.Generation {
 		t.Fatalf("second query = cached=%v gen=%d, want a hit on gen %d", q2.Cached, q2.Generation, q1.Generation)
 	}
@@ -27,8 +28,8 @@ func TestQueryCache(t *testing.T) {
 		t.Fatal("cache hit returned different tuples")
 	}
 
-	mustOK(t, ts, "POST", "/insert", UpdateRequest{Facts: "edge(c, d)."}, nil)
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, &q3)
+	mustOK(t, ts, "POST", changesPath, addFacts("edge(c, d)."), nil)
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, &q3)
 	if q3.Cached {
 		t.Fatal("query after a write must not be served from the stale cache")
 	}
@@ -40,17 +41,17 @@ func TestQueryCache(t *testing.T) {
 	}
 
 	var st SessionStats
-	mustOK(t, ts, "GET", "/v1/sessions/default/stats", nil, &st)
+	mustOK(t, ts, "GET", statsPath, nil, &st)
 	if st.CacheHits != 1 || st.CacheMisses < 2 {
 		t.Fatalf("cache counters = %d hits / %d misses, want 1 / >=2", st.CacheHits, st.CacheMisses)
 	}
 
 	// A disabled cache never reports hits.
 	off := newTestServer(t, Config{QueryCache: -1})
-	mustOK(t, off, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, off, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 	var c1, c2 QueryResponse
-	mustOK(t, off, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, &c1)
-	mustOK(t, off, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, &c2)
+	mustOK(t, off, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, &c1)
+	mustOK(t, off, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, &c2)
 	if c1.Cached || c2.Cached {
 		t.Fatal("disabled cache served a hit")
 	}
@@ -66,10 +67,10 @@ func TestQueryPagination(t *testing.T) {
 		fmt.Fprintf(&sb, "edge(n%02d, n%02d).\n", i, i+1)
 	}
 	ts := newTestServer(t, Config{})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: sb.String()}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: sb.String()}, nil)
 
 	var all QueryResponse
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(n00, Y)"}, &all)
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(n00, Y)"}, &all)
 	if all.Total != n || all.Count != n || all.NextCursor != "" {
 		t.Fatalf("unpaginated query = count %d total %d next %q, want %d/%d/none",
 			all.Count, all.Total, all.NextCursor, n, n)
@@ -80,7 +81,7 @@ func TestQueryPagination(t *testing.T) {
 	pages := 0
 	for {
 		var page QueryResponse
-		mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(n00, Y)", Limit: 7, Cursor: cursor}, &page)
+		mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(n00, Y)", Limit: 7, Cursor: cursor}, &page)
 		if page.Total != n {
 			t.Fatalf("page %d: total = %d, want %d", pages, page.Total, n)
 		}
@@ -101,18 +102,19 @@ func TestQueryPagination(t *testing.T) {
 		t.Fatal("paginated rows do not tile the full result")
 	}
 
-	if code := call(t, ts, "POST", "/query", QueryRequest{Goal: "tc(n00, Y)", Cursor: "bogus"}, nil); code != http.StatusBadRequest {
+	if code := call(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(n00, Y)", Cursor: "bogus"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad cursor = %d, want 400", code)
 	}
 }
 
 // TestRequestHardening covers the decode guards: wrong Content-Type is
-// 415, an oversized body is 413, both with stable error codes.
+// 415, an oversized body is 413, an unknown field (the removed
+// "optimize" flag is one) is 400, all with stable error codes.
 func TestRequestHardening(t *testing.T) {
 	ts := newTestServer(t, Config{MaxBodyBytes: 256})
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
-	req, _ := http.NewRequest("POST", ts.URL+"/query", strings.NewReader(`{"goal": "tc(X, Y)"}`))
+	req, _ := http.NewRequest("POST", ts.URL+queryPath, strings.NewReader(`{"goal": "tc(X, Y)"}`))
 	req.Header.Set("Content-Type", "text/plain")
 	res, err := ts.Client().Do(req)
 	if err != nil {
@@ -124,8 +126,8 @@ func TestRequestHardening(t *testing.T) {
 		t.Fatalf("text/plain = %d/%q, want 415 %s", res.StatusCode, e.Error.Code, CodeUnsupportedMedia)
 	}
 
-	big := UpdateRequest{Facts: "edge(" + strings.Repeat("x", 512) + ", y)."}
-	req, _ = http.NewRequest("POST", ts.URL+"/insert", jsonBody(t, big))
+	big := addFacts("edge(" + strings.Repeat("x", 512) + ", y).")
+	req, _ = http.NewRequest("POST", ts.URL+changesPath, jsonBody(t, big))
 	req.Header.Set("Content-Type", "application/json")
 	res, err = ts.Client().Do(req)
 	if err != nil {
@@ -136,9 +138,14 @@ func TestRequestHardening(t *testing.T) {
 		t.Fatalf("oversized body = %d/%q, want 413 %s", res.StatusCode, e.Error.Code, CodeTooLarge)
 	}
 
+	optimize := json.RawMessage(`{"program": "p(a).", "optimize": true}`)
+	if code := call(t, ts, "POST", loadPath, optimize, &e); code != http.StatusBadRequest || e.Error.Code != CodeBadRequest {
+		t.Fatalf("load with optimize = %d/%q, want 400 %s", code, e.Error.Code, CodeBadRequest)
+	}
+
 	// The error envelope is structured on ordinary failures too.
 	var bad ErrorResponse
-	if code := call(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X,"}, &bad); code != http.StatusBadRequest {
+	if code := call(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X,"}, &bad); code != http.StatusBadRequest {
 		t.Fatalf("bad goal = %d, want 400", code)
 	}
 	if bad.Error.Code != CodeBadGoal || bad.Error.Message == "" {
@@ -155,7 +162,7 @@ func decodeBody(t *testing.T, res *http.Response, out any) {
 }
 
 // TestMultiSession: named sessions are fully isolated — independent
-// programs, writes, stats — and the flat routes alias "default".
+// programs, writes, stats.
 func TestMultiSession(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
@@ -170,7 +177,7 @@ func TestMultiSession(t *testing.T) {
 	`}, nil)
 
 	// Writes to one session do not leak into the other.
-	mustOK(t, ts, "POST", "/v1/sessions/graph/facts", UpdateRequest{Facts: "edge(c, d)."}, nil)
+	mustOK(t, ts, "POST", "/v1/sessions/graph/changes", addFacts("edge(c, d)."), nil)
 	var q QueryResponse
 	mustOK(t, ts, "POST", "/v1/sessions/graph/query", QueryRequest{Goal: "tc(a, Y)"}, &q)
 	if q.Total != 3 {
@@ -181,33 +188,19 @@ func TestMultiSession(t *testing.T) {
 		t.Fatalf("other session sees graph's tc: %+v", q)
 	}
 
-	// DELETE .../facts is the delete alias.
 	var del UpdateResponse
-	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/sessions/graph/facts", jsonBody(t, UpdateRequest{Facts: "edge(c, d)."}))
-	res, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeBody(t, res, &del)
-	if res.StatusCode != http.StatusOK || del.Applied != 1 {
-		t.Fatalf("v1 delete = %d %+v", res.StatusCode, del)
+	mustOK(t, ts, "POST", "/v1/sessions/graph/changes", delFacts("edge(c, d)."), &del)
+	if del.Applied != 1 {
+		t.Fatalf("graph delete = %+v, want 1 applied", del)
 	}
 
-	// The legacy surface is the default session.
-	mustOK(t, ts, "POST", "/load", LoadRequest{Program: tcSrc}, nil)
 	var names SessionListResponse
 	mustOK(t, ts, "GET", "/v1/sessions", nil, &names)
-	if len(names.Sessions) != 3 {
-		t.Fatalf("sessions = %v, want graph, other, default", names.Sessions)
-	}
-	var legacyQ, v1Q QueryResponse
-	mustOK(t, ts, "POST", "/query", QueryRequest{Goal: "tc(X, Y)"}, &legacyQ)
-	mustOK(t, ts, "POST", "/v1/sessions/default/query", QueryRequest{Goal: "tc(X, Y)"}, &v1Q)
-	if renderSorted(legacyQ.Tuples) != renderSorted(v1Q.Tuples) {
-		t.Fatal("legacy /query and /v1 default query disagree")
+	if len(names.Sessions) != 2 {
+		t.Fatalf("sessions = %v, want graph and other", names.Sessions)
 	}
 
-	// Unknown sessions are 404 no_session on /v1.
+	// Unknown sessions are 404 no_session.
 	var e ErrorResponse
 	if code := call(t, ts, "POST", "/v1/sessions/nope/query", QueryRequest{Goal: "tc(X, Y)"}, &e); code != http.StatusNotFound {
 		t.Fatalf("unknown session = %d, want 404", code)
@@ -221,8 +214,8 @@ func TestMultiSession(t *testing.T) {
 	}
 
 	// Dropping a session removes it; the rest keep serving.
-	req, _ = http.NewRequest("DELETE", ts.URL+"/v1/sessions/other", nil)
-	res, err = ts.Client().Do(req)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/sessions/other", nil)
+	res, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +234,46 @@ func TestMultiSession(t *testing.T) {
 	// /v1/stats sees every live session and the obs metrics.
 	var st ServerStatsResponse
 	mustOK(t, ts, "GET", "/v1/stats", nil, &st)
-	if len(st.Sessions) != 2 {
-		t.Fatalf("/v1/stats sessions = %d, want 2", len(st.Sessions))
+	if len(st.Sessions) != 1 {
+		t.Fatalf("/v1/stats sessions = %d, want 1", len(st.Sessions))
 	}
 	if st.Metrics == nil {
 		t.Fatal("/v1/stats should carry the metrics snapshot")
+	}
+}
+
+// TestRouteInventory pins the whole HTTP surface: these thirteen
+// patterns answer, and the flat aliases and /facts write routes that
+// used to shadow them are gone (the mux's plain 404/405).
+func TestRouteInventory(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	probe := func(route string) (pattern string, code int) {
+		method, path, _ := strings.Cut(route, " ")
+		req := httptest.NewRequest(method, strings.Replace(path, "{name}", "x", 1), strings.NewReader("{}"))
+		_, pattern = srv.mux.Handler(req)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		return pattern, rec.Code
+	}
+	for _, route := range []string{
+		"GET /healthz", "GET /readyz", "GET /metrics", "GET /v1/stats", "GET /v1/sessions",
+		"POST /v1/sessions/{name}", "DELETE /v1/sessions/{name}",
+		"POST /v1/sessions/{name}/query", "POST /v1/sessions/{name}/changes",
+		"GET /v1/sessions/{name}/subscribe", "GET /v1/sessions/{name}/stats",
+		"POST /v1/sessions/{name}/checkpoint", "GET /v1/sessions/{name}/replicate",
+	} {
+		if pattern, _ := probe(route); pattern != route {
+			t.Errorf("%s is served by pattern %q", route, pattern)
+		}
+	}
+	for _, route := range []string{
+		"POST /load", "POST /query", "POST /insert", "POST /delete", "GET /stats",
+		"POST /v1/sessions/x/facts", "DELETE /v1/sessions/x/facts",
+		"GET /v1/sessions/x/query", "POST /v1/sessions/x/stats", "POST /v1/sessions/x/query/y",
+	} {
+		if pattern, code := probe(route); pattern != "" || (code != http.StatusNotFound && code != http.StatusMethodNotAllowed) {
+			t.Errorf("%s = %d via pattern %q, want the mux's 404/405", route, code, pattern)
+		}
 	}
 }

@@ -165,11 +165,3 @@ func CompareValues(a, b Value) int {
 	}
 	return ast.CompareTerms(a.Term(), b.Term())
 }
-
-// InternedCount reports how many distinct constants have been interned
-// so far (observability only).
-func InternedCount() int {
-	global.mu.RLock()
-	defer global.mu.RUnlock()
-	return len(global.slab)
-}

@@ -206,7 +206,3 @@ func (r *Relation) EnsureSorted(perm []int) *SortedIndex {
 	r.sorted[key] = nix
 	return nix
 }
-
-// SortedIndexCount reports how many sorted indexes the relation
-// currently holds (observability only).
-func (r *Relation) SortedIndexCount() int { return len(r.sorted) }

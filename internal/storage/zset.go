@@ -88,11 +88,6 @@ func (z *ZSet) Split() (adds, dels []Tuple) {
 	return adds, dels
 }
 
-// MergeInto accumulates every entry of z into dst.
-func (z *ZSet) MergeInto(dst *ZSet) {
-	z.Each(func(t Tuple, w int64) { dst.Add(t, w) })
-}
-
 // ZSetOfChanges builds a ±1-weighted Z-set from plain add/delete tuple
 // slices: the batch vocabulary the commit pipeline speaks. Opposing
 // entries cancel, duplicate adds (or deletes) of the same tuple
