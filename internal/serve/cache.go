@@ -9,16 +9,17 @@ import (
 )
 
 // queryCache memoizes rendered query results per session, keyed by the
-// goal text and validated against the snapshot generation: an entry
-// written against generation g is served only while the session's
-// published snapshot still reports g, so a cache hit is always
-// indistinguishable from re-running the match. Bounded LRU; a nil
-// cache (caching disabled) is safe to call.
+// goal up to variable renaming (canonicalGoal) and validated against
+// the snapshot generation: an entry written against generation g is
+// served only while the session's published snapshot still reports g,
+// so a cache hit is always indistinguishable from re-running the match.
+// Bounded LRU; a nil cache (caching disabled) is safe to call.
 type queryCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recent
-	m   map[string]*list.Element
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recent
+	m     map[string]*list.Element
+	bytes int64 // Σ size() of the entries held
 
 	// evictions counts entries dropped for any reason other than a
 	// whole-cache purge: LRU capacity pressure and stale-generation
@@ -33,7 +34,7 @@ type queryCache struct {
 type cacheEntry struct {
 	key  string
 	gen  uint64
-	rows [][]string
+	rows *renderedRows
 }
 
 func newQueryCache(capacity int, evictTotal, evictVec *obs.Counter) *queryCache {
@@ -46,8 +47,11 @@ func newQueryCache(capacity int, evictTotal, evictVec *obs.Counter) *queryCache 
 	}
 }
 
-// noteEvict records one eviction; caller holds mu.
-func (c *queryCache) noteEvict() {
+// evict drops el and records one eviction; caller holds mu.
+func (c *queryCache) evict(el *list.Element) {
+	e := c.ll.Remove(el).(*cacheEntry)
+	delete(c.m, e.key)
+	c.bytes -= e.rows.size()
 	c.evictions.Add(1)
 	c.evictTotal.Inc()
 	c.evictVec.Inc()
@@ -55,37 +59,37 @@ func (c *queryCache) noteEvict() {
 
 // get returns the cached rows for key at generation gen, or nil. An
 // entry from an older generation is evicted on sight.
-func (c *queryCache) get(key string, gen uint64) ([][]string, bool) {
+func (c *queryCache) get(key string, gen uint64) *renderedRows {
 	if c == nil {
-		return nil, false
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el := c.m[key]
 	if el == nil {
-		return nil, false
+		return nil
 	}
 	e := el.Value.(*cacheEntry)
 	if e.gen != gen {
-		c.ll.Remove(el)
-		delete(c.m, key)
-		c.noteEvict()
-		return nil, false
+		c.evict(el)
+		return nil
 	}
 	c.ll.MoveToFront(el)
-	return e.rows, true
+	return e.rows
 }
 
 // put stores rows for key at generation gen, evicting the least
 // recently used entry beyond capacity.
-func (c *queryCache) put(key string, gen uint64, rows [][]string) {
+func (c *queryCache) put(key string, gen uint64, rows *renderedRows) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bytes += rows.size()
 	if el := c.m[key]; el != nil {
 		e := el.Value.(*cacheEntry)
+		c.bytes -= e.rows.size()
 		e.gen = gen
 		e.rows = rows
 		c.ll.MoveToFront(el)
@@ -93,10 +97,7 @@ func (c *queryCache) put(key string, gen uint64, rows [][]string) {
 	}
 	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, rows: rows})
 	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheEntry).key)
-		c.noteEvict()
+		c.evict(c.ll.Back())
 	}
 }
 
@@ -111,15 +112,17 @@ func (c *queryCache) purge() {
 	defer c.mu.Unlock()
 	c.ll.Init()
 	clear(c.m)
+	c.bytes = 0
 }
 
-func (c *queryCache) size() int {
+// size returns the number of entries held and their bytes.
+func (c *queryCache) size() (entries int, bytes int64) {
 	if c == nil {
-		return 0
+		return 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.ll.Len(), c.bytes
 }
 
 // evicted is the lifetime eviction count (0 for a disabled cache).

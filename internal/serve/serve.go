@@ -7,6 +7,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,6 +157,8 @@ type Server struct {
 	mCacheHits     *obs.Counter
 	mCacheMisses   *obs.Counter
 	mCacheEvicts   *obs.Counter
+	mIndexBuilds   *obs.Counter                     // column indexes built for reads (by a reader, or at publish)
+	mQueryPath     [len(readPathNames)]*obs.Counter // serve.query_path{path}, by readPath
 
 	// Latency histograms over the pipeline's hot spots (log2 buckets,
 	// nanoseconds unless named otherwise).
@@ -170,6 +173,7 @@ type Server struct {
 	// Point-in-time gauges, refreshed by metricsSnapshot at scrape time.
 	gQueueDepth *obs.Gauge
 	gCacheSize  *obs.Gauge
+	gCacheBytes *obs.Gauge
 	gSessions   *obs.Gauge
 	gInflight   *obs.Gauge
 	gWALSeq     *obs.Gauge // durable.wal_seq: max durable seq across sessions
@@ -288,6 +292,10 @@ func New(cfg Config) *Server {
 	s.mCacheHits = s.metrics.Counter("serve.cache_hits")
 	s.mCacheMisses = s.metrics.Counter("serve.cache_misses")
 	s.mCacheEvicts = s.metrics.Counter("serve.cache_evictions")
+	s.mIndexBuilds = s.metrics.Counter("serve.index_builds")
+	for p, name := range readPathNames {
+		s.mQueryPath[p] = s.metrics.CounterVec("serve.query_path", "path").With(name)
+	}
 	s.hQuery = s.metrics.Histogram("serve.query_ns")
 	s.hCommit = s.metrics.Histogram("serve.commit_ns")
 	s.hCommitWait = s.metrics.Histogram("serve.commit_wait_ns")
@@ -297,6 +305,7 @@ func New(cfg Config) *Server {
 	s.hReplay = s.metrics.Histogram("durable.replay_ns")
 	s.gQueueDepth = s.metrics.Gauge("serve.queue_depth")
 	s.gCacheSize = s.metrics.Gauge("serve.cache_size")
+	s.gCacheBytes = s.metrics.Gauge("serve.cache_bytes")
 	s.gSessions = s.metrics.Gauge("serve.sessions")
 	s.gInflight = s.metrics.Gauge("serve.inflight_queries")
 	s.gWALSeq = s.metrics.Gauge("durable.wal_seq")
@@ -471,11 +480,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleQuery serves reads. It never takes a session mutex: the goal
-// is matched against the snapshot that was current at admission time,
-// giving every query a consistent point-in-time view even while
-// updates land concurrently. Results are paginated and, when the cache
-// is enabled, memoized per snapshot generation.
+// handleQuery admits, decodes and parses a read; answer serves it.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.gate <- struct{}{}:
@@ -505,47 +510,57 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadGoal, "bad goal: %v", err)
 		return
 	}
+	s.answer(w, r, sess, goal, req, start)
+}
+
+// answer serves one parsed read. It never takes a session mutex: the
+// goal is matched against the snapshot that was current when it began,
+// giving every query a consistent point-in-time view even while
+// updates land concurrently. Results are paginated and, when the cache
+// is enabled, memoized per snapshot generation.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *session, goal ast.Atom, req QueryRequest, start time.Time) {
 	// One load: the reply's Seq names exactly the state it answers from.
 	pub := sess.snap.Load()
 	db := pub.db
 	if db == nil {
-		missingSession(w, name)
+		missingSession(w, sess.name)
 		return
 	}
 	gen := db.Generation()
 
-	key := goal.String()
-	var probes int
-	var indexed bool
-	rows, hit := sess.cache.get(key, gen)
-	if !hit {
-		tuples, pr, idx, err := querySnapshot(db, goal)
-		if err != nil {
+	// A hit is a map lookup and a write of bytes rendered once; a miss
+	// matches, and renders the whole result only when it can be cached —
+	// otherwise just the page asked for.
+	var m match
+	var err error
+	key := canonicalGoal(goal)
+	rows := sess.cache.get(key, gen)
+	hit := rows != nil
+	if hit {
+		sess.cacheHits.Add(1)
+		s.mCacheHits.Inc()
+		sess.cacheHitVec.Inc()
+		m.total = rows.len()
+	} else {
+		if m, err = querySnapshot(db, goal); err != nil {
 			writeErr(w, http.StatusBadRequest, CodeBadGoal, "query: %v", err)
 			return
 		}
-		probes, indexed = pr, idx
-		rows = make([][]string, 0, len(tuples))
-		for _, t := range tuples {
-			row := make([]string, len(t))
-			for i, term := range t {
-				row[i] = term.String()
-			}
-			rows = append(rows, row)
+		if m.built {
+			s.mIndexBuilds.Inc()
+			sess.wantIndex(goal.Pred, m.col)
 		}
 		if sess.cache != nil {
 			sess.cacheMisses.Add(1)
 			s.mCacheMisses.Inc()
-			s.vCache.With(sess.name, "miss").Inc()
-			if len(rows) <= MaxQueryLimit {
+			sess.cacheMissVec.Inc()
+			if m.total <= MaxQueryLimit {
+				rows = renderRows(m.tuples)
 				sess.cache.put(key, gen, rows)
 			}
 		}
-	} else {
-		sess.cacheHits.Add(1)
-		s.mCacheHits.Inc()
-		s.vCache.With(sess.name, "hit").Inc()
 	}
+	s.mQueryPath[m.path].Inc()
 
 	limit := req.Limit
 	if limit <= 0 {
@@ -562,30 +577,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	total := len(rows)
-	if offset > total {
-		offset = total
+	offset = min(offset, m.total)
+	end := min(offset+limit, m.total)
+	var page []byte
+	if rows != nil {
+		page = rows.page(offset, end)
+	} else {
+		page = renderRows(m.tuples[offset:end]).page(0, end-offset)
 	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	page := make([][]string, 0, end-offset)
-	page = append(page, rows[offset:end]...)
 
 	sess.queries.Add(1)
-	resp := QueryResponse{
-		Goal:       goal.String(),
-		Count:      len(page),
-		Total:      total,
-		Tuples:     page,
-		Generation: gen,
-		Cached:     hit,
-		Seq:        pub.seq,
-	}
-	if end < total {
-		resp.NextCursor = strconv.Itoa(end)
-	}
 	if s.cfg.SlowQuery > 0 && s.accessLog != nil {
 		if dur := time.Since(start); dur >= s.cfg.SlowQuery {
 			sess.statsMu.Lock()
@@ -600,15 +601,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				Generation: gen,
 				JoinMode:   s.cfg.JoinMode.String(),
 				DurMS:      float64(dur) / float64(time.Millisecond),
-				Total:      total,
+				Total:      m.total,
 				Cached:     hit,
-				Probes:     probes,
-				Indexed:    indexed,
+				Probes:     m.probes,
+				Indexed:    m.path == pathContains || m.path == pathIndex,
 				Rounds:     rounds,
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resp := QueryResponse{
+		Goal:       goal.String(),
+		Count:      end - offset,
+		Total:      m.total,
+		Generation: gen,
+		Cached:     hit,
+		Seq:        pub.seq,
+	}
+	if end < m.total {
+		resp.NextCursor = strconv.Itoa(end)
+	}
+	writeQueryReply(w, resp, page)
 }
 
 // handleChanges serves POST /v1/sessions/{name}/changes: adds and dels
@@ -753,20 +765,40 @@ func (s *Server) handleSessionDrop(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// querySnapshot matches a goal against an immutable snapshot. It is
-// strictly read-only — in particular it never builds a column index on
-// the shared relation (concurrent queries race otherwise), it only
-// uses one that already exists. Alongside the matching tuples it
-// reports how the match executed, for the slow-query log: probes is
-// the number of candidate tuples examined, indexed whether they came
-// from an existing column index (vs a full relation scan).
-func querySnapshot(db *storage.Database, goal ast.Atom) (tuples []storage.Tuple, probes int, indexed bool, err error) {
+// readPath names how a read was answered; serve.query_path counts
+// each. Only pathScan costs more than the answer.
+type readPath int
+
+const (
+	pathHit      readPath = iota // served from the query cache
+	pathContains                 // ground goal: one membership probe
+	pathIndex                    // a bound column: that column's hash index
+	pathScan                     // no bound column: a walk of the relation
+)
+
+var readPathNames = [...]string{"hit", "contains", "index", "scan"}
+
+// match is what querySnapshot found and what finding it cost.
+type match struct {
+	tuples []storage.Tuple // in relation order; may alias the relation's own slice
+	total  int             // len(tuples), or the cached result's row count on a hit
+	path   readPath
+	probes int  // candidate tuples examined
+	col    int  // pathIndex: the column probed
+	built  bool // pathIndex: this call built that column's index on the snapshot
+}
+
+// querySnapshot matches a goal against a published snapshot at a cost
+// proportional to the answer whenever the goal binds anything: a ground
+// goal is one membership probe, a goal with a constant probes that
+// column's hash index, and only a goal of nothing but variables walks
+// the relation. A bound column nobody has indexed yet is indexed here,
+// once, through storage's LookupShared — the one mutation a reader may
+// make to a snapshot other readers share.
+func querySnapshot(db *storage.Database, goal ast.Atom) (m match, err error) {
 	rel := db.Relation(goal.Pred)
-	if rel == nil {
-		return nil, 0, false, nil
-	}
-	if rel.Arity != len(goal.Args) {
-		return nil, 0, false, fmt.Errorf("%s has arity %d, goal has %d", goal.Pred, rel.Arity, len(goal.Args))
+	if rel != nil && rel.Arity != len(goal.Args) {
+		return m, fmt.Errorf("%s has arity %d, goal has %d", goal.Pred, rel.Arity, len(goal.Args))
 	}
 	// Lower the goal to value space once. Ground arguments the interner
 	// has never seen cannot match any stored tuple (and LookupTerm never
@@ -777,24 +809,32 @@ func querySnapshot(db *storage.Database, goal ast.Atom) (tuples []storage.Tuple,
 	}
 	specs := make([]colSpec, len(goal.Args))
 	firstOf := make(map[ast.Var]int)
+	bound, peers, known := 0, 0, true
 	for i, arg := range goal.Args {
 		specs[i] = colSpec{peer: -1}
 		if v, ok := arg.(ast.Var); ok {
 			if j, seen := firstOf[v]; seen {
 				specs[i].peer = j
+				peers++
 			} else {
 				firstOf[v] = i
 			}
 			continue
 		}
-		val, ok := storage.LookupTerm(arg)
-		if !ok {
-			return nil, 0, false, nil
-		}
-		specs[i].c = val
+		bound++
+		c, ok := storage.LookupTerm(arg)
+		specs[i].c, known = c, known && ok
 	}
-	var out []storage.Tuple
-	match := func(t storage.Tuple) {
+	m.path = pathIndex
+	if bound == len(specs) {
+		m.path = pathContains
+	} else if bound == 0 {
+		m.path = pathScan
+	}
+	if rel == nil || !known {
+		return m, nil
+	}
+	filter := func(t storage.Tuple) {
 		for i, sp := range specs {
 			if sp.c != storage.NoValue && t[i] != sp.c {
 				return
@@ -803,22 +843,65 @@ func querySnapshot(db *storage.Database, goal ast.Atom) (tuples []storage.Tuple,
 				return
 			}
 		}
-		out = append(out, t)
+		m.tuples = append(m.tuples, t)
 	}
-	for i, sp := range specs {
-		if sp.c == storage.NoValue {
+	switch m.path {
+	case pathContains:
+		t := make(storage.Tuple, len(specs))
+		for i, sp := range specs {
+			t[i] = sp.c
+		}
+		m.probes = 1
+		if rel.Contains(t) {
+			m.tuples = []storage.Tuple{t}
+		}
+	case pathIndex:
+		m.col = slices.IndexFunc(specs, func(sp colSpec) bool { return sp.c != storage.NoValue })
+		var positions []int
+		positions, m.built = rel.LookupShared(m.col, specs[m.col].c)
+		m.probes = len(positions)
+		m.tuples = make([]storage.Tuple, 0, len(positions))
+		for _, pos := range positions {
+			filter(rel.At(pos))
+		}
+	case pathScan:
+		m.probes = rel.Len()
+		if peers == 0 {
+			m.tuples = rel.Tuples() // every tuple matches: no copy
+		} else {
+			for _, t := range rel.Tuples() {
+				filter(t)
+			}
+		}
+	}
+	m.total = len(m.tuples)
+	return m, nil
+}
+
+// canonicalGoal is the cache key of goal: its predicate and arguments
+// with the variables numbered by first occurrence, so goals that differ
+// only in variable names share one entry while repeated variables stay
+// repeated. Every token is self-delimiting and "$" starts no constant
+// (one that prints with it is quoted), so distinct goals get distinct
+// keys.
+func canonicalGoal(goal ast.Atom) string {
+	b := make([]byte, 0, 64)
+	b = append(b, ast.QuoteName(goal.Pred)...)
+	var seen []ast.Var
+	for _, arg := range goal.Args {
+		b = append(b, ',')
+		v, ok := arg.(ast.Var)
+		if !ok {
+			b = append(b, arg.String()...)
 			continue
 		}
-		if positions, ok := rel.LookupNoBuild(i, sp.c); ok {
-			for _, pos := range positions {
-				match(rel.At(pos))
-			}
-			return out, len(positions), true, nil
+		n := slices.Index(seen, v)
+		if n < 0 {
+			n = len(seen)
+			seen = append(seen, v)
 		}
+		b = append(b, '$')
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	all := rel.Tuples()
-	for _, t := range all {
-		match(t)
-	}
-	return out, len(all), false, nil
+	return string(b)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/durable"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/planner"
 	"repro/internal/replicate"
@@ -115,11 +116,24 @@ type session struct {
 
 	cache *queryCache
 
+	// wanted is the set of (predicate, column) hash indexes reads have
+	// asked for: a miss that had to build one on its snapshot records it
+	// here, and publish keeps every wanted column built on the live
+	// relation from then on, where Insert/Remove maintain it in O(Δ). It
+	// only ever names columns of relations that exist (a reader records
+	// what it built, publish forgets what is gone), so it is bounded by
+	// the sum of their arities.
+	wantMu sync.Mutex
+	wanted map[colRef]struct{}
+
 	queries, changeReqs     atomic.Int64
 	incremental, recomputes atomic.Int64
 	batches, batchedWrites  atomic.Int64
 	maxBatch                atomic.Int64
 	cacheHits, cacheMisses  atomic.Int64
+	// serve.cache{session, event}, resolved once so a read does not
+	// rebuild the label key.
+	cacheHitVec, cacheMissVec *obs.Counter
 
 	// Durability state (nil dur = in-memory session). dur is only
 	// touched under mu. seq is the committer's own counter (WAL
@@ -186,6 +200,10 @@ func newSession(srv *Server, name string) *session {
 		queue:  make(chan *commitReq, srv.cfg.MaxPendingWrites),
 		closed: make(chan struct{}),
 		cache:  newQueryCache(srv.cfg.QueryCache, srv.mCacheEvicts, srv.vCache.With(name, "evict")),
+		wanted: map[colRef]struct{}{},
+
+		cacheHitVec:  srv.vCache.With(name, "hit"),
+		cacheMissVec: srv.vCache.With(name, "miss"),
 	}
 	sess.snap.Store(&published{})
 	go srv.committer(sess)
@@ -222,10 +240,39 @@ func (sess *session) enqueue(req *commitReq) error {
 	}
 }
 
+// colRef names one column of one relation.
+type colRef struct {
+	pred string
+	col  int
+}
+
+// wantIndex records that reads probe pred's column col.
+func (sess *session) wantIndex(pred string, col int) {
+	sess.wantMu.Lock()
+	sess.wanted[colRef{pred, col}] = struct{}{}
+	sess.wantMu.Unlock()
+}
+
 // publish makes the current authoritative database visible to readers
 // as a fresh copy-on-write snapshot, stamped with the sequence it is
-// the state at. Caller holds mu.
+// the state at — after making sure the live relations carry every index
+// reads have asked for, so the snapshot is born with them and no reader
+// of it builds one. A column is built here at most once per database:
+// from then on the writer maintains it. Caller holds mu.
 func (sess *session) publish() {
+	sess.wantMu.Lock()
+	for ref := range sess.wanted {
+		rel := sess.db.Relation(ref.pred)
+		if rel == nil || ref.col >= rel.Arity {
+			delete(sess.wanted, ref) // the program was replaced
+			continue
+		}
+		if _, have := rel.LookupNoBuild(ref.col, storage.NoValue); !have {
+			rel.EnsureIndex(ref.col)
+			sess.srv.mIndexBuilds.Inc()
+		}
+	}
+	sess.wantMu.Unlock()
 	sess.snap.Store(&published{db: sess.db.Snapshot(), seq: sess.seq.Load()})
 }
 
@@ -288,8 +335,8 @@ func (sess *session) stats() SessionStats {
 		CacheHits:      sess.cacheHits.Load(),
 		CacheMisses:    sess.cacheMisses.Load(),
 		CacheEvictions: sess.cache.evicted(),
-		CacheSize:      sess.cache.size(),
 	}
+	st.CacheSize, _ = sess.cache.size()
 	if p := sess.prog.Load(); p != nil {
 		st.Rules = p.rules
 		st.Optimized = p.optimized

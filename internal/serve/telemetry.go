@@ -174,13 +174,15 @@ type slowQueryRecord struct {
 // moment their freshness matters.
 func (s *Server) metricsSnapshot() *obs.MetricsSnapshot {
 	var depth int64
-	var cacheSize int64
+	var cacheSize, cacheBytes int64
 	var walSeq, ckptAge, lag, slots, slotDepth int64
 	now := time.Now().UnixNano()
 	sessions := s.allSessions()
 	for _, sess := range sessions {
 		depth += int64(len(sess.queue))
-		cacheSize += int64(sess.cache.size())
+		entries, bytes := sess.cache.size()
+		cacheSize += int64(entries)
+		cacheBytes += bytes
 		if sq := int64(sess.seq.Load()); sq > walSeq {
 			walSeq = sq
 		}
@@ -206,6 +208,7 @@ func (s *Server) metricsSnapshot() *obs.MetricsSnapshot {
 	}
 	s.gQueueDepth.Set(depth)
 	s.gCacheSize.Set(cacheSize)
+	s.gCacheBytes.Set(cacheBytes)
 	s.gSessions.Set(int64(len(sessions)))
 	s.gInflight.Set(int64(len(s.gate)))
 	s.gWALSeq.Set(walSeq)

@@ -68,6 +68,23 @@ func BenchmarkLookupNoBuild(b *testing.B) {
 	_ = n
 }
 
+// BenchmarkEnsureIndex builds one column index over a relation shaped
+// like a transitive closure: many tuples, few distinct values a column.
+func BenchmarkEnsureIndex(b *testing.B) {
+	r := NewRelation("tc", 2)
+	for i := int64(0); i < 100000; i++ {
+		r.Insert(Tuple{InternInt(i % 800), InternInt(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.colIndex[0].Store(nil)
+		if len(r.EnsureIndex(0)) != 800 {
+			b.Fatal("index lost values")
+		}
+	}
+}
+
 func BenchmarkEnsureSortedBuild(b *testing.B) {
 	ts := benchTuples(4096)
 	perm := []int{0, 1}

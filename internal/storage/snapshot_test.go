@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ast"
@@ -217,6 +218,15 @@ func TestSnapshotOfSnapshotAndDetachChain(t *testing.T) {
 	s1 := db.Snapshot()
 	db.Add("p", ast.Sym("b")) // detaches live p
 	s2 := db.Snapshot()
+	// A reader indexes s2's view; the live relation it was taken from
+	// must not see that index, and s2 must keep it through everything
+	// that follows.
+	if _, built := s2.Relation("p").LookupShared(0, Intern(ast.Sym("b"))); !built {
+		t.Fatal("first LookupShared on a fresh view did not build")
+	}
+	if cols := db.Relation("p").IndexedColumns(); len(cols) != 0 {
+		t.Fatalf("a reader's index on a view leaked to the live relation: columns %v", cols)
+	}
 	db.Add("p", ast.Sym("c"))
 	for i, tc := range []struct {
 		db   *Database
@@ -226,10 +236,72 @@ func TestSnapshotOfSnapshotAndDetachChain(t *testing.T) {
 			t.Fatalf("view %d: count = %d, want %d", i, got, tc.want)
 		}
 	}
-	// A snapshot is itself snapshottable (it is just a Database).
+	// A snapshot is itself snapshottable (it is just a Database), and
+	// the copy is born with the reader-built index.
 	s3 := s2.Snapshot()
 	if s3.Count("p") != 2 {
 		t.Fatalf("snapshot of snapshot count = %d, want 2", s3.Count("p"))
+	}
+	two := append([]Tuple(nil), s2.Relation("p").Tuples()...)
+	checkIndexed(t, "snapshot of an indexed snapshot", s3.Relation("p"), two, []int{0})
+	// Writing to the copy detaches it: it maintains its own index and
+	// leaves the one s2's readers share untouched.
+	s3.Add("p", ast.Sym("d"))
+	s3.Remove("p", ast.Sym("a"))
+	checkIndexed(t, "detached snapshot of a snapshot", s3.Relation("p"), s3.Relation("p").Tuples(), []int{0})
+	checkIndexed(t, "indexed snapshot after its copy moved on", s2.Relation("p"), two, []int{0})
+	checkIndexed(t, "oldest snapshot", s1.Relation("p"), two[:1], nil)
+}
+
+// TestLookupSharedBuildsOnce: readers that miss the same column of one
+// fresh snapshot together cause exactly one build, and every one of
+// them gets the complete answer. Run with -race: the index is published
+// to readers that take no lock.
+func TestLookupSharedBuildsOnce(t *testing.T) {
+	db := NewDatabase()
+	for i := int64(0); i < 20000; i++ {
+		db.AddTuple("e", itup(i%50, i))
+	}
+	for round := 0; round < 5; round++ {
+		rel := db.Snapshot().Relation("e")
+		want := scanIndex(rel.Tuples(), 0)
+		const readers = 16
+		var builds atomic.Int32
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for g := 0; g < readers; g++ {
+			done.Add(1)
+			go func(g int) {
+				defer done.Done()
+				start.Wait()
+				for k := 0; k < 50; k++ {
+					v := InternInt(int64((g + k) % 50))
+					got, built := rel.LookupShared(0, v)
+					if built {
+						builds.Add(1)
+					}
+					if !reflect.DeepEqual(got, want[v]) {
+						t.Errorf("reader %d: LookupShared(0, %v) = %d positions, a scan finds %d", g, v, len(got), len(want[v]))
+						return
+					}
+					if noBuild, ok := rel.LookupNoBuild(0, v); !ok || !reflect.DeepEqual(noBuild, got) {
+						t.Errorf("reader %d: LookupNoBuild disagrees with LookupShared after the build", g)
+						return
+					}
+				}
+			}(g)
+		}
+		start.Done()
+		done.Wait()
+		if n := builds.Load(); n != 1 {
+			t.Fatalf("round %d: %d readers missing one column built it %d times, want 1", round, readers, n)
+		}
+		if cols := rel.IndexedColumns(); !reflect.DeepEqual(cols, []int{0}) {
+			t.Fatalf("IndexedColumns = %v, want the reader-built [0]", cols)
+		}
+		if cols := db.Relation("e").IndexedColumns(); len(cols) != 0 {
+			t.Fatalf("live relation gained columns %v from its snapshot's readers", cols)
+		}
 	}
 }
 
@@ -299,7 +371,7 @@ func checkIndexed(t *testing.T, what string, r *Relation, tuples []Tuple, indexe
 		}
 		// Every scanned value matched; equal sizes leave no room for a
 		// stale or emptied list.
-		if got := len(r.colIndex[col]); got != len(want) {
+		if got := len(r.EnsureIndex(col)); got != len(want) {
 			t.Fatalf("%s: column %d index has %d keys, %d distinct values", what, col, got, len(want))
 		}
 	}

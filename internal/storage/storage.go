@@ -13,11 +13,15 @@
 // maintained incrementally afterwards; sorted indexes catch up to
 // appended tuples by merging (never a full rebuild).
 //
-// Concurrency discipline: relations have no internal locking. A
-// relation has one writer at a time (the evaluation engine, or the
-// service's committer under the session mutex); published snapshots
-// are shared between reader goroutines, which probe only through the
-// read-only paths (Contains, Tuples, At, LookupNoBuild).
+// Concurrency discipline: a relation has one writer at a time (the
+// evaluation engine, or the service's committer under the session
+// mutex); published snapshots are shared between reader goroutines,
+// which probe only through the read-only paths (Contains, Tuples, At,
+// LookupNoBuild) and LookupShared. LookupShared is the one way a reader
+// may add to a shared view: it builds a missing column index off to the
+// side, under the view's build mutex, and publishes the finished map
+// with one atomic store — other readers see no index or a complete one,
+// and nothing they could already see is ever written.
 // EnsureIndex/Lookup/EnsureSorted mutate the relation on first use and
 // must only be called while the relation is not shared.
 package storage
@@ -27,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ast"
@@ -375,9 +380,15 @@ type Relation struct {
 
 	tuples []Tuple
 	index  tupleIndex
-	// colIndex[i] maps a column-i value to the positions of tuples
-	// holding it; nil until EnsureIndex(i) is called.
-	colIndex []map[Value][]int
+	// colIndex[i] maps a column-i value to the ascending positions of
+	// tuples holding it; nil until the column is first indexed. A slot is
+	// an atomic pointer because readers of a shared snapshot view fill
+	// empty slots (LookupShared); the writer of an unshared relation
+	// pays one uncontended load per access.
+	colIndex []atomic.Pointer[columnIndex]
+	// buildMu serializes LookupShared's builds, so concurrent readers
+	// that miss the same column build it once.
+	buildMu sync.Mutex
 	// sorted holds the columnar sorted indexes by column-permutation
 	// signature; nil until EnsureSorted is called. Entries are immutable
 	// objects — catch-up replaces an entry with a freshly merged one, so
@@ -405,18 +416,17 @@ func (r *Relation) detach() {
 	copy(tuples, r.tuples)
 	r.tuples = tuples
 	r.index = r.index.clone()
-	colIndex := make([]map[Value][]int, len(r.colIndex))
-	for i, idx := range r.colIndex {
+	for i := range r.colIndex {
+		idx := r.colIndex[i].Load()
 		if idx == nil {
 			continue
 		}
-		ci := make(map[Value][]int, len(idx))
-		for v, positions := range idx {
+		ci := make(columnIndex, len(*idx))
+		for v, positions := range *idx {
 			ci[v] = append([]int(nil), positions...)
 		}
-		colIndex[i] = ci
+		r.colIndex[i].Store(&ci)
 	}
-	r.colIndex = colIndex
 	// Sorted indexes are immutable; a private map over the shared
 	// objects suffices (catch-up installs new objects into it).
 	r.sorted = copySortedMap(r.sorted)
@@ -440,8 +450,10 @@ func copySortedMap(m map[string]*SortedIndex) map[string]*SortedIndex {
 // concurrent readers need no locking.
 func (r *Relation) snapshotRef() *Relation {
 	r.cow = true
-	ci := make([]map[Value][]int, len(r.colIndex))
-	copy(ci, r.colIndex)
+	ci := make([]atomic.Pointer[columnIndex], len(r.colIndex))
+	for i := range ci {
+		ci[i].Store(r.colIndex[i].Load())
+	}
 	return &Relation{
 		Name: r.Name, Arity: r.Arity,
 		tuples: r.tuples, index: r.index, colIndex: ci,
@@ -454,7 +466,7 @@ func NewRelation(name string, arity int) *Relation {
 	return &Relation{
 		Name:     name,
 		Arity:    arity,
-		colIndex: make([]map[Value][]int, arity),
+		colIndex: make([]atomic.Pointer[columnIndex], arity),
 	}
 }
 
@@ -479,9 +491,9 @@ func (r *Relation) InsertHashed(t Tuple, h uint64) bool {
 	pos := len(r.tuples)
 	r.index.add(r.tuples, t, h, pos)
 	r.tuples = append(r.tuples, t)
-	for col, idx := range r.colIndex {
-		if idx != nil {
-			idx[t[col]] = append(idx[t[col]], pos)
+	for col := range r.colIndex {
+		if idx := r.colIndex[col].Load(); idx != nil {
+			(*idx)[t[col]] = append((*idx)[t[col]], pos)
 		}
 	}
 	if r.stats != nil {
@@ -510,9 +522,9 @@ func (r *Relation) Remove(t Tuple) bool {
 	last := len(r.tuples) - 1
 	moved := r.tuples[last]
 	r.tuples = r.index.removeAt(r.tuples, pos)
-	for col, idx := range r.colIndex {
-		if idx != nil {
-			unindexSwap(idx, t[col], moved[col], pos, last)
+	for col := range r.colIndex {
+		if idx := r.colIndex[col].Load(); idx != nil {
+			unindexSwap(*idx, t[col], moved[col], pos, last)
 		}
 	}
 	r.sorted = nil
@@ -559,23 +571,66 @@ func (r *Relation) Contains(t Tuple) bool { return r.index.contains(r.tuples, t,
 // Tuples returns the backing slice (callers must not mutate it).
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
+// columnIndex is one column's hash index: value → ascending positions.
+type columnIndex = map[Value][]int
+
+// buildColumnIndex scans tuples into the index of column col at its
+// exact size. The first pass numbers the distinct values and counts
+// them, touching the hash table once per tuple; the second is pure
+// array work, filling every position list inside one backing array.
+// Each list's capacity is clipped to its length, so a later append to
+// one list reallocates it instead of running into its neighbour.
+func buildColumnIndex(tuples []Tuple, col int) columnIndex {
+	ids := make(map[Value]int32)
+	idOf := make([]int32, len(tuples)) // tuple position → its value's number
+	var vals []Value                   // number → value
+	var ends []int                     // number → count, then end of its list
+	for pos, t := range tuples {
+		id, ok := ids[t[col]]
+		if !ok {
+			id = int32(len(vals))
+			ids[t[col]] = id
+			vals = append(vals, t[col])
+			ends = append(ends, 0)
+		}
+		idOf[pos] = id
+		ends[id]++
+	}
+	sum := 0
+	for id, n := range ends {
+		sum += n
+		ends[id] = sum - n // start of the list; advanced to its end below
+	}
+	backing := make([]int, len(tuples))
+	for pos, id := range idOf {
+		backing[ends[id]] = pos
+		ends[id]++
+	}
+	idx := make(columnIndex, len(vals))
+	start := 0
+	for id, v := range vals {
+		idx[v] = backing[start:ends[id]:ends[id]]
+		start = ends[id]
+	}
+	return idx
+}
+
 // EnsureIndex builds (if needed) and returns the hash index on column
-// col. It mutates the relation on first use.
+// col. It mutates the relation on first use, so it is for a relation's
+// one writer; readers of a shared view use LookupShared.
 //
 // Building a missing index is safe on a copy-on-write relation without
 // detaching: the colIndex slice itself is never shared (snapshotRef
-// copies the slice header), and a freshly built map mutates nothing the
+// makes the view its own), and a freshly built map mutates nothing the
 // other side can see. Only in-place updates of existing inner maps
 // (Insert, and Remove's position renumbering) require detach.
 func (r *Relation) EnsureIndex(col int) map[Value][]int {
-	if r.colIndex[col] == nil {
-		idx := make(map[Value][]int)
-		for pos, t := range r.tuples {
-			idx[t[col]] = append(idx[t[col]], pos)
-		}
-		r.colIndex[col] = idx
+	if idx := r.colIndex[col].Load(); idx != nil {
+		return *idx
 	}
-	return r.colIndex[col]
+	idx := buildColumnIndex(r.tuples, col)
+	r.colIndex[col].Store(&idx)
+	return idx
 }
 
 // Lookup returns the positions of tuples whose column col equals v,
@@ -589,23 +644,45 @@ func (r *Relation) Lookup(col int, v Value) []int {
 // not been built. It never mutates the relation, so concurrent readers
 // of a published snapshot may call it.
 func (r *Relation) LookupNoBuild(col int, v Value) (positions []int, ok bool) {
-	idx := r.colIndex[col]
+	idx := r.colIndex[col].Load()
 	if idx == nil {
 		return nil, false
 	}
-	return idx[v], true
+	return (*idx)[v], true
+}
+
+// LookupShared is Lookup for the concurrent readers of a published
+// snapshot view: a missing index is built once, however many readers
+// miss it together, and published with one atomic store, so a reader
+// sees no index or a complete one. built reports that this call did the
+// build. The index lives on this view only — the live relation the view
+// was taken from never sees it (the service asks the writer to keep the
+// column from its next publish on; see serve's session.publish).
+func (r *Relation) LookupShared(col int, v Value) (positions []int, built bool) {
+	idx := r.colIndex[col].Load()
+	if idx == nil {
+		r.buildMu.Lock()
+		if idx = r.colIndex[col].Load(); idx == nil {
+			m := buildColumnIndex(r.tuples, col)
+			idx, built = &m, true
+			r.colIndex[col].Store(idx)
+		}
+		r.buildMu.Unlock()
+	}
+	return (*idx)[v], built
 }
 
 // At returns the tuple at position pos.
 func (r *Relation) At(pos int) Tuple { return r.tuples[pos] }
 
-// IndexedColumns returns the columns that currently have a hash index,
-// in ascending order. Observability only: stats reports use it to show
+// IndexedColumns returns the columns that currently have a hash index
+// (whoever built it: the writer, or a reader of this view), in
+// ascending order. Observability only: stats reports use it to show
 // which probe paths a run had available.
 func (r *Relation) IndexedColumns() []int {
 	var cols []int
-	for i, idx := range r.colIndex {
-		if idx != nil {
+	for i := range r.colIndex {
+		if r.colIndex[i].Load() != nil {
 			cols = append(cols, i)
 		}
 	}
@@ -781,7 +858,7 @@ func (db *Database) RemoveTuple(pred string, t Tuple) bool {
 // relations) operation that shares every relation's backing storage
 // with the live database. The snapshot is immutable by contract and
 // safe for concurrent lock-free reads (Contains, Tuples, At,
-// LookupNoBuild, Sorted, String); the live database stays fully
+// LookupNoBuild, LookupShared, Sorted, String); the live database stays fully
 // mutable — its first mutation of each shared relation detaches a
 // private deep copy, leaving the snapshot's view frozen at its tuple
 // count as of this call. The long-running service publishes one
