@@ -82,6 +82,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRanksRoundTrip: 'K' records carry each predicate's ranked
+// tuples in the order given, and a frame written in place is the bytes
+// appendFrame writes for the same payload.
+func TestSnapshotRanksRoundTrip(t *testing.T) {
+	snap := testSnapshot(9)
+	snap.Meta.HasRanks = true
+	snap.Ranks = map[string][]RankedTuple{
+		"tc":  {{T: tup("a", "c"), Rank: 7}, {T: tup("a", "b"), Rank: 300}},
+		"num": {{T: tup(-7), Rank: 1}},
+	}
+	b, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Meta.HasRanks || !reflect.DeepEqual(got.Ranks, snap.Ranks) {
+		t.Fatalf("ranks = %v (has_ranks %v), want %v", got.Ranks, got.Meta.HasRanks, snap.Ranks)
+	}
+	if b2, err := EncodeSnapshot(got); err != nil || !bytes.Equal(b, b2) {
+		t.Fatalf("re-encoding the decoded snapshot changed its bytes (%v)", err)
+	}
+
+	payload := []byte("K\x02tc payload")
+	inPlace := appendFrameWith([]byte("prefix"), func(b []byte) []byte { return append(b, payload...) })
+	if want := appendFrame([]byte("prefix"), payload); !bytes.Equal(inPlace, want) {
+		t.Fatalf("frame written in place = %x, want %x", inPlace, want)
+	}
+}
+
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	good, err := EncodeSnapshot(testSnapshot(1))
 	if err != nil {

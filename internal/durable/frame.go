@@ -37,6 +37,19 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// appendFrameWith appends one frame whose payload body writes straight
+// into dst: the header is reserved first and backfilled with the
+// payload's length and CRC, so a large payload is never built on the
+// side and copied in. The bytes equal appendFrame's.
+func appendFrameWith(dst []byte, body func([]byte) []byte) []byte {
+	at := len(dst)
+	dst = body(append(dst, make([]byte, 8)...))
+	payload := dst[at+8:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
 // AppendFrame exposes the durable frame encoding (u32 LE length, u32 LE
 // CRC-32, payload) for other transports — the replication stream ships
 // the exact framing the WAL uses on disk.

@@ -83,10 +83,7 @@ type Meta struct {
 
 // RankedTuple is one derived tuple with its derivation layer, the unit
 // of the snapshot's rank records.
-type RankedTuple struct {
-	T    storage.Tuple
-	Rank uint32
-}
+type RankedTuple = storage.RankedTuple
 
 // Snapshot is one decoded checkpoint: the session meta, the full
 // database at fixpoint (EDB and materialized IDB), and the frozen seed
@@ -123,14 +120,16 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 
 	records := 0
 	encodeRel := func(flag byte, rel *storage.Relation) {
-		payload := []byte{recRelation, flag}
-		payload = appendString(payload, rel.Name)
-		payload = binary.AppendUvarint(payload, uint64(rel.Arity))
-		payload = binary.AppendUvarint(payload, uint64(rel.Len()))
-		for _, t := range rel.Tuples() {
-			payload = appendTuple(payload, t)
-		}
-		out = appendFrame(out, payload)
+		out = appendFrameWith(out, func(b []byte) []byte {
+			b = append(b, recRelation, flag)
+			b = appendString(b, rel.Name)
+			b = binary.AppendUvarint(b, uint64(rel.Arity))
+			b = binary.AppendUvarint(b, uint64(rel.Len()))
+			for _, t := range rel.Tuples() {
+				b = appendTuple(b, t)
+			}
+			return b
+		})
 		records++
 	}
 	for _, p := range snap.DB.Preds() {
@@ -154,15 +153,17 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 	sort.Strings(rankNames)
 	for _, p := range rankNames {
 		rts := snap.Ranks[p]
-		payload := []byte{recRanks}
-		payload = appendString(payload, p)
-		payload = binary.AppendUvarint(payload, uint64(len(rts[0].T)))
-		payload = binary.AppendUvarint(payload, uint64(len(rts)))
-		for _, rt := range rts {
-			payload = appendTuple(payload, rt.T)
-			payload = binary.AppendUvarint(payload, uint64(rt.Rank))
-		}
-		out = appendFrame(out, payload)
+		out = appendFrameWith(out, func(b []byte) []byte {
+			b = append(b, recRanks)
+			b = appendString(b, p)
+			b = binary.AppendUvarint(b, uint64(len(rts[0].T)))
+			b = binary.AppendUvarint(b, uint64(len(rts)))
+			for _, rt := range rts {
+				b = appendTuple(b, rt.T)
+				b = binary.AppendUvarint(b, uint64(rt.Rank))
+			}
+			return b
+		})
 		records++
 	}
 

@@ -118,7 +118,7 @@ type Engine struct {
 	// rankSink, when non-nil, observes every successful insert of a
 	// derived tuple together with the 1-based fixpoint round of its
 	// stratum (see SetRankSink).
-	rankSink func(pred string, t storage.Tuple, layer int)
+	rankSink func(rel *storage.Relation, pos int, layer int)
 
 	// cost, when non-nil, refines plan-time estimates (see SetCostModel
 	// in cost.go): body ordering prefers its selectivities and the
@@ -156,14 +156,15 @@ func (e *Engine) UseNaive() { e.naive = true }
 func (e *Engine) SetJoinMode(m JoinMode) { e.joinMode = m }
 
 // SetRankSink attaches a derivation-layer observer: sink is called once
-// for every derived tuple that is actually inserted, with the 1-based
-// round of its stratum's fixpoint at which it first appeared (round-0
-// derivations report layer 1; layer 0 is reserved for program-stated
-// seed facts, which never pass through the sink). The recorded layers
-// are the rank stratification the Z-set maintenance path
-// (ApplyZSetContext) relies on: a tuple first inserted at layer k has a
-// derivation whose same-component body tuples all have layers < k.
-func (e *Engine) SetRankSink(sink func(pred string, t storage.Tuple, layer int)) {
+// for every derived tuple that is actually inserted, with the relation
+// and position it landed at and the 1-based round of its stratum's
+// fixpoint at which it first appeared (round-0 derivations report layer
+// 1; layer 0 is reserved for program-stated seed facts, which never
+// pass through the sink). The recorded layers are the rank
+// stratification the Z-set maintenance path (ApplyZSetContext) relies
+// on: a tuple first inserted at layer k has a derivation whose
+// same-component body tuples all have layers < k.
+func (e *Engine) SetRankSink(sink func(rel *storage.Relation, pos int, layer int)) {
 	e.rankSink = sink
 }
 
@@ -509,7 +510,7 @@ func (e *Engine) fire(cr *compiledRule, plan *compiled, delta []storage.Tuple, o
 		if cr.headRel.InsertHashed(t, h) {
 			st.Inserted++
 			if e.rankSink != nil {
-				e.rankSink(cr.headPred, t, int(e.cur.Rounds))
+				e.rankSink(cr.headRel, cr.headRel.Len()-1, int(e.cur.Rounds))
 			}
 			onNew(t, h)
 		} else {

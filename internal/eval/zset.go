@@ -31,17 +31,17 @@ import (
 //
 // where C[t] holds the tuples derivable within t rule applications
 // (layer 0 is reserved for program-stated seed facts). Every stored
-// tuple carries its layer (its rank) in a ZState. Because layer t
-// depends only on layer t−1 — never on itself — membership within a
-// layer is decidable by a single exact support check, with no
-// iteration: a tuple belongs to C'[t] iff some rule grounding derives
-// it whose same-component body tuples all have rank < t. That
-// well-foundedness is what makes signed weights sound under recursion,
-// and it is why the DRed over-delete cone disappears: a deletion
-// never speculatively retracts a derivation cone; it revisits exactly
-// the tuples whose support sets it touched, at exactly the layer where
-// their membership is decided, and removes only what the support
-// check refutes.
+// tuple carries its layer (its rank) in its relation's rank column (see
+// ZState). Because layer t depends only on layer t−1 — never on itself
+// — membership within a layer is decidable by a single exact support
+// check, with no iteration: a tuple belongs to C'[t] iff some rule
+// grounding derives it whose same-component body tuples all have rank
+// < t. That well-foundedness is what makes signed weights sound under
+// recursion, and it is why the DRed over-delete cone disappears: a
+// deletion never speculatively retracts a derivation cone; it revisits
+// exactly the tuples whose support sets it touched, at exactly the
+// layer where their membership is decided, and removes only what the
+// support check refutes.
 //
 // The sweep processes layers in ascending order. Work is proportional
 // to the tuples whose support actually changed (plus the one-step
@@ -50,26 +50,30 @@ import (
 // and re-derives.
 
 // ZState is the persistent layer (rank) assignment that makes weighted
-// maintenance well-founded. It maps every *derived* tuple to the
-// fixpoint layer at which it was first derived; tuples present in a
-// relation but absent from the state are program-stated seed facts,
-// which rank as layer 0 and are never retracted by maintenance.
+// maintenance well-founded. The ranks themselves live in the relations,
+// as a column beside the tuples (storage.Relation.Rank/SetRank): every
+// *derived* tuple carries the fixpoint layer at which it was first
+// derived, and an unranked tuple (rank 0) is a program-stated seed
+// fact, never retracted by maintenance. The state itself is the rank
+// counter and the set of relations it has ranked, which is what Export
+// walks.
 //
 // A ZState is valid only when it was recorded by a from-scratch
-// fixpoint (Engine.SetRankSink during Run) or maintained by
-// ApplyZSetContext ever since. Mutating the database through any other
-// path invalidates it; rebuild by re-running the fixpoint.
+// fixpoint (Engine.SetRankSink during Run), installed from an export
+// (InstallRanks), or maintained by ApplyZSetContext ever since, always
+// on the same database. Mutating the database through any other path
+// invalidates it; rebuild by re-running the fixpoint.
 type ZState struct {
-	ranks map[string]map[string]uint32
-	next  uint32
+	rels map[*storage.Relation]struct{}
+	next uint32
 }
 
 // NewZState returns an empty rank state.
 func NewZState() *ZState {
-	return &ZState{ranks: make(map[string]map[string]uint32)}
+	return &ZState{rels: make(map[*storage.Relation]struct{})}
 }
 
-// Record notes that tuple t of pred was first derived. It has the
+// Record ranks the tuple just derived at rel's position pos. It has the
 // signature Engine.SetRankSink expects, but deliberately ignores the
 // engine-reported round: semi-naive evaluation inserts derived tuples
 // into their relations mid-round, so a chain of derivations can land
@@ -79,107 +83,51 @@ func NewZState() *ZState {
 // itself is inserted — so Record assigns a monotone counter. Ranks
 // need not be minimal; the sweep only relies on each derived tuple
 // outranking the same-component partners of at least one grounding.
-func (z *ZState) Record(pred string, t storage.Tuple, _ int) {
-	m := z.ranks[pred]
-	if m == nil {
-		m = make(map[string]uint32)
-		z.ranks[pred] = m
-	}
-	z.next++
-	m[t.Key()] = z.next
+func (z *ZState) Record(rel *storage.Relation, pos int, _ int) {
+	z.set(rel, pos, z.next+1)
 }
 
-// Reset drops all rank assignments.
-func (z *ZState) Reset() {
-	z.ranks = make(map[string]map[string]uint32)
-	z.next = 0
-}
-
-// Len counts ranked tuples across all predicates.
-func (z *ZState) Len() int {
-	n := 0
-	for _, m := range z.ranks {
-		n += len(m)
-	}
-	return n
-}
-
-// Clone deep-copies the state — the commit pipeline snapshots it
-// alongside the database so a failed batch can roll both back.
-func (z *ZState) Clone() *ZState {
-	out := NewZState()
-	out.next = z.next
-	for p, m := range z.ranks {
-		mm := make(map[string]uint32, len(m))
-		for k, r := range m {
-			mm[k] = r
-		}
-		out.ranks[p] = mm
-	}
-	return out
-}
-
-// RankedTuple pairs a derived tuple with its layer, for moving rank
-// state across process boundaries (checkpoints, replication
-// bootstrap).
-type RankedTuple struct {
-	T    storage.Tuple
-	Rank uint32
-}
-
-// Export renders the rank state as real tuples per predicate, in
-// deterministic (key) order, so it can be persisted alongside the
-// database it certifies. Interned keys decode back to tuples because
-// the encoding is fixed-width per column.
-func (z *ZState) Export() map[string][]RankedTuple {
-	out := make(map[string][]RankedTuple, len(z.ranks))
-	for p, m := range z.ranks {
-		if len(m) == 0 {
-			continue
-		}
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		rts := make([]RankedTuple, len(keys))
-		for i, k := range keys {
-			rts[i] = RankedTuple{T: storage.TupleOfKey(k), Rank: m[k]}
-		}
-		out[p] = rts
-	}
-	return out
-}
-
-// Install seeds one exported rank into the state (the inverse of
-// Export, used when a checkpointed fixpoint is reinstated). The next
-// counter stays above every installed rank, so later Record calls
-// keep outranking the restored tuples.
-func (z *ZState) Install(pred string, t storage.Tuple, rank uint32) {
-	z.set(pred, t.Key(), rank)
-}
-
-func (z *ZState) rankOf(pred, key string) (uint32, bool) {
-	r, ok := z.ranks[pred][key]
-	return r, ok
-}
-
-func (z *ZState) set(pred, key string, r uint32) {
-	m := z.ranks[pred]
-	if m == nil {
-		m = make(map[string]uint32)
-		z.ranks[pred] = m
-	}
+// set writes rank r at rel's position pos, keeping the counter at or
+// above every rank written, so later Record calls outrank it.
+func (z *ZState) set(rel *storage.Relation, pos int, r uint32) {
+	z.rels[rel] = struct{}{}
 	if r > z.next {
 		z.next = r
 	}
-	m[key] = r
+	rel.SetRank(pos, r)
 }
 
-func (z *ZState) drop(pred, key string) {
-	if m := z.ranks[pred]; m != nil {
-		delete(m, key)
+// Export renders the rank state per predicate, each relation's ranked
+// tuples in relation order, so it can be persisted alongside the
+// database it certifies.
+func (z *ZState) Export() map[string][]storage.RankedTuple {
+	out := make(map[string][]storage.RankedTuple, len(z.rels))
+	for rel := range z.rels {
+		if rts := rel.Ranked(); len(rts) > 0 {
+			out[rel.Name] = rts
+		}
 	}
+	return out
+}
+
+// InstallRanks is the inverse of Export: it writes exported ranks into
+// db's relations (a decoded checkpoint's ranks into its decoded
+// database) and returns the state that certifies them. A ranked tuple
+// db does not hold is skipped.
+func InstallRanks(db *storage.Database, ranks map[string][]storage.RankedTuple) *ZState {
+	z := NewZState()
+	for p, rts := range ranks {
+		rel := db.Relation(p)
+		if rel == nil {
+			continue
+		}
+		for _, rt := range rts {
+			if pos, _ := rel.Rank(rt.T); pos >= 0 {
+				z.set(rel, pos, rt.Rank)
+			}
+		}
+	}
+	return z
 }
 
 // ApplyZSetContext applies one mixed batch of EDB changes — a Z-set
@@ -280,9 +228,10 @@ func (e *Engine) ApplyZSetContext(ctx context.Context, zs *ZState, changes map[s
 }
 
 // zPartner resolves one same-component positive body literal of a
-// compiled plan back to a tuple, so emitted groundings can be ranked.
+// compiled plan back to a tuple of its live relation, so emitted
+// groundings can be ranked.
 type zPartner struct {
-	pred string
+	rel  *storage.Relation
 	refs []argRef
 }
 
@@ -443,18 +392,6 @@ func (w *zsweep) noteOut(pred string, t storage.Tuple, wgt int64) {
 	z.Add(t, wgt)
 }
 
-// effRank ranks a partner tuple for grounding validity: seed facts
-// (present, unranked) are layer 0; removed tuples are invalid.
-func (w *zsweep) effRank(pred string, t storage.Tuple) (uint32, bool) {
-	if r, ok := w.zs.rankOf(pred, t.Key()); ok {
-		return r, true
-	}
-	if rel := w.e.db.Relation(pred); rel != nil && rel.Contains(t) {
-		return 0, true // pinned program seed
-	}
-	return 0, false
-}
-
 // groundingLayer computes the first layer at which an emitted grounding
 // is a valid support: 1 + the maximum rank among its same-component
 // body tuples (extra folds in the rank of the delta tuple that fired
@@ -463,9 +400,11 @@ func (w *zsweep) effRank(pred string, t storage.Tuple) (uint32, bool) {
 func (w *zsweep) groundingLayer(partners []zPartner, fr frame, extra uint32) (uint32, bool) {
 	max := extra
 	for i := range partners {
+		// Seed facts (present, unranked) are layer 0; a removed partner
+		// voids the grounding.
 		p := &partners[i]
-		r, ok := w.effRank(p.pred, p.tuple(fr))
-		if !ok {
+		pos, r := p.rel.Rank(p.tuple(fr))
+		if pos < 0 {
 			return 0, false
 		}
 		if r > max {
@@ -591,13 +530,9 @@ func (w *zsweep) fireDel(occs []*zOcc, ts []storage.Tuple, extra, cur uint32, pr
 		err := w.e.runCompiled(occ.delPlan, ts, nil, &st, func(fr frame) error {
 			st.Derived++
 			h := occ.delPlan.headTuple(fr)
-			key := h.Key()
-			if !headRel.Contains(h) {
-				return nil
-			}
-			r, ranked := w.zs.rankOf(occ.headPred, key)
-			if !ranked {
-				return nil // program seed, never retracted
+			pos, r := headRel.Rank(h)
+			if pos < 0 || r == 0 {
+				return nil // absent, or a program seed: never retracted
 			}
 			if !preSweep && r <= cur {
 				return nil // settled layer: membership already final
@@ -630,10 +565,9 @@ func (w *zsweep) process(cand zcand, t uint32) error {
 	if rel == nil {
 		return nil
 	}
-	key := cand.t.Key()
-	present := rel.Contains(cand.t)
-	r, ranked := w.zs.rankOf(cand.pred, key)
-	if present && !ranked {
+	pos, r := rel.Rank(cand.t)
+	present := pos >= 0
+	if present && r == 0 {
 		return nil // pinned program seed
 	}
 	if present && r < t {
@@ -650,7 +584,7 @@ func (w *zsweep) process(cand zcand, t uint32) error {
 		if minL > t {
 			minL = t
 		}
-		w.zs.set(cand.pred, key, minL)
+		w.zs.set(rel, rel.Len()-1, minL)
 		w.noteOut(cand.pred, cand.t, 1)
 		return w.fireAdd(w.occs[cand.pred], []storage.Tuple{cand.t}, minL)
 	case !present && !ok:
@@ -660,7 +594,7 @@ func (w *zsweep) process(cand zcand, t uint32) error {
 		return nil
 	case ok: // present, supported at ≤ t
 		if minL < r {
-			w.zs.set(cand.pred, key, minL)
+			w.zs.set(rel, pos, minL)
 			return w.fireAdd(w.occs[cand.pred], []storage.Tuple{cand.t}, minL)
 		}
 		return nil
@@ -668,8 +602,7 @@ func (w *zsweep) process(cand zcand, t uint32) error {
 		if r != t {
 			return nil // only a rank-decrease probe failed; membership is decided at r
 		}
-		rel.Remove(cand.t)
-		w.zs.drop(cand.pred, key)
+		rel.Remove(cand.t) // its rank leaves with it
 		w.noteOut(cand.pred, cand.t, -1)
 		for _, g := range future {
 			w.schedule(cand.pred, cand.t, g)
@@ -828,7 +761,7 @@ func (w *zsweep) partnersOf(c *compiled, body []ast.Literal, deltaIdx int) ([]zP
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, zPartner{pred: l.Atom.Pred, refs: refs})
+		out = append(out, zPartner{rel: w.e.db.Relation(l.Atom.Pred), refs: refs})
 	}
 	return out, nil
 }

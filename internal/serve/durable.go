@@ -100,43 +100,13 @@ func (sess *session) checkpointImage(lp *loadedProgram, db *storage.Database, zs
 	}
 	snap := &durable.Snapshot{Meta: meta, DB: db, Seed: seedIDB}
 	if zs != nil {
+		// The derivation-layer certificate travels with the fixpoint it
+		// certifies, so recovery (and a bootstrapping follower) reinstates
+		// incremental maintenance without re-running the fixpoint.
 		snap.Meta.HasRanks = true
-		snap.Ranks = exportRanks(zs)
+		snap.Ranks = zs.Export()
 	}
 	return snap
-}
-
-// exportRanks converts a ZState into the snapshot's rank records: the
-// derivation-layer certificate travels with the fixpoint it certifies,
-// so recovery (and a bootstrapping follower) reinstates incremental
-// maintenance without re-running the fixpoint.
-func exportRanks(zs *eval.ZState) map[string][]durable.RankedTuple {
-	exp := zs.Export()
-	out := make(map[string][]durable.RankedTuple, len(exp))
-	for p, rts := range exp {
-		conv := make([]durable.RankedTuple, len(rts))
-		for i, rt := range rts {
-			conv[i] = durable.RankedTuple{T: rt.T, Rank: rt.Rank}
-		}
-		out[p] = conv
-	}
-	return out
-}
-
-// zstateOfSnapshot reinstates a decoded snapshot's rank records as a
-// live ZState, or reports ok=false when the snapshot predates rank
-// persistence and the ranks must be re-derived by a full fixpoint.
-func zstateOfSnapshot(snap *durable.Snapshot) (*eval.ZState, bool) {
-	if !snap.Meta.HasRanks {
-		return nil, false
-	}
-	zs := eval.NewZState()
-	for p, rts := range snap.Ranks {
-		for _, rt := range rts {
-			zs.Install(p, rt.T, rt.Rank)
-		}
-	}
-	return zs, true
 }
 
 // checkpointLocked writes a checkpoint of the current state, rotating
@@ -297,10 +267,10 @@ func (s *Server) recoverSession(ctx context.Context, name string) (RecoveryRepor
 
 	// The Z-set replay path needs the recovery base's ranks as its
 	// deletion certificate. Checkpoints persist them ('K' records), so
-	// recovery just reinstates the state; a pre-rank snapshot falls
-	// back to re-deriving them with one full fixpoint.
-	if zs, ok := zstateOfSnapshot(res.Snapshot); ok {
-		sess.zs = zs
+	// recovery installs them into the decoded relations; a pre-rank
+	// snapshot falls back to re-deriving them with one full fixpoint.
+	if res.Snapshot.Meta.HasRanks {
+		sess.zs = eval.InstallRanks(sess.db, res.Snapshot.Ranks)
 	} else if _, err := sess.recompute(ctx); err != nil {
 		return rep, fmt.Errorf("recover %s: rebuild ranks: %w", name, err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/eval"
 	"repro/internal/replicate"
 	"repro/internal/storage"
 )
@@ -343,8 +344,8 @@ func (s *Server) installReplicatedSnapshot(name string, rs *replStatus, raw []by
 	// checkpoints carry them. A pre-rank snapshot falls back to
 	// re-deriving them — the rebuilt fixpoint equals the shipped one,
 	// only the ranks are new.
-	if zs, ok := zstateOfSnapshot(snap); ok {
-		sess.zs = zs
+	if snap.Meta.HasRanks {
+		sess.zs = eval.InstallRanks(sess.db, snap.Ranks)
 	} else if _, err := sess.recompute(context.Background()); err != nil {
 		return fmt.Errorf("rebuild ranks: %w", err)
 	}

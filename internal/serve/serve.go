@@ -182,6 +182,8 @@ type Server struct {
 	gSlots      *obs.Gauge // replication.slots: connected follower streams
 	gSlotDepth  *obs.Gauge // replication.slot_depth: live batches buffered, all slots
 	gSubs       *obs.Gauge // serve.subscribers: open change-feed subscriptions
+	gHeapInuse  *obs.Gauge // process.heap_inuse_bytes: heap spans in use
+	gRSSPeak    *obs.Gauge // process.rss_peak_bytes: peak resident set (VmHWM)
 
 	// hSubLag observes, per delivered change-feed frame, how many
 	// sequence numbers the subscriber was behind the session head at
@@ -314,6 +316,8 @@ func New(cfg Config) *Server {
 	s.gSlots = s.metrics.Gauge("replication.slots")
 	s.gSlotDepth = s.metrics.Gauge("replication.slot_depth")
 	s.gSubs = s.metrics.Gauge("serve.subscribers")
+	s.gHeapInuse = s.metrics.Gauge("process.heap_inuse_bytes")
+	s.gRSSPeak = s.metrics.Gauge("process.rss_peak_bytes")
 	s.hSubLag = s.metrics.Histogram("serve.subscribe_lag_seqs")
 	s.mReconnects = s.metrics.Counter("replication.reconnects")
 	s.mSnapshotBytes = s.metrics.Counter("replication.snapshot_bytes")

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"runtime/metrics"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,7 +220,27 @@ func (s *Server) metricsSnapshot() *obs.MetricsSnapshot {
 	s.gSlots.Set(slots)
 	s.gSlotDepth.Set(slotDepth)
 	s.gSubs.Set(s.subscribers.Load())
+	s.gHeapInuse.Set(heapInuseBytes())
+	s.gRSSPeak.Set(rssPeakBytes())
 	return s.metrics.SnapshotAll()
+}
+
+// heapInuseBytes is the runtime's in-use heap spans (MemStats.HeapInuse),
+// read without stopping the world.
+func heapInuseBytes() int64 {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64() + s[1].Value.Uint64())
+}
+
+// rssPeakBytes is the process's peak resident set size, the VmHWM line
+// of /proc/self/status; 0 where that file does not exist.
+func rssPeakBytes() int64 {
+	b, _ := os.ReadFile("/proc/self/status") // absent off Linux: reads as 0
+	_, rest, _ := strings.Cut(string(b), "VmHWM:")
+	var kb int64
+	fmt.Sscan(rest, &kb) //nolint:errcheck // no such line: 0
+	return kb << 10
 }
 
 // handleMetrics serves the Prometheus text exposition of the shared

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -231,6 +232,29 @@ func TestStatsMetricsParity(t *testing.T) {
 	// Histograms ride the same snapshot: one commit was observed.
 	if h, ok := v1.Metrics.Histograms["serve.commit_ns"]; !ok || h.Count != 1 {
 		t.Errorf("serve.commit_ns histogram = %+v, want count 1", v1.Metrics.Histograms["serve.commit_ns"])
+	}
+	// The process gauges are sampled per scrape, so the two surfaces
+	// agree on presence, not value: the heap is never empty, and the
+	// peak resident set only grows (0 only where /proc is absent).
+	_, procErr := os.Stat("/proc/self/status")
+	for _, name := range []string{"process.heap_inuse_bytes", "process.rss_peak_bytes"} {
+		v, ok := v1.Metrics.Gauges[name]
+		if !ok {
+			t.Fatalf("/v1/stats lacks gauge %s", name)
+		}
+		prom, err := strconv.ParseInt(metricValue(t, exposition, strings.ReplaceAll(name, ".", "_")), 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if procErr != nil && name == "process.rss_peak_bytes" {
+			continue
+		}
+		if v <= 0 || prom <= 0 {
+			t.Errorf("%s: /v1/stats %d, /metrics %d, want both > 0", name, v, prom)
+		}
+		if name == "process.rss_peak_bytes" && prom < v {
+			t.Errorf("%s fell from %d to %d between scrapes", name, v, prom)
+		}
 	}
 }
 

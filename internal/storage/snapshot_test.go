@@ -377,13 +377,52 @@ func checkIndexed(t *testing.T, what string, r *Relation, tuples []Tuple, indexe
 	}
 }
 
-// TestRemoveKeepsColumnIndexesUnderChurn drives Insert/Remove/Snapshot
-// over an arity-2 and an arity-3 relation that keep indexes on a subset
-// of their columns. Remove maintains those indexes in place, so after
-// every step each must equal a rebuild and RelStats a recount; and
-// every snapshot taken
-// along the way must keep answering from its own frozen tuples and
-// indexes while the live side moves on.
+// checkRanks verifies r's rank column against a model of the ranks of
+// the tuples r holds: Rank answers every present tuple's position and
+// rank, and Ranked lists exactly the nonzero ones in relation order.
+func checkRanks(t *testing.T, what string, r *Relation, model map[string]uint32) {
+	t.Helper()
+	var ranked []RankedTuple
+	for pos, tu := range r.Tuples() {
+		want, ok := model[tu.Key()]
+		if !ok {
+			t.Fatalf("%s: %v is present but not in the model", what, tu)
+		}
+		if p, got := r.Rank(tu); p != pos || got != want {
+			t.Fatalf("%s: Rank(%v) = (%d, %d), want (%d, %d)", what, tu, p, got, pos, want)
+		}
+		if want != 0 {
+			ranked = append(ranked, RankedTuple{T: tu, Rank: want})
+		}
+	}
+	if got := r.Ranked(); len(got)+len(ranked) > 0 && !reflect.DeepEqual(got, ranked) {
+		t.Fatalf("%s: Ranked() = %v, want %v", what, got, ranked)
+	}
+}
+
+// checkUnranked verifies that r answers every tuple unranked, as a
+// snapshot view or a clone must.
+func checkUnranked(t *testing.T, what string, r *Relation) {
+	t.Helper()
+	for pos, tu := range r.Tuples() {
+		if p, rank := r.Rank(tu); p != pos || rank != 0 {
+			t.Fatalf("%s: Rank(%v) = (%d, %d), want (%d, 0)", what, tu, p, rank, pos)
+		}
+	}
+	if got := r.Ranked(); len(got) != 0 {
+		t.Fatalf("%s: Ranked() = %v, want none", what, got)
+	}
+}
+
+// TestRemoveKeepsColumnIndexesUnderChurn drives Insert/Remove/SetRank/
+// Snapshot over an arity-2 and an arity-3 relation that keep indexes on
+// a subset of their columns. Remove maintains those indexes and the
+// rank column in place, so after every step each index must equal a
+// rebuild, RelStats a recount, and every present tuple's rank the
+// model's — a tuple removed and inserted again comes back unranked.
+// Every snapshot taken along the way must keep answering from its own
+// frozen tuples and indexes, with no ranks, while the live side moves
+// on; a clone carries no ranks either.
 func TestRemoveKeepsColumnIndexesUnderChurn(t *testing.T) {
 	for _, tc := range []struct {
 		arity, domain int
@@ -399,6 +438,7 @@ func TestRemoveKeepsColumnIndexesUnderChurn(t *testing.T) {
 		for _, col := range tc.indexed {
 			r.EnsureIndex(col)
 		}
+		ranks := map[string]uint32{}
 		var views []frozenView
 		for step := 0; step < 20000; step++ {
 			tu := make(Tuple, tc.arity)
@@ -412,23 +452,40 @@ func TestRemoveKeepsColumnIndexesUnderChurn(t *testing.T) {
 					views = views[1:]
 				}
 			case k < 100:
-				r.Insert(tu)
+				if r.Insert(tu) {
+					ranks[tu.Key()] = 0
+				}
+			case k < 130:
+				// Rank a present tuple; a draw of 0 unranks it.
+				if pos, _ := r.Rank(tu); pos >= 0 {
+					rank := uint32(rng.Intn(4))
+					r.SetRank(pos, rank)
+					ranks[tu.Key()] = rank
+				}
 			default:
-				r.Remove(tu)
+				if r.Remove(tu) {
+					delete(ranks, tu.Key())
+				}
 			}
 			what := fmt.Sprintf("arity %d step %d", tc.arity, step)
 			checkIndexed(t, what, r, r.Tuples(), tc.indexed)
+			checkRanks(t, what, r, ranks)
 			if !r.Stats().Equal(rebuilt(r)) {
 				t.Fatalf("%s: incremental stats diverged from a rebuild", what)
 			}
 			if step%100 == 0 {
 				for i, v := range views {
-					checkIndexed(t, fmt.Sprintf("%s, snapshot %d", what, i), v.rel, v.tuples, tc.indexed)
+					what := fmt.Sprintf("%s, snapshot %d", what, i)
+					checkIndexed(t, what, v.rel, v.tuples, tc.indexed)
+					checkUnranked(t, what, v.rel)
 				}
+				checkUnranked(t, what+", clone", r.Clone())
 			}
 		}
 		for i, v := range views {
-			checkIndexed(t, fmt.Sprintf("arity %d, final, snapshot %d", tc.arity, i), v.rel, v.tuples, tc.indexed)
+			what := fmt.Sprintf("arity %d, final, snapshot %d", tc.arity, i)
+			checkIndexed(t, what, v.rel, v.tuples, tc.indexed)
+			checkUnranked(t, what, v.rel)
 		}
 	}
 }

@@ -90,16 +90,6 @@ func (t Tuple) Key() string {
 	return string(b)
 }
 
-// TupleOfKey inverts Key: four little-endian bytes per column back to
-// the interned values. The arity is the key length over four.
-func TupleOfKey(key string) Tuple {
-	t := make(Tuple, len(key)/4)
-	for i := range t {
-		t[i] = Value(binary.LittleEndian.Uint32([]byte(key[4*i : 4*i+4])))
-	}
-	return t
-}
-
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -380,6 +370,13 @@ type Relation struct {
 
 	tuples []Tuple
 	index  tupleIndex
+	// ranks, when non-nil, is aligned with tuples: ranks[pos] is the
+	// derivation layer incremental maintenance certifies the tuple at
+	// pos with (eval.ZState), 0 for an unranked tuple (a seed fact). It
+	// is allocated by the first SetRank, so relations nobody ranks — the
+	// EDB — carry no column. Only the writer reads or writes it: snapshot
+	// views never carry it, so detach never copies it.
+	ranks []uint32
 	// colIndex[i] maps a column-i value to the ascending positions of
 	// tuples holding it; nil until the column is first indexed. A slot is
 	// an atomic pointer because readers of a shared snapshot view fill
@@ -407,12 +404,14 @@ type Relation struct {
 
 // detach un-shares the relation's backing structures after a snapshot:
 // the first mutation following Snapshot pays one deep copy, later
-// mutations are free again. Read paths never call it.
+// mutations are free again. Read paths never call it. The tuple copy
+// keeps an eighth of append headroom, so the Insert that triggered the
+// detach does not reallocate and copy the relation a second time.
 func (r *Relation) detach() {
 	if !r.cow {
 		return
 	}
-	tuples := make([]Tuple, len(r.tuples))
+	tuples := make([]Tuple, len(r.tuples), len(r.tuples)+len(r.tuples)/8+1)
 	copy(tuples, r.tuples)
 	r.tuples = tuples
 	r.index = r.index.clone()
@@ -491,6 +490,9 @@ func (r *Relation) InsertHashed(t Tuple, h uint64) bool {
 	pos := len(r.tuples)
 	r.index.add(r.tuples, t, h, pos)
 	r.tuples = append(r.tuples, t)
+	if r.ranks != nil {
+		r.ranks = append(r.ranks, 0)
+	}
 	for col := range r.colIndex {
 		if idx := r.colIndex[col].Load(); idx != nil {
 			(*idx)[t[col]] = append((*idx)[t[col]], pos)
@@ -504,12 +506,12 @@ func (r *Relation) InsertHashed(t Tuple, h uint64) bool {
 
 // Remove deletes t if present and reports whether it was. The
 // swap-removal moves the last tuple into the vacated position; the
-// membership index and every built column index follow that
-// renumbering in place, so a removal costs O(change), not a rebuild of
-// each index on its next use. Sorted indexes are dropped (they rebuild
-// lazily). Iteration order is not preserved across removals. Removal
-// is a maintenance-time operation; it must not run during an
-// evaluation round.
+// membership index, the rank column and every built column index
+// follow that renumbering in place, so a removal costs O(change), not a
+// rebuild of each index on its next use. Sorted indexes are dropped
+// (they rebuild lazily). Iteration order is not preserved across
+// removals. Removal is a maintenance-time operation; it must not run
+// during an evaluation round.
 func (r *Relation) Remove(t Tuple) bool {
 	if len(t) != r.Arity {
 		return false
@@ -522,6 +524,10 @@ func (r *Relation) Remove(t Tuple) bool {
 	last := len(r.tuples) - 1
 	moved := r.tuples[last]
 	r.tuples = r.index.removeAt(r.tuples, pos)
+	if r.ranks != nil {
+		r.ranks[pos] = r.ranks[last]
+		r.ranks = r.ranks[:last]
+	}
 	for col := range r.colIndex {
 		if idx := r.colIndex[col].Load(); idx != nil {
 			unindexSwap(*idx, t[col], moved[col], pos, last)
@@ -570,6 +576,48 @@ func (r *Relation) Contains(t Tuple) bool { return r.index.contains(r.tuples, t,
 
 // Tuples returns the backing slice (callers must not mutate it).
 func (r *Relation) Tuples() []Tuple { return r.tuples }
+
+// RankedTuple is a tuple with its nonzero rank: the unit in which ranks
+// leave a relation (checkpoints, replication bootstrap).
+type RankedTuple struct {
+	T    Tuple
+	Rank uint32
+}
+
+// Rank answers "present?" and "rank?" with one probe: pos is t's
+// position, -1 when t is absent, and rank is 0 when t is unranked. A
+// snapshot view reports every tuple unranked.
+func (r *Relation) Rank(t Tuple) (pos int, rank uint32) {
+	pos = r.index.find(r.tuples, t, t.Hash())
+	if pos >= 0 && r.ranks != nil {
+		rank = r.ranks[pos]
+	}
+	return pos, rank
+}
+
+// SetRank sets the rank of the tuple at pos (0 unranks it). The column
+// is the writer's alone, so no detach is needed.
+func (r *Relation) SetRank(pos int, rank uint32) {
+	if r.ranks == nil {
+		if rank == 0 {
+			return
+		}
+		r.ranks = make([]uint32, len(r.tuples), cap(r.tuples))
+	}
+	r.ranks[pos] = rank
+}
+
+// Ranked returns the ranked tuples in relation order; the tuples are
+// the relation's own.
+func (r *Relation) Ranked() []RankedTuple {
+	out := make([]RankedTuple, 0, len(r.ranks))
+	for pos, rank := range r.ranks {
+		if rank != 0 {
+			out = append(out, RankedTuple{T: r.tuples[pos], Rank: rank})
+		}
+	}
+	return out
+}
 
 // columnIndex is one column's hash index: value → ascending positions.
 type columnIndex = map[Value][]int
@@ -699,8 +747,8 @@ func (r *Relation) Sorted() []Tuple {
 	return out
 }
 
-// Clone returns a deep copy (indexes are not copied; they rebuild
-// lazily).
+// Clone returns a deep copy of the tuples: indexes are not copied (they
+// rebuild lazily) and neither are ranks (every tuple is unranked).
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.Name, r.Arity)
 	for _, t := range r.tuples {
