@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/eval"
-	"repro/internal/parser"
-	"repro/internal/planner"
 	"repro/internal/storage"
 )
 
@@ -76,7 +73,8 @@ func (sess *session) logBatch(netIns, netDel map[string][]storage.Tuple) error {
 // state it is about to install, at the sequence the load consumes; the
 // periodic and explicit checkpoints pass the installed state. Caller
 // holds sess.mu, so nothing it is handed can move.
-func (sess *session) checkpointImage(lp *loadedProgram, db *storage.Database, zs *eval.ZState, seedIDB map[string]*storage.Relation, seq uint64) *durable.Snapshot {
+func (sess *session) checkpointImage(st *state, seq uint64) *durable.Snapshot {
+	lp := st.prog
 	meta := durable.Meta{
 		Session: sess.name,
 		Seq:     seq,
@@ -84,52 +82,58 @@ func (sess *session) checkpointImage(lp *loadedProgram, db *storage.Database, zs
 		// monotonic across restarts is the last PUBLISHED snapshot
 		// generation, so record that.
 		Generation: publishedGeneration(sess),
-	}
-	if lp != nil {
-		meta.Program = lp.source
-		meta.Active = lp.active.String()
-		meta.SmallPreds = lp.smallPreds
-		meta.Rules = lp.rules
-		meta.ICs = lp.ics
-		meta.Optimized = lp.optimized
-		meta.Plan = lp.plan
-		meta.PlanChosen = string(lp.variant)
-		if lp.goal != nil {
-			meta.Goal = lp.goal.String()
-		}
-	}
-	snap := &durable.Snapshot{Meta: meta, DB: db, Seed: seedIDB}
-	if zs != nil {
+		Program:    lp.source,
+		Active:     lp.active.String(),
+		SmallPreds: lp.smallPreds,
+		Rules:      lp.rules,
+		ICs:        lp.ics,
+		Optimized:  lp.optimized,
+		Plan:       lp.plan,
+		PlanChosen: string(lp.variant),
 		// The derivation-layer certificate travels with the fixpoint it
 		// certifies, so recovery (and a bootstrapping follower) reinstates
 		// incremental maintenance without re-running the fixpoint.
-		snap.Meta.HasRanks = true
-		snap.Ranks = zs.Export()
+		HasRanks: true,
 	}
-	return snap
+	if lp.goal != nil {
+		meta.Goal = lp.goal.String()
+	}
+	return &durable.Snapshot{Meta: meta, DB: st.db, Seed: st.seedIDB, Ranks: st.zs.Export()}
 }
 
-// checkpointLocked writes a checkpoint of the current state, rotating
-// and truncating the WAL. Caller holds sess.mu. Checkpoint failure
-// never fails acknowledged work — the WAL still holds every batch — so
+// checkpoint writes st as the session's checkpoint at seq, rotating and
+// truncating the WAL. Caller holds sess.mu. Checkpoint failure never
+// fails acknowledged work — the WAL still holds every batch — so
 // callers on the commit path just count it and retry later.
-func (sess *session) checkpointLocked() error {
+func (sess *session) checkpoint(st *state, seq uint64) error {
 	if sess.dur == nil {
 		return errNotDurable
 	}
 	done := sess.srv.cfg.Tracer.Start("durable", "checkpoint")
 	start := time.Now()
-	err := sess.dur.Checkpoint(sess.checkpointImage(sess.prog.Load(), sess.db, sess.zs, sess.seedIDB, sess.seq.Load()))
+	err := sess.dur.Checkpoint(sess.checkpointImage(st, seq))
 	sess.srv.hCheckpoint.ObserveSince(start)
 	done.End()
 	if err != nil {
 		sess.ckptFailures.Add(1)
 		return err
 	}
+	sess.noteCheckpoint()
+	return nil
+}
+
+// checkpointLocked checkpoints the installed state at the current
+// sequence. Caller holds sess.mu.
+func (sess *session) checkpointLocked() error {
+	return sess.checkpoint(&state{prog: sess.prog.Load(), db: sess.db, zs: sess.zs, seedIDB: sess.seedIDB}, sess.seq.Load())
+}
+
+// noteCheckpoint records a checkpoint that landed: the WAL beyond it is
+// empty again.
+func (sess *session) noteCheckpoint() {
 	sess.checkpoints.Add(1)
 	sess.sinceCkpt.Store(0)
 	sess.lastCkptNano.Store(time.Now().UnixNano())
-	return nil
 }
 
 // maybeCheckpoint runs an automatic checkpoint when enough batches
@@ -197,83 +201,41 @@ func (s *Server) RecoverSessions(ctx context.Context) ([]RecoveryReport, error) 
 // recoverSession rebuilds one session from its durable directory.
 func (s *Server) recoverSession(ctx context.Context, name string) (RecoveryReport, error) {
 	rep := RecoveryReport{Session: name}
-	st, err := durable.Open(s.durOpts, name)
+	store, err := durable.Open(s.durOpts, name)
 	if err != nil {
 		return rep, err
 	}
-	res, err := st.Recover()
+	res, err := store.Recover()
 	if err != nil {
-		st.Close()
+		store.Close()
 		return rep, err
 	}
 	if res.Snapshot == nil {
 		// Created but never checkpointed: nothing to restore.
-		st.Close()
+		store.Close()
 		return RecoveryReport{}, nil
 	}
 	rep.TornTail = res.TornTail
 	rep.SkippedSnapshots = res.SkippedSnapshots
 	rep.DroppedBatches = res.DroppedBatches
 
-	lp, err := programFromMeta(res.Snapshot.Meta)
+	st, err := s.restore(ctx, res.Snapshot)
 	if err != nil {
-		st.Close()
+		store.Close()
 		return rep, fmt.Errorf("recover %s: %w", name, err)
 	}
-
-	// Generations must keep increasing across the restart, or a
-	// generation-keyed cache entry could alias a pre-crash snapshot.
-	storage.BumpGeneration(res.Snapshot.Meta.Generation)
-
-	s.regMu.Lock()
-	if s.closed {
-		s.regMu.Unlock()
-		st.Close()
-		return rep, errSessionClosed
+	sess, err := s.sessionFor(name)
+	if err != nil {
+		store.Close()
+		return rep, err
 	}
-	sess := s.sessions[name]
-	if sess == nil {
-		sess = newSession(s, name)
-		s.sessions[name] = sess
-	}
-	s.regMu.Unlock()
-
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.db = res.Snapshot.DB
-	sess.seedIDB = res.Snapshot.Seed
-	sess.dirty = false
-	sess.prog.Store(lp)
-	sess.dur = st
-	sess.seq.Store(res.Snapshot.Meta.Seq)
+	sess.dur = store
+	sess.reset(st, res.Snapshot.Meta.Seq)
 	sess.recovered.Store(true)
+	sess.tornTail.Store(res.TornTail)
 	sess.lastCkptNano.Store(time.Now().UnixNano())
-	if lp.planned() {
-		// Planned sessions keep their statistics sketches alive across a
-		// restart: re-derive them from the recovered relations (exactly as
-		// cheap as the decode that just happened) so the engine cost model
-		// reads current figures and WAL replay below maintains them
-		// incrementally from here on. Same scope as planner.Plan at load:
-		// the predicates the program actually reads.
-		for pred := range lp.active.EDBPreds() {
-			if rel := sess.db.Relation(pred); rel != nil {
-				rel.EnsureStats()
-			}
-		}
-	}
-	if res.TornTail {
-		sess.tornTail.Store(true)
-	}
-
-	// The Z-set replay path needs the recovery base's ranks as its
-	// deletion certificate. Checkpoints persist them ('K' records), so
-	// recovery installs them into the decoded relations; a pre-rank
-	// snapshot falls back to re-deriving them with one full fixpoint.
-	if res.Snapshot.Meta.HasRanks {
-		sess.zs = eval.InstallRanks(sess.db, res.Snapshot.Ranks)
-	} else if _, err := sess.recompute(ctx); err != nil {
-		return rep, fmt.Errorf("recover %s: rebuild ranks: %w", name, err)
-	}
 
 	// Replay the WAL tail through the same applyDelta that committed it.
 	done := s.cfg.Tracer.Start("durable", "replay")
@@ -326,39 +288,6 @@ func (sess *session) replayOne(ctx context.Context, b *durable.Batch) error {
 	}
 	sess.addEvalStats(st)
 	return nil
-}
-
-// programFromMeta rebuilds a session's compiled program from a
-// checkpoint header. The active (possibly optimized) rules were stored
-// in parseable source form, so recovery never re-runs the optimization
-// pipeline — the paper's load-time transformation is paid once per
-// load, not once per restart.
-func programFromMeta(meta durable.Meta) (*loadedProgram, error) {
-	parsed, err := parser.Parse(meta.Active)
-	if err != nil {
-		return nil, fmt.Errorf("parse checkpointed program: %w", err)
-	}
-	active := parsed.Program
-	active.EnsureLabels()
-	lp := &loadedProgram{
-		active:     active,
-		idb:        active.IDBPreds(),
-		rules:      meta.Rules,
-		ics:        meta.ICs,
-		optimized:  meta.Optimized,
-		source:     meta.Program,
-		smallPreds: meta.SmallPreds,
-		plan:       meta.Plan,
-		variant:    planner.Variant(meta.PlanChosen),
-	}
-	if meta.Goal != "" {
-		g, err := parser.ParseAtom(meta.Goal)
-		if err != nil {
-			return nil, fmt.Errorf("parse checkpointed goal: %w", err)
-		}
-		lp.goal = &g
-	}
-	return lp, nil
 }
 
 // DurabilityStats is the durability section of a session's stats.

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/eval"
 	"repro/internal/replicate"
-	"repro/internal/storage"
 )
 
 // Follower side of WAL-shipping replication. A server started with
@@ -286,8 +284,8 @@ func (s *Server) consumeStream(ctx context.Context, name string, rs *replStatus,
 // installReplicatedSnapshot bootstraps (or re-bootstraps) a session
 // from the leader's checkpoint bytes: the raw file is persisted
 // verbatim, so the local snap-NNN.dlsn is byte-identical to the
-// leader's, and the in-memory state is swapped exactly as a load swaps
-// it.
+// leader's, and the decoded state is installed exactly as recovery
+// installs it.
 func (s *Server) installReplicatedSnapshot(name string, rs *replStatus, raw []byte) error {
 	snap, err := durable.DecodeSnapshot(raw)
 	if err != nil {
@@ -296,60 +294,26 @@ func (s *Server) installReplicatedSnapshot(name string, rs *replStatus, raw []by
 	if snap.Meta.Session != name {
 		return fmt.Errorf("snapshot names session %q", snap.Meta.Session)
 	}
-	lp, err := programFromMeta(snap.Meta)
+	st, err := s.restore(context.Background(), snap)
 	if err != nil {
 		return err
 	}
-	// Keep local generations above everything the leader has published,
-	// so follower snapshots never alias leader-issued generations a
-	// client may have seen.
-	storage.BumpGeneration(snap.Meta.Generation)
-
-	s.regMu.Lock()
-	if s.closed {
-		s.regMu.Unlock()
-		return errSessionClosed
+	sess, err := s.sessionFor(name)
+	if err != nil {
+		return err
 	}
-	sess := s.sessions[name]
-	if sess == nil {
-		sess = newSession(s, name)
-		s.sessions[name] = sess
-	}
-	s.regMu.Unlock()
-
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.dur == nil {
-		st, err := durable.Open(s.durOpts, name)
-		if err != nil {
-			return err
-		}
-		sess.dur = st
+	if err := sess.openStore(); err != nil {
+		return err
 	}
 	if err := sess.dur.CheckpointRaw(raw, snap.Meta.Seq); err != nil {
 		sess.ckptFailures.Add(1)
 		return err
 	}
-	sess.db = snap.DB
-	sess.seedIDB = snap.Seed
-	sess.dirty = false
-	sess.prog.Store(lp)
-	sess.seq.Store(snap.Meta.Seq)
-	sess.sinceCkpt.Store(0)
-	sess.checkpoints.Add(1)
-	sess.lastCkptNano.Store(time.Now().UnixNano())
+	sess.noteCheckpoint()
+	sess.reset(st, snap.Meta.Seq)
 	sess.repl.Store(rs)
-	// The incremental replay path (applyReplicated → replayOne) needs
-	// the shipped fixpoint's ranks as its deletion certificate; leader
-	// checkpoints carry them. A pre-rank snapshot falls back to
-	// re-deriving them — the rebuilt fixpoint equals the shipped one,
-	// only the ranks are new.
-	if snap.Meta.HasRanks {
-		sess.zs = eval.InstallRanks(sess.db, snap.Ranks)
-	} else if _, err := sess.recompute(context.Background()); err != nil {
-		return fmt.Errorf("rebuild ranks: %w", err)
-	}
-	sess.cache.purge()
 	sess.publish()
 	return nil
 }

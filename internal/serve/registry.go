@@ -4,11 +4,6 @@ import (
 	"context"
 	"fmt"
 	"regexp"
-	"time"
-
-	"repro/internal/durable"
-	"repro/internal/eval"
-	"repro/internal/storage"
 )
 
 // sessionNameRe constrains session names to safe path segments.
@@ -55,31 +50,31 @@ func (s *Server) LoadSession(ctx context.Context, name string, req LoadRequest) 
 		return nil, fmt.Errorf("invalid session name %q (want [A-Za-z0-9_-]{1,64})", name)
 	}
 	// Build first: a failed load must leave the existing session serving.
-	lp, db, zs, seedIDB, resp, err := s.buildProgram(ctx, req)
+	st, resp, err := s.loadState(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := s.sessionFor(name)
 	if err != nil {
 		return nil, err
 	}
 
-	s.regMu.Lock()
-	if s.closed {
-		s.regMu.Unlock()
-		return nil, errSessionClosed
-	}
-	sess := s.sessions[name]
-	if sess == nil {
-		sess = newSession(s, name)
-		s.sessions[name] = sess
-	}
-	s.regMu.Unlock()
-
 	sess.mu.Lock()
+	// A load consumes a sequence number of its own, strictly above every
+	// batch committed against the previous program, so delta-feed cursors
+	// from before it read as stale and a follower resuming from any of
+	// them finds the load's checkpoint ahead and re-bootstraps — no WAL
+	// delta bridges two programs.
+	seq := sess.seq.Load() + 1
 	if s.durable {
 		// Persist the NEW state before swapping it into memory: if the
 		// checkpoint fails, the load fails and the old program keeps
-		// serving (memory and disk both unchanged). The checkpoint
-		// carries the current sequence number, so it supersedes every
-		// batch logged against the previous program.
-		if err := s.checkpointNewState(sess, lp, db, zs, seedIDB); err != nil {
+		// serving (memory and disk both unchanged).
+		err := sess.openStore()
+		if err == nil {
+			err = sess.checkpoint(st, seq)
+		}
+		if err != nil {
 			fresh := sess.prog.Load() == nil
 			sess.mu.Unlock()
 			if fresh {
@@ -96,64 +91,13 @@ func (s *Server) LoadSession(ctx context.Context, name string, req LoadRequest) 
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
 	}
-	if !s.durable {
-		// A load resets the session's state wholesale; consume a sequence
-		// number (checkpointNewState already did on durable sessions) so
-		// delta-feed cursors from before the load read as stale.
-		sess.seq.Add(1)
-	}
-	sess.db = db
-	sess.zs = zs
-	sess.seedIDB = seedIDB
-	sess.dirty = false
-	sess.prog.Store(lp)
-	sess.sinceReplan = 0
-	sess.fixpointCost.Store(resp.Stats.Probes + resp.Stats.IndexProbes)
-	sess.cache.purge()
+	sess.reset(st, seq)
 	sess.publish()
-	// A (re)load resets the session's state wholesale, so an open
-	// replication stream or change feed cannot continue incrementally:
-	// detach every slot; followers reconnect, see the load's checkpoint
-	// ahead of their cursor, and re-bootstrap from the new snapshot;
-	// subscribers reconnect and learn their cursor was truncated.
-	sess.closeSlots()
-	sess.closeSubs()
 	sess.mu.Unlock()
 
 	sess.addEvalStats(resp.Stats)
 	resp.Session = name
 	return resp, nil
-}
-
-// checkpointNewState persists a freshly built program + database as the
-// session's newest checkpoint, opening the session's durable store on
-// first load. Caller holds sess.mu.
-func (s *Server) checkpointNewState(sess *session, lp *loadedProgram, db *storage.Database, zs *eval.ZState, seedIDB map[string]*storage.Relation) error {
-	if sess.dur == nil {
-		st, err := durable.Open(s.durOpts, sess.name)
-		if err != nil {
-			return err
-		}
-		sess.dur = st
-	}
-	// A load consumes a sequence number of its own: the checkpoint
-	// lands at seq+1, strictly above every batch committed against the
-	// previous program. A follower resuming from any pre-load sequence
-	// therefore finds the leader's checkpoint ahead of its cursor and
-	// re-bootstraps — which is required for correctness, since a load
-	// replaces the EDB wholesale and no WAL delta bridges the two
-	// programs.
-	newSeq := sess.seq.Load() + 1
-	snap := sess.checkpointImage(lp, db, zs, seedIDB, newSeq)
-	if err := sess.dur.Checkpoint(snap); err != nil {
-		sess.ckptFailures.Add(1)
-		return err
-	}
-	sess.seq.Store(newSeq)
-	sess.checkpoints.Add(1)
-	sess.sinceCkpt.Store(0)
-	sess.lastCkptNano.Store(time.Now().UnixNano())
-	return nil
 }
 
 // dropSession deletes a named session: it disappears from the registry

@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 
-	"repro/internal/eval"
 	"repro/internal/planner"
-	"repro/internal/storage"
 )
 
 // Adaptive re-planning. A session loaded with plan=auto chose its
@@ -85,33 +83,15 @@ func (sess *session) replan(ctx context.Context, p *loadedProgram) {
 	// predicates either program derives, so auxiliary relations the old
 	// rewrite materialized (isolation/magic predicates) do not leak into
 	// the new plan's database as phantom EDB facts.
-	fresh := storage.NewDatabase()
-	for _, pred := range sess.db.Preds() {
-		if p.idb[pred] || np.idb[pred] {
-			continue
-		}
-		fresh.Replace(sess.db.Relation(pred).Clone())
-	}
-	for _, rel := range sess.seedIDB {
-		fresh.Replace(rel.Clone())
-	}
-	zs := eval.NewZState()
-	eng := sess.engine(np.active, fresh)
-	eng.SetRankSink(zs.Record)
-	if err := eng.RunContext(ctx); err != nil {
+	st, err := sess.srv.evaluate(ctx, &np, edbOf(sess.db, sess.seedIDB, p.idb, np.idb), sess.seedIDB)
+	if err != nil {
 		return // incumbent keeps serving; sess.db was never touched
 	}
-	st := eng.Stats()
-	sess.db = fresh
-	sess.zs = zs
-	sess.dirty = false
-	sess.prog.Store(&np)
-	sess.fixpointCost.Store(st.Probes + st.IndexProbes)
+	sess.install(st)
 	sess.recomputes.Add(1)
-	sess.addEvalStats(st)
+	sess.addEvalStats(st.stats)
 	sess.replans.Add(1)
 	sess.srv.vPlanChoice.With(string(d.Chosen)).Inc()
-	sess.cache.purge()
 	sess.publish()
 	// Persist the switch now: recovery re-parses the checkpointed active
 	// program, so without this a crash would revert to the old plan.

@@ -514,10 +514,13 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 // TestAdmissionGate fills the single query slot with a request whose
 // body never arrives, then checks the next query is refused with 503.
 func TestAdmissionGate(t *testing.T) {
-	ts := newTestServer(t, Config{MaxConcurrentQueries: 1})
+	srv, ts := startTestServer(t, Config{MaxConcurrentQueries: 1})
 	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
 
 	pr, pw := io.Pipe()
+	// A failing check must still end the slow request, or the server's
+	// cleanup would wait for it forever.
+	defer pw.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -529,14 +532,10 @@ func TestAdmissionGate(t *testing.T) {
 		}
 	}()
 
-	// Wait until the slow request holds the gate slot, then expect 503.
-	gotBusy := false
-	for i := 0; i < 200 && !gotBusy; i++ {
-		code := call(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(a, Y)"}, nil)
-		gotBusy = code == http.StatusServiceUnavailable
-	}
-	if !gotBusy {
-		t.Fatal("never saw 503 while the gate slot was held")
+	// Once the slow request holds the gate slot, the next query is a 503.
+	waitFor(t, "the slow request to hold the gate", func() bool { return len(srv.gate) == 1 })
+	if code := call(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(a, Y)"}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("query while the gate slot was held = %d, want 503", code)
 	}
 
 	// Release the slot; queries flow again.

@@ -85,14 +85,14 @@ type session struct {
 	db *storage.Database
 	// zs is the rank state of db's current fixpoint — the certificate
 	// the Z-set maintenance sweep consults to decide which derived
-	// tuples a deletion actually kills. It moves with db: every full
-	// evaluation (load, recompute) rebuilds it from scratch, recovery
-	// reinstates it from the checkpoint, and applyDelta's sweep keeps it
+	// tuples a deletion actually kills. It moves with db: install swaps
+	// both in together (install.go), and applyDelta's sweep keeps it
 	// current.
 	zs *eval.ZState
 	// seedIDB preserves ground facts the source program stated for
-	// derived predicates. The update API cannot touch them, so a full
-	// recomputation re-seeds the IDB from this frozen copy.
+	// derived predicates. The update API cannot touch them, so a
+	// rebuild from the EDB (edbOf) re-seeds the IDB from this frozen
+	// copy.
 	seedIDB map[string]*storage.Relation
 	// dirty records that db is not at fixpoint: maintenance is under
 	// way, or a failed update could not be undone. Incremental
@@ -191,8 +191,8 @@ var (
 )
 
 // newSession creates an empty session shell and starts its committer.
-// The caller installs program state via installProgram before the
-// session is reachable from the registry.
+// sessionFor registers it; the caller then installs a state into it
+// under mu.
 func newSession(srv *Server, name string) *session {
 	sess := &session{
 		name:   name,
@@ -274,19 +274,6 @@ func (sess *session) publish() {
 	}
 	sess.wantMu.Unlock()
 	sess.snap.Store(&published{db: sess.db.Snapshot(), seq: sess.seq.Load()})
-}
-
-// engine builds an evaluation engine honoring the server's join-mode
-// and tracer configuration, with the statistics cost model on planned
-// sessions.
-func (sess *session) engine(prog *ast.Program, db *storage.Database) *eval.Engine {
-	e := eval.New(prog, db)
-	e.SetJoinMode(sess.srv.cfg.JoinMode)
-	e.SetTracer(sess.srv.cfg.Tracer)
-	if p := sess.prog.Load(); p != nil && p.planned() {
-		e.SetCostModel(eval.StatsCostModel{DB: db})
-	}
-	return e
 }
 
 func (sess *session) addEvalStats(st eval.Stats) {
@@ -371,14 +358,14 @@ func (sess *session) stats() SessionStats {
 	return st
 }
 
-// buildProgram parses src, selects a plan when one is asked for, and
-// evaluates the initial fixpoint into a fresh database, recording the
-// rank state the Z-set maintenance sweep needs. It touches no server or
-// session state, so a failed load keeps the previous program serving.
-func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProgram, *storage.Database, *eval.ZState, map[string]*storage.Relation, *LoadResponse, error) {
+// loadState parses a load request, selects a plan when one is asked
+// for, and evaluates the initial fixpoint into a fresh database: the
+// state the load installs. It touches no session, so a failed load
+// keeps the previous program serving.
+func (s *Server) loadState(ctx context.Context, req LoadRequest) (*state, *LoadResponse, error) {
 	parsed, err := parser.Parse(req.Program)
 	if err != nil {
-		return nil, nil, nil, nil, nil, fmt.Errorf("parse: %w", err)
+		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
 	db := storage.NewDatabase()
 	var rules []ast.Rule
@@ -413,13 +400,13 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 	if planMode != "" {
 		v, err := planner.ParseVariant(planMode)
 		if err != nil {
-			return nil, nil, nil, nil, nil, err
+			return nil, nil, err
 		}
 		planMode = string(v)
 		if req.Goal != "" {
 			g, err := parser.ParseAtom(req.Goal)
 			if err != nil {
-				return nil, nil, nil, nil, nil, fmt.Errorf("goal: %w", err)
+				return nil, nil, fmt.Errorf("goal: %w", err)
 			}
 			goal = &g
 		}
@@ -429,7 +416,7 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 		}
 		d, err := planner.Plan(prog, db, popts)
 		if err != nil {
-			return nil, nil, nil, nil, nil, fmt.Errorf("plan: %w", err)
+			return nil, nil, fmt.Errorf("plan: %w", err)
 		}
 		decision, variant = d, d.Chosen
 		active = d.Program()
@@ -466,23 +453,14 @@ func (s *Server) buildProgram(ctx context.Context, req LoadRequest) (*loadedProg
 		}
 	}
 
-	zs := eval.NewZState()
-	eng := eval.New(active, db)
-	eng.SetJoinMode(s.cfg.JoinMode)
-	eng.SetTracer(s.cfg.Tracer)
-	if lp.planned() {
-		// Planned sessions have statistics sketches enabled (planner.Plan
-		// turns them on); share them with JoinAuto's GJ-vs-binary choice.
-		eng.SetCostModel(eval.StatsCostModel{DB: db})
+	st, err := s.evaluate(ctx, lp, db, seedIDB)
+	if err != nil {
+		return nil, nil, fmt.Errorf("evaluate: %w", err)
 	}
-	eng.SetRankSink(zs.Record)
-	if err := eng.RunContext(ctx); err != nil {
-		return nil, nil, nil, nil, nil, fmt.Errorf("evaluate: %w", err)
-	}
-	resp.Stats = eng.Stats()
+	resp.Stats = st.stats
 	resp.EDBTuples = edbTuples
 	resp.IDBTuples = db.TotalTuples() - edbTuples
-	return lp, db, zs, seedIDB, resp, nil
+	return st, resp, nil
 }
 
 // groundFact is one parsed update fact, order-preserving so the
@@ -647,7 +625,7 @@ func (sess *session) applyDelta(ctx context.Context, ins, del map[string][]stora
 	var err error
 	if !sess.dirty {
 		sess.dirty = true // out of fixpoint until maintenance lands
-		eng := sess.engine(sess.prog.Load().active, sess.db)
+		eng := sess.srv.engine(sess.prog.Load(), sess.db)
 		if _, err = eng.ApplyZSetContext(ctx, sess.zs, zsetOfDelta(ins, del)); err == nil {
 			sess.dirty = false
 			return "incremental", eng.Stats(), nil
@@ -720,34 +698,15 @@ func (sess *session) undoDelta(ins, del map[string][]storage.Tuple) {
 	}
 }
 
-// recompute rebuilds the IDB from scratch: a fresh database seeded
-// with the current extensional relations (plus the frozen IDB seed
-// facts), evaluated to fixpoint, replaces the session database — along
-// with a fresh rank state recorded during that evaluation, so Z-set
-// maintenance can resume from the rebuilt fixpoint. It is applyDelta's
-// rebuild rung, and how rank state is re-derived after restoring a
-// pre-rank snapshot.
+// recompute is applyDelta's rebuild rung: it evaluates the session's
+// program from scratch over its current EDB and installs the result, so
+// maintenance resumes from the rebuilt fixpoint. Caller holds mu.
 func (sess *session) recompute(ctx context.Context) (eval.Stats, error) {
 	p := sess.prog.Load()
-	fresh := storage.NewDatabase()
-	for _, pred := range sess.db.Preds() {
-		if p.idb[pred] {
-			continue
-		}
-		fresh.Replace(sess.db.Relation(pred).Clone())
+	st, err := sess.srv.evaluate(ctx, p, edbOf(sess.db, sess.seedIDB, p.idb), sess.seedIDB)
+	if err != nil {
+		return eval.Stats{}, err
 	}
-	for _, rel := range sess.seedIDB {
-		fresh.Replace(rel.Clone())
-	}
-	zs := eval.NewZState()
-	eng := sess.engine(p.active, fresh)
-	eng.SetRankSink(zs.Record)
-	if err := eng.RunContext(ctx); err != nil {
-		return eng.Stats(), err
-	}
-	sess.db = fresh
-	sess.zs = zs
-	st := eng.Stats()
-	sess.fixpointCost.Store(st.Probes + st.IndexProbes)
-	return st, nil
+	sess.install(st)
+	return st.stats, nil
 }
