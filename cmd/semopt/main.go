@@ -272,7 +272,8 @@ func comparePreds(base, db *repro.DB, label string, idb map[string]bool) int {
 		if ro == nil {
 			continue
 		}
-		for _, t := range ro.Tuples() {
+		for pos := 0; pos < ro.Len(); pos++ {
+			t := ro.At(pos)
 			if !rn.Contains(t) {
 				mismatches++
 				fmt.Fprintf(os.Stderr, "verify: MISMATCH %s: tuple %s missing from %s\n", pred, t, label)
@@ -303,7 +304,8 @@ func compareGoal(base, db *repro.DB, goal ast.Atom) int {
 	mismatches := 0
 	var nb, nm int
 	if rb != nil {
-		for _, t := range rb.Tuples() {
+		for pos := 0; pos < rb.Len(); pos++ {
+			t := rb.At(pos)
 			if !matches(t) {
 				continue
 			}
@@ -317,7 +319,8 @@ func compareGoal(base, db *repro.DB, goal ast.Atom) int {
 		}
 	}
 	if rm != nil {
-		for _, t := range rm.Tuples() {
+		for pos := 0; pos < rm.Len(); pos++ {
+			t := rm.At(pos)
 			if matches(t) {
 				nm++
 			}

@@ -242,8 +242,11 @@ func (r *reader) term() ast.Term {
 
 // tuple decodes the kind-tagged terms and interns them — the only
 // place (besides parsing) where strings cross into value space.
-func (r *reader) tuple(arity int) storage.Tuple {
-	t := make(storage.Tuple, arity)
+func (r *reader) tuple(arity int) storage.Tuple { return r.tupleInto(make(storage.Tuple, arity)) }
+
+// tupleInto decodes len(t) terms into t, for callers that copy the
+// tuple out before the next decode (a relation's Insert does).
+func (r *reader) tupleInto(t storage.Tuple) storage.Tuple {
 	for i := range t {
 		term := r.term()
 		if r.err != nil {

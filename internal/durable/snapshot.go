@@ -125,8 +125,8 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 			b = appendString(b, rel.Name)
 			b = binary.AppendUvarint(b, uint64(rel.Arity))
 			b = binary.AppendUvarint(b, uint64(rel.Len()))
-			for _, t := range rel.Tuples() {
-				b = appendTuple(b, t)
+			for pos := 0; pos < rel.Len(); pos++ {
+				b = appendTuple(b, rel.At(pos))
 			}
 			return b
 		})
@@ -262,8 +262,9 @@ func decodeRelation(payload []byte, snap *Snapshot) error {
 		rel = storage.NewRelation(name, arity)
 		snap.Seed[name] = rel
 	}
+	buf := make(storage.Tuple, arity)
 	for i := 0; i < count; i++ {
-		t := r.tuple(arity)
+		t := r.tupleInto(buf)
 		if r.err != nil {
 			return fmt.Errorf("durable: relation %s tuple %d: %w", name, i, r.err)
 		}

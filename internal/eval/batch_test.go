@@ -24,7 +24,7 @@ func TestZSetMixedBatchDifferential(t *testing.T) {
 
 	edge := map[string]storage.Tuple{}
 	root := storage.TupleOf(ast.Sym("root"), ast.Sym("n0"))
-	edge[root.Key()] = root
+	edge[root.String()] = root
 
 	db := storage.NewDatabase()
 	db.Ensure("edge", 2).Insert(root)
@@ -38,10 +38,10 @@ func TestZSetMixedBatchDifferential(t *testing.T) {
 		touched := map[string]bool{}
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			tu := edgeTuple(rng.Intn(nodes), rng.Intn(nodes))
-			if _, present := edge[tu.Key()]; present || touched[tu.Key()] {
+			if _, present := edge[tu.String()]; present || touched[tu.String()] {
 				continue
 			}
-			touched[tu.Key()] = true
+			touched[tu.String()] = true
 			adds = append(adds, tu)
 		}
 		if len(edge) > 2 {
@@ -62,10 +62,10 @@ func TestZSetMixedBatchDifferential(t *testing.T) {
 			continue
 		}
 		for _, tu := range adds {
-			edge[tu.Key()] = tu
+			edge[tu.String()] = tu
 		}
 		for _, tu := range dels {
-			delete(edge, tu.Key())
+			delete(edge, tu.String())
 		}
 
 		before := db.Snapshot()
@@ -251,7 +251,7 @@ func TestZSetNegationGraphDifferential(t *testing.T) {
 		state := map[string]map[string]storage.Tuple{"edge": {}, "node": {}, "blk": {}}
 		db := storage.NewDatabase()
 		put := func(p string, tu storage.Tuple) {
-			state[p][tu.Key()] = tu
+			state[p][tu.String()] = tu
 			db.Ensure(p, len(tu)).Insert(tu)
 		}
 		for i := 0; i < nodes; i++ {
@@ -277,16 +277,16 @@ func TestZSetNegationGraphDifferential(t *testing.T) {
 				case 1:
 					p, tu = "blk", node(rng.Intn(nodes))
 				}
-				if touched[p+tu.Key()] {
+				if touched[p+tu.String()] {
 					continue
 				}
-				touched[p+tu.Key()] = true
-				if _, present := state[p][tu.Key()]; present {
+				touched[p+tu.String()] = true
+				if _, present := state[p][tu.String()]; present {
 					dels[p] = append(dels[p], tu)
-					delete(state[p], tu.Key())
+					delete(state[p], tu.String())
 				} else {
 					adds[p] = append(adds[p], tu)
-					state[p][tu.Key()] = tu
+					state[p][tu.String()] = tu
 				}
 			}
 			changes := map[string]*storage.ZSet{}

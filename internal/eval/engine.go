@@ -471,7 +471,7 @@ func (e *Engine) naiveFixpoint(ctx context.Context, crs []compiledRule) error {
 		changed := false
 		for i := range crs {
 			cr := &crs[i]
-			err := e.fire(cr, cr.base, nil, func(storage.Tuple, uint64) {
+			err := e.fire(cr, cr.base, nil, func(storage.Tuple) {
 				changed = true
 			})
 			if err != nil {
@@ -486,11 +486,12 @@ func (e *Engine) naiveFixpoint(ctx context.Context, crs []compiledRule) error {
 
 // fire runs one rule firing: execute plan (restricted to delta, if
 // given), insert the derivations, and call onNew for each tuple that
-// was actually new. Work counts into a firing-private Stats that
+// was actually new (the tuple is the plan's head buffer: onNew copies
+// what it keeps). Work counts into a firing-private Stats that
 // account folds into the engine totals and the rule's profile — the
 // counting is identical whether tracing is on or off; only the clock
 // reads and the trace event are gated on the tracer.
-func (e *Engine) fire(cr *compiledRule, plan *compiled, delta []storage.Tuple, onNew func(storage.Tuple, uint64)) error {
+func (e *Engine) fire(cr *compiledRule, plan *compiled, delta tupleRun, onNew func(storage.Tuple)) error {
 	plan.gjPrepare(e.db)
 	st := Stats{RuleFirings: 1}
 	traced := e.tracer.Enabled()
@@ -504,15 +505,12 @@ func (e *Engine) fire(cr *compiledRule, plan *compiled, delta []storage.Tuple, o
 		if e.InsertFilter != nil && !e.InsertFilter(cr.headPred, t) {
 			return nil
 		}
-		// One hash serves the membership check, the insert, and (via
-		// onNew) the delta-relation insert of the semi-naive loop.
-		h := t.Hash()
-		if cr.headRel.InsertHashed(t, h) {
+		if cr.headRel.Insert(t) {
 			st.Inserted++
 			if e.rankSink != nil {
 				e.rankSink(cr.headRel, cr.headRel.Len()-1, int(e.cur.Rounds))
 			}
-			onNew(t, h)
+			onNew(t)
 		} else {
 			st.Deduped++
 		}
@@ -554,10 +552,9 @@ func (e *Engine) account(label, pred string, st Stats, dur time.Duration) {
 // occurrence gets its own delta variant (a sound, set-semantics-safe
 // form that can re-derive a tuple at most once per variant).
 func (e *Engine) semiNaiveFixpoint(ctx context.Context, inSCC map[string]bool, crs []compiledRule) error {
-	delta := make(map[string]*storage.Relation)
+	delta := make(map[string]*storage.TupleSet)
 	for p := range inSCC {
-		rel := e.db.Relation(p)
-		delta[p] = storage.NewRelation(p, rel.Arity)
+		delta[p] = storage.NewTupleSet()
 	}
 
 	// Round 0: all rules against current state. Component occurrences
@@ -570,8 +567,8 @@ func (e *Engine) semiNaiveFixpoint(ctx context.Context, inSCC map[string]bool, c
 	round := e.roundSpan(0)
 	for i := range crs {
 		cr := &crs[i]
-		err := e.fire(cr, cr.base, nil, func(t storage.Tuple, h uint64) {
-			delta[cr.headPred].InsertHashed(t, h)
+		err := e.fire(cr, cr.base, nil, func(t storage.Tuple) {
+			delta[cr.headPred].Add(t)
 		})
 		if err != nil {
 			return err
@@ -598,9 +595,9 @@ func (e *Engine) semiNaiveFixpoint(ctx context.Context, inSCC map[string]bool, c
 		}
 		e.startIteration()
 		round = e.roundSpan(total)
-		next := make(map[string]*storage.Relation)
+		next := make(map[string]*storage.TupleSet)
 		for p := range inSCC {
-			next[p] = storage.NewRelation(p, e.db.Relation(p).Arity)
+			next[p] = storage.NewTupleSet()
 		}
 		for i := range crs {
 			cr := &crs[i]
@@ -609,8 +606,8 @@ func (e *Engine) semiNaiveFixpoint(ctx context.Context, inSCC map[string]bool, c
 				if d.Len() == 0 {
 					continue
 				}
-				err := e.fire(cr, dp.plan, d.Tuples(), func(t storage.Tuple, h uint64) {
-					next[cr.headPred].InsertHashed(t, h)
+				err := e.fire(cr, dp.plan, d, func(t storage.Tuple) {
+					next[cr.headPred].Add(t)
 				})
 				if err != nil {
 					return err
@@ -637,8 +634,9 @@ func (e *Engine) roundSpan(deltaSize int) *obs.Span {
 }
 
 // Query returns the tuples of the goal's relation matching the goal's
-// constant bindings, after Run has completed. Repeated variables in the
-// goal act as equality constraints. When the goal has a ground
+// constant bindings, after Run has completed, copied out so they
+// outlive later mutations. Repeated variables in the goal act as
+// equality constraints. When the goal has a ground
 // argument, the relation's column index narrows the scan to the
 // matching positions instead of walking every tuple.
 func (e *Engine) Query(goal ast.Atom) ([]storage.Tuple, error) {
@@ -679,7 +677,8 @@ func (e *Engine) Query(goal ast.Atom) ([]storage.Tuple, error) {
 			col = i
 		}
 	}
-	var out []storage.Tuple
+	var vals []storage.Value
+	n := 0
 	match := func(t storage.Tuple) {
 		for i, sp := range specs {
 			if sp.c != storage.NoValue && t[i] != sp.c {
@@ -689,16 +688,24 @@ func (e *Engine) Query(goal ast.Atom) ([]storage.Tuple, error) {
 				return
 			}
 		}
-		out = append(out, t)
+		vals = append(vals, t...)
+		n++
 	}
 	if col != noCol {
 		for _, pos := range rel.Lookup(col, specs[col].c) {
 			match(rel.At(pos))
 		}
-		return out, nil
+	} else {
+		for pos := 0; pos < rel.Len(); pos++ {
+			match(rel.At(pos))
+		}
 	}
-	for _, t := range rel.Tuples() {
-		match(t)
+	if n == 0 {
+		return nil, nil
+	}
+	out, a := make([]storage.Tuple, n), rel.Arity
+	for i := range out {
+		out[i] = vals[i*a : (i+1)*a : (i+1)*a]
 	}
 	return out, nil
 }

@@ -6,33 +6,56 @@ import (
 	"repro/internal/storage"
 )
 
+// tupleRun is what a delta occurrence ranges over: a flat set built
+// during evaluation (*storage.TupleSet) or a few loose tuples
+// (*tupleList).
+type tupleRun interface {
+	Len() int
+	At(pos int) storage.Tuple
+}
+
+// tupleList adapts loose tuples to tupleRun.
+type tupleList []storage.Tuple
+
+func (l *tupleList) Len() int                 { return len(*l) }
+func (l *tupleList) At(pos int) storage.Tuple { return (*l)[pos] }
+
 // executor runs a compiled program depth-first over its register frame.
-// One executor is built per rule firing; the frame is reused across all
-// derivations of that firing (backtracking resets only the slots each
-// step bound). Executors never mutate relations: every write happens
-// in the emit callback the caller supplies.
+// Each compiled program owns one executor, reused by every firing; the
+// frame is reused across all derivations of a firing (backtracking
+// resets only the slots each step bound). Executors never mutate
+// relations: every write happens in the emit callback the caller
+// supplies.
 type executor struct {
 	c     *compiled
 	db    *storage.Database
-	delta []storage.Tuple // tuples for the delta occurrence (step 0), if any
+	delta tupleRun // tuples for the delta occurrence (step 0), if any
 	st    *Stats
 	fr    frame
 	emit  func(frame) error
 }
 
-// runCompiled executes c with the given delta slice, counting work into
-// st and calling emit for every complete binding. seed pre-binds slots
-// 0..len(seed)-1 (the compiler allocates prebound variables first; the
-// Explain path seeds them from the ground goal); nil for engine plans.
-// Plans carrying a Generic Join program dispatch to the leapfrog
-// executor (gj.go) instead of the binary instruction loop.
-func (e *Engine) runCompiled(c *compiled, delta []storage.Tuple, seed []storage.Value, st *Stats, emit func(frame) error) error {
+// runCompiled executes c with the given delta tuples, counting work
+// into st and calling emit for every complete binding. seed pre-binds
+// slots 0..len(seed)-1 (the compiler allocates prebound variables
+// first; the Explain path seeds them from the ground goal); nil for
+// engine plans. Plans carrying a Generic Join program dispatch to the
+// leapfrog executor (gj.go) instead of the binary instruction loop. A
+// program runs one firing at a time: emit must not run c again.
+func (e *Engine) runCompiled(c *compiled, delta tupleRun, seed []storage.Value, st *Stats, emit func(frame) error) error {
 	if c.gj != nil {
 		return c.gj.run(e.db, delta, st, emit)
 	}
-	x := &executor{c: c, db: e.db, delta: delta, st: st, fr: make(frame, c.nSlots), emit: emit}
+	x := &c.exec
+	if x.fr == nil {
+		x.fr = make(frame, c.nSlots)
+	}
+	clear(x.fr) // an aborted firing can leave slots bound
 	copy(x.fr, seed)
-	return x.step(0)
+	x.c, x.db, x.delta, x.st, x.emit = c, e.db, delta, st, emit
+	err := x.step(0)
+	x.delta, x.st, x.emit = nil, nil, nil
+	return err
 }
 
 func (x *executor) step(i int) error {
@@ -86,18 +109,9 @@ func (x *executor) step(i int) error {
 		if in.member {
 			// Every column is bound: one membership probe replaces the
 			// scan.
-			t := make(storage.Tuple, len(in.scanArgs))
-			for k := range in.scanArgs {
-				a := &in.scanArgs[k]
-				if a.kind == argConst {
-					t[k] = a.c
-				} else {
-					t[k] = x.fr[a.slot]
-				}
-			}
 			x.st.Probes++
 			x.st.IndexProbes++
-			if !rel.Contains(t) {
+			if !rel.Contains(in.probeTuple(x.fr)) {
 				return nil
 			}
 			x.st.Matched++
@@ -118,14 +132,21 @@ func (x *executor) step(i int) error {
 			// constraints.
 		}
 		x.st.FullScans++
-		return x.scanTuples(i, in, rel.Tuples())
+		for pos, n := 0, rel.Len(); pos < n; pos++ {
+			if err := x.tryTuple(i, in, rel.At(pos)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	return fmt.Errorf("eval: unknown instruction kind %d", in.kind)
 }
 
-func (x *executor) scanTuples(i int, in *instr, tuples []storage.Tuple) error {
-	for _, t := range tuples {
-		if err := x.tryTuple(i, in, t); err != nil {
+// scanTuples tries every delta tuple. Like the full scan above, it
+// walks the tuples present when the scan began.
+func (x *executor) scanTuples(i int, in *instr, run tupleRun) error {
+	for pos, n := 0, run.Len(); pos < n; pos++ {
+		if err := x.tryTuple(i, in, run.At(pos)); err != nil {
 			return err
 		}
 	}
@@ -184,10 +205,7 @@ func evalFilter(in *instr, fr frame) (bool, error) {
 // under fr; it reports whether execution may continue (the tuple is
 // absent). Shared by the binary executor and the Generic Join path.
 func evalNegCheck(in *instr, fr frame, db *storage.Database, st *Stats) bool {
-	t := make(storage.Tuple, len(in.refs))
-	for k, r := range in.refs {
-		t[k] = r.resolve(fr)
-	}
+	t := in.probeTuple(fr)
 	st.Probes++
 	st.IndexProbes++
 	rel := in.rel
@@ -195,4 +213,16 @@ func evalNegCheck(in *instr, fr frame, db *storage.Database, st *Stats) bool {
 		rel = db.Relation(in.pred)
 	}
 	return rel == nil || rel.Arity != len(t) || !rel.Contains(t)
+}
+
+// probeTuple resolves the instruction's refs under fr into its reusable
+// probe buffer: membership probes never keep their argument.
+func (in *instr) probeTuple(fr frame) storage.Tuple {
+	if in.probe == nil {
+		in.probe = make(storage.Tuple, len(in.refs))
+	}
+	for k, r := range in.refs {
+		in.probe[k] = r.resolve(fr)
+	}
+	return in.probe
 }

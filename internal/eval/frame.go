@@ -75,8 +75,9 @@ type instr struct {
 	a, b argRef
 	slot int
 
-	// stepNegCheck
-	refs []argRef
+	// stepNegCheck, and member scans: the probed columns
+	refs  []argRef
+	probe storage.Tuple // reusable probe buffer (probeTuple)
 }
 
 // compiled is an executable rule body plus its head projection. When
@@ -89,15 +90,21 @@ type compiled struct {
 	head   []argRef  // head projection, all const or bound slots
 	vars   []ast.Var // slot -> variable, for witness reconstruction
 	gj     *gjProgram
+	exec   executor      // reused by every binary firing (runCompiled)
+	out    storage.Tuple // headTuple's buffer
 }
 
-// headTuple projects the head tuple out of a complete frame.
+// headTuple projects the head tuple out of a complete frame into the
+// program's reusable buffer: the result is valid until the next call,
+// so callers that keep it copy it (storage's Insert and Add do).
 func (c *compiled) headTuple(fr frame) storage.Tuple {
-	t := make(storage.Tuple, len(c.head))
-	for i, r := range c.head {
-		t[i] = r.resolve(fr)
+	if c.out == nil {
+		c.out = make(storage.Tuple, len(c.head))
 	}
-	return t
+	for i, r := range c.head {
+		c.out[i] = r.resolve(fr)
+	}
+	return c.out
 }
 
 // subst reconstructs a substitution from a frame — used by Explain,
@@ -201,7 +208,9 @@ func compilePlan(plan []planStep, head ast.Atom, db *storage.Database, prebound 
 					in.lookupRef = r
 				}
 			}
-			in.member = len(in.binds) == 0 && !step.useDelta
+			if in.member = len(in.binds) == 0 && !step.useDelta; in.member {
+				in.refs = memberRefs(in.scanArgs)
+			}
 			c.ops = append(c.ops, in)
 
 		case stepFilter:
@@ -261,6 +270,20 @@ func compilePlan(plan []planStep, head ast.Atom, db *storage.Database, prebound 
 	c.nSlots = len(cp.vars)
 	c.vars = cp.vars
 	return c, nil
+}
+
+// memberRefs lowers the columns of a scan whose every column is
+// constant or bound into the refs of a membership probe.
+func memberRefs(args []scanArg) []argRef {
+	refs := make([]argRef, len(args))
+	for k, a := range args {
+		if a.kind == argConst {
+			refs[k] = constRef(a.c)
+		} else {
+			refs[k] = slotRef(a.slot)
+		}
+	}
+	return refs
 }
 
 // prepareIndexes builds every hash index the compiled program will

@@ -234,14 +234,7 @@ func compileGJ(c *compiled) (*gjProgram, bool) {
 		if !hasFree {
 			// Every column constant or delta-bound: a membership probe,
 			// exactly like the binary path's member scans.
-			refs := make([]argRef, len(in.scanArgs))
-			for k, a := range in.scanArgs {
-				if a.kind == argConst {
-					refs[k] = constRef(a.c)
-				} else {
-					refs[k] = slotRef(a.slot)
-				}
-			}
+			refs := memberRefs(in.scanArgs)
 			probe := &instr{kind: stepScan, pred: in.pred, rel: in.rel, member: true, refs: refs}
 			p.checks[checkLevel(refs...)+1] = append(p.checks[checkLevel(refs...)+1], probe)
 			continue
@@ -350,7 +343,7 @@ type gjExec struct {
 // run executes the program: the delta occurrence (if any) scans
 // linearly exactly like the binary path, and each seed runs one
 // leapfrog descent over the remaining variables.
-func (p *gjProgram) run(db *storage.Database, delta []storage.Tuple, st *Stats, emit func(frame) error) error {
+func (p *gjProgram) run(db *storage.Database, delta tupleRun, st *Stats, emit func(frame) error) error {
 	st.GJFirings++
 	x := &gjExec{
 		p: p, db: db, st: st, emit: emit,
@@ -368,7 +361,8 @@ func (p *gjProgram) run(db *storage.Database, delta []storage.Tuple, st *Stats, 
 		return x.body()
 	}
 	in := p.delta
-	for _, t := range delta {
+	for pos, n := 0, delta.Len(); pos < n; pos++ {
+		t := delta.At(pos)
 		x.st.Probes++
 		ok := true
 		for k := range in.scanArgs {
@@ -445,10 +439,7 @@ func (x *gjExec) runChecks(l int) (bool, error) {
 				return false, nil
 			}
 		case stepScan: // fully-bound membership probe
-			t := make(storage.Tuple, len(in.refs))
-			for k, r := range in.refs {
-				t[k] = r.resolve(x.fr)
-			}
+			t := in.probeTuple(x.fr)
 			x.st.Probes++
 			x.st.IndexProbes++
 			rel := in.rel

@@ -71,7 +71,7 @@ func (e *Engine) maintenanceSafe(changed map[string][]storage.Tuple) bool {
 	return true
 }
 
-func hasDelta(delta map[string]*storage.Relation, pred string) bool {
+func hasDelta(delta map[string]*storage.TupleSet, pred string) bool {
 	d := delta[pred]
 	return d != nil && d.Len() > 0
 }
@@ -125,17 +125,17 @@ func (e *Engine) DeleteAndRederiveContext(ctx context.Context, removed map[strin
 		return 0, ErrNeedsRecompute
 	}
 	// Seed the deletion cone with the requested tuples that exist.
-	del := make(map[string]*storage.Relation)
+	del := make(map[string]*storage.TupleSet)
 	requested := 0
 	for p, ts := range removed {
 		rel := e.db.Relation(p)
 		if rel == nil {
 			continue
 		}
-		d := storage.NewRelation(p, rel.Arity)
+		d := storage.NewTupleSet()
 		for _, t := range ts {
 			if rel.Contains(t) {
-				d.Insert(t)
+				d.Add(t)
 			}
 		}
 		if d.Len() > 0 {
@@ -157,8 +157,8 @@ func (e *Engine) DeleteAndRederiveContext(ctx context.Context, removed map[strin
 	over := 0
 	for p, d := range del {
 		rel := e.db.Relation(p)
-		for _, t := range d.Tuples() {
-			rel.Remove(t)
+		for pos := 0; pos < d.Len(); pos++ {
+			rel.Remove(d.At(pos))
 		}
 		over += d.Len()
 	}
@@ -176,7 +176,7 @@ func (e *Engine) DeleteAndRederiveContext(ctx context.Context, removed map[strin
 // overDelete grows the deletion cone through one component. The
 // frontier starts at every pending deletion and advances one derivation
 // step per round; evaluation runs against the unmodified old relations.
-func (e *Engine) overDelete(ctx context.Context, scc []string, del map[string]*storage.Relation) error {
+func (e *Engine) overDelete(ctx context.Context, scc []string, del map[string]*storage.TupleSet) error {
 	inSCC := make(map[string]bool, len(scc))
 	for _, p := range scc {
 		inSCC[p] = true
@@ -233,20 +233,24 @@ func (e *Engine) overDelete(ctx context.Context, scc []string, del map[string]*s
 	}
 
 	// Round 0 frontier: everything deleted so far, any predicate.
-	frontier := make(map[string][]storage.Tuple)
+	frontier := make(map[string]*storage.TupleSet)
 	for p, d := range del {
 		if d.Len() > 0 {
-			frontier[p] = d.Tuples()
+			f := storage.NewTupleSet()
+			for pos := 0; pos < d.Len(); pos++ {
+				f.Add(d.At(pos))
+			}
+			frontier[p] = f
 		}
 	}
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		next := make(map[string][]storage.Tuple)
+		next := make(map[string]*storage.TupleSet)
 		for _, f := range firings {
 			ts := frontier[f.pred]
-			if len(ts) == 0 {
+			if ts == nil {
 				continue
 			}
 			st := Stats{RuleFirings: 1}
@@ -259,11 +263,14 @@ func (e *Engine) overDelete(ctx context.Context, scc []string, del map[string]*s
 				}
 				d := del[f.headPred]
 				if d == nil {
-					d = storage.NewRelation(f.headPred, f.headRel.Arity)
+					d = storage.NewTupleSet()
 					del[f.headPred] = d
 				}
-				if d.Insert(t) {
-					next[f.headPred] = append(next[f.headPred], t)
+				if d.Add(t) {
+					if next[f.headPred] == nil {
+						next[f.headPred] = storage.NewTupleSet()
+					}
+					next[f.headPred].Add(t)
 				}
 				return nil
 			})

@@ -121,7 +121,7 @@ func TestIncrementalDifferential(t *testing.T) {
 	// Maintained state.
 	edge := map[string]bool{} // live EDB edges by key
 	var live []storage.Tuple
-	key := func(tu storage.Tuple) string { return tu.Key() }
+	key := func(tu storage.Tuple) string { return tu.String() }
 
 	db := storage.NewDatabase()
 	db.Ensure("edge", 2)

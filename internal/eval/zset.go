@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -233,14 +234,16 @@ func (e *Engine) ApplyZSetContext(ctx context.Context, zs *ZState, changes map[s
 type zPartner struct {
 	rel  *storage.Relation
 	refs []argRef
+	buf  storage.Tuple // tuple's reusable result
 }
 
+// tuple resolves the partner under fr into its buffer: valid until the
+// next call, which suffices for the Rank probe it feeds.
 func (p *zPartner) tuple(fr frame) storage.Tuple {
-	t := make(storage.Tuple, len(p.refs))
 	for i, r := range p.refs {
-		t[i] = r.resolve(fr)
+		p.buf[i] = r.resolve(fr)
 	}
-	return t
+	return p.buf
 }
 
 // literalRefs maps a body literal's arguments onto a compiled plan's
@@ -300,44 +303,29 @@ type zCheck struct {
 	headPred string
 	plan     *compiled
 	partners []zPartner
-	prebound []ast.Var
-	headArgs []ast.Term
+	seed     []storage.Value // seedFor's reusable result
 }
 
-// seedFor builds the prebound slot values for candidate t; ok is false
+// seedFor fills the prebound slot values for candidate t; ok is false
 // when the head shape cannot match t (constant mismatch or repeated
-// head variable with unequal columns).
-func (c *zCheck) seedFor(t storage.Tuple) ([]storage.Value, bool) {
-	seed := make([]storage.Value, len(c.prebound))
-	for i := range seed {
-		seed[i] = storage.NoValue
-	}
-	pos := make(map[ast.Var]int, len(c.prebound))
-	for i, v := range c.prebound {
-		pos[v] = i
-	}
-	for k, a := range c.headArgs {
-		if v, ok := a.(ast.Var); ok {
-			i := pos[v]
-			if seed[i] == storage.NoValue {
-				seed[i] = t[k]
-			} else if seed[i] != t[k] {
-				return nil, false
+// head variable with unequal columns). The compiler numbers the
+// prebound head variables 0..len(seed)-1, so the plan's head
+// projection names each column's seed slot (or its constant).
+func (c *zCheck) seedFor(t storage.Tuple) bool {
+	clear(c.seed)
+	for k, r := range c.plan.head {
+		switch {
+		case r.slot < 0:
+			if r.c != t[k] {
+				return false
 			}
-			continue
-		}
-		cv, ok := storage.LookupTerm(a)
-		if !ok || cv != t[k] {
-			return nil, false
+		case c.seed[r.slot] == storage.NoValue:
+			c.seed[r.slot] = t[k]
+		case c.seed[r.slot] != t[k]:
+			return false
 		}
 	}
-	return seed, true
-}
-
-// zcand identifies one scheduled membership decision.
-type zcand struct {
-	pred string
-	t    storage.Tuple
+	return true
 }
 
 // zsweep is the per-component sweep state.
@@ -351,11 +339,31 @@ type zsweep struct {
 	negOccs map[string][]*zOcc // lower predicate -> negated occurrence plans
 	checks  map[string][]*zCheck
 
-	sched    map[uint32]map[string]zcand
-	maxLayer uint32
-	cur      uint32 // layer the run loop is currently draining
-	started  bool   // true once the run loop has begun
-	out      map[string]*storage.ZSet
+	// sched holds each pending layer's candidates, per predicate.
+	sched   map[uint32]map[string]*storage.TupleSet
+	cur     uint32 // layer the run loop is currently draining
+	started bool   // true once the run loop has begun
+	out     map[string]*storage.ZSet
+
+	one    tupleList           // process's one-tuple delta
+	future map[uint32]struct{} // check's future layers, reused
+	layers []uint32            // check's result, reused
+
+	// The state the firing callbacks (onCheck, onAdd, onDel) read, set
+	// before each firing. The callbacks are bound to method values once
+	// per sweep, so no firing allocates a closure; firings never nest.
+	st        Stats
+	chk       *zCheck
+	occ       *zOcc
+	headRel   *storage.Relation
+	layer     uint32 // check: the layer asked about; fireDel: the layer processed
+	extra     uint32 // fireAdd/fireDel: the delta tuple's rank, for same-component occurrences
+	preSweep  bool
+	ok        bool
+	minL      uint32
+	emitCheck func(frame) error
+	emitAdd   func(frame) error
+	emitDel   func(frame) error
 }
 
 func (w *zsweep) schedule(pred string, t storage.Tuple, layer uint32) {
@@ -371,16 +379,15 @@ func (w *zsweep) schedule(pred string, t storage.Tuple, layer uint32) {
 	}
 	m := w.sched[layer]
 	if m == nil {
-		m = make(map[string]zcand)
+		m = make(map[string]*storage.TupleSet)
 		w.sched[layer] = m
 	}
-	key := pred + "\x00" + t.Key()
-	if _, ok := m[key]; !ok {
-		m[key] = zcand{pred: pred, t: t}
+	set := m[pred]
+	if set == nil {
+		set = storage.NewTupleSet()
+		m[pred] = set
 	}
-	if layer > w.maxLayer {
-		w.maxLayer = layer
-	}
+	set.Add(t)
 }
 
 func (w *zsweep) noteOut(pred string, t storage.Tuple, wgt int64) {
@@ -418,49 +425,57 @@ func (w *zsweep) groundingLayer(partners []zPartner, fr frame, extra uint32) (ui
 // reports whether one is valid at layer ℓ (ok), the smallest valid
 // layer found (minL, meaningful when ok), and the future layers at
 // which currently-known groundings would first become valid — the
-// re-entry schedule for a refuted tuple.
+// re-entry schedule for a refuted tuple, in ascending order and valid
+// until the next check.
 func (w *zsweep) check(pred string, t storage.Tuple, l uint32) (ok bool, minL uint32, future []uint32, err error) {
 	if f := w.e.InsertFilter; f != nil && !f(pred, t) {
 		return false, 0, nil, nil
 	}
-	futureSet := make(map[uint32]struct{})
-	minL = ^uint32(0)
+	clear(w.future)
+	w.layer, w.ok, w.minL = l, false, ^uint32(0)
 	for _, c := range w.checks[pred] {
-		seed, match := c.seedFor(t)
-		if !match {
+		if !c.seedFor(t) {
 			continue
 		}
-		st := Stats{RuleFirings: 1}
+		w.chk, w.st = c, Stats{RuleFirings: 1}
 		c.plan.prepareIndexes()
-		rerr := w.e.runCompiled(c.plan, nil, seed, &st, func(fr frame) error {
-			st.Derived++
-			g, valid := w.groundingLayer(c.partners, fr, 0)
-			if !valid {
-				return nil
-			}
-			if g <= l {
-				ok = true
-			} else {
-				futureSet[g] = struct{}{}
-			}
-			if g < minL {
-				minL = g
-			}
-			return nil
-		})
-		w.e.account(c.label, pred, st, 0)
+		rerr := w.e.runCompiled(c.plan, nil, c.seed, &w.st, w.emitCheck)
+		w.e.account(c.label, pred, w.st, 0)
 		if rerr != nil {
 			return false, 0, nil, rerr
 		}
 	}
-	if !ok {
-		future = make([]uint32, 0, len(futureSet))
-		for g := range futureSet {
-			future = append(future, g)
-		}
-		sort.Slice(future, func(i, j int) bool { return future[i] < future[j] })
+	if w.ok || len(w.future) == 0 {
+		return w.ok, w.minL, nil, nil
 	}
-	return ok, minL, future, nil
+	w.layers = w.layers[:0]
+	for g := range w.future {
+		w.layers = append(w.layers, g)
+	}
+	sort.Slice(w.layers, func(i, j int) bool { return w.layers[i] < w.layers[j] })
+	return false, w.minL, w.layers, nil
+}
+
+// onCheck records the layer of one support grounding check's plan
+// emitted.
+func (w *zsweep) onCheck(fr frame) error {
+	w.st.Derived++
+	g, valid := w.groundingLayer(w.chk.partners, fr, 0)
+	if !valid {
+		return nil
+	}
+	if g <= w.layer {
+		w.ok = true
+	} else {
+		if w.future == nil {
+			w.future = make(map[uint32]struct{})
+		}
+		w.future[g] = struct{}{}
+	}
+	if g < w.minL {
+		w.minL = g
+	}
+	return nil
 }
 
 // fireAdd discovers groundings that appear because the given tuples
@@ -469,41 +484,42 @@ func (w *zsweep) check(pred string, t storage.Tuple, l uint32) (ok bool, minL ui
 // the delta position ranges over ts against the live database, and
 // every emitted head is scheduled at the layer where the new grounding
 // first counts.
-func (w *zsweep) fireAdd(occs []*zOcc, ts []storage.Tuple, extra uint32) error {
-	if len(ts) == 0 {
+func (w *zsweep) fireAdd(occs []*zOcc, ts tupleRun, extra uint32) error {
+	if ts.Len() == 0 {
 		return nil
 	}
 	for _, occ := range occs {
-		st := Stats{RuleFirings: 1}
+		w.occ, w.st = occ, Stats{RuleFirings: 1}
+		w.headRel, w.extra = w.e.db.Relation(occ.headPred), 0
+		if occ.selfSCC {
+			w.extra = extra
+		}
 		occ.addPlan.prepareIndexes()
-		headRel := w.e.db.Relation(occ.headPred)
-		err := w.e.runCompiled(occ.addPlan, ts, nil, &st, func(fr frame) error {
-			st.Derived++
-			contrib := uint32(0)
-			if occ.selfSCC {
-				contrib = extra
-			}
-			g, valid := w.groundingLayer(occ.addPartners, fr, contrib)
-			if !valid {
-				return nil
-			}
-			h := occ.addPlan.headTuple(fr)
-			if headRel != nil && headRel.Contains(h) {
-				// Already present: a new grounding can only lower the
-				// tuple's rank, and ranks need not be minimal — a
-				// loose rank just makes later deletion checks a
-				// little more conservative. Re-checking here would
-				// cost a support enumeration per present head.
-				return nil
-			}
-			w.schedule(occ.headPred, h, g)
-			return nil
-		})
-		w.e.account(occ.label, occ.headPred, st, 0)
+		err := w.e.runCompiled(occ.addPlan, ts, nil, &w.st, w.emitAdd)
+		w.e.account(occ.label, occ.headPred, w.st, 0)
 		if err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// onAdd schedules the head of one grounding fireAdd's plan emitted.
+func (w *zsweep) onAdd(fr frame) error {
+	w.st.Derived++
+	g, valid := w.groundingLayer(w.occ.addPartners, fr, w.extra)
+	if !valid {
+		return nil
+	}
+	h := w.occ.addPlan.headTuple(fr)
+	if w.headRel != nil && w.headRel.Contains(h) {
+		// Already present: a new grounding can only lower the tuple's
+		// rank, and ranks need not be minimal — a loose rank just makes
+		// later deletion checks a little more conservative. Re-checking
+		// here would cost a support enumeration per present head.
+		return nil
+	}
+	w.schedule(w.occ.headPred, h, g)
 	return nil
 }
 
@@ -516,39 +532,23 @@ func (w *zsweep) fireAdd(occs []*zOcc, ts []storage.Tuple, extra uint32) error {
 // being processed (or 0 at the pre-sweep phase): heads whose layer is
 // already settled need no re-check, because their membership was
 // decided from layers the deletion cannot reach.
-func (w *zsweep) fireDel(occs []*zOcc, ts []storage.Tuple, extra, cur uint32, preSweep bool) error {
-	if len(ts) == 0 {
+func (w *zsweep) fireDel(occs []*zOcc, ts tupleRun, extra, cur uint32, preSweep bool) error {
+	if ts.Len() == 0 {
 		return nil
 	}
 	for _, occ := range occs {
-		st := Stats{RuleFirings: 1}
 		occ.delPlan.prepareIndexes()
-		headRel := w.e.db.Relation(occ.headPred)
-		if headRel == nil {
+		w.headRel = w.e.db.Relation(occ.headPred)
+		if w.headRel == nil {
 			continue
 		}
-		err := w.e.runCompiled(occ.delPlan, ts, nil, &st, func(fr frame) error {
-			st.Derived++
-			h := occ.delPlan.headTuple(fr)
-			pos, r := headRel.Rank(h)
-			if pos < 0 || r == 0 {
-				return nil // absent, or a program seed: never retracted
-			}
-			if !preSweep && r <= cur {
-				return nil // settled layer: membership already final
-			}
-			contrib := uint32(0)
-			if occ.selfSCC {
-				contrib = extra
-			}
-			g, valid := w.groundingLayer(occ.delPartners, fr, contrib)
-			if !valid || g > r {
-				return nil // grounding never supported h's membership layer
-			}
-			w.schedule(occ.headPred, h, r)
-			return nil
-		})
-		w.e.account(occ.label, occ.headPred, st, 0)
+		w.occ, w.st = occ, Stats{RuleFirings: 1}
+		w.layer, w.preSweep, w.extra = cur, preSweep, 0
+		if occ.selfSCC {
+			w.extra = extra
+		}
+		err := w.e.runCompiled(occ.delPlan, ts, nil, &w.st, w.emitDel)
+		w.e.account(occ.label, occ.headPred, w.st, 0)
 		if err != nil {
 			return err
 		}
@@ -556,58 +556,79 @@ func (w *zsweep) fireDel(occs []*zOcc, ts []storage.Tuple, extra, cur uint32, pr
 	return nil
 }
 
-// process decides one scheduled candidate at layer t: an exact support
-// check admits, re-ranks, keeps, or removes the tuple, and the change
-// (if any) is propagated by firing the discovery plans with the tuple
-// as the delta.
-func (w *zsweep) process(cand zcand, t uint32) error {
-	rel := w.e.db.Relation(cand.pred)
+// onDel schedules a support re-check of the head of one grounding
+// fireDel's plan emitted.
+func (w *zsweep) onDel(fr frame) error {
+	w.st.Derived++
+	h := w.occ.delPlan.headTuple(fr)
+	pos, r := w.headRel.Rank(h)
+	if pos < 0 || r == 0 {
+		return nil // absent, or a program seed: never retracted
+	}
+	if !w.preSweep && r <= w.layer {
+		return nil // settled layer: membership already final
+	}
+	g, valid := w.groundingLayer(w.occ.delPartners, fr, w.extra)
+	if !valid || g > r {
+		return nil // grounding never supported h's membership layer
+	}
+	w.schedule(w.occ.headPred, h, r)
+	return nil
+}
+
+// process decides one scheduled candidate (pred, t) at layer l: an
+// exact support check admits, re-ranks, keeps, or removes the tuple,
+// and the change (if any) is propagated by firing the discovery plans
+// with the tuple as the delta.
+func (w *zsweep) process(pred string, t storage.Tuple, l uint32) error {
+	rel := w.e.db.Relation(pred)
 	if rel == nil {
 		return nil
 	}
-	pos, r := rel.Rank(cand.t)
+	pos, r := rel.Rank(t)
 	present := pos >= 0
 	if present && r == 0 {
 		return nil // pinned program seed
 	}
-	if present && r < t {
+	if present && r < l {
 		return nil // settled at a lower layer
 	}
-	ok, minL, future, err := w.check(cand.pred, cand.t, t)
+	ok, minL, future, err := w.check(pred, t, l)
 	if err != nil {
 		return err
 	}
+	w.one = append(w.one[:0], t)
 	switch {
 	case !present && ok:
-		rel.Insert(cand.t)
+		rel.Insert(t)
 		w.e.stats.Inserted++
-		if minL > t {
-			minL = t
+		if minL > l {
+			minL = l
 		}
 		w.zs.set(rel, rel.Len()-1, minL)
-		w.noteOut(cand.pred, cand.t, 1)
-		return w.fireAdd(w.occs[cand.pred], []storage.Tuple{cand.t}, minL)
+		w.noteOut(pred, t, 1)
+		return w.fireAdd(w.occs[pred], &w.one, minL)
 	case !present && !ok:
 		for _, g := range future {
-			w.schedule(cand.pred, cand.t, g)
+			w.schedule(pred, t, g)
 		}
 		return nil
-	case ok: // present, supported at ≤ t
+	case ok: // present, supported at ≤ l
 		if minL < r {
 			w.zs.set(rel, pos, minL)
-			return w.fireAdd(w.occs[cand.pred], []storage.Tuple{cand.t}, minL)
+			return w.fireAdd(w.occs[pred], &w.one, minL)
 		}
 		return nil
 	default: // present, refuted
-		if r != t {
+		if r != l {
 			return nil // only a rank-decrease probe failed; membership is decided at r
 		}
-		rel.Remove(cand.t) // its rank leaves with it
-		w.noteOut(cand.pred, cand.t, -1)
+		rel.Remove(t) // its rank leaves with it
+		w.noteOut(pred, t, -1)
 		for _, g := range future {
-			w.schedule(cand.pred, cand.t, g)
+			w.schedule(pred, t, g)
 		}
-		return w.fireDel(w.occs[cand.pred], []storage.Tuple{cand.t}, r, t, false)
+		return w.fireDel(w.occs[pred], &w.one, r, l, false)
 	}
 }
 
@@ -642,9 +663,10 @@ func (e *Engine) zsweepSCC(ctx context.Context, zs *ZState, oldDB *storage.Datab
 		occs:    make(map[string][]*zOcc),
 		negOccs: make(map[string][]*zOcc),
 		checks:  make(map[string][]*zCheck),
-		sched:   make(map[uint32]map[string]zcand),
+		sched:   make(map[uint32]map[string]*storage.TupleSet),
 		out:     make(map[string]*storage.ZSet),
 	}
+	w.emitCheck, w.emitAdd, w.emitDel = w.onCheck, w.onAdd, w.onDel
 	if err := w.compile(rules, lower); err != nil {
 		return nil, err
 	}
@@ -737,8 +759,7 @@ func (w *zsweep) compile(rules []ast.Rule, lower map[string]*storage.ZSet) error
 			label:    ruleLabel(r) + "#zcheck",
 			headPred: r.Head.Pred,
 			plan:     cp,
-			prebound: prebound,
-			headArgs: r.Head.Args,
+			seed:     make([]storage.Value, len(prebound)),
 		}
 		if chk.partners, err = w.partnersOf(cp, r.Body, -1); err != nil {
 			return err
@@ -761,7 +782,7 @@ func (w *zsweep) partnersOf(c *compiled, body []ast.Literal, deltaIdx int) ([]zP
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, zPartner{rel: w.e.db.Relation(l.Atom.Pred), refs: refs})
+		out = append(out, zPartner{rel: w.e.db.Relation(l.Atom.Pred), refs: refs, buf: make(storage.Tuple, len(refs))})
 	}
 	return out, nil
 }
@@ -779,43 +800,69 @@ func (w *zsweep) run(ctx context.Context, lower map[string]*storage.ZSet) error 
 	for _, p := range preds {
 		// Groundings vanish where a positive occurrence lost its tuple or
 		// a negated one gained it, and appear the other way round.
-		adds, dels := lower[p].Split()
-		if err := w.fireDel(w.occs[p], dels, 0, 0, true); err != nil {
+		a, d := lower[p].Split()
+		adds, dels := tupleList(a), tupleList(d)
+		if err := w.fireDel(w.occs[p], &dels, 0, 0, true); err != nil {
 			return err
 		}
-		if err := w.fireDel(w.negOccs[p], adds, 0, 0, true); err != nil {
+		if err := w.fireDel(w.negOccs[p], &adds, 0, 0, true); err != nil {
 			return err
 		}
-		if err := w.fireAdd(w.occs[p], adds, 0); err != nil {
+		if err := w.fireAdd(w.occs[p], &adds, 0); err != nil {
 			return err
 		}
-		if err := w.fireAdd(w.negOccs[p], dels, 0); err != nil {
+		if err := w.fireAdd(w.negOccs[p], &dels, 0); err != nil {
 			return err
 		}
 	}
 
 	w.started = true
-	for t := uint32(0); t <= w.maxLayer; t++ {
+	for len(w.sched) > 0 {
+		// Drain the lowest pending layer; draining only schedules above it.
+		t := ^uint32(0)
+		for l := range w.sched {
+			t = min(t, l)
+		}
 		w.cur = t
 		m := w.sched[t]
-		if len(m) == 0 {
-			continue
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		delete(w.sched, t)
 		w.e.startIteration()
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
+		preds := make([]string, 0, len(m))
+		for p := range m {
+			preds = append(preds, p)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err := w.process(m[k], t); err != nil {
-				return err
+		sort.Strings(preds)
+		for _, p := range preds {
+			set := m[p]
+			order := make([]int, set.Len())
+			for i := range order {
+				order[i] = i
+			}
+			sort.Slice(order, func(i, j int) bool { return keyLess(set.At(order[i]), set.At(order[j])) })
+			for _, pos := range order {
+				if err := w.process(p, set.At(pos), t); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// keyLess orders a layer's candidates by their little-endian byte
+// encoding, four bytes a column, so every run decides them in one
+// fixed order (the order earlier releases drained string-keyed layers
+// in, which keeps ranks and relation order of a replayed WAL
+// unchanged).
+func keyLess(a, b storage.Tuple) bool {
+	for i := range a {
+		if x, y := a[i], b[i]; x != y {
+			s := bits.TrailingZeros32(uint32(x^y)) &^ 7
+			return uint8(x>>s) < uint8(y>>s)
+		}
+	}
+	return false
 }

@@ -137,7 +137,7 @@ func zsetDifferentialRound(t *testing.T, rng *rand.Rand, round, nBatches int, ne
 			st[p] = map[string]storage.Tuple{}
 			if rel := db.Relation(p); rel != nil {
 				for _, tu := range rel.Tuples() {
-					st[p][tu.Key()] = tu
+					st[p][tu.String()] = tu
 				}
 			}
 		}
@@ -161,10 +161,10 @@ func zsetDifferentialRound(t *testing.T, rng *rand.Rand, round, nBatches int, ne
 			for i := 0; i < 1+rng.Intn(4); i++ {
 				p := preds[rng.Intn(len(preds))]
 				tu := ztRandTuple(rng, arities[p], 5)
-				if _, ok := sim[p][tu.Key()]; ok {
+				if _, ok := sim[p][tu.String()]; ok {
 					continue
 				}
-				sim[p][tu.Key()] = tu
+				sim[p][tu.String()] = tu
 				adds[p] = append(adds[p], tu)
 			}
 			for i := 0; i < rng.Intn(3); i++ {
@@ -182,7 +182,7 @@ func zsetDifferentialRound(t *testing.T, rng *rand.Rand, round, nBatches int, ne
 				// coalescer cancels those before maintenance.
 				already := false
 				for _, a := range adds[p] {
-					if a.Key() == k {
+					if a.String() == k {
 						already = true
 					}
 				}
@@ -222,12 +222,12 @@ func zsetDifferentialRound(t *testing.T, rng *rand.Rand, round, nBatches int, ne
 		for bi, b := range batches {
 			for p, ts := range b.adds {
 				for _, tu := range ts {
-					live[p][tu.Key()] = tu
+					live[p][tu.String()] = tu
 				}
 			}
 			for p, ts := range b.dels {
 				for _, tu := range ts {
-					delete(live[p], tu.Key())
+					delete(live[p], tu.String())
 				}
 			}
 

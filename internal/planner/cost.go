@@ -170,8 +170,7 @@ func sampleSelectivity(rel *storage.Relation, col int, t ast.Term) float64 {
 	if !ok {
 		return 0
 	}
-	tuples := rel.Tuples()
-	n := len(tuples)
+	n := rel.Len()
 	if n == 0 {
 		return 0
 	}
@@ -182,7 +181,7 @@ func sampleSelectivity(rel *storage.Relation, col int, t ast.Term) float64 {
 	seen, hits := 0, 0
 	for i := 0; i < n; i += stride {
 		seen++
-		if tuples[i][col] == v {
+		if rel.At(i)[col] == v {
 			hits++
 		}
 	}

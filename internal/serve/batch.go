@@ -296,20 +296,37 @@ func coalesce(db *storage.Database, reqs []*commitReq) (netIns, netDel map[strin
 		initial bool // in the EDB before the group
 		present bool // membership at the current simulation point
 	}
-	cells := map[string]*cell{}
+	// The tuples mentioned so far, per predicate and arity (deletes of
+	// an absent predicate are not held to a later add's arity), and
+	// their cells by set position.
+	type mentions struct {
+		set   storage.TupleSet
+		cells []*cell
+	}
+	type predArity struct {
+		pred  string
+		arity int
+	}
+	seen := map[predArity]*mentions{}
 	var order []*cell
 	lookup := func(f groundFact) *cell {
-		k := f.pred + "\x00" + f.tuple.Key()
-		c := cells[k]
-		if c == nil {
-			present := false
-			if rel := db.Relation(f.pred); rel != nil {
-				present = rel.Contains(f.tuple)
-			}
-			c = &cell{pred: f.pred, tuple: f.tuple, initial: present, present: present}
-			cells[k] = c
-			order = append(order, c)
+		k := predArity{f.pred, len(f.tuple)}
+		m := seen[k]
+		if m == nil {
+			m = &mentions{}
+			seen[k] = m
 		}
+		if pos := m.set.Pos(f.tuple); pos >= 0 {
+			return m.cells[pos]
+		}
+		present := false
+		if rel := db.Relation(f.pred); rel != nil {
+			present = rel.Contains(f.tuple)
+		}
+		c := &cell{pred: f.pred, tuple: f.tuple, initial: present, present: present}
+		m.set.Add(f.tuple)
+		m.cells = append(m.cells, c)
+		order = append(order, c)
 		return c
 	}
 

@@ -48,12 +48,14 @@ func BenchmarkLoadDurable(b *testing.B) {
 
 // TestLoadRetainedHeapPerTuple bounds what a durably loaded session
 // keeps live per derived tuple after read_point's 41×20 load: the
-// tuple, its slots in the membership table and the join's column
-// index, and its rank — 69 B with Go 1.24. Ranks kept beside the data
-// as a string-keyed map retained 133 B per tuple on the same load; the
-// bound sits between the two with over a quarter's margin each way.
+// tuple's values in its relation's flat array, its slots in the
+// membership table and the join's column index, and its rank — 37 B
+// with Go 1.24. A relation of separately allocated tuples retained
+// 69 B on the same load, with ranks in a string-keyed map 133 B; the
+// bound sits below the first with room for the membership table's
+// load factor to swing.
 func TestLoadRetainedHeapPerTuple(t *testing.T) {
-	const bound = 96
+	const bound = 56
 	srv := New(Config{Durability: &durable.Options{Dir: t.TempDir()}})
 	defer srv.Close()
 	base := liveHeap()

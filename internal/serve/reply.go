@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-
-	"repro/internal/storage"
 )
 
 // The query reply's wire encoding. A result is rendered to JSON once,
@@ -22,15 +20,16 @@ type renderedRows struct {
 	offs []int // offs[i] = start of row i in body; offs[len(rows)] = len(body)
 }
 
-// renderRows encodes tuples the way encoding/json encodes a [][]string
-// of their terms' source syntax.
-func renderRows(tuples []storage.Tuple) *renderedRows {
-	r := &renderedRows{offs: make([]int, 1, len(tuples)+1)}
-	for n, t := range tuples {
+// renderRows encodes answer rows [from, to) of m the way encoding/json
+// encodes a [][]string of their terms' source syntax.
+func renderRows(m *match, from, to int) *renderedRows {
+	r := &renderedRows{offs: make([]int, 1, to-from+1)}
+	for n := 0; n < to-from; n++ {
+		t := m.row(from + n)
 		if n == 1 {
 			// Rows of one relation run to similar lengths: size the body
 			// from the first, so it neither regrows nor ends up half empty.
-			r.body = slices.Grow(r.body, (len(tuples)-1)*(len(r.body)+2))
+			r.body = slices.Grow(r.body, (to-from-1)*(len(r.body)+2))
 		}
 		r.body = append(r.body, '[')
 		for i, v := range t {

@@ -559,7 +559,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *session, g
 			s.mCacheMisses.Inc()
 			sess.cacheMissVec.Inc()
 			if m.total <= MaxQueryLimit {
-				rows = renderRows(m.tuples)
+				rows = renderRows(&m, 0, m.total)
 				sess.cache.put(key, gen, rows)
 			}
 		}
@@ -587,7 +587,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *session, g
 	if rows != nil {
 		page = rows.page(offset, end)
 	} else {
-		page = renderRows(m.tuples[offset:end]).page(0, end-offset)
+		page = renderRows(&m, offset, end).page(0, end-offset)
 	}
 
 	sess.queries.Add(1)
@@ -784,8 +784,9 @@ var readPathNames = [...]string{"hit", "contains", "index", "scan"}
 
 // match is what querySnapshot found and what finding it cost.
 type match struct {
-	tuples []storage.Tuple // in relation order; may alias the relation's own slice
-	total  int             // len(tuples), or the cached result's row count on a hit
+	rel    *storage.Relation // the snapshot relation the answer lives in
+	pos    []int             // the answer's positions in rel, ascending; nil: all of rel
+	total  int               // the answer's row count, or the cached result's on a hit
 	path   readPath
 	probes int  // candidate tuples examined
 	col    int  // pathIndex: the column probed
@@ -838,7 +839,9 @@ func querySnapshot(db *storage.Database, goal ast.Atom) (m match, err error) {
 	if rel == nil || !known {
 		return m, nil
 	}
-	filter := func(t storage.Tuple) {
+	m.rel = rel
+	filter := func(pos int) {
+		t := rel.At(pos)
 		for i, sp := range specs {
 			if sp.c != storage.NoValue && t[i] != sp.c {
 				return
@@ -847,7 +850,7 @@ func querySnapshot(db *storage.Database, goal ast.Atom) (m match, err error) {
 				return
 			}
 		}
-		m.tuples = append(m.tuples, t)
+		m.pos = append(m.pos, pos)
 	}
 	switch m.path {
 	case pathContains:
@@ -856,30 +859,39 @@ func querySnapshot(db *storage.Database, goal ast.Atom) (m match, err error) {
 			t[i] = sp.c
 		}
 		m.probes = 1
-		if rel.Contains(t) {
-			m.tuples = []storage.Tuple{t}
+		if pos := rel.Pos(t); pos >= 0 {
+			m.pos = []int{pos}
 		}
 	case pathIndex:
 		m.col = slices.IndexFunc(specs, func(sp colSpec) bool { return sp.c != storage.NoValue })
 		var positions []int
 		positions, m.built = rel.LookupShared(m.col, specs[m.col].c)
 		m.probes = len(positions)
-		m.tuples = make([]storage.Tuple, 0, len(positions))
+		m.pos = make([]int, 0, len(positions))
 		for _, pos := range positions {
-			filter(rel.At(pos))
+			filter(pos)
 		}
 	case pathScan:
 		m.probes = rel.Len()
 		if peers == 0 {
-			m.tuples = rel.Tuples() // every tuple matches: no copy
-		} else {
-			for _, t := range rel.Tuples() {
-				filter(t)
-			}
+			m.total = rel.Len() // every tuple matches: m.pos stays nil
+			return m, nil
+		}
+		m.pos = []int{} // non-nil: an empty answer is not all of rel
+		for pos := 0; pos < rel.Len(); pos++ {
+			filter(pos)
 		}
 	}
-	m.total = len(m.tuples)
+	m.total = len(m.pos)
 	return m, nil
+}
+
+// row returns the i-th answer tuple, a view of the snapshot relation.
+func (m *match) row(i int) storage.Tuple {
+	if m.pos == nil {
+		return m.rel.At(i)
+	}
+	return m.rel.At(m.pos[i])
 }
 
 // canonicalGoal is the cache key of goal: its predicate and arguments

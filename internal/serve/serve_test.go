@@ -278,7 +278,7 @@ func runDifferential(t *testing.T, c differentialCase, plan string, steps int) {
 				mirror[r.Head.Pred] = map[string]storage.Tuple{}
 			}
 			tu := storage.TupleOfTerms(r.Head.Args)
-			mirror[r.Head.Pred][tu.Key()] = tu
+			mirror[r.Head.Pred][tu.String()] = tu
 		} else {
 			ruleOnly = append(ruleOnly, r)
 		}
@@ -348,7 +348,7 @@ var tcDifferential = differentialCase{
 		edges := mirror["edge"]
 		tu := storage.TupleOf(ast.Sym(fmt.Sprintf("n%d", rng.Intn(9))), ast.Sym(fmt.Sprintf("n%d", rng.Intn(9))))
 		if rng.Intn(3) > 0 || len(edges) <= 1 {
-			edges[tu.Key()] = tu
+			edges[tu.String()] = tu
 			return addFacts(fmt.Sprintf("edge(%s, %s).", tu[0], tu[1]))
 		}
 		keys := make([]string, 0, len(edges))
@@ -381,7 +381,7 @@ var orgDifferential = differentialCase{
 			if mirror[pred] == nil {
 				mirror[pred] = map[string]storage.Tuple{}
 			}
-			mirror[pred][tu.Key()] = tu
+			mirror[pred][tu.String()] = tu
 		}
 		switch rng.Intn(4) {
 		case 0: // same_level insert

@@ -575,12 +575,16 @@ func validateChanges(p *loadedProgram, db *storage.Database, arityOver map[strin
 		return nil, nil, 0, err
 	}
 	if len(va) > 0 && len(vd) > 0 {
-		added := map[string]bool{}
+		// Both sides hold a predicate to one arity (over pins new ones).
+		added := map[string]*storage.TupleSet{}
 		for _, f := range va {
-			added[f.pred+"\x00"+f.tuple.Key()] = true
+			if added[f.pred] == nil {
+				added[f.pred] = storage.NewTupleSet()
+			}
+			added[f.pred].Add(f.tuple)
 		}
 		for _, f := range vd {
-			if added[f.pred+"\x00"+f.tuple.Key()] {
+			if set := added[f.pred]; set != nil && set.Contains(f.tuple) {
 				return nil, nil, 0, fmt.Errorf("fact %s%s appears in both adds and dels", f.pred, f.tuple)
 			}
 		}

@@ -98,16 +98,16 @@ func permKey(perm []int) string {
 	return sb.String()
 }
 
-// buildSorted sorts the tuple range [from, to) of tuples by perm and
+// buildSorted sorts the tuple range [from, to) of f by perm and
 // returns the columnar result.
-func buildSorted(tuples []Tuple, from, to int, perm []int) [][]Value {
+func (f *flat) buildSorted(from, to int, perm []int) [][]Value {
 	n := to - from
 	order := make([]int, n)
 	for i := range order {
 		order[i] = from + i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ta, tb := tuples[order[a]], tuples[order[b]]
+		ta, tb := f.At(order[a]), f.At(order[b])
 		for _, c := range perm {
 			if ta[c] != tb[c] {
 				return ta[c] < tb[c]
@@ -119,7 +119,7 @@ func buildSorted(tuples []Tuple, from, to int, perm []int) [][]Value {
 	for k, c := range perm {
 		col := make([]Value, n)
 		for i, pos := range order {
-			col[i] = tuples[pos][c]
+			col[i] = f.vals[pos*f.arity+c]
 		}
 		cols[k] = col
 	}
@@ -191,18 +191,18 @@ func (r *Relation) EnsureSorted(perm []int) *SortedIndex {
 		r.sorted = make(map[string]*SortedIndex)
 	}
 	ix := r.sorted[key]
-	if ix != nil && ix.n == len(r.tuples) {
+	if ix != nil && ix.n == r.n {
 		return ix
 	}
 	p := append([]int(nil), perm...)
 	var cols [][]Value
 	if ix == nil || ix.n == 0 {
-		cols = buildSorted(r.tuples, 0, len(r.tuples), p)
+		cols = r.buildSorted(0, r.n, p)
 	} else {
-		delta := buildSorted(r.tuples, ix.n, len(r.tuples), p)
+		delta := r.buildSorted(ix.n, r.n, p)
 		cols = mergeSorted(ix.cols, delta, p)
 	}
-	nix := &SortedIndex{perm: p, n: len(r.tuples), cols: cols}
+	nix := &SortedIndex{perm: p, n: r.n, cols: cols}
 	r.sorted[key] = nix
 	return nix
 }

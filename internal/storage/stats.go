@@ -98,8 +98,8 @@ func (s *RelStats) Equal(o *RelStats) bool {
 func (r *Relation) EnsureStats() *RelStats {
 	if r.stats == nil {
 		s := newRelStats(r.Arity)
-		for _, t := range r.tuples {
-			s.add(t)
+		for pos := 0; pos < r.n; pos++ {
+			s.add(r.At(pos))
 		}
 		r.stats = s
 	}

@@ -3,20 +3,23 @@
 // indexes, columnar sorted indexes for the Generic Join path, and a
 // catalog (Database) keyed by predicate name.
 //
-// Tuples are fixed-width vectors of interned Values (see intern.go):
-// every symbolic or integer constant is mapped to a dense uint32 ID at
-// ingest time, so tuple hashing is one multiply-xor per column, tuple
-// equality is word comparison, and no per-probe work ever touches
-// string bytes. Relations preserve insertion order (for deterministic
-// iteration) while enforcing set semantics through a hashed membership
-// structure. Column indexes are created lazily by the join engine and
+// Tuples are fixed-width vectors of interned Values (see intern.go), so
+// tuple hashing is one multiply-xor per column and equality is word
+// comparison. Every tuple container — Relation, TupleSet, ZSet — stores
+// its tuples flat: one arity-strided []Value plus an open-addressed
+// membership table of positions. Nothing in that layout holds a pointer,
+// so the garbage collector never traces a tuple and a copy-on-write
+// detach is a memmove. At returns a capped view of the array without
+// allocating; it stays valid until the container's writer next mutates
+// it (forever, on a snapshot view). Insert and Add copy their argument
+// in. Column indexes are created lazily by the join engine and
 // maintained incrementally afterwards; sorted indexes catch up to
 // appended tuples by merging (never a full rebuild).
 //
 // Concurrency discipline: a relation has one writer at a time (the
 // evaluation engine, or the service's committer under the session
 // mutex); published snapshots are shared between reader goroutines,
-// which probe only through the read-only paths (Contains, Tuples, At,
+// which probe only through the read-only paths (Contains, Len, At,
 // LookupNoBuild) and LookupShared. LookupShared is the one way a reader
 // may add to a shared view: it builds a missing column index off to the
 // side, under the view's build mutex, and publishes the finished map
@@ -27,8 +30,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -75,19 +78,6 @@ func (t Tuple) Terms() []ast.Term {
 		out[i] = v.Term()
 	}
 	return out
-}
-
-// Key encodes a tuple as a string usable as a map key. The encoding is
-// injective because values are: four little-endian bytes per column.
-func (t Tuple) Key() string {
-	b := make([]byte, 0, 4*len(t))
-	for _, v := range t {
-		if v == NoValue {
-			panic(fmt.Sprintf("storage: incomplete tuple %v in Key", []Value(t)))
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
-	}
-	return string(b)
 }
 
 const (
@@ -144,14 +134,14 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// tupleIndex is the shared hashed-set core of Relation and TupleSet: an
-// open-addressed table mapping tuple hashes to positions (in an
-// external tuple slice). Slots hold position+1 (0 = empty) with the
-// hash alongside, linear probing, and backward-shift deletion, so the
-// hot insert path touches two flat arrays and allocates nothing — no Go
+// tupleIndex is the membership table of the flat core: an
+// open-addressed table mapping tuple hashes to positions in the flat
+// value array. Slots hold position+1 (0 = empty) with the hash
+// alongside, linear probing, and backward-shift deletion, so the hot
+// insert path touches two flat arrays and allocates nothing — no Go
 // map, no per-bucket slices. Distinct tuples that collide on the full
 // 64-bit hash simply occupy separate slots; equality is always
-// confirmed against the actual tuple, so correctness never depends on
+// confirmed against the stored values, so correctness never depends on
 // hash quality. Every method takes the tuple's hash, so callers that
 // hold one (the semi-naive inner loop does) never pay it twice.
 type tupleIndex struct {
@@ -160,27 +150,20 @@ type tupleIndex struct {
 	used   int
 }
 
-func (ix *tupleIndex) contains(tuples []Tuple, t Tuple, h uint64) bool {
-	return ix.find(tuples, t, h) >= 0
-}
-
-// add inserts pos for t unless an equal tuple is already present.
-func (ix *tupleIndex) add(tuples []Tuple, t Tuple, h uint64, pos int) bool {
+// insert records pos under hash h. The caller has established that no
+// equal tuple is indexed.
+func (ix *tupleIndex) insert(h uint64, pos int) {
 	if (ix.used+1)*4 >= len(ix.slots)*3 {
 		ix.grow()
 	}
 	mask := uint64(len(ix.slots) - 1)
 	i := h & mask
 	for ix.slots[i] != 0 {
-		if ix.hashes[i] == h && tuples[ix.slots[i]-1].Equal(t) {
-			return false
-		}
 		i = (i + 1) & mask
 	}
 	ix.slots[i] = uint32(pos + 1)
 	ix.hashes[i] = h
 	ix.used++
-	return true
 }
 
 // grow doubles the table and reinserts every live slot. Stored hashes
@@ -208,7 +191,7 @@ func (ix *tupleIndex) grow() {
 	ix.hashes, ix.slots = hashes, slots
 }
 
-// clone deep-copies the table (the copy-on-write detach path).
+// clone copies the table (the copy-on-write detach path): two memmoves.
 func (ix *tupleIndex) clone() tupleIndex {
 	out := tupleIndex{used: ix.used}
 	if ix.slots != nil {
@@ -216,22 +199,6 @@ func (ix *tupleIndex) clone() tupleIndex {
 		out.slots = append([]uint32(nil), ix.slots...)
 	}
 	return out
-}
-
-// find returns the position of t in tuples, or -1 if absent.
-func (ix *tupleIndex) find(tuples []Tuple, t Tuple, h uint64) int {
-	if ix.used == 0 {
-		return -1
-	}
-	mask := uint64(len(ix.slots) - 1)
-	i := h & mask
-	for ix.slots[i] != 0 {
-		if ix.hashes[i] == h && tuples[ix.slots[i]-1].Equal(t) {
-			return int(ix.slots[i] - 1)
-		}
-		i = (i + 1) & mask
-	}
-	return -1
 }
 
 // dropPos removes the slot holding pos, probing from its hash h, then
@@ -294,52 +261,112 @@ func (ix *tupleIndex) replacePos(h uint64, old, new int) {
 	}
 }
 
-// removeSwap deletes t from the (tuples, ix) pair by swapping the last
-// tuple into the vacated position. It returns the updated slice and
-// whether t was present.
-// Iteration order is not preserved across removals (the last element
-// moves), which every caller here tolerates: set semantics make order a
-// determinism nicety, not a correctness property, and removal happens
-// only outside evaluation rounds.
-func (ix *tupleIndex) removeSwap(tuples []Tuple, t Tuple) ([]Tuple, bool) {
-	pos := ix.find(tuples, t, t.Hash())
-	if pos < 0 {
-		return tuples, false
-	}
-	return ix.removeAt(tuples, pos), true
+// flat is the storage core Relation, TupleSet and ZSet share: n tuples
+// of one arity back to back in vals, and a membership table over their
+// positions. The arity is fixed by the first tuple pushed (a Relation
+// fixes it at construction), so the zero value is an empty set.
+type flat struct {
+	arity int
+	n     int // tuples stored; arity-0 tuples occupy no values
+	vals  []Value
+	index tupleIndex
 }
 
-// removeAt is removeSwap for a caller that already located the tuple.
-func (ix *tupleIndex) removeAt(tuples []Tuple, pos int) []Tuple {
-	last := len(tuples) - 1
-	ix.dropPos(tuples[pos].Hash(), pos)
-	if pos != last {
-		moved := tuples[last]
-		ix.replacePos(moved.Hash(), last, pos)
-		tuples[pos] = moved
+// Len returns the number of tuples.
+func (f *flat) Len() int { return f.n }
+
+// At returns the tuple at position pos: a capped view of the flat
+// array, valid until the container's writer next mutates it.
+func (f *flat) At(pos int) Tuple {
+	i := pos * f.arity
+	return Tuple(f.vals[i : i+f.arity : i+f.arity])
+}
+
+// Contains reports membership. Read-only.
+func (f *flat) Contains(t Tuple) bool { return f.Pos(t) >= 0 }
+
+// Pos returns the position of t, or -1 if absent. Read-only.
+func (f *flat) Pos(t Tuple) int { return f.find(t, t.Hash()) }
+
+// Tuples returns a copy of the tuples in position order, backed by one
+// fresh array, so it outlives later mutations. It allocates the whole
+// container: production paths walk Len and At instead.
+func (f *flat) Tuples() []Tuple {
+	vals := append([]Value(nil), f.vals...)
+	out := make([]Tuple, f.n)
+	for i := range out {
+		out[i] = vals[i*f.arity : (i+1)*f.arity : (i+1)*f.arity]
 	}
-	tuples[last] = nil
-	return tuples[:last]
+	return out
+}
+
+// find returns the position of t, or -1 if absent.
+func (f *flat) find(t Tuple, h uint64) int {
+	ix := &f.index
+	if ix.used == 0 || len(t) != f.arity {
+		return -1
+	}
+	mask := uint64(len(ix.slots) - 1)
+	for i := h & mask; ix.slots[i] != 0; i = (i + 1) & mask {
+		if ix.hashes[i] == h && f.At(int(ix.slots[i]-1)).Equal(t) {
+			return int(ix.slots[i] - 1)
+		}
+	}
+	return -1
+}
+
+// push appends t, which the caller has established is absent, at
+// position n, copying its values in.
+func (f *flat) push(t Tuple, h uint64) {
+	if f.n == 0 {
+		f.arity = len(t)
+	} else if len(t) != f.arity {
+		panic(fmt.Sprintf("storage: tuple %v of arity %d added to a set of arity %d", t, len(t), f.arity))
+	}
+	f.index.insert(h, f.n)
+	f.vals = append(f.vals, t...)
+	f.n++
+}
+
+// removeAt deletes the tuple at pos (whose hash is h) by moving the
+// last tuple's values into its place. Those values overwrite whatever
+// At returned for pos.
+func (f *flat) removeAt(pos int, h uint64) {
+	last := f.n - 1
+	f.index.dropPos(h, pos)
+	if pos != last {
+		moved := f.At(last)
+		f.index.replacePos(moved.Hash(), last, pos)
+		copy(f.vals[pos*f.arity:], moved)
+	}
+	f.vals = f.vals[:last*f.arity]
+	f.n = last
+}
+
+// clone copies the core with room for headroom more values: the
+// memmoves a copy-on-write detach costs.
+func (f *flat) clone(headroom int) flat {
+	vals := make([]Value, len(f.vals), len(f.vals)+headroom)
+	copy(vals, f.vals)
+	return flat{arity: f.arity, n: f.n, vals: vals, index: f.index.clone()}
 }
 
 // TupleSet is a standalone set of tuples with insertion-order
-// iteration.
-type TupleSet struct {
-	index  tupleIndex
-	tuples []Tuple
-}
+// iteration (Len, At) up to swap-removal.
+type TupleSet struct{ flat }
 
 // NewTupleSet returns an empty set.
 func NewTupleSet() *TupleSet {
 	return &TupleSet{}
 }
 
-// Add inserts t if absent and reports whether it was new.
+// Add copies t in if absent and reports whether it was new.
 func (s *TupleSet) Add(t Tuple) bool {
-	if !s.index.add(s.tuples, t, t.Hash(), len(s.tuples)) {
+	h := t.Hash()
+	if s.find(t, h) >= 0 {
 		return false
 	}
-	s.tuples = append(s.tuples, t)
+	s.push(t, h)
 	return true
 }
 
@@ -347,20 +374,13 @@ func (s *TupleSet) Add(t Tuple) bool {
 // iteration order is not preserved across removals: the last tuple is
 // swapped into the vacated slot.
 func (s *TupleSet) Remove(t Tuple) bool {
-	tuples, ok := s.index.removeSwap(s.tuples, t)
-	s.tuples = tuples
-	return ok
+	h := t.Hash()
+	pos := s.find(t, h)
+	if pos >= 0 {
+		s.removeAt(pos, h)
+	}
+	return pos >= 0
 }
-
-// Contains reports membership.
-func (s *TupleSet) Contains(t Tuple) bool { return s.index.contains(s.tuples, t, t.Hash()) }
-
-// Len returns the number of tuples.
-func (s *TupleSet) Len() int { return len(s.tuples) }
-
-// Tuples returns the backing slice in insertion order (callers must not
-// mutate it).
-func (s *TupleSet) Tuples() []Tuple { return s.tuples }
 
 // Relation is a set of equal-arity tuples with optional per-column hash
 // indexes and optional columnar sorted indexes (sorted.go).
@@ -368,9 +388,8 @@ type Relation struct {
 	Name  string
 	Arity int
 
-	tuples []Tuple
-	index  tupleIndex
-	// ranks, when non-nil, is aligned with tuples: ranks[pos] is the
+	flat
+	// ranks, when non-nil, is aligned with the tuples: ranks[pos] is the
 	// derivation layer incremental maintenance certifies the tuple at
 	// pos with (eval.ZState), 0 for an unranked tuple (a seed fact). It
 	// is allocated by the first SetRank, so relations nobody ranks — the
@@ -397,50 +416,41 @@ type Relation struct {
 	stats *RelStats
 	// cow marks the backing structures as shared with a snapshot
 	// (Database.Snapshot). Every mutating method calls detach first,
-	// which deep-copies the shared state, so snapshot holders can read
-	// their view without locks while the live relation keeps mutating.
+	// which copies the shared state, so snapshot holders can read their
+	// view without locks while the live relation keeps mutating.
 	cow bool
 }
 
 // detach un-shares the relation's backing structures after a snapshot:
-// the first mutation following Snapshot pays one deep copy, later
-// mutations are free again. Read paths never call it. The tuple copy
-// keeps an eighth of append headroom, so the Insert that triggered the
-// detach does not reallocate and copy the relation a second time.
+// the first mutation following Snapshot pays one copy, later mutations
+// are free again. Read paths never call it. The values and the
+// membership table are memmoves; each column index is copied into one
+// backing array. The value copy keeps an eighth of append headroom, so
+// the Insert that triggered the detach does not reallocate and copy the
+// relation a second time.
 func (r *Relation) detach() {
 	if !r.cow {
 		return
 	}
-	tuples := make([]Tuple, len(r.tuples), len(r.tuples)+len(r.tuples)/8+1)
-	copy(tuples, r.tuples)
-	r.tuples = tuples
-	r.index = r.index.clone()
+	r.flat = r.clone(len(r.vals)/8 + r.Arity)
 	for i := range r.colIndex {
 		idx := r.colIndex[i].Load()
 		if idx == nil {
 			continue
 		}
+		backing := make([]int, 0, r.n)
 		ci := make(columnIndex, len(*idx))
 		for v, positions := range *idx {
-			ci[v] = append([]int(nil), positions...)
+			start := len(backing)
+			backing = append(backing, positions...)
+			ci[v] = backing[start:len(backing):len(backing)]
 		}
 		r.colIndex[i].Store(&ci)
 	}
 	// Sorted indexes are immutable; a private map over the shared
 	// objects suffices (catch-up installs new objects into it).
-	r.sorted = copySortedMap(r.sorted)
+	r.sorted = maps.Clone(r.sorted)
 	r.cow = false
-}
-
-func copySortedMap(m map[string]*SortedIndex) map[string]*SortedIndex {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]*SortedIndex, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // snapshotRef returns a read-only view sharing r's current backing
@@ -455,8 +465,8 @@ func (r *Relation) snapshotRef() *Relation {
 	}
 	return &Relation{
 		Name: r.Name, Arity: r.Arity,
-		tuples: r.tuples, index: r.index, colIndex: ci,
-		sorted: copySortedMap(r.sorted), cow: true,
+		flat: r.flat, colIndex: ci,
+		sorted: maps.Clone(r.sorted), cow: true,
 	}
 }
 
@@ -465,31 +475,24 @@ func NewRelation(name string, arity int) *Relation {
 	return &Relation{
 		Name:     name,
 		Arity:    arity,
+		flat:     flat{arity: arity},
 		colIndex: make([]atomic.Pointer[columnIndex], arity),
 	}
 }
 
-// Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
-
-// Insert adds a tuple if absent; it reports whether the tuple was new.
+// Insert copies t in if absent; it reports whether the tuple was new.
 // The tuple must have the relation's arity.
-func (r *Relation) Insert(t Tuple) bool { return r.InsertHashed(t, t.Hash()) }
-
-// InsertHashed is Insert for callers that already hold t's hash — the
-// semi-naive merge path uses it so each candidate tuple is hashed
-// exactly once per round.
-func (r *Relation) InsertHashed(t Tuple, h uint64) bool {
+func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("storage: arity mismatch inserting %v into %s/%d", t, r.Name, r.Arity))
 	}
-	if r.index.contains(r.tuples, t, h) {
+	h := t.Hash()
+	if r.find(t, h) >= 0 {
 		return false
 	}
 	r.detach()
-	pos := len(r.tuples)
-	r.index.add(r.tuples, t, h, pos)
-	r.tuples = append(r.tuples, t)
+	pos := r.n
+	r.push(t, h)
 	if r.ranks != nil {
 		r.ranks = append(r.ranks, 0)
 	}
@@ -513,17 +516,19 @@ func (r *Relation) InsertHashed(t Tuple, h uint64) bool {
 // removals. Removal is a maintenance-time operation; it must not run
 // during an evaluation round.
 func (r *Relation) Remove(t Tuple) bool {
-	if len(t) != r.Arity {
-		return false
-	}
-	pos := r.index.find(r.tuples, t, t.Hash())
+	h := t.Hash()
+	pos := r.find(t, h)
 	if pos < 0 {
 		return false
 	}
+	// t may be At(pos) of this very relation, whose values the swap
+	// overwrites: keep a private copy for the index and stats updates.
+	var buf [8]Value
+	t = append(buf[:0], t...)
 	r.detach()
-	last := len(r.tuples) - 1
-	moved := r.tuples[last]
-	r.tuples = r.index.removeAt(r.tuples, pos)
+	last := r.n - 1
+	moved := r.At(last)
+	r.removeAt(pos, h)
 	if r.ranks != nil {
 		r.ranks[pos] = r.ranks[last]
 		r.ranks = r.ranks[:last]
@@ -571,12 +576,6 @@ func dropPosition(idx map[Value][]int, v Value, pos int) {
 	idx[v] = append(l[:i], l[i+1:]...)
 }
 
-// Contains reports whether the relation holds t. Read-only.
-func (r *Relation) Contains(t Tuple) bool { return r.index.contains(r.tuples, t, t.Hash()) }
-
-// Tuples returns the backing slice (callers must not mutate it).
-func (r *Relation) Tuples() []Tuple { return r.tuples }
-
 // RankedTuple is a tuple with its nonzero rank: the unit in which ranks
 // leave a relation (checkpoints, replication bootstrap).
 type RankedTuple struct {
@@ -588,7 +587,7 @@ type RankedTuple struct {
 // position, -1 when t is absent, and rank is 0 when t is unranked. A
 // snapshot view reports every tuple unranked.
 func (r *Relation) Rank(t Tuple) (pos int, rank uint32) {
-	pos = r.index.find(r.tuples, t, t.Hash())
+	pos = r.Pos(t)
 	if pos >= 0 && r.ranks != nil {
 		rank = r.ranks[pos]
 	}
@@ -602,18 +601,18 @@ func (r *Relation) SetRank(pos int, rank uint32) {
 		if rank == 0 {
 			return
 		}
-		r.ranks = make([]uint32, len(r.tuples), cap(r.tuples))
+		r.ranks = make([]uint32, r.n)
 	}
 	r.ranks[pos] = rank
 }
 
 // Ranked returns the ranked tuples in relation order; the tuples are
-// the relation's own.
+// At views, valid until the relation's next mutation.
 func (r *Relation) Ranked() []RankedTuple {
 	out := make([]RankedTuple, 0, len(r.ranks))
 	for pos, rank := range r.ranks {
 		if rank != 0 {
-			out = append(out, RankedTuple{T: r.tuples[pos], Rank: rank})
+			out = append(out, RankedTuple{T: r.At(pos), Rank: rank})
 		}
 	}
 	return out
@@ -622,23 +621,24 @@ func (r *Relation) Ranked() []RankedTuple {
 // columnIndex is one column's hash index: value → ascending positions.
 type columnIndex = map[Value][]int
 
-// buildColumnIndex scans tuples into the index of column col at its
-// exact size. The first pass numbers the distinct values and counts
+// buildColumnIndex scans the tuples into the index of column col at
+// its exact size. The first pass numbers the distinct values and counts
 // them, touching the hash table once per tuple; the second is pure
 // array work, filling every position list inside one backing array.
 // Each list's capacity is clipped to its length, so a later append to
 // one list reallocates it instead of running into its neighbour.
-func buildColumnIndex(tuples []Tuple, col int) columnIndex {
+func (f *flat) buildColumnIndex(col int) columnIndex {
 	ids := make(map[Value]int32)
-	idOf := make([]int32, len(tuples)) // tuple position → its value's number
-	var vals []Value                   // number → value
-	var ends []int                     // number → count, then end of its list
-	for pos, t := range tuples {
-		id, ok := ids[t[col]]
+	idOf := make([]int32, f.n) // tuple position → its value's number
+	var vals []Value           // number → value
+	var ends []int             // number → count, then end of its list
+	for pos := range idOf {
+		v := f.vals[pos*f.arity+col]
+		id, ok := ids[v]
 		if !ok {
 			id = int32(len(vals))
-			ids[t[col]] = id
-			vals = append(vals, t[col])
+			ids[v] = id
+			vals = append(vals, v)
 			ends = append(ends, 0)
 		}
 		idOf[pos] = id
@@ -649,7 +649,7 @@ func buildColumnIndex(tuples []Tuple, col int) columnIndex {
 		sum += n
 		ends[id] = sum - n // start of the list; advanced to its end below
 	}
-	backing := make([]int, len(tuples))
+	backing := make([]int, f.n)
 	for pos, id := range idOf {
 		backing[ends[id]] = pos
 		ends[id]++
@@ -676,7 +676,7 @@ func (r *Relation) EnsureIndex(col int) map[Value][]int {
 	if idx := r.colIndex[col].Load(); idx != nil {
 		return *idx
 	}
-	idx := buildColumnIndex(r.tuples, col)
+	idx := r.buildColumnIndex(col)
 	r.colIndex[col].Store(&idx)
 	return idx
 }
@@ -711,7 +711,7 @@ func (r *Relation) LookupShared(col int, v Value) (positions []int, built bool) 
 	if idx == nil {
 		r.buildMu.Lock()
 		if idx = r.colIndex[col].Load(); idx == nil {
-			m := buildColumnIndex(r.tuples, col)
+			m := r.buildColumnIndex(col)
 			idx, built = &m, true
 			r.colIndex[col].Store(idx)
 		}
@@ -719,9 +719,6 @@ func (r *Relation) LookupShared(col int, v Value) (positions []int, built bool) 
 	}
 	return (*idx)[v], built
 }
-
-// At returns the tuple at position pos.
-func (r *Relation) At(pos int) Tuple { return r.tuples[pos] }
 
 // IndexedColumns returns the columns that currently have a hash index
 // (whoever built it: the writer, or a reader of this view), in
@@ -737,25 +734,21 @@ func (r *Relation) IndexedColumns() []int {
 	return cols
 }
 
-// Sorted returns the tuples in lexicographic term order (a fresh
-// slice) — the deterministic-printing order, stable across process
+// Sorted returns a copy of the tuples (see Tuples) in lexicographic
+// term order — the deterministic-printing order, stable across process
 // restarts (unlike raw Value order, which depends on interning order).
 func (r *Relation) Sorted() []Tuple {
-	out := make([]Tuple, len(r.tuples))
-	copy(out, r.tuples)
+	out := r.Tuples()
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
-// Clone returns a deep copy of the tuples: indexes are not copied (they
-// rebuild lazily) and neither are ranks (every tuple is unranked).
+// Clone returns a deep copy of the tuples and their membership table:
+// column and sorted indexes are not copied (they rebuild lazily) and
+// neither are ranks (every tuple is unranked).
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.Name, r.Arity)
-	for _, t := range r.tuples {
-		tt := make(Tuple, len(t))
-		copy(tt, t)
-		out.Insert(tt)
-	}
+	out.flat = r.clone(0)
 	return out
 }
 
@@ -905,10 +898,10 @@ func (db *Database) RemoveTuple(pred string, t Tuple) bool {
 // Snapshot returns a copy-on-write view of the database: an O(number of
 // relations) operation that shares every relation's backing storage
 // with the live database. The snapshot is immutable by contract and
-// safe for concurrent lock-free reads (Contains, Tuples, At,
+// safe for concurrent lock-free reads (Contains, Len, At,
 // LookupNoBuild, LookupShared, Sorted, String); the live database stays fully
 // mutable — its first mutation of each shared relation detaches a
-// private deep copy, leaving the snapshot's view frozen at its tuple
+// private copy, leaving the snapshot's view frozen at its tuple
 // count as of this call. The long-running service publishes one
 // snapshot per committed update batch and serves all reads from it.
 func (db *Database) Snapshot() *Database {
@@ -938,8 +931,8 @@ func (db *Database) Equal(other *Database) bool {
 func (db *Database) subset(other *Database) bool {
 	for p, r := range db.rels {
 		o := other.rels[p]
-		for _, t := range r.tuples {
-			if o == nil || !o.Contains(t) {
+		for pos := 0; pos < r.n; pos++ {
+			if o == nil || !o.Contains(r.At(pos)) {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,6 +11,21 @@ import (
 )
 
 func tup(vals ...ast.Term) Tuple { return TupleOf(vals...) }
+
+// Key encodes a tuple as a string usable as a map key: four
+// little-endian bytes per column, injective because values are. The
+// package's own containers hash tuples instead; tests use Key to keep
+// reference models in plain maps.
+func (t Tuple) Key() string {
+	b := make([]byte, 0, 4*len(t))
+	for _, v := range t {
+		if v == NoValue {
+			panic(fmt.Sprintf("storage: incomplete tuple %v in Key", []Value(t)))
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return string(b)
+}
 
 func TestTupleKeyInjective(t *testing.T) {
 	// Values that would collide under naive string concatenation.

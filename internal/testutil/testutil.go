@@ -146,7 +146,8 @@ func matchBody(db *storage.Database, ic ast.IC, body []ast.Literal, env ast.Subs
 			return &violation{ic: ic, env: env.Clone()}
 		}
 		// Existential head variables: satisfied if any tuple matches.
-		for _, t := range rel.Tuples() {
+		for pos := 0; pos < rel.Len(); pos++ {
+			t := rel.At(pos)
 			probe := env.Clone()
 			if ast.MatchAtom(probe, inst, ast.Atom{Pred: inst.Pred, Args: t.Terms()}) {
 				return nil
@@ -171,7 +172,8 @@ func matchBody(db *storage.Database, ic ast.IC, body []ast.Literal, env ast.Subs
 		return nil
 	}
 	pattern := env.ApplyAtom(l.Atom)
-	for _, t := range rel.Tuples() {
+	for pos := 0; pos < rel.Len(); pos++ {
+		t := rel.At(pos)
 		probe := env.Clone()
 		if ast.MatchAtom(probe, pattern, ast.Atom{Pred: l.Atom.Pred, Args: t.Terms()}) {
 			if v := matchBody(db, ic, body[1:], probe); v != nil {
@@ -194,7 +196,8 @@ func removeTuple(db *storage.Database, inst ast.Atom) bool {
 		return false
 	}
 	fresh := storage.NewRelation(inst.Pred, rel.Arity)
-	for _, t := range rel.Tuples() {
+	for pos := 0; pos < rel.Len(); pos++ {
+		t := rel.At(pos)
 		if !t.Equal(victim) {
 			fresh.Insert(t)
 		}
@@ -228,7 +231,8 @@ func SamePredicate(a, b *storage.Database, pred string) bool {
 	if ra == nil {
 		return true
 	}
-	for _, t := range ra.Tuples() {
+	for pos := 0; pos < ra.Len(); pos++ {
+		t := ra.At(pos)
 		if !rb.Contains(t) {
 			return false
 		}
@@ -242,14 +246,16 @@ func Diff(a, b *storage.Database, pred string) string {
 	ra, rb := a.Relation(pred), b.Relation(pred)
 	var onlyA, onlyB []string
 	if ra != nil {
-		for _, t := range ra.Tuples() {
+		for pos := 0; pos < ra.Len(); pos++ {
+			t := ra.At(pos)
 			if rb == nil || !rb.Contains(t) {
 				onlyA = append(onlyA, t.String())
 			}
 		}
 	}
 	if rb != nil {
-		for _, t := range rb.Tuples() {
+		for pos := 0; pos < rb.Len(); pos++ {
+			t := rb.At(pos)
 			if ra == nil || !ra.Contains(t) {
 				onlyB = append(onlyB, t.String())
 			}
