@@ -6,8 +6,8 @@ import (
 	"repro/internal/durable"
 )
 
-// Slot is one follower's live feed of committed batches. The committer
-// offers every batch it logs to every registered slot without ever
+// Slot is one consumer's live feed of committed batches. The session
+// offers every batch it lands to every registered slot without ever
 // blocking: a slot whose follower cannot keep up overflows, which
 // latches the slot and tells the stream handler to end the connection.
 // The follower then reconnects and catches up from the leader's
@@ -24,7 +24,6 @@ type Slot struct {
 	done     chan struct{}
 	closed   atomic.Bool
 	overflow atomic.Bool
-	sent     atomic.Uint64 // batches offered and accepted, for slot-depth accounting
 }
 
 // NewSlot returns a slot buffering up to buf live batches, registered
@@ -45,15 +44,15 @@ func (sl *Slot) Offer(b *durable.Batch) {
 	}
 	select {
 	case sl.ch <- b:
-		sl.sent.Add(1)
 	default:
 		sl.overflow.Store(true)
 		sl.Close()
 	}
 }
 
-// Batches is the live feed. It is closed (after draining) when the
-// slot closes; check Overflowed to learn why.
+// Batches is the live feed. It is never closed: Done reports the close,
+// after which what is still buffered can be drained; check Overflowed
+// to learn why it closed.
 func (sl *Slot) Batches() <-chan *durable.Batch { return sl.ch }
 
 // Done is closed when the slot closes, for select loops that must wake

@@ -5,7 +5,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/eval"
+	"repro/internal/durable"
 	"repro/internal/storage"
 )
 
@@ -160,9 +160,9 @@ func (s *Server) commitBatch(sess *session, batch []*commitReq) {
 		s.hCommitWait.ObserveDuration(commitStart.Sub(req.enq))
 	}
 
-	if !s.commitGroup(sess, live) {
+	if !s.commitGroup(sess, live, commitStart) {
 		for i := range live {
-			s.commitGroup(sess, live[i:i+1])
+			s.commitGroup(sess, live[i:i+1], commitStart)
 		}
 	}
 	// Adaptive re-plan cadence, then checkpoint cadence, both on the
@@ -171,96 +171,39 @@ func (s *Server) commitBatch(sess *session, batch []*commitReq) {
 	sess.maybeReplan(context.Background())
 	sess.maybeCheckpoint()
 	s.hCommit.ObserveSince(commitStart)
-
-	// One serve.commit span per request, spanning enqueue to commit:
-	// its "req" arg is the ID the client saw in X-Request-Id, "seq" the
-	// WAL sequence that covers the group (0 for in-memory sessions), so
-	// a trace links a client-visible request ID to the durable batch
-	// that carried it, with the queue wait visible as wait_ns.
-	if s.cfg.Tracer.Enabled() {
-		end := time.Now()
-		seq := int64(sess.seq.Load())
-		for _, req := range live {
-			s.cfg.Tracer.Complete("serve.commit", "commit.request", req.enq, end.Sub(req.enq), map[string]int64{
-				"req":     int64(req.id),
-				"batch":   int64(len(live)),
-				"seq":     seq,
-				"wait_ns": int64(commitStart.Sub(req.enq)),
-			})
-		}
-	}
-}
-
-// errorStatus maps a failed apply to wire status and code: the request's
-// own cancellation, or an internal evaluation failure.
-func errorStatus(ctx context.Context) (int, string) {
-	if ctx.Err() != nil {
-		return statusClientClosedRequest, CodeCancelled
-	}
-	return http.StatusInternalServerError, CodeInternal
 }
 
 // commitGroup commits reqs as one unit: coalesce them to their net
 // effect on the EDB — membership-simulated in arrival order, so each
 // response's Applied/Ignored is exactly what one-at-a-time application
 // would have reported (see DESIGN.md §10 for why net-effect application
-// yields the same fixpoint) — apply that delta once (applyDelta), log
-// it, publish, and only then acknowledge. A solo request is a group of
-// one; it keeps its own context, so its client going away cancels its
-// maintenance, whereas a real group has no single client to follow. A
-// group whose net effect is empty commits as a pure noop with no
-// maintenance at all (unless the session is dirty: any write heals it).
+// yields the same fixpoint) — land that delta as one batch, publish,
+// and only then acknowledge. A solo request is a group of one; it keeps
+// its own context, so its client going away cancels its maintenance,
+// whereas a real group has no single client to follow. A group whose
+// net effect is empty lands as a pure noop with no maintenance at all
+// (unless the session is dirty: any write heals it).
 //
 // It reports false — with nothing applied and nobody answered — only
 // when maintenance failed for a group of more than one; the caller
 // retries each member alone. Caller holds mu.
-func (s *Server) commitGroup(sess *session, reqs []*commitReq) bool {
+func (s *Server) commitGroup(sess *session, reqs []*commitReq, commitStart time.Time) bool {
 	ctx := context.Background()
 	if len(reqs) == 1 {
 		ctx = reqs[0].ctx
 	}
 	netIns, netDel, perReq := coalesce(sess.db, reqs)
-	changed := len(netIns) > 0 || len(netDel) > 0
-
-	mode, st := "noop", eval.Stats{}
-	if changed || sess.dirty {
-		var err error
-		if mode, st, err = sess.applyDelta(ctx, netIns, netDel, false); err != nil {
-			if len(reqs) > 1 {
-				return false
-			}
-			sess.changeReqs.Add(1)
-			status, code := errorStatus(ctx)
-			reqs[0].fail(status, code, err)
-			return true
-		}
+	mode, st, err := sess.land(ctx, &durable.Batch{Seq: sess.seq.Load() + 1, Ins: netIns, Del: netDel}, fromCommit)
+	_, walFailed := err.(walError)
+	if err != nil && !walFailed && len(reqs) > 1 {
+		return false
 	}
-	// The delta is applied in memory; make it durable before any ack. On
-	// failure the whole group is undone — acked writes must never run
-	// ahead of the log, or a crash would silently drop them.
-	if changed {
-		if err := sess.logBatch(netIns, netDel); err != nil {
-			sess.undoDelta(netIns, netDel)
-			for _, req := range reqs {
-				sess.changeReqs.Add(1)
-				req.fail(http.StatusInternalServerError, CodeDurability, err)
-			}
-			return true
-		}
+	if mode == "incremental" && len(reqs) > 1 {
+		s.mGroupCommits.Inc()
 	}
-	switch mode {
-	case "incremental":
-		sess.incremental.Add(1)
-		if len(reqs) > 1 {
-			s.mGroupCommits.Inc()
-		}
-	case "recompute":
-		sess.recomputes.Add(1)
-	}
-	sess.addEvalStats(st)
 	// An acknowledged commit is visible: purge, publish, then ack, so a
 	// client that reads right after its reply cannot miss its own write.
-	if mode != "noop" {
+	if err == nil && mode != "noop" {
 		sess.cache.purge()
 		if hook := s.testBeforePublish; hook != nil {
 			hook()
@@ -268,14 +211,47 @@ func (s *Server) commitGroup(sess *session, reqs []*commitReq) bool {
 		sess.publish()
 	}
 	seq := sess.seq.Load()
+	s.traceRequests(reqs, seq, commitStart)
 	for i, req := range reqs {
-		resp := perReq[i]
-		resp.Mode, resp.Batched, resp.Stats, resp.Seq = mode, len(reqs), st, seq
-		resp.Ignored += req.dups
 		sess.changeReqs.Add(1)
-		req.ok(resp)
+		switch {
+		case walFailed:
+			// land rolled the group back out of memory: acked writes
+			// never run ahead of the log.
+			req.fail(http.StatusInternalServerError, CodeDurability, err)
+		case err != nil && ctx.Err() != nil:
+			req.fail(statusClientClosedRequest, CodeCancelled, err)
+		case err != nil:
+			req.fail(http.StatusInternalServerError, CodeInternal, err)
+		default:
+			resp := perReq[i]
+			resp.Mode, resp.Batched, resp.Stats, resp.Seq = mode, len(reqs), st, seq
+			resp.Ignored += req.dups
+			req.ok(resp)
+		}
 	}
 	return true
+}
+
+// traceRequests records one serve.commit span per request of a group,
+// before any of them is answered, spanning enqueue to answer: "req" is
+// the ID the client saw in X-Request-Id, "batch" the size of the group
+// that carried it, "seq" the sequence after the landing and "wait_ns"
+// the queue wait. A trace thus links a client-visible request ID to the
+// batch that made its write durable.
+func (s *Server) traceRequests(reqs []*commitReq, seq uint64, commitStart time.Time) {
+	if !s.cfg.Tracer.Enabled() {
+		return
+	}
+	end := time.Now()
+	for _, req := range reqs {
+		s.cfg.Tracer.Complete("serve.commit", "commit.request", req.enq, end.Sub(req.enq), map[string]int64{
+			"req":     int64(req.id),
+			"batch":   int64(len(reqs)),
+			"seq":     int64(seq),
+			"wait_ns": int64(commitStart.Sub(req.enq)),
+		})
+	}
 }
 
 // coalesce simulates the group's requests in arrival order against the

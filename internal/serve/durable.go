@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/storage"
 )
 
 // Durability wiring. When Config.Durability is set, every session owns
@@ -21,52 +20,13 @@ import (
 // loads and the checkpoint endpoint take it explicitly, so the store
 // itself needs no locking.
 //
-// The acknowledgement invariant both directions:
-//
-//   - acked => durable: the WAL append (and fsync) happens after
-//     maintenance succeeds but before req.ok.
-//   - not acked => not applied: if the append fails, the committer
-//     rolls the batch out of memory (undoDelta) before failing the
-//     requests, so memory never runs ahead of disk.
-//
-// Recovery (RecoverSessions) inverts the pipeline: newest checkpoint,
-// then each logged batch through applyDelta — the very function that
-// committed it the first time, under the replay failure policy — then,
+// Every batch reaches the WAL through land (pipeline.go), which also
+// keeps the acknowledgement invariant: acked or offered => durable, not
+// durable => not visible. Recovery (RecoverSessions) is the pipeline run
+// from disk: newest checkpoint, then each logged batch through land
+// with origin fromWAL — the replay failure policy and no append — then,
 // if the tail was torn, one fresh checkpoint to re-establish a clean
 // base.
-
-// logBatch assigns one committed batch's net EDB delta the next
-// sequence number, appends it to the write-ahead log when the session
-// is durable, and fans it out to replication and change-feed
-// subscribers. Caller holds sess.mu and has already applied the delta
-// in memory; on error the caller must roll it back. The sequence only
-// advances on success — and it advances on in-memory sessions too, so
-// every committed batch has a wire-visible seq for the delta API even
-// without a data directory.
-func (sess *session) logBatch(netIns, netDel map[string][]storage.Tuple) error {
-	seq := sess.seq.Load() + 1
-	batch := &durable.Batch{Seq: seq, Ins: netIns, Del: netDel}
-	if sess.dur != nil {
-		n, syncDur, err := sess.dur.Append(batch)
-		if err != nil {
-			return err
-		}
-		sess.walBatches.Add(1)
-		sess.walBytes.Add(n)
-		sess.sinceCkpt.Add(1)
-		sess.srv.hFsync.ObserveDuration(syncDur)
-		// Fan the durable batch out to connected follower streams. Only
-		// after the append: a follower must never see a batch the leader
-		// could lose. Offers never block — a full slot detaches instead.
-		sess.offerSlots(batch)
-	}
-	sess.seq.Store(seq)
-	// Subscribers see a batch only after it is durable (when durability
-	// is on): a reconnect after a crash replays exactly the acked
-	// frames, never one the process could lose.
-	sess.offerSubs(batch)
-	return nil
-}
 
 // checkpointImage assembles the durable image of one session state —
 // the only place a checkpoint header is written. A load passes the
@@ -237,16 +197,15 @@ func (s *Server) recoverSession(ctx context.Context, name string) (RecoveryRepor
 	sess.tornTail.Store(res.TornTail)
 	sess.lastCkptNano.Store(time.Now().UnixNano())
 
-	// Replay the WAL tail through the same applyDelta that committed it.
+	// Replay the WAL tail through the same pipeline that committed it.
 	done := s.cfg.Tracer.Start("durable", "replay")
 	replayStart := time.Now()
 	for _, b := range res.Batches {
-		if err := sess.replayOne(ctx, b); err != nil {
+		if _, _, err := sess.land(ctx, b, fromWAL); err != nil {
 			s.hReplay.ObserveSince(replayStart)
 			done.End()
 			return rep, fmt.Errorf("recover %s: replay batch %d: %w", name, b.Seq, err)
 		}
-		sess.seq.Store(b.Seq)
 		rep.ReplayedBatches++
 	}
 	s.hReplay.ObserveSince(replayStart)
@@ -263,31 +222,10 @@ func (s *Server) recoverSession(ctx context.Context, name string) (RecoveryRepor
 	// resume without a gap. The at-most-once filter makes replaying it
 	// again after the next crash harmless, and the normal checkpoint
 	// cadence re-bounds it.
-	sess.sinceCkpt.Store(int64(rep.ReplayedBatches))
 	if res.TornTail {
 		_ = sess.checkpointLocked()
 	}
 	return rep, nil
-}
-
-// replayOne re-applies one already-durable batch — a WAL record during
-// recovery, a leader batch on a follower — and counts how it landed.
-// Replay is apply: logged batches carry net deltas relative to the
-// state they committed against, and the base can already hold part of
-// one (a checkpoint is taken after its batches are logged), which
-// applyDelta's replay policy absorbs. Caller holds sess.mu.
-func (sess *session) replayOne(ctx context.Context, b *durable.Batch) error {
-	mode, st, err := sess.applyDelta(ctx, b.Ins, b.Del, true)
-	if err != nil {
-		return err
-	}
-	if mode == "recompute" {
-		sess.replayRecomputes.Add(1)
-	} else {
-		sess.replayIncremental.Add(1)
-	}
-	sess.addEvalStats(st)
-	return nil
 }
 
 // DurabilityStats is the durability section of a session's stats.

@@ -17,22 +17,14 @@ import (
 // Follower side of WAL-shipping replication. A server started with
 // Config.Follow runs a discovery loop against the leader's session
 // list and one replicator goroutine per session. Each replicator dials
-// GET /v1/sessions/{name}/replicate resuming from its last durable
-// sequence, bootstraps from the leader's checkpoint when the stream
-// says so (the raw bytes are installed verbatim via CheckpointRaw, so
-// the local data directory mirrors the leader's), and applies every
-// batch with the discipline the leader's own commit path uses:
-//
-//	append to the local WAL first (disk never behind memory), then
-//	applyDelta under the replay policy (replayOne), then advance seq
-//	and publish a fresh snapshot stamped with it.
-//
-// A promoted follower — restarted without -follow on the same data
-// directory — therefore recovers through the ordinary RecoverSessions
-// ladder exactly like a leader. Streams that drop reconnect with
-// jittered exponential backoff; a reconnect resumes from the durable
-// sequence, and duplicate WAL records a crash may leave behind are
-// absorbed by recovery's at-most-once filter.
+// GET /v1/sessions/{name}/replicate from its last durable sequence,
+// bootstraps from the leader's checkpoint when the stream says so (the
+// raw bytes are persisted verbatim, so the local data directory mirrors
+// the leader's), and lands every batch through the leader's own
+// pipeline (land): its feeds are offered the batch too, so a follower
+// is a leader to the tier below it. Restarted without -follow, a
+// follower recovers like any leader: that is the whole promotion story.
+// Dropped streams reconnect with jittered exponential backoff.
 
 // replStatus is the shared view of one session's replication link,
 // read by stats and readiness without any lock.
@@ -216,7 +208,7 @@ func (s *Server) runReplicator(ctx context.Context, name string, rs *replStatus)
 			continue
 		}
 		s.mReconnects.Inc()
-		err = s.consumeStream(ctx, name, rs, &bo)(st)
+		err = s.consumeStream(ctx, name, rs, &bo, st)
 		st.Close()
 		rs.connected.Store(false)
 		if ctx.Err() != nil {
@@ -244,39 +236,36 @@ func (s *Server) localSeq(name string) uint64 {
 
 // consumeStream processes one open stream until it ends. A nil error
 // means a graceful End or clean EOF; anything else is a fault the
-// caller backs off on. Returned as a closure over (ctx, name, rs, bo)
-// so the dial/teardown bookkeeping in runReplicator stays linear.
-func (s *Server) consumeStream(ctx context.Context, name string, rs *replStatus, bo *replicate.Backoff) func(*replicate.Stream) error {
-	return func(st *replicate.Stream) error {
-		for {
-			msg, err := st.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil // leader hung up at a frame boundary
-				}
-				return err
+// caller backs off on.
+func (s *Server) consumeStream(ctx context.Context, name string, rs *replStatus, bo *replicate.Backoff, st *replicate.Stream) error {
+	for {
+		msg, err := st.Next()
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil // leader hung up at a frame boundary
 			}
-			switch msg.Kind {
-			case replicate.KindHello:
-				rs.leaderSeq.Store(msg.Hello.Seq)
-				rs.connected.Store(true)
-				bo.Reset()
-				if sess := s.session(name); sess != nil {
-					sess.repl.Store(rs)
-				}
-			case replicate.KindSnapshot:
-				if err := s.installReplicatedSnapshot(name, rs, msg.Snapshot); err != nil {
-					return fmt.Errorf("bootstrap %s: %w", name, err)
-				}
-			case replicate.KindBatch:
-				if err := s.applyReplicated(ctx, name, msg.Batch); err != nil {
-					return fmt.Errorf("apply %s seq %d: %w", name, msg.Batch.Seq, err)
-				}
-			case replicate.KindHeartbeat:
-				rs.leaderSeq.Store(msg.Seq)
-			case replicate.KindEnd:
-				return nil
+			return err
+		}
+		switch msg.Kind {
+		case replicate.KindHello:
+			rs.leaderSeq.Store(msg.Hello.Seq)
+			rs.connected.Store(true)
+			bo.Reset()
+			if sess := s.session(name); sess != nil {
+				sess.repl.Store(rs)
 			}
+		case replicate.KindSnapshot:
+			if err := s.installReplicatedSnapshot(name, rs, msg.Snapshot); err != nil {
+				return fmt.Errorf("bootstrap %s: %w", name, err)
+			}
+		case replicate.KindBatch:
+			if err := s.applyReplicated(ctx, name, msg.Batch); err != nil {
+				return fmt.Errorf("apply %s seq %d: %w", name, msg.Batch.Seq, err)
+			}
+		case replicate.KindHeartbeat:
+			rs.leaderSeq.Store(msg.Seq)
+		case replicate.KindEnd:
+			return nil
 		}
 	}
 }
@@ -318,10 +307,7 @@ func (s *Server) installReplicatedSnapshot(name string, rs *replStatus, raw []by
 	return nil
 }
 
-// applyReplicated lands one leader batch: WAL append first (the disk
-// is never behind memory, the same invariant the leader's commit path
-// keeps), then the same applyDelta the leader committed it with, then
-// seq advance and a fresh snapshot published at that seq.
+// applyReplicated lands one leader batch and publishes it.
 func (s *Server) applyReplicated(ctx context.Context, name string, b *durable.Batch) error {
 	sess := s.session(name)
 	if sess == nil {
@@ -339,28 +325,15 @@ func (s *Server) applyReplicated(ctx context.Context, name string, b *durable.Ba
 	if b.Seq != local+1 {
 		return fmt.Errorf("gap: local seq %d", local)
 	}
-	n, syncDur, err := sess.dur.Append(b)
-	if err != nil {
-		return err
-	}
-	sess.walBatches.Add(1)
-	sess.walBytes.Add(n)
-	sess.sinceCkpt.Add(1)
-	sess.srv.hFsync.ObserveDuration(syncDur)
 	if hook := s.testFollowerApply; hook != nil {
 		hook(name, b.Seq)
 	}
-	if err := sess.replayOne(ctx, b); err != nil {
-		// The WAL has the batch but memory does not (even the rebuild
-		// failed), and applyDelta left the session dirty. The reconnect
-		// re-sends the batch, which then forces it in and rebuilds;
-		// recovery's at-most-once filter absorbs the duplicate WAL record.
+	if _, _, err := sess.land(ctx, b, fromLeader); err != nil {
+		// Nothing was appended and seq did not move. The reconnect
+		// re-sends the batch; if applyDelta left the session dirty, the
+		// resend forces it in and rebuilds.
 		return err
 	}
-	sess.seq.Store(b.Seq)
-	// A follower serves change feeds too: its subscribers get the same
-	// frames the leader's would, once the batch is locally durable.
-	sess.offerSubs(b)
 	sess.publish()
 	sess.maybeCheckpoint()
 	s.mApplied.Inc()

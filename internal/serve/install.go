@@ -184,8 +184,7 @@ func (sess *session) reset(st *state, seq uint64) {
 	sess.install(st)
 	sess.seq.Store(seq)
 	sess.sinceReplan = 0
-	sess.closeSlots()
-	sess.closeSubs()
+	sess.closeFeeds()
 }
 
 // sessionFor returns the named session, registering an empty shell for

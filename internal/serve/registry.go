@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"regexp"
+
+	"repro/internal/durable"
 )
 
 // sessionNameRe constrains session names to safe path segments.
@@ -111,18 +113,9 @@ func (s *Server) dropSession(name string) bool {
 	if sess == nil {
 		return false
 	}
-	sess.close()
 	// Deleting a session deletes its durable directory too — it must
-	// not resurrect on the next restart. Take mu so an in-flight batch
-	// finishes (its appends may fail harmlessly; the session is gone).
-	sess.mu.Lock()
-	if sess.dur != nil {
-		_ = sess.dur.Destroy()
-		sess.dur = nil
-	}
-	sess.closeSlots()
-	sess.closeSubs()
-	sess.mu.Unlock()
+	// not resurrect on the next restart.
+	sess.shutdown((*durable.Store).Destroy)
 	return true
 }
 
@@ -139,14 +132,21 @@ func (s *Server) Close() {
 	s.sessions = map[string]*session{}
 	s.regMu.Unlock()
 	for _, sess := range sessions {
-		sess.close()
-		sess.mu.Lock()
-		if sess.dur != nil {
-			_ = sess.dur.Close()
-			sess.dur = nil
-		}
-		sess.closeSlots()
-		sess.closeSubs()
-		sess.mu.Unlock()
+		sess.shutdown((*durable.Store).Close)
 	}
+}
+
+// shutdown takes a session out of service: its write pipeline closes,
+// release lets go of its store (Destroy on a drop, Close on server
+// shutdown) and both feeds detach. Taking mu lets an in-flight batch
+// finish first.
+func (sess *session) shutdown(release func(*durable.Store) error) {
+	sess.close()
+	sess.mu.Lock()
+	if sess.dur != nil {
+		_ = release(sess.dur)
+		sess.dur = nil
+	}
+	sess.closeFeeds()
+	sess.mu.Unlock()
 }

@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/replicate"
@@ -14,72 +15,15 @@ import (
 // ships (in order) a hello, a bootstrap checkpoint snapshot when the
 // follower's cursor is behind the newest checkpoint, the WAL batches
 // between the cursor and the live edge (read back from the leader's
-// own segments), and then every batch the committer logs, live, via a
+// own segments), and then every batch the session lands, live, via a
 // per-stream replication slot. The stream's payloads reuse the durable
 // on-disk encodings byte for byte — see internal/replicate.
 //
-// Slots are strictly bounded: the committer's Offer never blocks, so a
-// follower that cannot keep up is detached (End frame) and catches up
-// from disk on its next connect. Ordering between the disk phase and
-// the slot phase is handled by registering the slot (capturing the
-// live edge, StartSeq) under sess.mu BEFORE reading the WAL: batches
-// at or below StartSeq are fully on disk, batches above it arrive in
-// the slot, and the boundary is exact because logBatch appends and
-// advances seq under the same mutex.
-
-// addSlot registers a live-feed slot. Caller holds sess.mu, so the
-// captured StartSeq is exact.
-func (sess *session) addSlot(sl *replicate.Slot) {
-	sess.slotMu.Lock()
-	sess.slots = append(sess.slots, sl)
-	sess.slotMu.Unlock()
-}
-
-// removeSlot detaches and forgets a slot (stream handler teardown).
-func (sess *session) removeSlot(sl *replicate.Slot) {
-	sl.Close()
-	sess.slotMu.Lock()
-	for i, s := range sess.slots {
-		if s == sl {
-			sess.slots = append(sess.slots[:i], sess.slots[i+1:]...)
-			break
-		}
-	}
-	sess.slotMu.Unlock()
-}
-
-// offerSlots fans one logged batch out to every live slot. Called by
-// logBatch under sess.mu.
-func (sess *session) offerSlots(b *durable.Batch) {
-	sess.slotMu.Lock()
-	for _, sl := range sess.slots {
-		sl.Offer(b)
-	}
-	sess.slotMu.Unlock()
-}
-
-// closeSlots detaches every slot (load, drop, shutdown). The handlers
-// notice via Done and end their streams; followers reconnect.
-func (sess *session) closeSlots() {
-	sess.slotMu.Lock()
-	slots := sess.slots
-	sess.slots = nil
-	sess.slotMu.Unlock()
-	for _, sl := range slots {
-		sl.Close()
-	}
-}
-
-// slotGauges sums the session's live slots and their buffered depth.
-func (sess *session) slotGauges() (slots, depth int) {
-	sess.slotMu.Lock()
-	slots = len(sess.slots)
-	for _, sl := range sess.slots {
-		depth += sl.Depth()
-	}
-	sess.slotMu.Unlock()
-	return slots, depth
-}
+// Slots are strictly bounded: land's Offer never blocks, so a follower
+// that cannot keep up is detached (End frame) and catches up from disk
+// on its next connect. The stream joins the session's slots feed
+// through attach, whose splice argument (DESIGN.md §11, "The batch
+// pipeline") makes the disk phase and the live phase meet exactly.
 
 // ReplicationStats is the replication section of a session's stats:
 // leader sessions report their connected follower streams, follower
@@ -111,7 +55,7 @@ func (sess *session) replicationStats() *ReplicationStats {
 			Connected: rs.connected.Load(),
 		}
 	}
-	if slots, depth := sess.slotGauges(); slots > 0 {
+	if slots, depth := sess.slots.gauges(); slots > 0 {
 		return &ReplicationStats{Role: "leader", Slots: slots, SlotDepth: depth}
 	}
 	return nil
@@ -191,37 +135,31 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		from = n
 	}
 
-	// Register the slot under sess.mu: StartSeq is the exact live edge —
-	// everything at or below it is fully on disk, everything above it
-	// will be offered to the slot.
-	sess.mu.Lock()
-	dur := sess.dur
-	if dur == nil {
-		sess.mu.Unlock()
-		writeErr(w, http.StatusConflict, CodeNotDurable,
-			"session %q has no durable store; replication requires -data-dir", name)
-		return
-	}
-	startSeq := sess.seq.Load()
-	ckptSeq := dur.LastCheckpointSeq()
+	// Cursor policy: a cursor that predates the newest checkpoint
+	// bootstraps from it — the WAL below may be garbage-collected, or a
+	// load reset the state — and catches up from the snapshot's seq.
 	var snapRaw []byte
 	var snapSeq uint64
-	if from < ckptSeq {
-		// The follower's cursor predates the newest checkpoint: the WAL
-		// below it may already be garbage-collected (or the state was
-		// reset by a load), so bootstrap from the snapshot.
+	slot, backlog, err := sess.attach(&sess.slots, func(_ uint64, dur *durable.Store) (uint64, error) {
+		if dur == nil {
+			return 0, &refusal{http.StatusConflict, ErrorDetail{Code: CodeNotDurable,
+				Message: fmt.Sprintf("session %q has no durable store; replication requires -data-dir", name)}}
+		}
+		if from >= dur.LastCheckpointSeq() {
+			return from, nil
+		}
 		raw, seq, err := dur.NewestSnapshotRaw()
 		if err != nil {
-			sess.mu.Unlock()
-			writeErr(w, http.StatusInternalServerError, CodeDurability, "snapshot: %v", err)
-			return
+			return 0, &refusal{http.StatusInternalServerError, ErrorDetail{Code: CodeDurability, Message: "snapshot: " + err.Error()}}
 		}
 		snapRaw, snapSeq = raw, seq
+		return seq, nil
+	})
+	if slot == nil {
+		err.(*refusal).write(w)
+		return
 	}
-	slot := replicate.NewSlot(s.cfg.ReplicationBuffer, startSeq)
-	sess.addSlot(slot)
-	sess.mu.Unlock()
-	defer sess.removeSlot(slot)
+	defer sess.slots.remove(slot)
 
 	flusher, _ := w.(http.Flusher)
 	var flush func()
@@ -233,88 +171,44 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	sw := replicate.NewWriter(w, flush)
 
 	hello := &replicate.Hello{
-		Session:    name,
-		Seq:        startSeq,
-		Generation: publishedGeneration(sess),
-		Snapshot:   snapRaw != nil,
-	}
-	if snapRaw != nil {
-		hello.SnapshotSeq = snapSeq
+		Session:     name,
+		Seq:         slot.StartSeq,
+		Generation:  publishedGeneration(sess),
+		Snapshot:    snapRaw != nil,
+		SnapshotSeq: snapSeq,
 	}
 	if sw.Hello(hello) != nil {
 		return
 	}
-	base := from
 	if snapRaw != nil {
 		if sw.Snapshot(snapRaw) != nil {
 			return
 		}
 		s.mSnapshotBytes.Add(int64(len(snapRaw)))
-		base = snapSeq
 	}
-
-	// Disk catch-up: (base, startSeq] from the leader's own segments.
-	if base < startSeq {
-		batches, err := dur.BatchesAfter(base)
-		if err != nil {
-			sw.End("catchup: " + err.Error()) //nolint:errcheck // stream is ending
-			return
+	if err != nil {
+		// A checkpoint took part of the backlog (the follower reconnects
+		// and bootstraps off it), or the WAL could not be read.
+		reason := "catchup: " + err.Error()
+		if errors.Is(err, errGap) {
+			reason = "catchup gap; reconnect"
 		}
-		for _, b := range batches {
-			if b.Seq > startSeq {
-				break // the slot covers from here
-			}
-			if sw.Batch(b) != nil {
-				return
-			}
-			s.mShipped.Inc()
-			base = b.Seq
-		}
-		if base < startSeq {
-			// A checkpoint GC'd the tail between registration and the
-			// read; the follower reconnects and bootstraps off it.
-			sw.End("catchup gap; reconnect") //nolint:errcheck // stream is ending
-			return
-		}
+		sw.End(reason) //nolint:errcheck // stream is ending
+		return
 	}
-
-	// Live phase: drain the slot until someone hangs up.
-	heartbeat := time.NewTicker(s.cfg.Heartbeat)
-	defer heartbeat.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case b := <-slot.Batches():
-			if sw.Batch(b) != nil {
-				return
-			}
-			s.mShipped.Inc()
-		case <-slot.Done():
-			// Drain what was buffered before the slot closed — it is
-			// still contiguous; only batches after the close were lost.
-			for {
-				select {
-				case b := <-slot.Batches():
-					if sw.Batch(b) != nil {
-						return
-					}
-					s.mShipped.Inc()
-				default:
-					reason := "session closed or reloaded"
-					if slot.Overflowed() {
-						reason = "slot overflow; reconnect to catch up"
-						s.mSlotOverflows.Inc()
-					}
-					sw.End(reason) //nolint:errcheck // stream is ending
-					return
-				}
-			}
-		case <-heartbeat.C:
-			if sw.Heartbeat(sess.seq.Load()) != nil {
-				return
-			}
-		case <-ctx.Done():
-			return
+	send := func(b *durable.Batch) bool {
+		if sw.Batch(b) != nil {
+			return false
 		}
+		s.mShipped.Inc()
+		return true
 	}
+	s.pump(r.Context(), slot, backlog, send, func() bool { return sw.Heartbeat(sess.seq.Load()) == nil }, func(overflow bool) {
+		reason := "session closed or reloaded"
+		if overflow {
+			reason = "slot overflow; reconnect to catch up"
+			s.mSlotOverflows.Inc()
+		}
+		sw.End(reason) //nolint:errcheck // stream is ending
+	})
 }

@@ -659,11 +659,13 @@ func TestFollowerRestartResumesFromWAL(t *testing.T) {
 	}
 }
 
-// TestFollowerCrashMidApplyDuplicateAbsorbed forges the exact state a
-// crash between WAL append and in-memory apply leaves behind — the
-// next batch sits in the follower's WAL twice (append, failed apply,
-// reconnect, re-append) while its checkpoint lags — and proves a
-// restarted follower recovers through it and converges.
+// TestFollowerCrashMidApplyDuplicateAbsorbed forges a follower WAL that
+// holds the next batch twice while its checkpoint lags. Only older
+// binaries write that state — they appended a leader batch before
+// applying it, so a failed apply and the reconnect's resend logged it
+// again; a follower now applies first and appends once. The test keeps
+// guarding recovery's at-most-once filter: a restarted follower must
+// recover through the duplicate and converge.
 func TestFollowerCrashMidApplyDuplicateAbsorbed(t *testing.T) {
 	leader, leaderTS := durableServer(t, t.TempDir(), Config{Heartbeat: 20 * time.Millisecond})
 	mustOK(t, leaderTS, "POST", "/v1/sessions/m", LoadRequest{Program: replSrc}, nil)
@@ -719,8 +721,8 @@ func TestFollowerCrashMidApplyDuplicateAbsorbed(t *testing.T) {
 }
 
 // TestFollowerAppliesInStrictOrder uses the apply hook to record every
-// sequence the follower lands between WAL append and in-memory apply:
-// the feed must be strictly contiguous even across bootstrap.
+// sequence the follower lands, just before it lands: the feed must be
+// strictly contiguous even across bootstrap.
 func TestFollowerAppliesInStrictOrder(t *testing.T) {
 	leader, leaderTS := durableServer(t, t.TempDir(), Config{Heartbeat: 20 * time.Millisecond})
 	mustOK(t, leaderTS, "POST", "/v1/sessions/m", LoadRequest{Program: replSrc}, nil)
@@ -773,7 +775,7 @@ func TestSlotOverflowDetachesSlowStream(t *testing.T) {
 
 	sess.mu.Lock()
 	sl := replicate.NewSlot(1, sess.seq.Load())
-	sess.addSlot(sl)
+	sess.slots.add(sl)
 	start := sl.StartSeq
 	sess.mu.Unlock()
 
@@ -790,7 +792,7 @@ func TestSlotOverflowDetachesSlowStream(t *testing.T) {
 	default:
 		t.Fatal("buffered batch lost on overflow")
 	}
-	sess.removeSlot(sl)
+	sess.slots.remove(sl)
 	// Writes kept committing through the overflow.
 	var q QueryResponse
 	mustOK(t, leaderTS, "POST", "/v1/sessions/m/query", QueryRequest{Goal: "tc(n0, Y)", Limit: 100}, &q)
@@ -844,5 +846,35 @@ func TestPromotion(t *testing.T) {
 	mustOK(t, promotedTS, "POST", "/v1/sessions/m/query", QueryRequest{Goal: "tc(n0, Y)", Limit: 100}, &q)
 	if q.Total != 4 {
 		t.Fatalf("promoted closure = %d, want 4", q.Total)
+	}
+}
+
+// TestFollowerRelaysLiveBatches: a follower is a leader to the tier
+// below it. With leader → f1 → f2 and a change-feed subscriber on f1,
+// one live commit on the leader must reach f2 through f1's replication
+// slot, and f1's subscriber must receive the leader's frame: f1 lands
+// the batch through the same pipeline the leader committed it with,
+// which offers it to both of f1's feeds.
+func TestFollowerRelaysLiveBatches(t *testing.T) {
+	leader, leaderTS := durableServer(t, t.TempDir(), Config{Heartbeat: 20 * time.Millisecond})
+	mustOK(t, leaderTS, "POST", "/v1/sessions/m", LoadRequest{Program: replSrc}, nil)
+	insertFacts(t, leaderTS, "m", "edge(n1, n2).")
+	f1, f1TS, _ := startFollower(t, t.TempDir(), leaderTS.URL, Config{})
+	waitConverged(t, leader, f1, "m")
+	f2, _, _ := startFollower(t, t.TempDir(), f1TS.URL, Config{})
+	waitConverged(t, leader, f2, "m")
+
+	feed := openSSE(t, f1TS, fmt.Sprintf("/v1/sessions/m/subscribe?from=%d", f1.session("m").snap.Load().seq))
+	waitFor(t, "the subscriber on f1", func() bool { return f1.subscribers.Load() == 1 })
+	waitFor(t, "f2's live stream from f1", func() bool {
+		return metricValue(t, scrapeMetrics(t, f1TS), "replication_slots") == "1"
+	})
+
+	var upd UpdateResponse
+	mustOK(t, leaderTS, "POST", "/v1/sessions/m/changes", ChangesRequest{Adds: []string{"edge(n2, n3)"}}, &upd)
+	waitConverged(t, leader, f2, "m")
+	frame, ok := feed.next(t)
+	if !ok || frame.Seq != upd.Seq || len(frame.Adds) != 1 || frame.Adds[0] != "edge(n2, n3)" || len(frame.Dels) != 0 {
+		t.Fatalf("f1 subscriber frame = %+v (ok=%v), want seq %d adds [edge(n2, n3)]", frame, ok, upd.Seq)
 	}
 }

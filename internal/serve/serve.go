@@ -233,9 +233,8 @@ type Server struct {
 	// answered yet.
 	testBeforePublish func()
 	// testFollowerApply, when set, is invoked by the follower apply path
-	// between the local WAL append and the in-memory apply; crash-matrix
-	// tests use it to cut the process (or the stream) at the exact point
-	// where disk is one batch ahead of memory.
+	// with each leader batch's sequence just before the batch lands;
+	// tests use it to record the order batches land in.
 	testFollowerApply func(name string, seq uint64)
 }
 

@@ -700,7 +700,7 @@ func TestDirtySessionRepairsOnNextUpdate(t *testing.T) {
 	// through the committer this time, which is what counts Applied.
 	sess.dirty = true
 	req := mkReq(t, sess, false, "edge(z, z).")
-	s.commitGroup(sess, []*commitReq{req})
+	s.commitGroup(sess, []*commitReq{req}, req.enq)
 	res := <-req.done
 	if res.err != nil {
 		t.Fatal(res.err)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/planner"
-	"repro/internal/replicate"
 	"repro/internal/storage"
 )
 
@@ -136,9 +135,9 @@ type session struct {
 	cacheHitVec, cacheMissVec *obs.Counter
 
 	// Durability state (nil dur = in-memory session). dur is only
-	// touched under mu. seq is the committer's own counter (WAL
-	// numbering, follower resume cursor, subscriber live edges),
-	// advanced under mu; what readers are told comes from snap. It and
+	// touched under mu. seq is the pipeline's own counter (WAL
+	// numbering, follower resume cursor, feed live edges), advanced by
+	// land under mu; what readers are told comes from snap. It and
 	// the counters are atomics so stats can read them without mu.
 	dur                                 *durable.Store
 	seq                                 atomic.Uint64 // last logged batch
@@ -151,19 +150,10 @@ type session struct {
 	// checkpoint, feeding the durable.checkpoint_age_seconds gauge.
 	lastCkptNano atomic.Int64
 
-	// Replication slots (leader side): one per connected follower
-	// stream. slotMu is strictly inner to mu — the committer offers
-	// batches while holding mu, the metrics scrape takes slotMu alone.
-	slotMu sync.Mutex
-	slots  []*replicate.Slot
-
-	// Change-feed subscriber slots: one per open
-	// GET /v1/sessions/{name}/subscribe stream. Same discipline as the
-	// replication slots — subMu is strictly inner to mu; the committer
-	// offers committed batches while holding mu, registration captures
-	// the exact live edge under mu.
-	subMu sync.Mutex
-	subs  []*replicate.Slot
+	// The session's two feeds (pipeline.go): slots holds one slot per
+	// connected follower stream, subs one per open change-feed
+	// subscription.
+	slots, subs feed
 
 	// Follower side: set by the replication manager while this session
 	// is being fed from a leader stream.
@@ -600,10 +590,9 @@ func relationOf(db *storage.Database, pred string) *storage.Relation {
 }
 
 // applyDelta is the one place a net EDB delta reaches a session's
-// database: the committer (for commit groups of any size), WAL recovery
-// and follower batch apply all land here. Caller holds mu. It returns
-// the maintenance that ran — "incremental" or "recompute" — and its
-// work counters.
+// database, as the first step of land (pipeline.go), whichever way the
+// batch arrived. Caller holds mu. It returns the maintenance that ran —
+// "incremental" or "recompute" — and its work counters.
 //
 // The ladder, top to bottom:
 //

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -23,10 +24,9 @@ import (
 //
 // Cursors: ?from=SEQ means "I have everything up to and including
 // SEQ". A durable session replays (SEQ, head] from its own WAL
-// segments before splicing onto the live feed; the splice point is
-// exact because the slot is registered under sess.mu, the same mutex
-// logBatch advances the sequence under (the identical discipline the
-// replication stream uses). A cursor below the oldest replayable
+// segments before splicing onto the live feed: the subscription joins
+// the session's subs feed through attach, exactly as a replication
+// stream joins its slots feed. A cursor below the oldest replayable
 // sequence — checkpoint GC folded the WAL beneath it, or the session
 // is in-memory and keeps no history — is answered 410 cursor_truncated
 // with the oldest cursor still served, and a cursor beyond the head is
@@ -37,49 +37,6 @@ import (
 // reconnects from its last seen seq and catches up from disk. The
 // server-wide subscriber count is capped (Config.MaxSubscribers, 429 +
 // Retry-After beyond it).
-
-// addSub registers a live change-feed slot. Caller holds sess.mu, so
-// the captured live edge is exact.
-func (sess *session) addSub(sl *replicate.Slot) {
-	sess.subMu.Lock()
-	sess.subs = append(sess.subs, sl)
-	sess.subMu.Unlock()
-}
-
-// removeSub detaches and forgets a subscriber slot (handler teardown).
-func (sess *session) removeSub(sl *replicate.Slot) {
-	sl.Close()
-	sess.subMu.Lock()
-	for i, s := range sess.subs {
-		if s == sl {
-			sess.subs = append(sess.subs[:i], sess.subs[i+1:]...)
-			break
-		}
-	}
-	sess.subMu.Unlock()
-}
-
-// offerSubs fans one committed batch out to every subscriber slot.
-// Called by logBatch (and the follower apply path) under sess.mu.
-func (sess *session) offerSubs(b *durable.Batch) {
-	sess.subMu.Lock()
-	for _, sl := range sess.subs {
-		sl.Offer(b)
-	}
-	sess.subMu.Unlock()
-}
-
-// closeSubs detaches every subscriber (load, drop, shutdown). Handlers
-// notice via Done and end their feeds; clients reconnect.
-func (sess *session) closeSubs() {
-	sess.subMu.Lock()
-	subs := sess.subs
-	sess.subs = nil
-	sess.subMu.Unlock()
-	for _, sl := range subs {
-		sl.Close()
-	}
-}
 
 // handleSubscribe is GET /v1/sessions/{name}/subscribe — one client's
 // change feed. It holds the connection open (SSE) or answers one
@@ -123,66 +80,49 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.subscribers.Add(-1)
 
-	// Register under sess.mu: head is the exact live edge — batches at
-	// or below it must come from disk, batches above it arrive in the
-	// slot.
-	sess.mu.Lock()
-	dur := sess.dur
-	head := sess.seq.Load()
-	oldest := head // in-memory sessions keep no history
-	if dur != nil {
-		oldest = dur.LastCheckpointSeq()
-	}
-	if !haveFrom {
-		from = head
-	}
-	if from > head {
-		sess.mu.Unlock()
-		writeErr(w, http.StatusBadRequest, CodeCursorAhead,
-			"cursor %d is ahead of the session head %d", from, head)
+	// Cursor policy: no cursor starts at the live edge; one beyond it
+	// is refused as ahead, one below the oldest replayable sequence as
+	// truncated. In-memory sessions keep no history.
+	var dur *durable.Store
+	slot, backlog, err := sess.attach(&sess.subs, func(head uint64, d *durable.Store) (uint64, error) {
+		dur = d
+		oldest := head
+		if dur != nil {
+			oldest = dur.LastCheckpointSeq()
+		}
+		if !haveFrom {
+			from = head
+		}
+		if from > head {
+			return 0, &refusal{http.StatusBadRequest, ErrorDetail{Code: CodeCursorAhead,
+				Message: fmt.Sprintf("cursor %d is ahead of the session head %d", from, head)}}
+		}
+		if from < oldest {
+			return 0, &refusal{http.StatusGone, ErrorDetail{Code: CodeCursorTruncated,
+				Message: fmt.Sprintf(
+					"cursor %d predates the oldest replayable sequence %d; re-read current state and resume from there",
+					from, oldest),
+				OldestSeq: oldest}}
+		}
+		return from, nil
+	})
+	if slot == nil {
+		err.(*refusal).write(w)
 		return
 	}
-	if from < oldest {
-		sess.mu.Unlock()
+	defer sess.subs.remove(slot)
+	switch {
+	case errors.Is(err, errGap):
+		// Tell the client to re-resolve its cursor.
 		writeJSON(w, http.StatusGone, ErrorResponse{Error: ErrorDetail{
-			Code: CodeCursorTruncated,
-			Message: fmt.Sprintf(
-				"cursor %d predates the oldest replayable sequence %d; re-read current state and resume from there",
-				from, oldest),
-			OldestSeq: oldest,
+			Code:      CodeCursorTruncated,
+			Message:   "history was checkpointed during catch-up; reconnect",
+			OldestSeq: dur.LastCheckpointSeq(),
 		}})
 		return
-	}
-	slot := replicate.NewSlot(s.cfg.ReplicationBuffer, head)
-	sess.addSub(slot)
-	sess.mu.Unlock()
-	defer sess.removeSub(slot)
-
-	// Disk catch-up: (from, head] re-read from the WAL segments. Only
-	// durable sessions get here with from < head.
-	var backlog []*durable.Batch
-	if from < head {
-		batches, err := dur.BatchesAfter(from)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, CodeDurability, "catchup: %v", err)
-			return
-		}
-		for _, b := range batches {
-			if b.Seq > head {
-				break // the slot covers from here
-			}
-			backlog = append(backlog, b)
-		}
-		if n := len(backlog); (n == 0 && from < head) || (n > 0 && backlog[n-1].Seq < head) {
-			// A checkpoint GC'd the tail between registration and the
-			// read; tell the client to re-resolve its cursor.
-			writeJSON(w, http.StatusGone, ErrorResponse{Error: ErrorDetail{
-				Code:      CodeCursorTruncated,
-				Message:   "history was checkpointed during catch-up; reconnect",
-				OldestSeq: dur.LastCheckpointSeq(),
-			}})
-			return
-		}
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, CodeDurability, "catchup: %v", err)
+		return
 	}
 
 	if sse {
@@ -198,6 +138,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // event id and catches up from disk).
 func (s *Server) subscribeSSE(w http.ResponseWriter, r *http.Request, sess *session, slot *replicate.Slot, backlog []*durable.Batch) {
 	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -213,63 +158,24 @@ func (s *Server) subscribeSSE(w http.ResponseWriter, r *http.Request, sess *sess
 		if _, err := fmt.Fprintf(w, "id: %d\nevent: delta\ndata: %s\n\n", f.Seq, data); err != nil {
 			return false
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if head := sess.seq.Load(); head > f.Seq {
-			s.hSubLag.Observe(int64(head - f.Seq))
-		} else {
-			s.hSubLag.Observe(0)
-		}
+		flush()
+		s.hSubLag.Observe(int64(max(sess.seq.Load(), f.Seq) - f.Seq)) // how far behind the head
 		return true
 	}
-
-	for _, b := range backlog {
-		if !send(b) {
-			return
+	s.pump(r.Context(), slot, backlog, send, func() bool {
+		if _, err := fmt.Fprintf(w, ": ping %d\n\n", sess.seq.Load()); err != nil {
+			return false
 		}
-	}
-
-	heartbeat := time.NewTicker(s.cfg.Heartbeat)
-	defer heartbeat.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case b := <-slot.Batches():
-			if !send(b) {
-				return
-			}
-		case <-slot.Done():
-			// Drain what was buffered before the close — still contiguous.
-			for {
-				select {
-				case b := <-slot.Batches():
-					if !send(b) {
-						return
-					}
-				default:
-					reason := "session closed or reloaded"
-					if slot.Overflowed() {
-						reason = "buffer overflow; reconnect to catch up"
-					}
-					fmt.Fprintf(w, "event: end\ndata: {\"reason\":%q}\n\n", reason) //nolint:errcheck // stream is ending
-					if flusher != nil {
-						flusher.Flush()
-					}
-					return
-				}
-			}
-		case <-heartbeat.C:
-			if _, err := fmt.Fprintf(w, ": ping %d\n\n", sess.seq.Load()); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-ctx.Done():
-			return
+		flush()
+		return true
+	}, func(overflow bool) {
+		reason := "session closed or reloaded"
+		if overflow {
+			reason = "buffer overflow; reconnect to catch up"
 		}
-	}
+		fmt.Fprintf(w, "event: end\ndata: {\"reason\":%q}\n\n", reason) //nolint:errcheck // stream is ending
+		flush()
+	})
 }
 
 // subscribeLongPoll answers one page of frames: the backlog if any,
@@ -279,15 +185,12 @@ func (s *Server) subscribeSSE(w http.ResponseWriter, r *http.Request, sess *sess
 // wait timed out with nothing new.
 func (s *Server) subscribeLongPoll(w http.ResponseWriter, r *http.Request, sess *session, slot *replicate.Slot, from uint64, backlog []*durable.Batch) {
 	resp := SubscribeResponse{Session: sess.name, Frames: []DeltaFrame{}, NextFrom: from}
-	add := func(b *durable.Batch) {
+	add := func(b *durable.Batch) bool {
 		f := frameOfBatch(b)
 		resp.Frames = append(resp.Frames, f)
 		resp.NextFrom = f.Seq
-		if head := sess.seq.Load(); head > f.Seq {
-			s.hSubLag.Observe(int64(head - f.Seq))
-		} else {
-			s.hSubLag.Observe(0)
-		}
+		s.hSubLag.Observe(int64(max(sess.seq.Load(), f.Seq) - f.Seq))
+		return true
 	}
 	for _, b := range backlog {
 		add(b)
@@ -299,30 +202,18 @@ func (s *Server) subscribeLongPoll(w http.ResponseWriter, r *http.Request, sess 
 				wait = time.Duration(n) * time.Second
 			}
 		}
-		if wait > time.Minute {
-			wait = time.Minute
-		}
-		timer := time.NewTimer(wait)
+		timer := time.NewTimer(min(wait, time.Minute))
 		defer timer.Stop()
 		select {
 		case b := <-slot.Batches():
 			add(b)
-			// Drain anything else already buffered — no extra waiting.
-			for {
-				select {
-				case b := <-slot.Batches():
-					add(b)
-				default:
-					goto done
-				}
-			}
+			drain(slot, add) // whatever else is buffered, no extra waiting
 		case <-slot.Done():
 		case <-timer.C:
 		case <-r.Context().Done():
 			return
 		}
 	}
-done:
 	writeJSON(w, http.StatusOK, resp)
 }
 

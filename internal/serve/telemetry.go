@@ -194,7 +194,7 @@ func (s *Server) metricsSnapshot() *obs.MetricsSnapshot {
 				ckptAge = age
 			}
 		}
-		nSlots, nDepth := sess.slotGauges()
+		nSlots, nDepth := sess.slots.gauges()
 		slots += int64(nSlots)
 		slotDepth += int64(nDepth)
 		// Lag: a leader's worst backlog toward any follower stream, a
