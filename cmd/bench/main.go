@@ -24,7 +24,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -35,26 +34,16 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	seed := flag.Int64("seed", 42, "workload seed")
 	jsonOut := flag.String("json", "", "write machine-readable bench records to this file")
-	join := flag.String("join", "auto", "join strategy: auto (Generic Join on cyclic bodies), binary, gj")
 	plan := flag.String("plan", "", "plan selection for E13 and record provenance: auto, orig, iso, opt, magic, bounded")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := obsFlags.PprofFallback(); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
 
-	joinMode, err := eval.ParseJoinMode(*join)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
 	tracer, err := obsFlags.Tracer()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Tracer: tracer, JoinMode: joinMode, Plan: *plan}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Tracer: tracer, Plan: *plan}
 	if *jsonOut != "" {
 		cfg.Rec = &experiments.Recorder{}
 	}

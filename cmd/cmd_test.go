@@ -101,6 +101,25 @@ func TestDlogAllAndStats(t *testing.T) {
 	}
 }
 
+// TestDlogStatsJoinPath: -stats names the join path that ran. The
+// triangle body is cyclic, so the engine plans it through Generic Join.
+func TestDlogStatsJoinPath(t *testing.T) {
+	f := writeFile(t, "tri.dl", `
+tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).
+e(a, b). e(b, c). e(c, a). e(a, c).
+`)
+	stdout, stderr, err := run(t, "dlog", "-stats", "-query", "tri(X, Y, Z)", f)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	if c := strings.Count(stdout, "tri("); c != 3 {
+		t.Errorf("answers = %d, want 3:\n%s", c, stdout)
+	}
+	if !strings.Contains(stderr, "gj_planned=1 gj_firings=1") {
+		t.Errorf("stats do not show the Generic Join path: %q", stderr)
+	}
+}
+
 func TestDlogExplain(t *testing.T) {
 	f := writeFile(t, "anc.dl", ancestry)
 	stdout, stderr, err := run(t, "dlog", "-explain", "anc(ann, dee)", f)
@@ -112,17 +131,33 @@ func TestDlogExplain(t *testing.T) {
 	}
 }
 
+// TestDlogOptimize pins the semantically optimized plan with -plan opt:
+// the answers are the original program's and the decision table names
+// the pinned plan.
 func TestDlogOptimize(t *testing.T) {
 	f := writeFile(t, "gen.dl", genealogy)
-	stdout, stderr, err := run(t, "dlog", "-optimize", "-query", "anc(dan, A, B, C)", f)
+	stdout, stderr, err := run(t, "dlog", "-plan", "opt", "-query", "anc(dan, A, B, C)", f)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, stderr)
 	}
 	if c := strings.Count(stdout, "anc(dan"); c != 3 {
 		t.Errorf("answers = %d, want 3:\n%s\n%s", c, stdout, stderr)
 	}
-	if !strings.Contains(stderr, "isolated") {
-		t.Errorf("optimizer report missing: %q", stderr)
+	if !strings.Contains(stderr, "chosen: opt") {
+		t.Errorf("decision table missing the pinned plan: %q", stderr)
+	}
+}
+
+// TestRemovedFlags: the join override, dlog's second plan selector and
+// the pprof alias are not flags of any tool.
+func TestRemovedFlags(t *testing.T) {
+	for _, tool := range []string{"dlog", "semopt", "bench"} {
+		for _, flag := range []string{"-join", "-optimize", "-expose-pprof"} {
+			_, stderr, err := run(t, tool, flag)
+			if err == nil || !strings.Contains(stderr, "flag provided but not defined") {
+				t.Errorf("%s %s: err = %v, stderr = %q", tool, flag, err, stderr)
+			}
+		}
 	}
 }
 

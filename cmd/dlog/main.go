@@ -6,12 +6,13 @@
 //
 //	dlog -query 'anc(ann, Y)' program.dl [facts.dl ...]
 //	dlog -all program.dl            # print every IDB relation
-//	dlog -optimize -query '...' program.dl
+//	dlog -plan opt -query '...' program.dl
 //	dlog -i program.dl              # interactive REPL
 //
-// With -optimize, the semantic optimizer of the paper is run against
-// the integrity constraints found in the input before evaluation, and
-// the transformation report is printed to stderr. The REPL accepts
+// With -plan, the cost-based planner chooses among the original program
+// and the paper's rewrites of it under the integrity constraints found
+// in the input (-plan opt pins the semantically optimized one) before
+// evaluation, and prints its decision table to stderr. The REPL accepts
 // goals ("anc(ann, Y)"), new facts ("par(x, y)."), and the commands
 // :explain ATOM, :dump, :stats, :quit.
 //
@@ -38,23 +39,17 @@ import (
 func main() {
 	query := flag.String("query", "", "goal to answer, e.g. 'anc(ann, Y)'")
 	all := flag.Bool("all", false, "print every computed IDB relation")
-	optimize := flag.Bool("optimize", false, "run the semantic optimizer before evaluating")
-	plan := flag.String("plan", "", "cost-based plan selection: auto, orig, iso, opt, magic, bounded (supersedes -optimize)")
+	plan := flag.String("plan", "", "cost-based plan selection: auto, orig, iso, opt, magic, bounded")
 	explain := flag.String("explain", "", "print a proof tree for a ground atom, e.g. 'anc(ann, dee)'")
 	explainDot := flag.String("explain-dot", "", "print a proof tree as Graphviz DOT for a ground atom")
 	small := flag.String("small", "", "comma-separated small predicates for atom introduction")
 	stats := flag.Bool("stats", false, "print evaluation work counters to stderr")
 	interactive := flag.Bool("i", false, "interactive query loop on stdin")
-	join := flag.String("join", "auto", "join strategy: auto (Generic Join on cyclic bodies), binary, gj")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: dlog [-query GOAL | -all] [-optimize] file.dl ...")
+		fmt.Fprintln(os.Stderr, "usage: dlog [-query GOAL | -all] [-plan VARIANT] file.dl ...")
 		os.Exit(2)
-	}
-	if _, err := obsFlags.PprofFallback(); err != nil {
-		fmt.Fprintln(os.Stderr, "dlog:", err)
-		os.Exit(1)
 	}
 
 	var src strings.Builder
@@ -70,10 +65,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sys.JoinMode, err = repro.ParseJoinMode(*join)
-	if err != nil {
-		fatal(err)
-	}
 	tracer, err := obsFlags.Tracer()
 	if err != nil {
 		fatal(err)
@@ -85,8 +76,7 @@ func main() {
 			smallPreds[p] = true
 		}
 	}
-	switch {
-	case *plan != "":
+	if *plan != "" {
 		// The query goal, when ground in some argument, unlocks the
 		// magic-sets candidate; the decision table goes to stderr.
 		d, err := sys.Plan(repro.PlanOptions{Variant: *plan, Goal: *query, SmallPreds: smallPreds})
@@ -94,17 +84,6 @@ func main() {
 			fatal(err)
 		}
 		printPlan(os.Stderr, d)
-	case *optimize:
-		res, err := sys.Optimize(repro.OptimizeOptions{SmallPreds: smallPreds})
-		if err != nil {
-			fatal(err)
-		}
-		for _, rep := range res.Reports {
-			fmt.Fprintln(os.Stderr, rep)
-		}
-		for _, n := range res.Notes {
-			fmt.Fprintln(os.Stderr, "note:", n)
-		}
 	}
 
 	if *interactive {
@@ -205,12 +184,13 @@ func printPlan(w io.Writer, d *repro.PlanDecision) {
 }
 
 // printStats writes the work counters of the last evaluation plus
-// per-stratum round counts.
+// per-stratum round counts. gj_planned and gj_firings show which rules
+// the engine routed through Generic Join and how often they fired.
 func printStats(w io.Writer, sys *repro.System) {
 	st := sys.Stats()
-	fmt.Fprintf(w, "iterations=%d firings=%d probes=%d index_probes=%d full_scans=%d matched=%d derived=%d deduped=%d inserted=%d\n",
+	fmt.Fprintf(w, "iterations=%d firings=%d probes=%d index_probes=%d full_scans=%d matched=%d derived=%d deduped=%d inserted=%d gj_planned=%d gj_firings=%d\n",
 		st.Iterations, st.RuleFirings, st.Probes, st.IndexProbes, st.FullScans,
-		st.Matched, st.Derived, st.Deduped, st.Inserted)
+		st.Matched, st.Derived, st.Deduped, st.Inserted, st.GJPlanned, st.GJFirings)
 	for i, s := range sys.LastRunInfo().Strata {
 		fmt.Fprintf(w, "stratum %d [%s]: rounds=%d time=%s\n",
 			i, strings.Join(s.Preds, ","), s.Rounds, s.Time)

@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -100,15 +99,12 @@ func run(args []string, sig <-chan os.Signal, logw io.Writer, ready chan<- strin
 	replanEvery := fs.Int("replan-every", 0,
 		"committed batches between adaptive re-planning checks on plan=auto sessions (0 disables)")
 	small := fs.String("small", "", "comma-separated small predicates for atom introduction")
-	join := fs.String("join", "auto", "join strategy: auto (Generic Join on cyclic bodies), binary, gj")
 	maxQueries := fs.Int("max-concurrent-queries", serve.DefaultMaxConcurrentQueries,
 		"in-flight query admission limit; excess requests get 503")
 	maxPendingWrites := fs.Int("max-pending-writes", serve.DefaultMaxPendingWrites,
 		"per-session commit-queue depth; writes beyond it get 503")
 	maxBatch := fs.Int("max-batch", serve.DefaultMaxBatch,
 		"most write requests one maintenance pass may group-commit (1 disables grouping)")
-	batchWindow := fs.Duration("batch-window", 0,
-		"how long a commit group stays open for more writers (0 = group only what is already queued)")
 	queryCache := fs.Int("query-cache", serve.DefaultQueryCacheEntries,
 		"per-session query-result cache entries (negative disables)")
 	slowQuery := fs.Duration("slow-query", 0,
@@ -145,19 +141,12 @@ func run(args []string, sig <-chan os.Signal, logw io.Writer, ready chan<- strin
 		return err
 	}
 
-	joinMode, err := eval.ParseJoinMode(*join)
-	if err != nil {
-		return err
-	}
 	cfg := serve.Config{
-		JoinMode:             joinMode,
 		MaxConcurrentQueries: *maxQueries,
 		MaxPendingWrites:     *maxPendingWrites,
 		MaxBatch:             *maxBatch,
-		BatchWindow:          *batchWindow,
 		QueryCache:           *queryCache,
 		Tracer:               tracer,
-		EnablePprof:          obsFlags.ExposePprof,
 		SlowQuery:            *slowQuery,
 		Follow:               *follow,
 		ReadyMaxLag:          *readyMaxLag,

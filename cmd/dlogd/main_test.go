@@ -178,8 +178,10 @@ func TestDaemonBadStartup(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, sig, io.Discard, nil); err == nil {
 		t.Error("bad flag should fail")
 	}
-	if err := run([]string{"-optimize"}, sig, io.Discard, nil); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("the removed -optimize flag: err = %v", err)
+	for _, flag := range []string{"-optimize", "-join", "-batch-window", "-expose-pprof"} {
+		if err := run([]string{flag}, sig, io.Discard, nil); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("the removed %s flag: err = %v", flag, err)
+		}
 	}
 	path := filepath.Join(t.TempDir(), "bad.dl")
 	os.WriteFile(path, []byte("p(X :-"), 0o644)

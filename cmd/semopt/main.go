@@ -63,10 +63,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: semopt [flags] file.dl ...")
 		os.Exit(2)
 	}
-	if _, err := obsFlags.PprofFallback(); err != nil {
-		fmt.Fprintln(os.Stderr, "semopt:", err)
-		os.Exit(1)
-	}
 	var src strings.Builder
 	for _, path := range flag.Args() {
 		data, err := os.ReadFile(path)

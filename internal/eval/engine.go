@@ -30,8 +30,8 @@ type Stats struct {
 	GJSeeks     int64 // sorted-index binary-search seeks inside Generic Join
 	// GJPlanned / BinaryPlanned count per-plan planner decisions at
 	// compile time (base and delta variants each count once): how often
-	// the join-mode policy attached a Generic Join program vs kept the
-	// binary pipeline. The service exports them as the
+	// attachGJ attached a Generic Join program vs kept the binary
+	// pipeline. The service exports them as the
 	// serve.planner_rules{mode} family, the telemetry feed for a future
 	// cost-based plan selector.
 	GJPlanned     int64
@@ -101,13 +101,6 @@ type Engine struct {
 	rules     map[string]*RuleProfile // per-rule accumulators, by label
 	ruleOrder []string                // labels in first-firing order
 
-	// InsertFilter, when non-nil, is consulted before inserting a
-	// derived tuple; returning false discards the derivation. It is the
-	// hook used by the evaluation-paradigm semantic optimizer, which
-	// checks residues at run time instead of transforming the program.
-	// It is consulted once per derivation, before the dedup check.
-	InsertFilter func(pred string, t storage.Tuple) bool
-
 	// IterationHook, when non-nil, runs at the start of every fixpoint
 	// round. The evaluation-paradigm baseline of §1 uses it to re-apply
 	// residue analysis to the subqueries of each iteration, which is
@@ -147,12 +140,12 @@ func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 // evaluation is the reference the semi-naive loop is checked against.
 func (e *Engine) UseNaive() { e.naive = true }
 
-// SetJoinMode selects the join execution path: JoinAuto (the default)
-// runs Generic Join for rule bodies whose hypergraph is cyclic and the
-// binary pipeline otherwise, JoinBinary forces the binary pipeline
-// everywhere, JoinGJ forces Generic Join wherever it is compilable
-// (falling back to binary for the remaining shapes). The computed
-// fixpoint and the Inserted counter are identical in every mode.
+// SetJoinMode overrides attachGJ's per-rule choice: JoinBinary forces
+// the binary pipeline everywhere, JoinGJ forces Generic Join wherever
+// it is compilable (falling back to binary for the remaining shapes).
+// The computed fixpoint and the Inserted counter are identical in every
+// mode. Only tests call it: the differential tests force each path, and
+// the binary path is their reference.
 func (e *Engine) SetJoinMode(m JoinMode) { e.joinMode = m }
 
 // SetRankSink attaches a derivation-layer observer: sink is called once
@@ -502,9 +495,6 @@ func (e *Engine) fire(cr *compiledRule, plan *compiled, delta tupleRun, onNew fu
 	err := e.runCompiled(plan, delta, nil, &st, func(fr frame) error {
 		st.Derived++
 		t := plan.headTuple(fr)
-		if e.InsertFilter != nil && !e.InsertFilter(cr.headPred, t) {
-			return nil
-		}
 		if cr.headRel.Insert(t) {
 			st.Inserted++
 			if e.rankSink != nil {

@@ -225,26 +225,6 @@ func TestUnsafeRuleRejected(t *testing.T) {
 	}
 }
 
-func TestInsertFilterHook(t *testing.T) {
-	prog := mustProgram(t, tcSrc)
-	db := chainDB(5)
-	e := New(prog, db)
-	// Discard every tc tuple whose source is n0.
-	e.InsertFilter = func(pred string, t storage.Tuple) bool {
-		return t[0] != storage.InternSym("n0")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := e.Query(ast.NewAtom("tc", ast.Sym("n0"), ast.Var("Y")))
-	if len(res) != 0 {
-		t.Errorf("filter leaked %d tuples", len(res))
-	}
-	if db.Count("tc") != 10 {
-		t.Errorf("tc = %d, want 10 (pairs not starting at n0)", db.Count("tc"))
-	}
-}
-
 // Regression: a variable repeated within one body atom (e.g. e(X, X))
 // must not drive the index probe when the same scan binds it — the slot
 // is still nil when the probe would read it, so the lookup silently

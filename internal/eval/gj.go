@@ -1,13 +1,13 @@
 package eval
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/storage"
 )
 
-// JoinMode selects the join execution path for rule bodies.
+// JoinMode overrides the join execution path for rule bodies; see
+// SetJoinMode.
 type JoinMode int
 
 const (
@@ -21,33 +21,10 @@ const (
 	JoinGJ
 )
 
-// ParseJoinMode maps the CLI spelling (auto|binary|gj) to a JoinMode.
-func ParseJoinMode(s string) (JoinMode, error) {
-	switch s {
-	case "", "auto":
-		return JoinAuto, nil
-	case "binary":
-		return JoinBinary, nil
-	case "gj":
-		return JoinGJ, nil
-	}
-	return JoinAuto, fmt.Errorf("eval: unknown join mode %q (want auto, binary, or gj)", s)
-}
-
-func (m JoinMode) String() string {
-	switch m {
-	case JoinBinary:
-		return "binary"
-	case JoinGJ:
-		return "gj"
-	}
-	return "auto"
-}
-
-// attachGJ applies the engine's join-mode policy to one compiled plan,
-// attaching a Generic Join program when the policy selects it. The
-// binary ops always stay compiled: they are the fallback and keep
-// Explain working.
+// attachGJ decides one compiled plan's join path, attaching a Generic
+// Join program when the body is cyclic and, under a cost model, GJ's
+// estimate beats the binary plan's. The binary ops always stay
+// compiled: they are the fallback and keep Explain working.
 func (e *Engine) attachGJ(c *compiled) {
 	if e.joinMode == JoinBinary {
 		e.stats.BinaryPlanned++
@@ -91,11 +68,10 @@ func (e *Engine) attachGJ(c *compiled) {
 // cannot express (bodies with equality-bind steps) simply keep gj ==
 // nil and run binary.
 //
-// The planner decision lives in Engine.attachGJ: mode JoinBinary never
-// attaches, JoinGJ attaches wherever compilation succeeds, and JoinAuto
-// attaches only when the body hypergraph fails the GYO ear-removal
-// acyclicity test — acyclic bodies have an optimal binary order
-// (Yannakakis), so leapfrog overhead would buy nothing.
+// The planner decision lives in Engine.attachGJ: it attaches only when
+// the body hypergraph fails the GYO ear-removal acyclicity test —
+// acyclic bodies have an optimal binary order (Yannakakis), so leapfrog
+// overhead would buy nothing. Tests override it with SetJoinMode.
 
 // gjSrc is the value source for one probe column: a constant or a
 // frame slot.

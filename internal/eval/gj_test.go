@@ -178,29 +178,6 @@ miss(X, Z) :- e(X, Y), e(Y, Z), not e(X, Z).
 	}
 }
 
-func TestParseJoinMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want JoinMode
-	}{
-		{"", JoinAuto}, {"auto", JoinAuto}, {"binary", JoinBinary}, {"gj", JoinGJ},
-	} {
-		got, err := ParseJoinMode(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseJoinMode(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseJoinMode("quadratic"); err == nil {
-		t.Error("ParseJoinMode accepted an unknown mode")
-	}
-	for _, m := range []JoinMode{JoinAuto, JoinBinary, JoinGJ} {
-		back, err := ParseJoinMode(m.String())
-		if err != nil || back != m {
-			t.Errorf("round trip of %v failed: got %v, %v", m, back, err)
-		}
-	}
-}
-
 // Bodies with equality binds are rejected by compileGJ and keep running
 // binary even under forced GJ.
 func TestForcedGJFallsBackOnBindSteps(t *testing.T) {

@@ -50,8 +50,7 @@ func TestTracingDifferential(t *testing.T) {
 		if stOff.Inserted == 0 {
 			t.Fatal("workload derived nothing; the comparison is vacuous")
 		}
-		// No InsertFilter: every derivation is either inserted or a
-		// duplicate.
+		// Every derivation is either inserted or a duplicate.
 		if stOff.Derived != stOff.Inserted+stOff.Deduped {
 			t.Errorf("derived=%d != inserted=%d + deduped=%d",
 				stOff.Derived, stOff.Inserted, stOff.Deduped)

@@ -428,9 +428,6 @@ func (w *zsweep) groundingLayer(partners []zPartner, fr frame, extra uint32) (ui
 // re-entry schedule for a refuted tuple, in ascending order and valid
 // until the next check.
 func (w *zsweep) check(pred string, t storage.Tuple, l uint32) (ok bool, minL uint32, future []uint32, err error) {
-	if f := w.e.InsertFilter; f != nil && !f(pred, t) {
-		return false, 0, nil, nil
-	}
 	clear(w.future)
 	w.layer, w.ok, w.minL = l, false, ^uint32(0)
 	for _, c := range w.checks[pred] {

@@ -97,9 +97,6 @@ type Config struct {
 	// Tracer, when non-nil, records spans from every measured evaluation
 	// (cmd/bench -trace/-events/-profile).
 	Tracer *obs.Tracer
-	// JoinMode selects the rule-body execution strategy for every
-	// measured run: auto (Generic Join on cyclic bodies), binary, or gj.
-	JoinMode eval.JoinMode
 	// Plan stamps every record's plan provenance and, for E13, pins the
 	// planner's choice: "" or "auto" lets the cost model choose, a
 	// variant name ("orig", "iso", "opt", "magic", "bounded") forces it.
@@ -256,7 +253,6 @@ func runMeasured(cfg Config, id, label string, prog *ast.Program, db *storage.Da
 	for rep := 0; rep < 3; rep++ {
 		work := db.Clone()
 		e := eval.New(prog, work)
-		e.SetJoinMode(cfg.JoinMode)
 		e.SetTracer(cfg.Tracer)
 		start := time.Now()
 		if err := e.Run(); err != nil {

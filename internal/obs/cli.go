@@ -9,9 +9,7 @@ import (
 
 // CLIFlags bundles the observability flags every CLI of the repository
 // exposes: -profile (text report), -trace (Chrome trace-event file),
-// -events (JSONL log), -pprof (runtime profiling server), and
-// -expose-pprof (pprof on the CLI's own service mux, or a standalone
-// fallback server for CLIs without one — see PprofFallback). Register
+// -events (JSONL log) and -pprof (runtime profiling server). Register
 // them with RegisterFlags, obtain the tracer after flag parsing with
 // Tracer, and write the outputs at exit with Finish.
 type CLIFlags struct {
@@ -19,12 +17,6 @@ type CLIFlags struct {
 	TraceFile  string
 	EventsFile string
 	PprofAddr  string
-	// ExposePprof asks for net/http/pprof to be reachable. Server CLIs
-	// (dlogd) read it and mount AttachPprof on their own mux; CLIs
-	// without a listener call PprofFallback, which starts a standalone
-	// localhost server instead. Registering it here keeps the flag
-	// spelled and documented identically across dlogd, dlog, and bench.
-	ExposePprof bool
 }
 
 // RegisterFlags registers the observability flags on fs (normally
@@ -35,25 +27,7 @@ func RegisterFlags(fs *flag.FlagSet) *CLIFlags {
 	fs.StringVar(&f.TraceFile, "trace", "", "write a Chrome trace-event file (Perfetto-loadable) to `FILE`")
 	fs.StringVar(&f.EventsFile, "events", "", "write a JSONL event log to `FILE`")
 	fs.StringVar(&f.PprofAddr, "pprof", "", "serve net/http/pprof on `ADDR`, e.g. localhost:6060")
-	fs.BoolVar(&f.ExposePprof, "expose-pprof", false, "make net/http/pprof reachable: on the service mux for server CLIs, else on a localhost listener")
 	return f
-}
-
-// PprofFallback honors -expose-pprof for CLIs that have no service mux
-// of their own: it starts a standalone pprof server on localhost:0
-// (unless -pprof already named an address, which wins) and reports
-// where it listens. Server CLIs mount AttachPprof on their mux instead
-// and never call this.
-func (f *CLIFlags) PprofFallback() (string, error) {
-	if !f.ExposePprof || f.PprofAddr != "" {
-		return "", nil
-	}
-	addr, err := StartPprof("localhost:0")
-	if err != nil {
-		return "", fmt.Errorf("pprof: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", addr)
-	return addr, nil
 }
 
 // Tracer starts the pprof server if one was requested and returns a

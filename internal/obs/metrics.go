@@ -331,7 +331,7 @@ type HistogramSnapshot struct {
 const vecSep = "\xff"
 
 // CounterVec is a family of counters keyed by a small tuple of label
-// values (session name, route, join mode, ...). With returns the
+// values (session name, route, ...). With returns the
 // counter for one label tuple, creating it on first use; hot paths
 // should look their handle up once and hold it. All methods are
 // no-ops on a nil receiver, and the nil path allocates nothing.

@@ -6,18 +6,6 @@ import (
 	"net/http/pprof"
 )
 
-// AttachPprof mounts the standard net/http/pprof endpoints on mux. The
-// long-running service uses it to serve profiles from its own listener
-// (one port for queries, maintenance, and profiling); the CLIs use it
-// via StartPprof.
-func AttachPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
 // StartPprof serves the standard net/http/pprof endpoints on addr in a
 // background goroutine and returns the bound address (useful when addr
 // has port 0). The caller's process keeps running; the listener lives
@@ -30,7 +18,11 @@ func StartPprof(addr string) (string, error) {
 		return "", err
 	}
 	mux := http.NewServeMux()
-	AttachPprof(mux)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln) //nolint:errcheck // server lives for the process
 	return ln.Addr().String(), nil

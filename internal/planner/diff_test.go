@@ -7,17 +7,21 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/parser"
 	"repro/internal/storage"
 	"repro/internal/testutil"
+	"repro/internal/workload"
 )
 
 // The plan-space differential harness: for random in-class programs
-// with random chain ICs over random constraint-repaired databases,
-// every enumerated candidate — evaluated by every engine configuration
-// (binary and Generic Join paths, and JoinAuto steered by the shared
-// cost model) — must produce tuple-identical answers; and the variant
-// auto picks must never measure worse than the best candidate by more
-// than the documented estimator error bound (ErrorBound/ErrorFloor).
+// with random chain ICs over random constraint-repaired databases, and
+// for the workload scenarios, every enumerated candidate — evaluated by
+// every engine configuration (binary and Generic Join paths, and
+// JoinAuto steered by the shared cost model) — must produce
+// tuple-identical answers and insert as many tuples under every
+// configuration; and on the random programs the variant auto picks
+// must never measure worse than the best candidate by more than the
+// documented estimator error bound (ErrorBound/ErrorFloor).
 
 // engineConfig is one evaluation mode a candidate is checked under.
 type engineConfig struct {
@@ -125,44 +129,9 @@ func TestPlanSpaceDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v\n%s", round, err, prog)
 		}
-
-		// Reference answers from the untransformed program under the
-		// plainest engine.
-		refDB := runWith(t, round, d.Candidate(Orig).Program, db, engineConfigs[0])
-		measured := map[Variant]float64{}
-		for _, c := range d.Candidates {
-			if c.Program == nil {
-				continue
-			}
-			// Magic computes only the goal's answers, so both sides of
-			// its comparison are restricted to the goal pattern.
-			var scope *ast.Atom
-			if c.Variant == Magic {
-				scope = opts.Goal
-			}
-			want := goalTuples(refDB, "p", scope)
-			for _, ec := range engineConfigs {
-				run := db.Clone()
-				eng := eval.New(c.Program, run)
-				eng.SetJoinMode(ec.join)
-				if ec.costed {
-					eng.SetCostModel(eval.StatsCostModel{DB: run})
-				}
-				if err := eng.Run(); err != nil {
-					t.Fatalf("round %d %s/%s: %v\n%s", round, c.Variant, ec.name, err, c.Program)
-				}
-				got := goalTuples(run, "p", scope)
-				if len(want) != len(got) || diffSets(want, got) != "missing=[] extra=[]" {
-					t.Fatalf("round %d: %s/%s differs from orig: %s\nprogram:\n%s\nICs: %v",
-						round, c.Variant, ec.name, diffSets(want, got), c.Program, ics)
-				}
-				if ec.name == "binary" {
-					st := eng.Stats()
-					measured[c.Variant] = float64(st.Probes + st.IndexProbes)
-				}
-				checked++
-			}
-		}
+		label := fmt.Sprintf("round %d (ICs %v)", round, ics)
+		measured := checkCandidates(t, label, d, db, "p", opts.Goal)
+		checked += len(measured) * len(engineConfigs)
 
 		// The estimator's contract: auto's pick measures within
 		// ErrorBound x the best candidate, plus ErrorFloor slack.
@@ -183,13 +152,100 @@ func TestPlanSpaceDifferential(t *testing.T) {
 	t.Logf("checked %d candidate x engine combinations (%d goal rounds)", checked, goalRounds)
 }
 
-func runWith(t *testing.T, round int, prog *ast.Program, db *storage.Database, ec engineConfig) *storage.Database {
+// TestPlanSpaceDifferentialScenarios runs the same check on the
+// paper's worked examples and the planner's selectivity scenario, the
+// programs experiments E1, E2, E3 and E13 measure, at small sizes.
+func TestPlanSpaceDifferentialScenarios(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	goal := func(src string) *ast.Atom {
+		g, err := parser.ParseAtom(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &g
+	}
+	for _, sc := range []struct {
+		s    workload.Scenario
+		db   *storage.Database
+		goal *ast.Atom
+	}{
+		{workload.Organization(), workload.OrgDB(rng, 2, 4, 2, 0.1), nil},
+		{workload.Organization(), workload.OrgDB(rng, 2, 4, 2, 0.9), nil},
+		{workload.Academic(), workload.AcademicDB(rng, 3, 4, 12, 3, 0.5), nil},
+		{workload.Genealogy(), workload.GenealogyDB(rng, 3, 6), goal("anc(g0_0, A, Y, B)")},
+		{workload.Routes(), workload.RoutesDB(rng, 2, 5, 0), nil},
+		{workload.Routes(), workload.RoutesDB(rng, 2, 5, 3), goal("reach(c0_0, Y)")},
+	} {
+		opts := Options{ICs: sc.s.ICs, SmallPreds: sc.s.SmallPreds, Goal: sc.goal}
+		d, err := Plan(sc.s.Program, sc.db, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.s.Name, err)
+		}
+		measured := checkCandidates(t, sc.s.Name, d, sc.db, sc.s.Query.Pred, sc.goal)
+		if measured[Opt] == 0 {
+			t.Errorf("%s: no opt candidate; the scenario no longer exercises the rewrite", sc.s.Name)
+		}
+		t.Logf("%s: %d candidates x %d engines agree", sc.s.Name, len(measured), len(engineConfigs))
+	}
+}
+
+// checkCandidates evaluates every available candidate of d over a clone
+// of db under every engine configuration. Each must derive exactly the
+// original program's pred tuples (restricted to goal for magic, which
+// computes only the goal's answers), and every configuration of one
+// candidate must insert the same number of tuples. It returns each
+// candidate's measured binary probe count.
+func checkCandidates(t *testing.T, label string, d *Decision, db *storage.Database, pred string, goal *ast.Atom) map[Variant]float64 {
+	t.Helper()
+	// Reference answers from the untransformed program under the
+	// plainest engine.
+	refDB := runWith(t, label, d.Candidate(Orig).Program, db, engineConfigs[0])
+	measured := map[Variant]float64{}
+	for _, c := range d.Candidates {
+		if c.Program == nil {
+			continue
+		}
+		var scope *ast.Atom
+		if c.Variant == Magic {
+			scope = goal
+		}
+		want := goalTuples(refDB, pred, scope)
+		var inserted int64
+		for _, ec := range engineConfigs {
+			run := db.Clone()
+			eng := eval.New(c.Program, run)
+			eng.SetJoinMode(ec.join)
+			if ec.costed {
+				eng.SetCostModel(eval.StatsCostModel{DB: run})
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatalf("%s %s/%s: %v\n%s", label, c.Variant, ec.name, err, c.Program)
+			}
+			got := goalTuples(run, pred, scope)
+			if len(want) != len(got) || diffSets(want, got) != "missing=[] extra=[]" {
+				t.Fatalf("%s: %s/%s differs from orig: %s\nprogram:\n%s",
+					label, c.Variant, ec.name, diffSets(want, got), c.Program)
+			}
+			st := eng.Stats()
+			if ec.name == "binary" {
+				measured[c.Variant] = float64(st.Probes + st.IndexProbes)
+				inserted = st.Inserted
+			} else if st.Inserted != inserted {
+				t.Fatalf("%s: %s/%s inserted %d tuples, binary inserted %d",
+					label, c.Variant, ec.name, st.Inserted, inserted)
+			}
+		}
+	}
+	return measured
+}
+
+func runWith(t *testing.T, label string, prog *ast.Program, db *storage.Database, ec engineConfig) *storage.Database {
 	t.Helper()
 	run := db.Clone()
 	eng := eval.New(prog, run)
 	eng.SetJoinMode(ec.join)
 	if err := eng.Run(); err != nil {
-		t.Fatalf("round %d reference run: %v", round, err)
+		t.Fatalf("%s reference run: %v", label, err)
 	}
 	return run
 }

@@ -68,30 +68,11 @@ func (s *Server) committer(sess *session) {
 }
 
 // collectBatch gathers the commit group starting at first: everything
-// already queued, up to MaxBatch. With a positive BatchWindow it keeps
-// the group open for that long so closely-spaced writers coalesce even
-// when they never overlap in the queue; the window is bounded and paid
-// only when a second writer could plausibly arrive, not per request
-// (the window race is benign — a request missing the window starts the
-// next group).
+// already queued, up to MaxBatch. It never waits for more writers, so
+// grouping adds no latency.
 func (s *Server) collectBatch(sess *session, first *commitReq) []*commitReq {
 	batch := []*commitReq{first}
 	max := s.cfg.MaxBatch
-	if s.cfg.BatchWindow > 0 {
-		timer := time.NewTimer(s.cfg.BatchWindow)
-		defer timer.Stop()
-		for len(batch) < max {
-			select {
-			case req := <-sess.queue:
-				batch = append(batch, req)
-			case <-timer.C:
-				return batch
-			case <-sess.closed:
-				return batch
-			}
-		}
-		return batch
-	}
 	for len(batch) < max {
 		select {
 		case req := <-sess.queue:

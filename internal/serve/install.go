@@ -45,12 +45,11 @@ type state struct {
 }
 
 // engine builds an evaluation engine for p's program over db, honoring
-// the server's join-mode and tracer configuration. A planned session
-// keeps statistics sketches on its EDB; its engine shares them with
-// JoinAuto's GJ-vs-binary choice.
+// the server's tracer configuration. A planned session keeps statistics
+// sketches on its EDB; its engine shares them with the per-rule
+// GJ-vs-binary choice.
 func (s *Server) engine(p *loadedProgram, db *storage.Database) *eval.Engine {
 	e := eval.New(p.active, db)
-	e.SetJoinMode(s.cfg.JoinMode)
 	e.SetTracer(s.cfg.Tracer)
 	if p.planned() {
 		e.SetCostModel(eval.StatsCostModel{DB: db})

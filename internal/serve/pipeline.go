@@ -170,6 +170,11 @@ func (rf *refusal) write(w http.ResponseWriter) {
 // consumer's backlog between its registration and the read.
 var errGap = errors.New("history was checkpointed during catch-up")
 
+// replicationBuffer is a feed slot's depth: how many live batches a
+// slow consumer may fall behind before it is cut over to catch-up from
+// disk.
+const replicationBuffer = 128
+
 // attach joins f at the session's live edge and reads back the history
 // the consumer is missing. Under mu, cursor — the handler's policy — is
 // shown the edge and the store, and names the last sequence the
@@ -188,7 +193,7 @@ func (sess *session) attach(f *feed, cursor func(edge uint64, dur *durable.Store
 		sess.mu.Unlock()
 		return nil, nil, err
 	}
-	slot := replicate.NewSlot(sess.srv.cfg.ReplicationBuffer, edge)
+	slot := replicate.NewSlot(replicationBuffer, edge)
 	f.add(slot)
 	sess.mu.Unlock()
 	if base >= edge {

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/durable"
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/storage"
@@ -24,10 +23,6 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// JoinMode selects the rule-body join strategy for every
-	// evaluation (load, recompute, incremental maintenance). The zero
-	// value routes cyclic bodies through Generic Join.
-	JoinMode eval.JoinMode
 	// MaxConcurrentQueries bounds in-flight query requests; excess
 	// requests are refused with 503 instead of queueing. <= 0 means
 	// DefaultMaxConcurrentQueries.
@@ -39,11 +34,6 @@ type Config struct {
 	// MaxBatch caps how many queued writes one maintenance pass may
 	// group-commit. <= 0 means DefaultMaxBatch; 1 disables grouping.
 	MaxBatch int
-	// BatchWindow, when positive, keeps a commit group open for that
-	// long after its first request so closely-spaced writers coalesce
-	// even when they never overlap in the queue. 0 groups only what is
-	// already queued (no added latency).
-	BatchWindow time.Duration
 	// QueryCache is the per-session query-result cache capacity in
 	// entries: 0 means DefaultQueryCacheEntries, negative disables
 	// caching.
@@ -64,8 +54,6 @@ type Config struct {
 	// SlowQuery, when positive, logs any query handler taking at least
 	// this long to the access-log sink as a slow_query record.
 	SlowQuery time.Duration
-	// EnablePprof mounts net/http/pprof on the service mux.
-	EnablePprof bool
 	// Durability, when non-nil, persists every session under
 	// Durability.Dir: committed batches are write-ahead logged before
 	// acknowledgement and the database is checkpointed periodically.
@@ -81,10 +69,6 @@ type Config struct {
 	// ReadyMaxLag is the batch-sequence lag at or under which a
 	// follower reports ready on GET /readyz (0 = fully caught up).
 	ReadyMaxLag uint64
-	// ReplicationBuffer is the per-follower slot depth: how many live
-	// batches a slow stream may fall behind before it is disconnected
-	// to catch up from disk. <= 0 means DefaultReplicationBuffer.
-	ReplicationBuffer int
 	// FollowPoll is the follower's session-discovery interval. <= 0
 	// means DefaultFollowPoll.
 	FollowPoll time.Duration
@@ -126,9 +110,6 @@ const (
 	DefaultQueryLimit = 10000
 	// MaxQueryLimit is the largest page a query may request.
 	MaxQueryLimit = 10000
-	// DefaultReplicationBuffer is the per-follower live-batch slot
-	// depth before a slow stream is cut over to disk catch-up.
-	DefaultReplicationBuffer = 128
 	// DefaultFollowPoll is the follower's session-discovery interval.
 	DefaultFollowPoll = 2 * time.Second
 	// DefaultHeartbeat is the leader's idle replication-stream
@@ -262,9 +243,6 @@ func New(cfg Config) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewMetrics()
 	}
-	if cfg.ReplicationBuffer <= 0 {
-		cfg.ReplicationBuffer = DefaultReplicationBuffer
-	}
 	if cfg.FollowPoll <= 0 {
 		cfg.FollowPoll = DefaultFollowPoll
 	}
@@ -346,10 +324,6 @@ func New(cfg Config) *Server {
 
 	if cfg.Follow != "" {
 		s.follower = newFollowerState()
-	}
-
-	if cfg.EnablePprof {
-		obs.AttachPprof(s.mux)
 	}
 	return s
 }
@@ -602,7 +576,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *session, g
 				Session:    sess.name,
 				Goal:       goal.String(),
 				Generation: gen,
-				JoinMode:   s.cfg.JoinMode.String(),
 				DurMS:      float64(dur) / float64(time.Millisecond),
 				Total:      m.total,
 				Cached:     hit,

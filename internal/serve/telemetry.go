@@ -160,7 +160,6 @@ type slowQueryRecord struct {
 	Session    string  `json:"session"`
 	Goal       string  `json:"goal"`
 	Generation uint64  `json:"generation"`
-	JoinMode   string  `json:"join_mode"`
 	DurMS      float64 `json:"dur_ms"`
 	Total      int     `json:"total"`
 	Cached     bool    `json:"cached"`

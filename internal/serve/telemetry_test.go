@@ -197,8 +197,8 @@ func TestAccessLogAndSlowQuery(t *testing.T) {
 	if s["request_id"] != wantID || s["session"] != "default" || s["goal"] != "tc(a, Y)" {
 		t.Errorf("slow_query identity fields = %v / %v / %v", s["request_id"], s["session"], s["goal"])
 	}
-	if s["join_mode"] == "" || s["generation"] == nil {
-		t.Errorf("slow_query missing join_mode/generation: %v", s)
+	if s["generation"] == nil {
+		t.Errorf("slow_query missing generation: %v", s)
 	}
 	if s["total"] != float64(2) { // tc(a,b), tc(a,c)
 		t.Errorf("slow_query total = %v, want 2", s["total"])

@@ -80,28 +80,11 @@ type (
 	KnowledgeQuery = iqa.Query
 	// Derivation is a proof tree explaining a derived tuple.
 	Derivation = eval.Derivation
-	// JoinMode selects the rule-body execution strategy: JoinAuto,
-	// JoinBinary, or JoinGJ.
-	JoinMode = eval.JoinMode
 	// GroundedAnswer is an intelligent answer evaluated against the data.
 	GroundedAnswer = iqa.Evaluated
 	// IntelligentAnswer is the descriptive answer to a KnowledgeQuery.
 	IntelligentAnswer = iqa.Answer
 )
-
-// Join-strategy selectors, re-exported from internal/eval.
-const (
-	// JoinAuto routes cyclic rule bodies through Generic Join and the
-	// rest through binary joins (the default).
-	JoinAuto = eval.JoinAuto
-	// JoinBinary forces the binary nested-loop/index path everywhere.
-	JoinBinary = eval.JoinBinary
-	// JoinGJ forces Generic Join wherever the body shape permits.
-	JoinGJ = eval.JoinGJ
-)
-
-// ParseJoinMode parses "auto", "binary" or "gj" (the -join flag values).
-func ParseJoinMode(s string) (JoinMode, error) { return eval.ParseJoinMode(s) }
 
 // Term constructors.
 
@@ -120,12 +103,6 @@ type System struct {
 	ICs     []IC
 	DB      *DB
 
-	// JoinMode selects the rule-body join strategy for every
-	// evaluation this system runs. The zero value (JoinAuto) sends
-	// cyclic bodies through Generic Join; the computed fixpoint is
-	// identical in every mode.
-	JoinMode JoinMode
-
 	// Tracer, when non-nil, records spans from every evaluation and
 	// optimization this system runs (see obs.New). Nil — the default —
 	// keeps the engines on their untraced path.
@@ -137,10 +114,9 @@ type System struct {
 }
 
 // engine builds an evaluation engine for prog over db honoring the
-// system's JoinMode and Tracer settings.
+// system's Tracer setting.
 func (s *System) engine(prog *Program, db *DB) *eval.Engine {
 	e := eval.New(prog, db)
-	e.SetJoinMode(s.JoinMode)
 	e.SetTracer(s.Tracer)
 	return e
 }
