@@ -281,22 +281,12 @@ func comparePreds(base, db *repro.DB, label string, idb map[string]bool) int {
 }
 
 // compareGoal checks that db agrees with base on the goal predicate's
-// tuples matching the goal's ground arguments — the only answers a
-// magic-rewritten program is required to compute.
+// tuples matching the goal — the only answers a magic-rewritten program
+// is required to compute.
 func compareGoal(base, db *repro.DB, goal ast.Atom) int {
 	rb, rm := base.Relation(goal.Pred), db.Relation(goal.Pred)
-	matches := func(t storage.Tuple) bool {
-		for i, a := range goal.Args {
-			if _, isVar := a.(ast.Var); isVar {
-				continue
-			}
-			v, ok := storage.LookupTerm(a)
-			if !ok || i >= len(t) || t[i] != v {
-				return false
-			}
-		}
-		return true
-	}
+	g := storage.LowerGoal(goal.Args)
+	matches := func(t storage.Tuple) bool { return g.Known && len(t) == len(goal.Args) && g.Match(t) }
 	mismatches := 0
 	var nb, nm int
 	if rb != nil {

@@ -215,3 +215,22 @@ func SortedVars(set map[Var]bool) []Var {
 	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
 	return vars
 }
+
+// DOTID turns s into a Graphviz identifier: every rune other than an
+// ASCII letter, digit or underscore becomes an underscore.
+func DOTID(s string) string {
+	var sb strings.Builder
+	for _, r := range s {
+		if r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') {
+			sb.WriteRune(r)
+		} else {
+			sb.WriteByte('_')
+		}
+	}
+	return sb.String()
+}
+
+// DOTLabel escapes s for a double-quoted Graphviz label.
+func DOTLabel(s string) string {
+	return strings.ReplaceAll(s, `"`, `\"`)
+}

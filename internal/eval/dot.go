@@ -3,6 +3,8 @@ package eval
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/ast"
 )
 
 // DOT renders the derivation as a Graphviz proof tree (cmd/dlog
@@ -12,7 +14,7 @@ import (
 // leaves with a distinct style.
 func (d *Derivation) DOT() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph proof_%s {\n", sanitizeID(d.Atom.Pred))
+	fmt.Fprintf(&sb, "digraph proof_%s {\n", ast.DOTID(d.Atom.Pred))
 	sb.WriteString("  rankdir=LR;\n  node [shape=box, fontsize=10];\n")
 	n := 0
 	d.dotNode(&sb, &n)
@@ -25,9 +27,9 @@ func (d *Derivation) DOT() string {
 func (d *Derivation) dotNode(sb *strings.Builder, n *int) int {
 	id := *n
 	*n++
-	label := escapeLabel(d.Atom.String())
+	label := ast.DOTLabel(d.Atom.String())
 	if d.Rule != "" {
-		fmt.Fprintf(sb, "  n%d [label=\"%s\\n[%s]\"];\n", id, label, escapeLabel(d.Rule))
+		fmt.Fprintf(sb, "  n%d [label=\"%s\\n[%s]\"];\n", id, label, ast.DOTLabel(d.Rule))
 	} else {
 		fmt.Fprintf(sb, "  n%d [label=\"%s\\n[fact]\", style=filled, fillcolor=lightgrey];\n", id, label)
 	}
@@ -36,20 +38,4 @@ func (d *Derivation) dotNode(sb *strings.Builder, n *int) int {
 		fmt.Fprintf(sb, "  n%d -> n%d;\n", id, cid)
 	}
 	return id
-}
-
-func sanitizeID(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		if r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteByte('_')
-		}
-	}
-	return sb.String()
-}
-
-func escapeLabel(s string) string {
-	return strings.ReplaceAll(s, `"`, `\"`)
 }

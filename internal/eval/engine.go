@@ -637,52 +637,20 @@ func (e *Engine) Query(goal ast.Atom) ([]storage.Tuple, error) {
 	if rel.Arity != len(goal.Args) {
 		return nil, fmt.Errorf("eval: query %s has arity %d, relation has %d", goal, len(goal.Args), rel.Arity)
 	}
-	// Lower the goal to value space once: ground arguments become
-	// constants (a constant the interner has never seen matches nothing),
-	// repeated variables become same-slot equality constraints.
-	const noCol = -1
-	type colSpec struct {
-		c    storage.Value // != NoValue: column must equal this constant
-		peer int           // >= 0: column must equal that earlier column
-	}
-	specs := make([]colSpec, len(goal.Args))
-	firstOf := make(map[ast.Var]int)
-	col := noCol
-	for i, t := range goal.Args {
-		specs[i] = colSpec{peer: -1}
-		if v, ok := t.(ast.Var); ok {
-			if j, seen := firstOf[v]; seen {
-				specs[i].peer = j
-			} else {
-				firstOf[v] = i
-			}
-			continue
-		}
-		val, ok := storage.LookupTerm(t)
-		if !ok {
-			return nil, nil
-		}
-		specs[i].c = val
-		if col == noCol {
-			col = i
-		}
+	g := storage.LowerGoal(goal.Args)
+	if !g.Known {
+		return nil, nil
 	}
 	var vals []storage.Value
 	n := 0
 	match := func(t storage.Tuple) {
-		for i, sp := range specs {
-			if sp.c != storage.NoValue && t[i] != sp.c {
-				return
-			}
-			if sp.peer >= 0 && t[i] != t[sp.peer] {
-				return
-			}
+		if g.Match(t) {
+			vals = append(vals, t...)
+			n++
 		}
-		vals = append(vals, t...)
-		n++
 	}
-	if col != noCol {
-		for _, pos := range rel.Lookup(col, specs[col].c) {
+	if col := g.FirstBound(); col >= 0 {
+		for _, pos := range rel.Lookup(col, g.Consts[col]) {
 			match(rel.At(pos))
 		}
 	} else {

@@ -38,7 +38,7 @@ type executor struct {
 // runCompiled executes c with the given delta tuples, counting work
 // into st and calling emit for every complete binding. seed pre-binds
 // slots 0..len(seed)-1 (the compiler allocates prebound variables
-// first; the Explain path seeds them from the ground goal); nil for
+// first; support checks seed them from a candidate tuple); nil for
 // engine plans. Plans carrying a Generic Join program dispatch to the
 // leapfrog executor (gj.go) instead of the binary instruction loop. A
 // program runs one firing at a time: emit must not run c again.
@@ -93,8 +93,8 @@ func (x *executor) step(i int) error {
 		rel := in.rel
 		if rel == nil {
 			// The relation did not exist at compile time (possible only
-			// for plans compiled outside a fixpoint, e.g. Explain after
-			// new facts were loaded).
+			// for plans compiled outside a fixpoint, e.g. a support
+			// check over a relation nothing has created yet).
 			if rel = x.db.Relation(in.pred); rel == nil {
 				return nil
 			}

@@ -48,133 +48,124 @@ func (d *Derivation) Size() int {
 	return n
 }
 
-// errFound stops the join search after the first witness.
+// errFound stops a support check at its first certified grounding.
 var errFound = errors.New("eval: witness found")
 
-// Explain returns a proof tree for the ground goal atom, searched
-// top-down against the already-computed relations (call Run first).
-// Minimal derivations exist for every stored tuple, so depth-first
-// search that forbids revisiting an atom along the current path is
-// complete; budget caps the total nodes explored to keep adversarial
-// cases bounded (0 means a generous default).
-func (e *Engine) Explain(goal ast.Atom, budget int) (*Derivation, error) {
+// Explain returns a proof tree for the ground goal atom, read off the
+// rank certificate of a ranked database: ranks recorded by SetRankSink
+// during Run, or maintained by ApplyZSetContext since. Every derived
+// tuple outranks the same-component body tuples of at least one of its
+// groundings, so at each derived tuple the walk runs its rules'
+// head-bound support checks (compileCheck, the sweep's), takes the
+// first grounding whose layer is at most the tuple's rank, and descends
+// into that grounding's positive database atoms. Ranks fall strictly
+// inside a component and components are acyclic, so the walk ends,
+// with no search. EDB tuples and unranked tuples (seed facts, and every
+// tuple of an unranked database) are leaves.
+func (e *Engine) Explain(goal ast.Atom) (*Derivation, error) {
 	if !goal.IsGround() {
 		return nil, fmt.Errorf("eval: Explain needs a ground atom, got %s", goal)
 	}
-	if budget <= 0 {
-		budget = 100000
-	}
-	b := budget
-	d := e.explain(goal, make(map[string]bool), &b)
-	if d == nil {
-		if b <= 0 {
-			return nil, fmt.Errorf("eval: explanation budget exhausted for %s", goal)
+	x := &explainer{e: e, comp: make(map[string]map[string]bool), checks: make(map[string][]*zCheck)}
+	for _, scc := range e.sccOrder() {
+		inSCC := make(map[string]bool, len(scc))
+		for _, p := range scc {
+			inSCC[p] = true
+			x.comp[p] = inSCC
 		}
-		return nil, fmt.Errorf("eval: %s is not derivable", goal)
 	}
-	return d, nil
+	return x.walk(goal)
 }
 
-func (e *Engine) explain(goal ast.Atom, onPath map[string]bool, budget *int) *Derivation {
-	if *budget <= 0 {
-		return nil
-	}
-	*budget--
-	rel := e.db.Relation(goal.Pred)
-	if rel == nil {
-		return nil
-	}
-	gt, ok := storage.LookupTuple(goal.Args)
-	if !ok || !rel.Contains(gt) {
-		return nil
-	}
-	rules := e.prog.RulesFor(goal.Pred)
-	isIDB := false
-	for _, r := range rules {
-		if !r.IsFact() {
-			isIDB = true
-		}
-	}
-	if !isIDB {
-		return &Derivation{Atom: goal.Clone()}
-	}
-	key := goal.String()
-	if onPath[key] {
-		return nil
-	}
-	onPath[key] = true
-	defer delete(onPath, key)
+// explainer is one Explain call's state: each predicate's component
+// and its rules' support checks, compiled on first use.
+type explainer struct {
+	e      *Engine
+	comp   map[string]map[string]bool
+	checks map[string][]*zCheck
+}
 
-	// Facts for IDB predicates explain directly.
-	for _, r := range rules {
-		if r.IsFact() && r.Head.Equal(goal) {
-			return &Derivation{Atom: goal.Clone(), Rule: r.Label}
-		}
+func (x *explainer) walk(goal ast.Atom) (*Derivation, error) {
+	rel := x.e.db.Relation(goal.Pred)
+	t, ok := storage.LookupTuple(goal.Args)
+	if !ok || rel == nil || rel.Arity != len(t) {
+		return nil, fmt.Errorf("eval: %s is not derivable", goal)
 	}
-	for _, r := range rules {
-		if r.IsFact() {
-			continue
-		}
-		env := ast.NewSubst()
-		if !ast.MatchAtom(env, r.Head, goal) {
-			continue
-		}
-		// Plan and compile the body with the goal's head bindings
-		// prebound: the compiler allocates prebound slots first, and the
-		// seed below fills them before execution. Plans are not cached
-		// across Explain calls — facts may be loaded between calls, and
-		// compiled plans pin relation pointers.
-		preboundSet := make(map[ast.Var]bool, len(env))
-		var prebound []ast.Var
-		var seed []storage.Value
-		for _, arg := range r.Head.Args {
-			if v, ok := arg.(ast.Var); ok && !preboundSet[v] {
-				preboundSet[v] = true
-				prebound = append(prebound, v)
-				seed = append(seed, storage.Intern(env[v]))
+	pos, rank := rel.Rank(t)
+	if pos < 0 {
+		return nil, fmt.Errorf("eval: %s is not derivable", goal)
+	}
+	d := &Derivation{Atom: goal.Clone()}
+	checks, err := x.checksFor(goal.Pred)
+	if err != nil {
+		return nil, err
+	}
+	if len(checks) == 0 {
+		return d, nil // an EDB tuple
+	}
+	if rank == 0 {
+		// A seed of a derived predicate keeps its program fact's label.
+		for _, r := range x.e.prog.RulesFor(goal.Pred) {
+			if r.IsFact() && r.Head.Equal(goal) {
+				d.Rule = r.Label
+				break
 			}
 		}
-		plan, err := planBody(r.Body, -1, e.estimator(), preboundSet)
-		if err != nil {
+		return d, nil
+	}
+	for _, c := range checks {
+		if !c.seedFor(t) {
 			continue
 		}
-		c, err := compilePlan(plan, r.Head, e.db, prebound)
-		if err != nil {
-			continue
-		}
-		// Collect several witnesses: the first one found may be
-		// circular (tc(a,a) via tc(a,a)) while another instance of the
-		// same rule explains the goal acyclically.
-		const maxWitnesses = 32
-		var witnesses []ast.Subst
-		err = e.runCompiled(c, nil, seed, &e.stats, func(fr frame) error {
-			witnesses = append(witnesses, c.subst(fr))
-			if len(witnesses) >= maxWitnesses {
+		var witness ast.Subst
+		var st Stats
+		c.plan.prepareIndexes()
+		err := x.e.runCompiled(c.plan, nil, c.seed, &st, func(fr frame) error {
+			if g, ok := groundingLayer(c.partners, fr, 0); ok && g <= rank {
+				witness = c.plan.subst(fr)
 				return errFound
 			}
 			return nil
 		})
-		if err != nil && !errors.Is(err, errFound) {
+		if witness == nil {
+			if err != nil {
+				return nil, err
+			}
 			continue
 		}
-		for _, witness := range witnesses {
-			d := &Derivation{Atom: goal.Clone(), Rule: r.Label}
-			ok := true
-			for _, l := range r.Body {
-				if l.Neg || l.Atom.IsEvaluable() {
-					continue
-				}
-				sub := e.explain(witness.ApplyAtom(l.Atom), onPath, budget)
-				if sub == nil {
-					ok = false
-					break
-				}
-				d.Children = append(d.Children, sub)
+		d.Rule = c.rule.Label
+		for _, l := range c.rule.Body {
+			if l.Neg || l.Atom.IsEvaluable() {
+				continue
 			}
-			if ok {
-				return d
+			child, err := x.walk(witness.ApplyAtom(l.Atom))
+			if err != nil {
+				return nil, err
 			}
+			d.Children = append(d.Children, child)
 		}
+		return d, nil
 	}
-	return nil
+	return nil, fmt.Errorf("eval: no grounding of %s ranks below it; Explain needs the database ranked for this program", goal)
+}
+
+// checksFor returns the support checks of pred's rules; none for an
+// EDB predicate or one defined by facts only.
+func (x *explainer) checksFor(pred string) ([]*zCheck, error) {
+	if cs, ok := x.checks[pred]; ok {
+		return cs, nil
+	}
+	var cs []*zCheck
+	for _, r := range x.e.prog.RulesFor(pred) {
+		if r.IsFact() {
+			continue
+		}
+		c, err := compileCheck(r, x.comp[pred], x.e.db, x.e.estimator())
+		if err != nil {
+			return nil, err
+		}
+		cs = append(cs, c)
+	}
+	x.checks[pred] = cs
+	return cs, nil
 }

@@ -8,14 +8,22 @@ import (
 	"repro/internal/storage"
 )
 
-func TestExplainChain(t *testing.T) {
-	prog := mustProgram(t, tcSrc)
-	db := chainDB(5)
+// rankedEngine evaluates prog over db recording the ranks Explain walks.
+func rankedEngine(t *testing.T, prog *ast.Program, db *storage.Database) *Engine {
+	t.Helper()
 	e := New(prog, db)
+	e.SetRankSink(NewZState().Record)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := e.Explain(ast.NewAtom("tc", ast.Sym("n0"), ast.Sym("n3")), 0)
+	return e
+}
+
+func TestExplainChain(t *testing.T) {
+	prog := mustProgram(t, tcSrc)
+	db := chainDB(5)
+	e := rankedEngine(t, prog, db)
+	d, err := e.Explain(ast.NewAtom("tc", ast.Sym("n0"), ast.Sym("n3")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +56,8 @@ func TestExplainCycle(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Add("edge", ast.Sym("c0"), ast.Sym("c1"))
 	db.Add("edge", ast.Sym("c1"), ast.Sym("c0"))
-	e := New(prog, db)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Explain(ast.NewAtom("tc", ast.Sym("c0"), ast.Sym("c0")), 0)
+	e := rankedEngine(t, prog, db)
+	d, err := e.Explain(ast.NewAtom("tc", ast.Sym("c0"), ast.Sym("c0")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +69,14 @@ func TestExplainCycle(t *testing.T) {
 func TestExplainErrors(t *testing.T) {
 	prog := mustProgram(t, tcSrc)
 	db := chainDB(3)
-	e := New(prog, db)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Explain(ast.NewAtom("tc", ast.Var("X"), ast.Sym("n1")), 0); err == nil {
+	e := rankedEngine(t, prog, db)
+	if _, err := e.Explain(ast.NewAtom("tc", ast.Var("X"), ast.Sym("n1"))); err == nil {
 		t.Error("non-ground goal must fail")
 	}
-	if _, err := e.Explain(ast.NewAtom("tc", ast.Sym("n2"), ast.Sym("n0")), 0); err == nil {
+	if _, err := e.Explain(ast.NewAtom("tc", ast.Sym("n2"), ast.Sym("n0"))); err == nil {
 		t.Error("underivable tuple must fail")
 	}
-	if _, err := e.Explain(ast.NewAtom("nosuch", ast.Sym("x")), 0); err == nil {
+	if _, err := e.Explain(ast.NewAtom("nosuch", ast.Sym("x"))); err == nil {
 		t.Error("unknown predicate must fail")
 	}
 }
@@ -82,11 +84,8 @@ func TestExplainErrors(t *testing.T) {
 func TestExplainEDBFact(t *testing.T) {
 	prog := mustProgram(t, tcSrc)
 	db := chainDB(2)
-	e := New(prog, db)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Explain(ast.NewAtom("edge", ast.Sym("n0"), ast.Sym("n1")), 0)
+	e := rankedEngine(t, prog, db)
+	d, err := e.Explain(ast.NewAtom("edge", ast.Sym("n0"), ast.Sym("n1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +100,8 @@ special(gold).
 shiny(X) :- special(X).
 `)
 	db := storage.NewDatabase()
-	e := New(prog, db)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Explain(ast.NewAtom("shiny", ast.Sym("gold")), 0)
+	e := rankedEngine(t, prog, db)
+	d, err := e.Explain(ast.NewAtom("shiny", ast.Sym("gold")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +119,8 @@ p(X) :- b(X).
 `)
 	db := storage.NewDatabase()
 	db.Add("b", ast.Sym("v"))
-	e := New(prog, db)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Explain(ast.NewAtom("p", ast.Sym("v")), 0)
+	e := rankedEngine(t, prog, db)
+	d, err := e.Explain(ast.NewAtom("p", ast.Sym("v")))
 	if err != nil {
 		t.Fatal(err)
 	}

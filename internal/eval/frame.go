@@ -83,7 +83,7 @@ type instr struct {
 // compiled is an executable rule body plus its head projection. When
 // the planner selects the Generic Join path for the body, gj holds the
 // compiled leapfrog program and execution dispatches to it instead of
-// running ops (which stay compiled as the fallback and for Explain).
+// running ops (which stay compiled as the fallback).
 type compiled struct {
 	ops    []instr
 	nSlots int

@@ -24,7 +24,7 @@ const (
 // attachGJ decides one compiled plan's join path, attaching a Generic
 // Join program when the body is cyclic and, under a cost model, GJ's
 // estimate beats the binary plan's. The binary ops always stay
-// compiled: they are the fallback and keep Explain working.
+// compiled: they are the fallback.
 func (e *Engine) attachGJ(c *compiled) {
 	if e.joinMode == JoinBinary {
 		e.stats.BinaryPlanned++

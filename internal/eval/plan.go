@@ -44,7 +44,7 @@ type estimator func(a ast.Atom, bound map[ast.Var]bool) float64
 //     literal, source order decides.
 //
 // Variables in prebound are treated as already bound before the first
-// step (the top-down Explain search seeds them from the ground goal).
+// step (a head-bound support check seeds them from the candidate tuple).
 //
 // It returns an error if some evaluable literal can never be bound
 // (an unsafe rule).

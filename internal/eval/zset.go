@@ -300,7 +300,7 @@ type zOcc struct {
 // values seeded enumerates exactly that tuple's derivations.
 type zCheck struct {
 	label    string
-	headPred string
+	rule     ast.Rule
 	plan     *compiled
 	partners []zPartner
 	seed     []storage.Value // seedFor's reusable result
@@ -404,7 +404,7 @@ func (w *zsweep) noteOut(pred string, t storage.Tuple, wgt int64) {
 // body tuples (extra folds in the rank of the delta tuple that fired
 // the plan, when that occurrence is same-component). ok is false when
 // some partner has been removed, which voids the grounding.
-func (w *zsweep) groundingLayer(partners []zPartner, fr frame, extra uint32) (uint32, bool) {
+func groundingLayer(partners []zPartner, fr frame, extra uint32) (uint32, bool) {
 	max := extra
 	for i := range partners {
 		// Seed facts (present, unranked) are layer 0; a removed partner
@@ -457,7 +457,7 @@ func (w *zsweep) check(pred string, t storage.Tuple, l uint32) (ok bool, minL ui
 // emitted.
 func (w *zsweep) onCheck(fr frame) error {
 	w.st.Derived++
-	g, valid := w.groundingLayer(w.chk.partners, fr, 0)
+	g, valid := groundingLayer(w.chk.partners, fr, 0)
 	if !valid {
 		return nil
 	}
@@ -504,7 +504,7 @@ func (w *zsweep) fireAdd(occs []*zOcc, ts tupleRun, extra uint32) error {
 // onAdd schedules the head of one grounding fireAdd's plan emitted.
 func (w *zsweep) onAdd(fr frame) error {
 	w.st.Derived++
-	g, valid := w.groundingLayer(w.occ.addPartners, fr, w.extra)
+	g, valid := groundingLayer(w.occ.addPartners, fr, w.extra)
 	if !valid {
 		return nil
 	}
@@ -565,7 +565,7 @@ func (w *zsweep) onDel(fr frame) error {
 	if !w.preSweep && r <= w.layer {
 		return nil // settled layer: membership already final
 	}
-	g, valid := w.groundingLayer(w.occ.delPartners, fr, w.extra)
+	g, valid := groundingLayer(w.occ.delPartners, fr, w.extra)
 	if !valid || g > r {
 		return nil // grounding never supported h's membership layer
 	}
@@ -720,13 +720,13 @@ func (w *zsweep) compile(rules []ast.Rule, lower map[string]*storage.ZSet) error
 			if occ.addPlan, err = compilePlan(plan, r.Head, w.e.db, nil); err != nil {
 				return fmt.Errorf("rule %s: %w", r.Label, err)
 			}
-			if occ.addPartners, err = w.partnersOf(occ.addPlan, r.Body, j); err != nil {
+			if occ.addPartners, err = partnersOf(occ.addPlan, r.Body, j, w.inSCC, w.e.db); err != nil {
 				return err
 			}
 			if occ.delPlan, err = compilePlan(plan, r.Head, w.oldDB, nil); err != nil {
 				return fmt.Errorf("rule %s: %w", r.Label, err)
 			}
-			if occ.delPartners, err = w.partnersOf(occ.delPlan, r.Body, j); err != nil {
+			if occ.delPartners, err = partnersOf(occ.delPlan, r.Body, j, w.inSCC, w.e.db); err != nil {
 				return err
 			}
 			if l.Neg {
@@ -736,29 +736,8 @@ func (w *zsweep) compile(rules []ast.Rule, lower map[string]*storage.ZSet) error
 			}
 		}
 
-		var prebound []ast.Var
-		seen := make(map[ast.Var]bool)
-		for _, a := range r.Head.Args {
-			if v, ok := a.(ast.Var); ok && !seen[v] {
-				seen[v] = true
-				prebound = append(prebound, v)
-			}
-		}
-		plan, err := planBody(r.Body, -1, est, seen)
+		chk, err := compileCheck(r, w.inSCC, w.e.db, est)
 		if err != nil {
-			return fmt.Errorf("rule %s: %w", r.Label, err)
-		}
-		cp, err := compilePlan(plan, r.Head, w.e.db, prebound)
-		if err != nil {
-			return fmt.Errorf("rule %s: %w", r.Label, err)
-		}
-		chk := &zCheck{
-			label:    ruleLabel(r) + "#zcheck",
-			headPred: r.Head.Pred,
-			plan:     cp,
-			seed:     make([]storage.Value, len(prebound)),
-		}
-		if chk.partners, err = w.partnersOf(cp, r.Body, -1); err != nil {
 			return err
 		}
 		w.checks[r.Head.Pred] = append(w.checks[r.Head.Pred], chk)
@@ -766,20 +745,57 @@ func (w *zsweep) compile(rules []ast.Rule, lower map[string]*storage.ZSet) error
 	return nil
 }
 
-// partnersOf builds resolvers for every positive same-component body
-// literal of a compiled plan, excluding the delta occurrence.
-func (w *zsweep) partnersOf(c *compiled, body []ast.Literal, deltaIdx int) ([]zPartner, error) {
+// compileCheck lowers rule r into its head-bound support check over
+// db: the head variables are prebound, so seeding the plan with a
+// candidate tuple enumerates exactly that tuple's groundings, and the
+// partners resolve the grounding's positive body tuples in the rule's
+// component (inSCC) for groundingLayer. The sweep and Explain both
+// decide support through it.
+func compileCheck(r ast.Rule, inSCC map[string]bool, db *storage.Database, est estimator) (*zCheck, error) {
+	var prebound []ast.Var
+	seen := make(map[ast.Var]bool)
+	for _, a := range r.Head.Args {
+		if v, ok := a.(ast.Var); ok && !seen[v] {
+			seen[v] = true
+			prebound = append(prebound, v)
+		}
+	}
+	plan, err := planBody(r.Body, -1, est, seen)
+	if err != nil {
+		return nil, fmt.Errorf("rule %s: %w", r.Label, err)
+	}
+	cp, err := compilePlan(plan, r.Head, db, prebound)
+	if err != nil {
+		return nil, fmt.Errorf("rule %s: %w", r.Label, err)
+	}
+	partners, err := partnersOf(cp, r.Body, -1, inSCC, db)
+	if err != nil {
+		return nil, err
+	}
+	return &zCheck{
+		label:    ruleLabel(r) + "#zcheck",
+		rule:     r,
+		plan:     cp,
+		partners: partners,
+		seed:     make([]storage.Value, len(prebound)),
+	}, nil
+}
+
+// partnersOf builds resolvers into db for every positive body literal
+// of a compiled plan whose predicate is in the component (inSCC),
+// excluding the delta occurrence.
+func partnersOf(c *compiled, body []ast.Literal, deltaIdx int, inSCC map[string]bool, db *storage.Database) ([]zPartner, error) {
 	slots := slotMap(c)
 	var out []zPartner
 	for i, l := range body {
-		if i == deltaIdx || l.Neg || l.Atom.IsEvaluable() || !w.inSCC[l.Atom.Pred] {
+		if i == deltaIdx || l.Neg || l.Atom.IsEvaluable() || !inSCC[l.Atom.Pred] {
 			continue
 		}
 		refs, err := literalRefs(slots, l)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, zPartner{rel: w.e.db.Relation(l.Atom.Pred), refs: refs, buf: make(storage.Tuple, len(refs))})
+		out = append(out, zPartner{rel: db.Relation(l.Atom.Pred), refs: refs, buf: make(storage.Tuple, len(refs))})
 	}
 	return out, nil
 }

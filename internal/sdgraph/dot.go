@@ -3,6 +3,8 @@ package sdgraph
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/ast"
 )
 
 // DOT renders the SD-graph in Graphviz dot syntax, for inspection of
@@ -12,11 +14,11 @@ import (
 // drawn undirected (dir=none), matching Definition 3.2's reading.
 func (g *Graph) DOT() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph sd_%s {\n", sanitizeID(g.Pred))
+	fmt.Fprintf(&sb, "digraph sd_%s {\n", ast.DOTID(g.Pred))
 	sb.WriteString("  rankdir=LR;\n  node [shape=box, fontsize=10];\n")
 	for i, o := range g.Occs {
 		fmt.Fprintf(&sb, "  n%d [label=\"%s@%s\\n%s\"];\n",
-			i, o.Atom.Pred, o.RuleLabel, escapeLabel(o.Atom.String()))
+			i, o.Atom.Pred, o.RuleLabel, ast.DOTLabel(o.Atom.String()))
 	}
 	for _, e := range g.Edges {
 		fi, ti := g.occIndex(e.From), g.occIndex(e.To)
@@ -28,20 +30,4 @@ func (g *Graph) DOT() string {
 	}
 	sb.WriteString("}\n")
 	return sb.String()
-}
-
-func sanitizeID(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		if r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteByte('_')
-		}
-	}
-	return sb.String()
-}
-
-func escapeLabel(s string) string {
-	return strings.ReplaceAll(s, `"`, `\"`)
 }

@@ -3,6 +3,8 @@ package sdgraph
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/ast"
 )
 
 func TestDOT(t *testing.T) {
@@ -23,10 +25,10 @@ func TestDOT(t *testing.T) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)
 		}
 	}
-	if sanitizeID("a-b.c") != "a_b_c" {
-		t.Error("sanitizeID broken")
+	if ast.DOTID("a-b.c") != "a_b_c" {
+		t.Error("DOTID broken")
 	}
-	if escapeLabel(`x"y`) != `x\"y` {
-		t.Error("escapeLabel broken")
+	if ast.DOTLabel(`x"y`) != `x\"y` {
+		t.Error("DOTLabel broken")
 	}
 }

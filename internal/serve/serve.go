@@ -777,67 +777,32 @@ func querySnapshot(db *storage.Database, goal ast.Atom) (m match, err error) {
 	if rel != nil && rel.Arity != len(goal.Args) {
 		return m, fmt.Errorf("%s has arity %d, goal has %d", goal.Pred, rel.Arity, len(goal.Args))
 	}
-	// Lower the goal to value space once. Ground arguments the interner
-	// has never seen cannot match any stored tuple (and LookupTerm never
-	// grows the table, so adversarial goals cannot bloat the interner).
-	type colSpec struct {
-		c    storage.Value // != NoValue: column must equal this constant
-		peer int           // >= 0: column must equal that earlier column
-	}
-	specs := make([]colSpec, len(goal.Args))
-	firstOf := make(map[ast.Var]int)
-	bound, peers, known := 0, 0, true
-	for i, arg := range goal.Args {
-		specs[i] = colSpec{peer: -1}
-		if v, ok := arg.(ast.Var); ok {
-			if j, seen := firstOf[v]; seen {
-				specs[i].peer = j
-				peers++
-			} else {
-				firstOf[v] = i
-			}
-			continue
-		}
-		bound++
-		c, ok := storage.LookupTerm(arg)
-		specs[i].c, known = c, known && ok
-	}
+	g := storage.LowerGoal(goal.Args)
 	m.path = pathIndex
-	if bound == len(specs) {
+	if g.Bound == len(goal.Args) {
 		m.path = pathContains
-	} else if bound == 0 {
+	} else if g.Bound == 0 {
 		m.path = pathScan
 	}
-	if rel == nil || !known {
+	if rel == nil || !g.Known {
 		return m, nil
 	}
 	m.rel = rel
 	filter := func(pos int) {
-		t := rel.At(pos)
-		for i, sp := range specs {
-			if sp.c != storage.NoValue && t[i] != sp.c {
-				return
-			}
-			if sp.peer >= 0 && t[i] != t[sp.peer] {
-				return
-			}
+		if g.Match(rel.At(pos)) {
+			m.pos = append(m.pos, pos)
 		}
-		m.pos = append(m.pos, pos)
 	}
 	switch m.path {
 	case pathContains:
-		t := make(storage.Tuple, len(specs))
-		for i, sp := range specs {
-			t[i] = sp.c
-		}
 		m.probes = 1
-		if pos := rel.Pos(t); pos >= 0 {
+		if pos := rel.Pos(g.Consts); pos >= 0 {
 			m.pos = []int{pos}
 		}
 	case pathIndex:
-		m.col = slices.IndexFunc(specs, func(sp colSpec) bool { return sp.c != storage.NoValue })
+		m.col = g.FirstBound()
 		var positions []int
-		positions, m.built = rel.LookupShared(m.col, specs[m.col].c)
+		positions, m.built = rel.LookupShared(m.col, g.Consts[m.col])
 		m.probes = len(positions)
 		m.pos = make([]int, 0, len(positions))
 		for _, pos := range positions {
@@ -845,7 +810,7 @@ func querySnapshot(db *storage.Database, goal ast.Atom) (m match, err error) {
 		}
 	case pathScan:
 		m.probes = rel.Len()
-		if peers == 0 {
+		if !g.Repeats() {
 			m.total = rel.Len() // every tuple matches: m.pos stays nil
 			return m, nil
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -134,6 +135,56 @@ func LookupTerm(t ast.Term) (Value, bool) {
 	default:
 		return NoValue, false
 	}
+}
+
+// Goal is a query goal lowered to value space once, the one matcher
+// every query path filters rows with: a column the goal gives as a
+// constant must equal it, and a column repeating an earlier variable
+// must equal that earlier column.
+type Goal struct {
+	Consts Tuple    // per column: the constant it must equal, NoValue if none
+	Bound  int      // columns given as constants
+	Known  bool     // false: some constant was never interned, so nothing matches
+	peers  [][2]int // per repeated variable: its column and its first one
+}
+
+// LowerGoal lowers a goal's arguments. Like LookupTerm, it never grows
+// the interner.
+func LowerGoal(args []ast.Term) Goal {
+	g := Goal{Consts: make(Tuple, len(args)), Known: true}
+	for i, a := range args {
+		if _, ok := a.(ast.Var); !ok {
+			c, ok := LookupTerm(a)
+			g.Consts[i], g.Known, g.Bound = c, g.Known && ok, g.Bound+1
+		} else if j := slices.Index(args[:i], a); j >= 0 {
+			g.peers = append(g.peers, [2]int{i, j})
+		}
+	}
+	return g
+}
+
+// FirstBound returns the first column given as a constant, -1 if none.
+func (g *Goal) FirstBound() int {
+	return slices.IndexFunc(g.Consts, func(v Value) bool { return v != NoValue })
+}
+
+// Repeats reports whether some variable occurs more than once.
+func (g *Goal) Repeats() bool { return len(g.peers) > 0 }
+
+// Match reports whether t satisfies the goal's constants and repeated
+// variables.
+func (g *Goal) Match(t Tuple) bool {
+	for i, c := range g.Consts {
+		if c != NoValue && t[i] != c {
+			return false
+		}
+	}
+	for _, p := range g.peers {
+		if t[p[0]] != t[p[1]] {
+			return false
+		}
+	}
+	return true
 }
 
 // Term resolves the Value back to its term. Lock-free: safe from any

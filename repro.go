@@ -111,6 +111,11 @@ type System struct {
 	optimized *Program
 	lastStats Stats
 	lastInfo  RunInfo
+
+	// ranks is the rank certificate (see eval.ZState) of the tuples
+	// the program ranked derived in DB; Explain walks it.
+	ranks  *eval.ZState
+	ranked *Program
 }
 
 // engine builds an evaluation engine for prog over db honoring the
@@ -119,6 +124,33 @@ func (s *System) engine(prog *Program, db *DB) *eval.Engine {
 	e := eval.New(prog, db)
 	e.SetTracer(s.Tracer)
 	return e
+}
+
+// run evaluates the active program to fixpoint over DB, recording
+// ranks, and keeps the run's counters. When the active program is not
+// the one the ranks certify, the tuples that program derived are
+// removed first, so this run derives and ranks the new program's own.
+func (s *System) run() (*eval.Engine, error) {
+	prog := s.ActiveProgram()
+	if s.ranked != prog {
+		if s.ranked != nil {
+			for p := range s.ranked.IDBPreds() {
+				if rel := s.DB.Relation(p); rel != nil {
+					// Last first: a removal moves only the last tuple.
+					rts := rel.Ranked()
+					for i := len(rts) - 1; i >= 0; i-- {
+						rel.Remove(rts[i].T)
+					}
+				}
+			}
+		}
+		s.ranks, s.ranked = eval.NewZState(), prog
+	}
+	e := s.engine(prog, s.DB)
+	e.SetRankSink(s.ranks.Record)
+	err := e.Run()
+	s.lastStats, s.lastInfo = e.Stats(), e.Info()
+	return e, err
 }
 
 // Load parses a source text containing rules, facts and integrity
@@ -247,10 +279,7 @@ func (s *System) ActiveProgram() *Program {
 // Run evaluates the active program to fixpoint over the system's
 // database.
 func (s *System) Run() (Stats, error) {
-	e := s.engine(s.ActiveProgram(), s.DB)
-	err := e.Run()
-	s.lastStats = e.Stats()
-	s.lastInfo = e.Info()
+	_, err := s.run()
 	return s.lastStats, err
 }
 
@@ -266,12 +295,10 @@ func (s *System) Query(goal string) ([]Tuple, error) {
 
 // QueryAtom is Query with a pre-parsed goal.
 func (s *System) QueryAtom(goal Atom) ([]Tuple, error) {
-	e := s.engine(s.ActiveProgram(), s.DB)
-	if err := e.Run(); err != nil {
+	e, err := s.run()
+	if err != nil {
 		return nil, err
 	}
-	s.lastStats = e.Stats()
-	s.lastInfo = e.Info()
 	return e.Query(goal)
 }
 
@@ -331,19 +358,18 @@ func (s *System) Stats() Stats { return s.lastStats }
 func (s *System) LastRunInfo() RunInfo { return s.lastInfo }
 
 // Explain evaluates (if needed) and returns a proof tree for the ground
-// goal atom, e.g. "anc(dan, 21, bob, 72)".
+// goal atom, e.g. "anc(dan, 21, bob, 72)", walked down the ranks the
+// system's evaluations recorded.
 func (s *System) Explain(goal string) (*Derivation, error) {
 	g, err := parser.ParseAtom(goal)
 	if err != nil {
 		return nil, fmt.Errorf("repro: bad goal: %w", err)
 	}
-	e := s.engine(s.ActiveProgram(), s.DB)
-	if err := e.Run(); err != nil {
+	e, err := s.run()
+	if err != nil {
 		return nil, err
 	}
-	s.lastStats = e.Stats()
-	s.lastInfo = e.Info()
-	return e.Explain(g, 0)
+	return e.Explain(g)
 }
 
 // LoadFacts parses additional ground facts (one "pred(args)." per
