@@ -156,26 +156,7 @@ func TestPlanSpaceDifferential(t *testing.T) {
 // paper's worked examples and the planner's selectivity scenario, the
 // programs experiments E1, E2, E3 and E13 measure, at small sizes.
 func TestPlanSpaceDifferentialScenarios(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	goal := func(src string) *ast.Atom {
-		g, err := parser.ParseAtom(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &g
-	}
-	for _, sc := range []struct {
-		s    workload.Scenario
-		db   *storage.Database
-		goal *ast.Atom
-	}{
-		{workload.Organization(), workload.OrgDB(rng, 2, 4, 2, 0.1), nil},
-		{workload.Organization(), workload.OrgDB(rng, 2, 4, 2, 0.9), nil},
-		{workload.Academic(), workload.AcademicDB(rng, 3, 4, 12, 3, 0.5), nil},
-		{workload.Genealogy(), workload.GenealogyDB(rng, 3, 6), goal("anc(g0_0, A, Y, B)")},
-		{workload.Routes(), workload.RoutesDB(rng, 2, 5, 0), nil},
-		{workload.Routes(), workload.RoutesDB(rng, 2, 5, 3), goal("reach(c0_0, Y)")},
-	} {
+	for _, sc := range differentialScenarios(t) {
 		opts := Options{ICs: sc.s.ICs, SmallPreds: sc.s.SmallPreds, Goal: sc.goal}
 		d, err := Plan(sc.s.Program, sc.db, opts)
 		if err != nil {
@@ -186,6 +167,37 @@ func TestPlanSpaceDifferentialScenarios(t *testing.T) {
 			t.Errorf("%s: no opt candidate; the scenario no longer exercises the rewrite", sc.s.Name)
 		}
 		t.Logf("%s: %d candidates x %d engines agree", sc.s.Name, len(measured), len(engineConfigs))
+	}
+}
+
+// scenarioCase is one workload scenario over a generated database,
+// with an optional bound goal that unlocks the magic candidate.
+type scenarioCase struct {
+	s    workload.Scenario
+	db   *storage.Database
+	goal *ast.Atom
+}
+
+// differentialScenarios builds the scenario list of
+// TestPlanSpaceDifferentialScenarios; the estimate golden prices the
+// same list.
+func differentialScenarios(t *testing.T) []scenarioCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	goal := func(src string) *ast.Atom {
+		g, err := parser.ParseAtom(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &g
+	}
+	return []scenarioCase{
+		{workload.Organization(), workload.OrgDB(rng, 2, 4, 2, 0.1), nil},
+		{workload.Organization(), workload.OrgDB(rng, 2, 4, 2, 0.9), nil},
+		{workload.Academic(), workload.AcademicDB(rng, 3, 4, 12, 3, 0.5), nil},
+		{workload.Genealogy(), workload.GenealogyDB(rng, 3, 6), goal("anc(g0_0, A, Y, B)")},
+		{workload.Routes(), workload.RoutesDB(rng, 2, 5, 0), nil},
+		{workload.Routes(), workload.RoutesDB(rng, 2, 5, 3), goal("reach(c0_0, Y)")},
 	}
 }
 
