@@ -1,10 +1,10 @@
 // Cost model: the one estimator shared by the engine's per-rule join
 // decisions (body ordering, GJ-vs-binary under JoinAuto) and the
-// cost-based rewrite planner (internal/planner). The engine's built-in
-// estimator reads live relation sizes and lazily built column indexes;
-// a CostModel layers better information on top — typically the exact
-// per-column statistics sketches maintained by internal/storage — so
-// join choice and rewrite choice price work with the same numbers.
+// cost-based rewrite planner (internal/planner). Both read the same
+// statistics: a relation's row count and its column hash indexes,
+// which storage keeps exact through every insert and removal — an
+// index's key count is the column's distinct count, a value's position
+// list its frequency.
 package eval
 
 import (
@@ -15,11 +15,11 @@ import (
 // CostModel supplies cardinality and selectivity estimates to the
 // engine. Every method reports ok=false when it has no information,
 // in which case the engine falls back to its index-derived estimate.
+// The engine asks only about its program's EDB predicates: the
+// relations it derives are still growing when it plans.
 type CostModel interface {
 	// Rows estimates the cardinality of pred.
 	Rows(pred string) (float64, bool)
-	// Distinct estimates the distinct-value count of pred's column col.
-	Distinct(pred string, col int) (float64, bool)
 	// Selectivity estimates the fraction of pred's tuples whose column
 	// col equals the constant term t.
 	Selectivity(pred string, col int, t ast.Term) (float64, bool)
@@ -30,42 +30,36 @@ type CostModel interface {
 // Run; the model is read at plan time only.
 func (e *Engine) SetCostModel(cm CostModel) { e.cost = cm }
 
-// StatsCostModel answers from the per-relation statistics sketches of a
-// storage database (Relation.EnsureStats). Relations without stats
-// report unknown, so enabling stats on the EDB only — the cheap,
-// incrementally maintained case — degrades gracefully for IDB atoms.
+// costOf returns the cost model to consult for pred: nil when none is
+// installed or pred is one the program derives.
+func (e *Engine) costOf(pred string) CostModel {
+	if _, derived := e.arity[pred]; derived {
+		return nil
+	}
+	return e.cost
+}
+
+// StatsCostModel answers from a storage database's relations: rows
+// from their length, a constant's frequency from its column index
+// (built on first use). A relation the database lacks is unknown.
 type StatsCostModel struct {
 	DB *storage.Database
 }
 
 // Rows implements CostModel.
 func (m StatsCostModel) Rows(pred string) (float64, bool) {
-	if s := m.DB.StatsOf(pred); s != nil {
-		return float64(s.Rows()), true
-	}
-	return 0, false
-}
-
-// Distinct implements CostModel.
-func (m StatsCostModel) Distinct(pred string, col int) (float64, bool) {
-	if s := m.DB.StatsOf(pred); s != nil {
-		return float64(s.Distinct(col)), true
+	if rel := m.DB.Relation(pred); rel != nil {
+		return float64(rel.Len()), true
 	}
 	return 0, false
 }
 
 // Selectivity implements CostModel.
 func (m StatsCostModel) Selectivity(pred string, col int, t ast.Term) (float64, bool) {
-	s := m.DB.StatsOf(pred)
-	if s == nil {
-		return 0, false
+	if rel := m.DB.Relation(pred); rel != nil {
+		return rel.Selectivity(col, t), true
 	}
-	v, ok := storage.LookupTerm(t)
-	if !ok {
-		// The constant was never interned: no stored tuple can hold it.
-		return 0, true
-	}
-	return s.Selectivity(col, v), true
+	return 0, false
 }
 
 // gjMinRows is the smallest relation size at which Generic Join's
@@ -79,13 +73,16 @@ const gjMinRows = 32
 // kept unless every body relation is estimated below gjMinRows rows.
 // Atoms the model cannot price count as large (preserving the
 // cost-model-free behavior of routing every cyclic body through GJ).
-func gjPaysOff(cm CostModel, c *compiled) bool {
+func (e *Engine) gjPaysOff(c *compiled) bool {
 	for _, op := range c.ops {
 		if op.kind != stepScan || op.pred == "" {
 			continue
 		}
-		rows, ok := cm.Rows(op.pred)
-		if !ok || rows >= gjMinRows {
+		cm := e.costOf(op.pred)
+		if cm == nil {
+			return true
+		}
+		if rows, ok := cm.Rows(op.pred); !ok || rows >= gjMinRows {
 			return true
 		}
 	}

@@ -297,16 +297,16 @@ func (e *Engine) sccOrder() [][]string {
 // Relations still being computed are typically empty at plan time,
 // which makes their atoms cheap to order early — they are exactly the
 // small (delta-like) side of the join. When a cost model is installed
-// (SetCostModel) its distinct counts and exact constant selectivities
-// are preferred over building a column index just to count it; the
-// live relation size stays authoritative either way.
+// (SetCostModel), a constant in an EDB atom is priced at its
+// selectivity instead of the uniform rows/distinct guess; the live
+// relation size stays authoritative either way.
 func (e *Engine) estimator() estimator {
-	cm := e.cost
 	return func(a ast.Atom, bound map[ast.Var]bool) float64 {
 		rel := e.db.Relation(a.Pred)
 		if rel == nil || rel.Len() == 0 {
 			return 0
 		}
+		cm := e.costOf(a.Pred)
 		rows := float64(rel.Len())
 		best := rows
 		for i, t := range a.Args {
@@ -314,11 +314,6 @@ func (e *Engine) estimator() estimator {
 			if v, ok := t.(ast.Var); ok {
 				if !bound[v] {
 					continue
-				}
-				if cm != nil {
-					if d, ok := cm.Distinct(a.Pred, i); ok && d > 0 {
-						f = rows / d
-					}
 				}
 			} else if cm != nil {
 				if s, ok := cm.Selectivity(a.Pred, i, t); ok {

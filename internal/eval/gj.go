@@ -34,7 +34,7 @@ func (e *Engine) attachGJ(c *compiled) {
 		e.stats.BinaryPlanned++
 		return
 	}
-	if e.joinMode == JoinAuto && e.cost != nil && !gjPaysOff(e.cost, c) {
+	if e.joinMode == JoinAuto && e.cost != nil && !e.gjPaysOff(c) {
 		e.stats.BinaryPlanned++
 		return
 	}

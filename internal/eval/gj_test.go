@@ -87,6 +87,45 @@ func TestTriangleGJFewerProbes(t *testing.T) {
 		float64(eBin.Stats().Probes)/float64(eGJ.Stats().Probes), dGJ.Count("tri"))
 }
 
+// BenchmarkTriangleJoin times the triangle query on a uniform random
+// graph (600 nodes, 8,000 edges) and on the skewed hub instance
+// (skewedTriangleDB(2000)), forced binary against JoinAuto steered by
+// the cost model as a planned session's engine is. Both graphs exceed
+// gjMinRows, so auto takes Generic Join on both: it wins on the skewed
+// graph and loses on the uniform one.
+func BenchmarkTriangleJoin(b *testing.B) {
+	prog, err := parser.ParseProgram(triangleSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range []struct {
+		name string
+		db   *storage.Database
+	}{
+		{"uniform", triangleDB(600, 8000, 1)},
+		{"skewed", skewedTriangleDB(2000)},
+	} {
+		for _, m := range []struct {
+			name string
+			mode JoinMode
+		}{{"binary", JoinBinary}, {"auto", JoinAuto}} {
+			b.Run(g.name+"/"+m.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					db := g.db.Clone()
+					e := New(prog, db)
+					e.SetJoinMode(m.mode)
+					e.SetCostModel(StatsCostModel{DB: db})
+					b.StartTimer()
+					if err := e.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // JoinAuto sends cyclic bodies through GJ and leaves acyclic bodies on
 // the binary pipeline.
 func TestJoinAutoPlannerDecision(t *testing.T) {

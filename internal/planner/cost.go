@@ -8,7 +8,9 @@ import (
 )
 
 // The cost model: a cardinality-fixpoint abstract interpretation of
-// the program over the EDB statistics sketches.
+// the program over the EDB statistics, which are the relations
+// themselves: row counts, and per-column distinct counts and value
+// frequencies read from the column hash indexes storage keeps exact.
 //
 // Cardinalities. Every EDB predicate starts at its exact row count;
 // every other predicate at 0. Each iteration re-prices every rule
@@ -26,20 +28,16 @@ import (
 // through every delta plan exactly once, which is what joining the
 // full fixpoint relations once also counts.
 //
-// Selectivities. Join and filter factors come from the exact
-// per-column sketches where available (EDB), from sampling
-// (sampleSelectivity — the IC violation-rate sampler pricing residue
-// checks on relations without sketches), and from the uniformity
-// fallback rows/distinct elsewhere. Residue checks inserted by the
-// paper's transformation are priced like any other literal: a
+// Selectivities. Join and filter factors come from the exact column
+// indexes of the planned program's EDB relations, and from the
+// uniformity fallback rows/distinct elsewhere. Residue checks inserted
+// by the paper's transformation are priced like any other literal: a
 // comparison against a constant costs its exact value frequency, a
 // membership check costs a probe per frame — which is precisely how
 // `opt` loses to `orig` when constraints are non-selective.
 const (
 	costMaxIters = 40
 	costCardCap  = 1e15
-	// sampleLimit bounds the violation-rate sampler's scan.
-	sampleLimit = 512
 )
 
 // Estimate is the cost model's output for one program.
@@ -50,11 +48,11 @@ type Estimate struct {
 	Cards map[string]float64
 }
 
-// EstimateCost prices a program over the database's statistics. It
-// never mutates db beyond building statistics sketches on relations
-// that already exist (Relation.EnsureStats).
-func EstimateCost(p *ast.Program, db *storage.Database) Estimate {
-	c := newCoster(p, db)
+// EstimateCost prices a program over the database's statistics; the
+// relations of the edb predicates price exactly. It never mutates db
+// beyond building column indexes on those relations.
+func EstimateCost(p *ast.Program, db *storage.Database, edb map[string]bool) Estimate {
+	c := newCoster(p, db, edb)
 	for it := 0; it < costMaxIters; it++ {
 		changed := false
 		out := map[string]float64{}
@@ -82,34 +80,28 @@ func EstimateCost(p *ast.Program, db *storage.Database) Estimate {
 }
 
 // prov records where a bound variable came from: the binding column's
-// distinct count, plus the relation's sketch when the binder was an
-// EDB atom (filters on that variable then read exact frequencies).
+// distinct count, plus the relation when the binder was an EDB atom
+// (filters on that variable then read exact frequencies).
 type prov struct {
 	distinct float64
-	stats    *storage.RelStats
+	rel      *storage.Relation
 	col      int
 }
 
 type coster struct {
 	db     *storage.Database
+	edb    map[string]bool // predicates whose relations price exactly
 	cards  map[string]float64
 	arity  map[string]int
-	domain float64 // global distinct-constant estimate, the cap fallback
+	domain float64 // global distinct-constant estimate, the cap fallback; 0 until first used
 }
 
-func newCoster(p *ast.Program, db *storage.Database) *coster {
-	c := &coster{db: db, cards: map[string]float64{}, arity: map[string]int{}, domain: 2}
+func newCoster(p *ast.Program, db *storage.Database, edb map[string]bool) *coster {
+	c := &coster{db: db, edb: edb, cards: map[string]float64{}, arity: map[string]int{}}
 	for _, pred := range db.Preds() {
 		rel := db.Relation(pred)
 		c.cards[pred] = float64(rel.Len())
 		c.arity[pred] = rel.Arity
-		if s := rel.Stats(); s != nil {
-			for i := 0; i < rel.Arity; i++ {
-				if d := float64(s.Distinct(i)); d > c.domain {
-					c.domain = d
-				}
-			}
-		}
 	}
 	for _, r := range p.Rules {
 		c.arity[r.Head.Pred] = len(r.Head.Args)
@@ -117,20 +109,39 @@ func newCoster(p *ast.Program, db *storage.Database) *coster {
 	return c
 }
 
-func (c *coster) stats(pred string) *storage.RelStats {
-	if rel := c.db.Relation(pred); rel != nil {
-		return rel.Stats()
+// exact returns pred's relation when it prices exactly: an EDB
+// predicate the database holds. Otherwise nil.
+func (c *coster) exact(pred string) *storage.Relation {
+	if c.edb[pred] {
+		return c.db.Relation(pred)
 	}
 	return nil
 }
 
+// domainSize is the largest distinct count of any EDB column, at
+// least 2. Only a head variable no body atom binds needs it, so it is
+// computed on first use instead of indexing every column up front.
+func (c *coster) domainSize() float64 {
+	if c.domain == 0 {
+		c.domain = 2
+		for pred := range c.edb {
+			if rel := c.db.Relation(pred); rel != nil {
+				for i := 0; i < rel.Arity; i++ {
+					c.domain = math.Max(c.domain, float64(len(rel.EnsureIndex(i))))
+				}
+			}
+		}
+	}
+	return c.domain
+}
+
 // distinct estimates the distinct-value count of pred's column col:
-// exact from the sketch, otherwise the uniform guess rows^(1/arity)
-// (a relation of N tuples over k columns touches about N^(1/k)
-// distinct values per column when tuples spread evenly).
+// exact from the column index, otherwise the uniform guess
+// rows^(1/arity) (a relation of N tuples over k columns touches about
+// N^(1/k) distinct values per column when tuples spread evenly).
 func (c *coster) distinct(pred string, col int) float64 {
-	if s := c.stats(pred); s != nil {
-		return math.Max(1, float64(s.Distinct(col)))
+	if rel := c.exact(pred); rel != nil {
+		return math.Max(1, float64(len(rel.EnsureIndex(col))))
 	}
 	rows := c.cards[pred]
 	if rows <= 1 {
@@ -144,48 +155,13 @@ func (c *coster) distinct(pred string, col int) float64 {
 }
 
 // constSel estimates the fraction of pred's rows whose column col
-// holds the constant t: exact from the sketch, sampled from the live
-// relation when only tuples exist, else the uniformity fallback.
+// holds the constant t: exact from the column index, else the
+// uniformity fallback.
 func (c *coster) constSel(pred string, col int, t ast.Term) float64 {
-	if s := c.stats(pred); s != nil {
-		v, ok := storage.LookupTerm(t)
-		if !ok {
-			return 0 // a constant the database never interned matches nothing
-		}
-		return s.Selectivity(col, v)
-	}
-	if rel := c.db.Relation(pred); rel != nil && rel.Len() > 0 {
-		return sampleSelectivity(rel, col, t)
+	if rel := c.exact(pred); rel != nil {
+		return rel.Selectivity(col, t)
 	}
 	return 1 / math.Max(2, c.distinct(pred, col))
-}
-
-// sampleSelectivity is the violation-rate sampler: it scans up to
-// sampleLimit tuples of rel and returns the fraction whose column col
-// equals t. The planner uses it to price residue conditions against
-// relations that have no statistics sketch (derived relations, or
-// databases loaded without stats).
-func sampleSelectivity(rel *storage.Relation, col int, t ast.Term) float64 {
-	v, ok := storage.LookupTerm(t)
-	if !ok {
-		return 0
-	}
-	n := rel.Len()
-	if n == 0 {
-		return 0
-	}
-	stride := 1
-	if n > sampleLimit {
-		stride = n / sampleLimit
-	}
-	seen, hits := 0, 0
-	for i := 0; i < n; i += stride {
-		seen++
-		if rel.At(i)[col] == v {
-			hits++
-		}
-	}
-	return float64(hits) / float64(seen)
 }
 
 // fanout estimates the matches one frame finds in atom a given the
@@ -236,12 +212,8 @@ func (c *coster) filterFactor(l ast.Literal, bound map[ast.Var]prov) float64 {
 		if v, ok := x.(ast.Var); ok {
 			if _, yVar := y.(ast.Var); !yVar {
 				if pr, b := bound[v]; b {
-					if pr.stats != nil {
-						if val, known := storage.LookupTerm(y); known {
-							sel = pr.stats.Selectivity(pr.col, val)
-						} else {
-							sel = 0
-						}
+					if pr.rel != nil {
+						sel = pr.rel.Selectivity(pr.col, y)
 					} else {
 						sel = 1 / math.Max(2, pr.distinct)
 					}
@@ -324,7 +296,7 @@ func (c *coster) rule(r ast.Rule) (out, cost float64) {
 		for i, t := range a.Args {
 			if v, ok := t.(ast.Var); ok {
 				if _, b := bound[v]; !b {
-					bound[v] = prov{distinct: c.distinct(a.Pred, i), stats: c.stats(a.Pred), col: i}
+					bound[v] = prov{distinct: c.distinct(a.Pred, i), rel: c.exact(a.Pred), col: i}
 				}
 			}
 		}
@@ -337,7 +309,7 @@ func (c *coster) rule(r ast.Rule) (out, cost float64) {
 			if pr, b := bound[v]; b {
 				headCap *= math.Max(1, pr.distinct)
 			} else {
-				headCap *= c.domain
+				headCap *= c.domainSize()
 			}
 		}
 	}

@@ -179,24 +179,20 @@ func (d *Decision) Program() *ast.Program {
 }
 
 // Plan enumerates the rewrite space for prog over db, prices every
-// candidate, and picks the winner. It enables the statistics sketches
-// on prog's EDB relations as a side effect (they are what both this
-// estimate and the engine's shared cost model read; once enabled,
-// storage maintains them incrementally through commits).
+// candidate, and picks the winner. Every candidate is priced with
+// prog's EDB relations exact, so all of them read the same statistics
+// (a rewrite may leave some EDB predicate unused). Pricing builds the
+// column indexes it reads on those relations.
 func Plan(prog *ast.Program, db *storage.Database, opts Options) (*Decision, error) {
 	start := time.Now()
-	for pred := range prog.EDBPreds() {
-		if rel := db.Relation(pred); rel != nil {
-			rel.EnsureStats()
-		}
-	}
+	edb := prog.EDBPreds()
 	cands := enumerate(prog, opts)
 	for i := range cands {
 		if cands[i].Program == nil {
 			cands[i].Cost = math.Inf(1)
 			continue
 		}
-		cands[i].Cost = EstimateCost(cands[i].Program, db).Cost
+		cands[i].Cost = EstimateCost(cands[i].Program, db, edb).Cost
 		if m, ok := opts.MeasuredCost[cands[i].Variant]; ok {
 			cands[i].Cost = m
 			cands[i].Measured = true

@@ -28,9 +28,10 @@ import (
 //     that does not continue the session's history (a load, a recovery,
 //     a bootstrap): it also moves the sequence and detaches the feeds.
 //
-// Whatever a state needs to be served — ranks for the sweep, statistics
-// sketches for a planned session's cost model — is therefore set up in
-// one place, whichever way the session got it.
+// Whatever a state needs to be served — ranks for the sweep — is
+// therefore set up in one place, whichever way the session got it. A
+// planned session's cost model needs nothing set up: its statistics are
+// the relations and their column indexes.
 
 // state is one complete session state, assembled off to the side and
 // swapped in by install.
@@ -45,9 +46,9 @@ type state struct {
 }
 
 // engine builds an evaluation engine for p's program over db, honoring
-// the server's tracer configuration. A planned session keeps statistics
-// sketches on its EDB; its engine shares them with the per-rule
-// GJ-vs-binary choice.
+// the server's tracer configuration. A planned session's engine prices
+// its EDB atoms from the relations' column indexes, the statistics the
+// planner read, for body ordering and the per-rule GJ-vs-binary choice.
 func (s *Server) engine(p *loadedProgram, db *storage.Database) *eval.Engine {
 	e := eval.New(p.active, db)
 	e.SetTracer(s.cfg.Tracer)
@@ -73,20 +74,14 @@ func (s *Server) evaluate(ctx context.Context, p *loadedProgram, db *storage.Dat
 
 // edbOf copies db's extensional relations — every relation none of the
 // derived sets names — and the frozen seed facts into a fresh database
-// for evaluate. A relation keeps its statistics sketch: rebuilding a
-// planned session must not blind its cost model.
+// for evaluate.
 func edbOf(db *storage.Database, seedIDB map[string]*storage.Relation, derived ...map[string]bool) *storage.Database {
 	fresh := storage.NewDatabase()
 	for _, pred := range db.Preds() {
 		if slices.ContainsFunc(derived, func(idb map[string]bool) bool { return idb[pred] }) {
 			continue
 		}
-		rel := db.Relation(pred)
-		clone := rel.Clone()
-		if rel.Stats() != nil {
-			clone.EnsureStats()
-		}
-		fresh.Replace(clone)
+		fresh.Replace(db.Relation(pred).Clone())
 	}
 	for _, rel := range seedIDB {
 		fresh.Replace(rel.Clone())
@@ -96,12 +91,9 @@ func edbOf(db *storage.Database, seedIDB map[string]*storage.Relation, derived .
 
 // restore turns a decoded checkpoint into a state. The checkpointed
 // active program is re-parsed (programFromMeta), so a restart never
-// re-runs the optimizer. A planned session re-arms the statistics
-// sketches planner.Plan armed at load, so its cost model reads current
-// figures and the writes that follow maintain them. The ranks are
-// installed into the decoded relations; a checkpoint written without
-// them is evaluated from its EDB instead, which yields the same
-// fixpoint with fresh ranks.
+// re-runs the optimizer. The ranks are installed into the decoded
+// relations; a checkpoint written without them is evaluated from its
+// EDB instead, which yields the same fixpoint with fresh ranks.
 func (s *Server) restore(ctx context.Context, snap *durable.Snapshot) (*state, error) {
 	p, err := programFromMeta(snap.Meta)
 	if err != nil {
@@ -111,13 +103,6 @@ func (s *Server) restore(ctx context.Context, snap *durable.Snapshot) (*state, e
 	// must stay above everything its leader published, or a
 	// generation-keyed cache entry could alias another snapshot.
 	storage.BumpGeneration(snap.Meta.Generation)
-	if p.planned() {
-		for pred := range p.active.EDBPreds() {
-			if rel := snap.DB.Relation(pred); rel != nil {
-				rel.EnsureStats()
-			}
-		}
-	}
 	if !snap.Meta.HasRanks {
 		st, err := s.evaluate(ctx, p, edbOf(snap.DB, snap.Seed, p.idb), snap.Seed)
 		if err != nil {

@@ -14,19 +14,19 @@ import (
 	"repro/internal/durable"
 )
 
-// TestEveryInstallKeepsStatisticsSketches: a planned session's EDB
-// sketches — what its cost model and adaptive re-plan read — are
-// present and exact after every way a state reaches it: a load, the
-// rebuild that heals a dirty session, an adopted re-plan, and a
-// follower's bootstrap and live apply. (Recovery is covered by
-// TestStatsIncrementalProperty, a rank-less checkpoint by
+// TestEveryInstallKeepsCostModelExact: a planned session's cost model
+// — what its engine and adaptive re-plan read — answers a recount of
+// its EDB after every way a state reaches it: a load, the rebuild that
+// heals a dirty session, an adopted re-plan, and a follower's
+// bootstrap and live apply. (Recovery is covered by
+// TestCostModelIncrementalProperty, a rank-less checkpoint by
 // TestRanklessCheckpointRecoversAndBootstraps.)
-func TestEveryInstallKeepsStatisticsSketches(t *testing.T) {
+func TestEveryInstallKeepsCostModelExact(t *testing.T) {
 	const chains, depth = 4, 25
 	c := startCluster(t, Config{ReplanEvery: 2}, Config{})
 	mustOK(t, c.leaderTS, "POST", "/v1/sessions/a", LoadRequest{Program: routesProgram(chains, depth), Plan: "auto"}, nil)
 	sess := c.leader.session("a")
-	checkStats(t, sess, "after load")
+	checkCostModel(t, sess, "after load")
 
 	sess.mu.Lock()
 	sess.dirty = true
@@ -36,20 +36,20 @@ func TestEveryInstallKeepsStatisticsSketches(t *testing.T) {
 	if upd.Mode != "recompute" {
 		t.Fatalf("commit on a dirty session: mode %q, want recompute", upd.Mode)
 	}
-	checkStats(t, sess, "after the dirty-session rebuild")
+	checkCostModel(t, sess, "after the dirty-session rebuild")
 
 	waitConverged(t, c.leader, c.follower, "a")
-	checkStats(t, c.follower.session("a"), "on the bootstrapped follower")
+	checkCostModel(t, c.follower.session("a"), "on the bootstrapped follower")
 
 	for i := 0; sess.replans.Load() == 0; i++ {
 		if i == 12 {
 			t.Fatal("twelve spur batches adopted no new plan")
 		}
 		mustOK(t, c.leaderTS, "POST", "/v1/sessions/a/changes", ChangesRequest{Adds: spurFacts(chains, depth, i)}, nil)
-		checkStats(t, sess, fmt.Sprintf("after spur batch %d", i))
+		checkCostModel(t, sess, fmt.Sprintf("after spur batch %d", i))
 	}
 	waitConverged(t, c.leader, c.follower, "a")
-	checkStats(t, c.follower.session("a"), "on the follower after live applies")
+	checkCostModel(t, c.follower.session("a"), "on the follower after live applies")
 }
 
 // TestFollowerRebootstrapEndsFeeds: a leader reload replaces the state
@@ -92,7 +92,7 @@ func TestFollowerRebootstrapEndsFeeds(t *testing.T) {
 // without ranks (HasRanks false, no 'K' frames) is restored by
 // evaluating its EDB, on recovery and on a follower's bootstrap alike.
 // Both land on the from-scratch fixpoint with every derived tuple
-// ranked, a planned session with its sketches, and commit
+// ranked, a planned session with an exact cost model, and commit
 // incrementally from there.
 func TestRanklessCheckpointRecoversAndBootstraps(t *testing.T) {
 	const name = "r"
@@ -125,7 +125,7 @@ func TestRanklessCheckpointRecoversAndBootstraps(t *testing.T) {
 		if ranks, ranked := idbRanks(sess); ranked == 0 || ranked != len(ranks) {
 			t.Fatalf("%d of %d derived tuples ranked", ranked, len(ranks))
 		}
-		checkStats(t, sess, "restored from a rank-less checkpoint")
+		checkCostModel(t, sess, "restored from a rank-less checkpoint")
 	}
 	var upd UpdateResponse
 	mustOK(t, leaderTS, "POST", "/v1/sessions/"+name+"/changes", ChangesRequest{

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 )
@@ -206,50 +207,46 @@ func TestPlanSurvivesRecovery(t *testing.T) {
 	}
 }
 
-// rebuiltStats recomputes a relation's statistics from scratch.
-func rebuiltStats(rel *storage.Relation) *storage.RelStats {
-	fresh := storage.NewDatabase()
-	r := fresh.Ensure("x", rel.Arity)
-	for _, tp := range rel.Tuples() {
-		r.Insert(tp)
-	}
-	return r.EnsureStats()
-}
-
-// checkStats compares every EDB relation's incrementally maintained
-// statistics against a from-scratch rebuild. Caller must quiesce the
-// write path (the test only calls it between acknowledged writes).
-func checkStats(t *testing.T, sess *session, when string) {
+// checkCostModel compares what a planned session's cost model answers
+// for every extensional relation — the relations its engine prices from
+// the cost model — against a recount of the relation's tuples: the row
+// count, each column's distinct count (the index size the estimator
+// reads) and the selectivity of every value present. Caller must
+// quiesce the write path (the tests only call it between acknowledged
+// writes).
+func checkCostModel(t *testing.T, sess *session, when string) {
 	t.Helper()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	p := sess.prog.Load()
-	checked := 0
-	edb := p.orig
-	if edb == nil {
-		edb = p.active
+	if !p.planned() {
+		t.Fatalf("%s: session is not planned", when)
 	}
-	programEDB := edb.EDBPreds()
+	cm := eval.StatsCostModel{DB: sess.db}
+	checked := 0
 	for _, pred := range sess.db.Preds() {
 		if p.idb[pred] {
 			continue
 		}
 		rel := sess.db.Relation(pred)
-		st := rel.Stats()
-		if !programEDB[pred] {
-			// Born from an update, never referenced by the program: the
-			// planner did not enable a sketch, and nothing may have
-			// half-built one since.
-			if st != nil {
-				t.Fatalf("%s: unplanned relation %s grew statistics", when, pred)
+		tuples := rel.Tuples()
+		if rows, ok := cm.Rows(pred); !ok || rows != float64(len(tuples)) {
+			t.Fatalf("%s: Rows(%s) = %v, %v; a recount finds %d", when, pred, rows, ok, len(tuples))
+		}
+		for col := 0; col < rel.Arity; col++ {
+			counts := map[storage.Value]int{}
+			for _, tp := range tuples {
+				counts[tp[col]]++
 			}
-			continue
-		}
-		if st == nil {
-			t.Fatalf("%s: EDB relation %s lost its statistics", when, pred)
-		}
-		if !st.Equal(rebuiltStats(rel)) {
-			t.Fatalf("%s: incremental stats for %s diverged from rebuild (rows=%d)", when, pred, st.Rows())
+			if d := len(rel.EnsureIndex(col)); d != len(counts) {
+				t.Fatalf("%s: %s column %d indexes %d distinct values; a recount finds %d", when, pred, col, d, len(counts))
+			}
+			for v, n := range counts {
+				want := float64(n) / float64(len(tuples))
+				if got, ok := cm.Selectivity(pred, col, v.Term()); !ok || got != want {
+					t.Fatalf("%s: Selectivity(%s, %d, %s) = %v, %v; a recount finds %v", when, pred, col, v, got, ok, want)
+				}
+			}
 		}
 		checked++
 	}
@@ -258,13 +255,13 @@ func checkStats(t *testing.T, sess *session, when string) {
 	}
 }
 
-// TestStatsIncrementalProperty is the satellite property test at the
+// TestCostModelIncrementalProperty is the property test at the
 // service level: after every committed Z-set batch — random adds and
-// deletes, including no-ops and brand-new predicates — the
-// incrementally maintained statistics sketches equal a from-scratch
-// rebuild; and the equality survives checkpoint + crash recovery + WAL
-// replay + further commits.
-func TestStatsIncrementalProperty(t *testing.T) {
+// deletes, including no-ops and brand-new predicates — a planned
+// session's cost model answers what a recount of its relations says;
+// and the equality survives checkpoint + crash recovery + WAL replay +
+// further commits.
+func TestCostModelIncrementalProperty(t *testing.T) {
 	fs := testutil.NewFaultFS()
 	srv := New(durableCfg(fs, false, 4))
 	ts := httptest.NewServer(srv.Handler())
@@ -281,8 +278,7 @@ func TestStatsIncrementalProperty(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			// A predicate the program never mentions: its relation is
-			// born from an update and carries no sketch — checkStats
-			// verifies that stays nil rather than half-maintained.
+			// born from an update, and is priced like any other.
 			return fmt.Sprintf("extra(n%d)", rng.Intn(8))
 		case 1:
 			return fmt.Sprintf("weight(n%d, %d)", rng.Intn(8), rng.Intn(5))
@@ -310,7 +306,7 @@ func TestStatsIncrementalProperty(t *testing.T) {
 			}
 		}
 		mustOK(t, ts, "POST", "/v1/sessions/s/changes", ChangesRequest{Adds: adds, Dels: kept}, nil)
-		checkStats(t, srv.session("s"), fmt.Sprintf("round %d", round))
+		checkCostModel(t, srv.session("s"), fmt.Sprintf("round %d", round))
 	}
 	for round := 0; round < 25; round++ {
 		commit(ts, srv, round)
@@ -318,12 +314,12 @@ func TestStatsIncrementalProperty(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	// Across recovery: the sketches are re-derived from the checkpoint
+	// Across recovery: the relations are rebuilt from the checkpoint
 	// and maintained through WAL replay and fresh commits.
 	srv2, _ := recoverOnto(t, fs, false, 4)
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	checkStats(t, srv2.session("s"), "after recovery")
+	checkCostModel(t, srv2.session("s"), "after recovery")
 	for round := 0; round < 10; round++ {
 		commit(ts2, srv2, 100+round)
 	}

@@ -13,11 +13,9 @@ import (
 // two halves of that contract that its own write paths depend on.
 
 // rankedRelation builds an arity-2 relation indexed on both columns,
-// with stats and a rank on every tuple, plus the rank model checkRanks
-// reads.
+// with a rank on every tuple, plus the rank model checkRanks reads.
 func rankedRelation(db *Database, n int) (*Relation, map[string]uint32) {
 	r := db.Ensure("r", 2)
-	r.EnsureStats()
 	r.EnsureIndex(0)
 	r.EnsureIndex(1)
 	ranks := map[string]uint32{}
@@ -31,21 +29,18 @@ func rankedRelation(db *Database, n int) (*Relation, map[string]uint32) {
 	return r, ranks
 }
 
-// checkRebuilt verifies membership, ranks, every column index and the
-// stats of r against a rebuild from its tuples.
+// checkRebuilt verifies membership, ranks and every column index of r
+// against a rebuild from its tuples.
 func checkRebuilt(t *testing.T, what string, r *Relation, ranks map[string]uint32) {
 	t.Helper()
 	checkIndexed(t, what, r, r.Tuples(), []int{0, 1})
 	checkRanks(t, what, r, ranks)
-	if !r.Stats().Equal(rebuilt(r)) {
-		t.Fatalf("%s: incremental stats diverged from a rebuild", what)
-	}
 }
 
 // TestRemoveOwnTuple: Remove(r.At(i)) passes a tuple whose values are
 // the very ones the swap-removal overwrites with the last tuple's, so
 // Remove must read its argument before moving anything. Membership,
-// ranks, both column indexes and the stats must stay equal to a
+// ranks and both column indexes must stay equal to a
 // rebuild all the way down to the empty relation. Re-inserting a tuple
 // taken from At is a no-op that must leave the same state.
 func TestRemoveOwnTuple(t *testing.T) {

@@ -418,7 +418,8 @@ func checkUnranked(t *testing.T, what string, r *Relation) {
 // Snapshot over an arity-2 and an arity-3 relation that keep indexes on
 // a subset of their columns. Remove maintains those indexes and the
 // rank column in place, so after every step each index must equal a
-// rebuild, RelStats a recount, and every present tuple's rank the
+// rebuild (its key count the column's distinct count, each list's
+// length a value's count), and every present tuple's rank the
 // model's — a tuple removed and inserted again comes back unranked.
 // Every snapshot taken along the way must keep answering from its own
 // frozen tuples and indexes, with no ranks, while the live side moves
@@ -430,11 +431,11 @@ func TestRemoveKeepsColumnIndexesUnderChurn(t *testing.T) {
 	}{
 		{arity: 2, domain: 8, indexed: []int{1}},
 		{arity: 3, domain: 4, indexed: []int{0, 2}},
+		{arity: 3, domain: 5, indexed: []int{0, 1, 2}},
 	} {
 		rng := rand.New(rand.NewSource(int64(31 * tc.arity)))
 		db := NewDatabase()
 		r := db.Ensure("r", tc.arity)
-		r.EnsureStats()
 		for _, col := range tc.indexed {
 			r.EnsureIndex(col)
 		}
@@ -470,9 +471,6 @@ func TestRemoveKeepsColumnIndexesUnderChurn(t *testing.T) {
 			what := fmt.Sprintf("arity %d step %d", tc.arity, step)
 			checkIndexed(t, what, r, r.Tuples(), tc.indexed)
 			checkRanks(t, what, r, ranks)
-			if !r.Stats().Equal(rebuilt(r)) {
-				t.Fatalf("%s: incremental stats diverged from a rebuild", what)
-			}
 			if step%100 == 0 {
 				for i, v := range views {
 					what := fmt.Sprintf("%s, snapshot %d", what, i)

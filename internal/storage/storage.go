@@ -410,10 +410,6 @@ type Relation struct {
 	// objects — catch-up replaces an entry with a freshly merged one, so
 	// snapshot holders can keep reading the old object.
 	sorted map[string]*SortedIndex
-	// stats, when non-nil, is the planner's statistics sketch
-	// (stats.go), maintained in place by Insert/Remove. It is never
-	// shared with snapshot views, so detach need not copy it.
-	stats *RelStats
 	// cow marks the backing structures as shared with a snapshot
 	// (Database.Snapshot). Every mutating method calls detach first,
 	// which copies the shared state, so snapshot holders can read their
@@ -501,9 +497,6 @@ func (r *Relation) Insert(t Tuple) bool {
 			(*idx)[t[col]] = append((*idx)[t[col]], pos)
 		}
 	}
-	if r.stats != nil {
-		r.stats.add(t)
-	}
 	return true
 }
 
@@ -522,7 +515,7 @@ func (r *Relation) Remove(t Tuple) bool {
 		return false
 	}
 	// t may be At(pos) of this very relation, whose values the swap
-	// overwrites: keep a private copy for the index and stats updates.
+	// overwrites: keep a private copy for the index updates.
 	var buf [8]Value
 	t = append(buf[:0], t...)
 	r.detach()
@@ -539,9 +532,6 @@ func (r *Relation) Remove(t Tuple) bool {
 		}
 	}
 	r.sorted = nil
-	if r.stats != nil {
-		r.stats.remove(t)
-	}
 	return true
 }
 
@@ -685,6 +675,18 @@ func (r *Relation) EnsureIndex(col int) map[Value][]int {
 // using (and building if necessary) the column index.
 func (r *Relation) Lookup(col int, v Value) []int {
 	return r.EnsureIndex(col)[v]
+}
+
+// Selectivity returns the fraction of tuples whose column col holds
+// the constant t, read from the column index (built on first use): 0
+// on an empty relation or for a constant no stored tuple can hold. It
+// is the planner's frequency statistic, exact because the index is.
+func (r *Relation) Selectivity(col int, t ast.Term) float64 {
+	v, ok := LookupTerm(t)
+	if !ok || r.n == 0 {
+		return 0
+	}
+	return float64(len(r.Lookup(col, v))) / float64(r.n)
 }
 
 // LookupNoBuild returns the positions of tuples whose column col equals
