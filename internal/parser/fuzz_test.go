@@ -33,56 +33,61 @@ func TestQuotedSymbolRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzParse throws arbitrary inputs at the full parser. Two
-// properties: the parser never panics, and anything it accepts
-// round-trips — the printed form of a parsed program parses again to
-// the same printed form (the printer and parser agree on the
-// language). The seeds cover every construct the language has: rules,
-// facts, integrity constraints (with and without heads), negation,
-// evaluable comparisons, integers, quoted and unquoted symbols.
-func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		// The paper's examples, as used by the workload scenarios.
-		`triple(E1, E2, E3) :- same_level(E1, E2, E3).
+// FuzzSeeds is the seed corpus of FuzzParse, shared with the fact
+// path's differential fuzz target. It covers every construct the
+// language has: rules, facts, integrity constraints (with and without
+// heads), negation, evaluable comparisons, integers, quoted and
+// unquoted symbols.
+var FuzzSeeds = []string{
+	// The paper's examples, as used by the workload scenarios.
+	`triple(E1, E2, E3) :- same_level(E1, E2, E3).
 triple(E1, E2, E3) :- boss(U, E3, R), experienced(U), triple(U, E1, E2).
 boss(E, B, R), R = executive -> experienced(B).`,
-		`anc(X, Xa, Y, Ya) :- par(X, Xa, Y, Ya).
+	`anc(X, Xa, Y, Ya) :- par(X, Xa, Y, Ya).
 anc(X, Xa, Y, Ya) :- anc(X, Xa, Z, Za), par(Z, Za, Y, Ya).
 Ya <= 50, par(Z, Za, Y, Ya), par(Z1, Za1, Z, Za), par(Z2, Za2, Z1, Za1) -> .`,
-		`tc(X, Y) :- edge(X, Y).
+	`tc(X, Y) :- edge(X, Y).
 tc(X, Y) :- tc(X, Z), edge(Z, Y).
 edge(a, b). edge(b, c).`,
-		// examples/iqa: evaluable comparisons over integer columns.
-		`honors(Stud) :- transcript(Stud, Major, Cred, Gpa), Cred >= 30, Gpa >= 4.
+	// examples/iqa: evaluable comparisons over integer columns.
+	`honors(Stud) :- transcript(Stud, Major, Cred, Gpa), Cred >= 30, Gpa >= 4.
 honors(Stud) :- transcript(Stud, Major, Cred, Gpa), Gpa >= 4, exceptional(Stud).
 exceptional(Stud) :- publication(Stud, P), appears(P, Jl), reputed(Jl).
 transcript(ann, cs, 36, 4).
 graduated(dee, mit).`,
-		// examples/provenance: comments, Prolog-style negation, facts.
-		`% childless(P) uses stratified negation over the computed genealogy.
+	// examples/provenance: comments, Prolog-style negation, facts.
+	`% childless(P) uses stratified negation over the computed genealogy.
 person(X) :- par(X, Xa, Y, Ya).
 has_child(Y) :- par(X, Xa, Y, Ya).
 childless(P) :- person(P), \+ has_child(P).
 par(dan, 21, carla, 47).`,
-		// Negation, comparisons, integers, headless ICs.
-		`isolated(X) :- node(X), not tc(X, X).`,
-		`p(X, Y) :- q(X), X < Y, Y != 10, X >= -3.`,
-		`ic() -> .`,
-		`q(0). q(-42). q(1000000).`,
-		`same(X, X) :- thing(X).`,
-		// Quoting, whitespace, odd-but-legal shapes.
-		`p('hello world', 'it''s').`,
-		"p(a) :- q(a).\n\n\n   r(b)  :-  s(b) .",
-		`p(A_long_Variable99, atom_with_underscores).`,
-		// Near-miss malformed inputs to steer mutation.
-		`p(X :- q(X).`,
-		`p(X) :- .`,
-		`-> q(a).`,
-		`p(X) q(Y).`,
-		`p(`,
-		`'unterminated`,
-		``,
-	} {
+	// Negation, comparisons, integers, headless ICs.
+	`isolated(X) :- node(X), not tc(X, X).`,
+	`p(X, Y) :- q(X), X < Y, Y != 10, X >= -3.`,
+	`ic() -> .`,
+	`q(0). q(-42). q(1000000).`,
+	`same(X, X) :- thing(X).`,
+	// Quoting, whitespace, odd-but-legal shapes.
+	`p('hello world', 'it''s').`,
+	"p(a) :- q(a).\n\n\n   r(b)  :-  s(b) .",
+	`p(A_long_Variable99, atom_with_underscores).`,
+	// Near-miss malformed inputs to steer mutation.
+	`p(X :- q(X).`,
+	`p(X) :- .`,
+	`-> q(a).`,
+	`p(X) q(Y).`,
+	`p(`,
+	`'unterminated`,
+	``,
+}
+
+// FuzzParse throws arbitrary inputs at the full parser. Two
+// properties: the parser never panics, and anything it accepts
+// round-trips — the printed form of a parsed program parses again to
+// the same printed form (the printer and parser agree on the
+// language).
+func FuzzParse(f *testing.F) {
+	for _, seed := range FuzzSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/workload"
 )
 
 // liveHeap forces a collection and returns the bytes still allocated.
@@ -65,5 +66,29 @@ func TestLoadRetainedHeapPerTuple(t *testing.T) {
 	t.Logf("%d derived tuples, %.1f B retained per tuple", tuples, perTuple)
 	if perTuple > bound {
 		t.Fatalf("the loaded session retains %.1f B per derived tuple, more than %d", perTuple, bound)
+	}
+}
+
+// BenchmarkColdCycle is one cycle of the cold-load workload, in
+// process: the seven programs of workload.ColdLoad loaded durably with
+// plan=auto, then dropped, which deletes their directories.
+func BenchmarkColdCycle(b *testing.B) {
+	srv := New(Config{Durability: &durable.Options{Dir: b.TempDir()}})
+	defer srv.Close()
+	progs := workload.ColdLoad(1)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, lt := range progs {
+			if _, err := srv.LoadSession(ctx, lt.Name, LoadRequest{Program: lt.Src, Plan: "auto", Goal: lt.Goal}); err != nil {
+				b.Fatalf("%s: %v", lt.Name, err)
+			}
+		}
+		for _, lt := range progs {
+			if !srv.dropSession(lt.Name) {
+				b.Fatalf("%s was not loaded", lt.Name)
+			}
+		}
 	}
 }

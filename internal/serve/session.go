@@ -353,23 +353,14 @@ func (sess *session) stats() SessionStats {
 // state the load installs. It touches no session, so a failed load
 // keeps the previous program serving.
 func (s *Server) loadState(ctx context.Context, req LoadRequest) (*state, *LoadResponse, error) {
-	parsed, err := parser.Parse(req.Program)
+	db := storage.NewDatabase()
+	parsed, err := parser.ParseInto(req.Program, db)
 	if err != nil {
 		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
-	db := storage.NewDatabase()
-	var rules []ast.Rule
-	for _, r := range parsed.Program.Rules {
-		if r.IsFact() {
-			db.AddFact(r.Head)
-		} else {
-			rules = append(rules, r)
-		}
-	}
-	prog := &ast.Program{Rules: rules}
-	prog.EnsureLabels()
+	prog := parsed.Program
 
-	resp := &LoadResponse{Rules: len(rules), ICs: len(parsed.ICs)}
+	resp := &LoadResponse{Rules: len(prog.Rules), ICs: len(parsed.ICs)}
 	active := prog
 	small := make(map[string]bool, len(req.SmallPreds))
 	for _, p := range req.SmallPreds {
@@ -418,7 +409,7 @@ func (s *Server) loadState(ctx context.Context, req LoadRequest) (*state, *LoadR
 	lp := &loadedProgram{
 		active:     active,
 		idb:        active.IDBPreds(),
-		rules:      len(rules),
+		rules:      len(prog.Rules),
 		ics:        len(parsed.ICs),
 		optimized:  resp.Optimized,
 		source:     req.Program,

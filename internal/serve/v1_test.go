@@ -277,3 +277,28 @@ func TestRouteInventory(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRefusesFactWithVariables: a load whose fact has a variable,
+// or whose fact disagrees with an earlier one on arity, is a positioned
+// 400 bad_request, as a change with a variable is; the session keeps
+// serving the program it had.
+func TestLoadRefusesFactWithVariables(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	mustOK(t, ts, "POST", loadPath, LoadRequest{Program: tcSrc}, nil)
+	for src, want := range map[string]string{
+		"p(X).\nq(Y) :- p(Y).\n":    "1:1: fact p(X) has variables",
+		"q(Y) :- p(Y).\n  p(a, Z).": "2:3: fact p(a, Z) has variables",
+		"p(a).\np(a, b).\n":         "2:1: predicate p used with arities 1 and 2",
+	} {
+		var e ErrorResponse
+		code := call(t, ts, "POST", loadPath, LoadRequest{Program: src}, &e)
+		if code != http.StatusBadRequest || e.Error.Code != CodeBadRequest || !strings.Contains(e.Error.Message, want) {
+			t.Fatalf("load %q = %d/%q %q, want 400 %s containing %q", src, code, e.Error.Code, e.Error.Message, CodeBadRequest, want)
+		}
+	}
+	var res QueryResponse
+	mustOK(t, ts, "POST", queryPath, QueryRequest{Goal: "tc(X, Y)"}, &res)
+	if len(res.Tuples) == 0 {
+		t.Fatal("the refused loads replaced the serving program")
+	}
+}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -51,7 +52,8 @@ var global = func() *interner {
 }()
 
 // InternSym returns the Value of the symbolic constant s, assigning a
-// fresh ID on first sight.
+// fresh ID on first sight. The table keeps a copy of s, so s may be a
+// substring of a larger text (the parser passes slices of its source).
 func InternSym(s string) Value {
 	global.mu.RLock()
 	v, ok := global.syms[s]
@@ -64,6 +66,7 @@ func InternSym(s string) Value {
 	if v, ok := global.syms[s]; ok {
 		return v
 	}
+	s = strings.Clone(s)
 	v = global.push(ast.Sym(s))
 	global.syms[s] = v
 	return v

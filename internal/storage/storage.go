@@ -799,7 +799,8 @@ func (db *Database) Relation(pred string) *Relation { return db.rels[pred] }
 
 // Ensure returns the relation for pred, creating it with the given
 // arity if absent. It panics on an arity clash, which indicates an
-// inconsistent program.
+// inconsistent program. A new relation keeps a copy of pred, so pred
+// may be a substring of a larger text.
 func (db *Database) Ensure(pred string, arity int) *Relation {
 	if r, ok := db.rels[pred]; ok {
 		if r.Arity != arity {
@@ -807,8 +808,8 @@ func (db *Database) Ensure(pred string, arity int) *Relation {
 		}
 		return r
 	}
-	r := NewRelation(pred, arity)
-	db.rels[pred] = r
+	r := NewRelation(strings.Clone(pred), arity)
+	db.rels[r.Name] = r
 	return r
 }
 

@@ -157,24 +157,12 @@ func (s *System) run() (*eval.Engine, error) {
 // constraints, loads the facts into a fresh database, and returns the
 // ready system.
 func Load(src string) (*System, error) {
-	res, err := parser.Parse(src)
+	db := storage.NewDatabase()
+	res, err := parser.ParseInto(src, db)
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Program: res.Program, ICs: res.ICs, DB: storage.NewDatabase()}
-	// Move ground facts into the database so the program holds only
-	// rules.
-	var rules []Rule
-	for _, r := range res.Program.Rules {
-		if r.IsFact() {
-			sys.DB.AddFact(r.Head)
-		} else {
-			rules = append(rules, r)
-		}
-	}
-	sys.Program = &Program{Rules: rules}
-	sys.Program.EnsureLabels()
-	return sys, nil
+	return &System{Program: res.Program, ICs: res.ICs, DB: db}, nil
 }
 
 // ParseProgram parses rules and facts only.
@@ -374,20 +362,18 @@ func (s *System) Explain(goal string) (*Derivation, error) {
 
 // LoadFacts parses additional ground facts (one "pred(args)." per
 // statement) into the system's database. The format is exactly what
-// DumpDB produces, so databases round-trip through text.
+// DumpDB produces, so databases round-trip through text. On an error
+// the facts read before it stay in the database.
 func (s *System) LoadFacts(src string) error {
-	res, err := parser.Parse(src)
+	res, err := parser.ParseInto(src, s.DB)
 	if err != nil {
 		return err
 	}
 	if len(res.ICs) > 0 {
 		return fmt.Errorf("repro: LoadFacts input contains integrity constraints")
 	}
-	for _, r := range res.Program.Rules {
-		if !r.IsFact() {
-			return fmt.Errorf("repro: LoadFacts input contains rule %s", r)
-		}
-		s.DB.AddFact(r.Head)
+	if len(res.Program.Rules) > 0 {
+		return fmt.Errorf("repro: LoadFacts input contains rule %s", res.Program.Rules[0])
 	}
 	return nil
 }

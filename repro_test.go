@@ -216,6 +216,22 @@ anc(X, Y) :- anc(X, Z), par(Z, Y).`)
 	}
 }
 
+// TestLoadRefusesFactWithVariables: Load and LoadFacts refuse a fact
+// with a variable with a positioned error instead of panicking in
+// storage.
+func TestLoadRefusesFactWithVariables(t *testing.T) {
+	if _, err := Load("p(X).\nq(Y) :- p(Y).\n"); err == nil || !strings.Contains(err.Error(), "1:1: fact p(X) has variables") {
+		t.Fatalf("Load = %v, want the fact refused at 1:1", err)
+	}
+	sys, err := Load("q(Y) :- p(Y).\np(a).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadFacts("p(b).\n p(Y)."); err == nil || !strings.Contains(err.Error(), "2:2: fact p(Y) has variables") {
+		t.Fatalf("LoadFacts = %v, want the fact refused at 2:2", err)
+	}
+}
+
 func TestDescribeGroundedFacade(t *testing.T) {
 	sys, err := Load(`
 honors(Stud) :- transcript(Stud, Major, Cred, Gpa), Cred >= 30, Gpa >= 4.
