@@ -3,6 +3,7 @@ package parser
 import (
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/ast"
 )
@@ -231,5 +232,16 @@ func TestCommentStyles(t *testing.T) {
 	}
 	if len(res.Program.Rules) != 1 {
 		t.Errorf("rules = %d", len(res.Program.Rules))
+	}
+}
+
+// TestByteClasses: the lexer's fast byte tests answer what the unicode
+// package answers for the Latin-1 rune of the same number.
+func TestByteClasses(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		c := byte(i)
+		if isDigit(c) != unicode.IsDigit(rune(c)) || inIdent(c) != isIdentPart(c) {
+			t.Fatalf("byte %#x: isDigit %v inIdent %v", c, isDigit(c), inIdent(c))
+		}
 	}
 }
