@@ -11,12 +11,11 @@ var benchEncoded []byte
 
 // BenchmarkEncodeSnapshot encodes a checkpoint shaped like read_point's:
 // one 250 000-tuple derived relation over 500 symbols, every tuple
-// ranked, beside a 1 500-tuple base relation.
+// ranked in its rank column, beside a 1 500-tuple base relation.
 func BenchmarkEncodeSnapshot(b *testing.B) {
 	const width = 500
 	db := storage.NewDatabase()
 	edge, tc := db.Ensure("edge", 2), db.Ensure("tc", 2)
-	var ranks []RankedTuple
 	for i := 0; i < width; i++ {
 		for j := 0; j < width; j++ {
 			t := tup(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j))
@@ -24,14 +23,13 @@ func BenchmarkEncodeSnapshot(b *testing.B) {
 				edge.Insert(t)
 			}
 			tc.Insert(t)
-			ranks = append(ranks, RankedTuple{T: t, Rank: uint32(len(ranks) + 1)})
+			tc.SetRank(tc.Len()-1, uint32(tc.Len()))
 		}
 	}
 	snap := &Snapshot{
-		Meta:  Meta{Session: "bench", Seq: 1, HasRanks: true},
-		DB:    db,
-		Seed:  map[string]*storage.Relation{},
-		Ranks: map[string][]RankedTuple{"tc": ranks},
+		Meta: Meta{Session: "bench", Seq: 1, HasRanks: true},
+		DB:   db,
+		Seed: map[string]*storage.Relation{},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

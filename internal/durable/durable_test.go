@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,16 +83,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRanksRoundTrip: 'K' records carry each predicate's ranked
-// tuples in the order given, and a frame written in place is the bytes
-// appendFrame writes for the same payload.
+// TestSnapshotRanksRoundTrip: a relation's rank column travels as it
+// is, zero (seed) entries included, and decodes back into the rank
+// column with no rank map beside it; a frame written in place is the
+// bytes appendFrame writes for the same payload.
 func TestSnapshotRanksRoundTrip(t *testing.T) {
 	snap := testSnapshot(9)
 	snap.Meta.HasRanks = true
-	snap.Ranks = map[string][]RankedTuple{
-		"tc":  {{T: tup("a", "c"), Rank: 7}, {T: tup("a", "b"), Rank: 300}},
-		"num": {{T: tup(-7), Rank: 1}},
-	}
+	tc := snap.DB.Relation("tc")
+	tc.Insert(tup("a", "c"))
+	tc.SetRank(tc.Pos(tup("a", "c")), 300)
+	num := snap.DB.Relation("num")
+	num.SetRank(0, 1)
+	// Ranked, then unranked again: no rank column is written for it.
+	edge := snap.DB.Relation("edge")
+	edge.SetRank(0, 5)
+	edge.SetRank(0, 0)
+
 	b, err := EncodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -100,18 +108,93 @@ func TestSnapshotRanksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Meta.HasRanks || !reflect.DeepEqual(got.Ranks, snap.Ranks) {
-		t.Fatalf("ranks = %v (has_ranks %v), want %v", got.Ranks, got.Meta.HasRanks, snap.Ranks)
+	if !got.Meta.HasRanks || got.Ranks != nil {
+		t.Fatalf("has_ranks %v, rank map %v; want true and none", got.Meta.HasRanks, got.Ranks)
+	}
+	for _, c := range []struct {
+		pred string
+		t    storage.Tuple
+		rank uint32
+	}{{"tc", tup("a", "b"), 0}, {"tc", tup("a", "c"), 300}, {"num", tup(-7), 1}, {"edge", tup("a", "b"), 0}} {
+		if r := rankOf(got.DB.Relation(c.pred), c.t); r != c.rank {
+			t.Fatalf("%s%v has rank %d, want %d", c.pred, c.t, r, c.rank)
+		}
+	}
+	if got.DB.Relation("edge").RankColumn() != nil {
+		t.Fatal("a relation with no ranked tuple decoded with a rank column")
 	}
 	if b2, err := EncodeSnapshot(got); err != nil || !bytes.Equal(b, b2) {
 		t.Fatalf("re-encoding the decoded snapshot changed its bytes (%v)", err)
 	}
 
-	payload := []byte("K\x02tc payload")
+	payload := []byte("R\x02tc payload")
 	inPlace := appendFrameWith([]byte("prefix"), func(b []byte) []byte { return append(b, payload...) })
 	if want := appendFrame([]byte("prefix"), payload); !bytes.Equal(inPlace, want) {
 		t.Fatalf("frame written in place = %x, want %x", inPlace, want)
 	}
+}
+
+// v2File assembles a version-2 snapshot from a meta and raw frame
+// payloads, ending it with a 'Z' frame that counts the 'R' frames.
+func v2File(t *testing.T, meta Meta, frames ...string) []byte {
+	t.Helper()
+	out := appendFrame(append([]byte(nil), snapMagic...), append([]byte{recMeta}, mustMeta(t, meta)...))
+	rels := 0
+	for _, f := range frames {
+		out = appendFrame(out, []byte(f))
+		if f[0] == recRelation {
+			rels++
+		}
+	}
+	return appendFrame(out, []byte{recEnd, byte(rels)})
+}
+
+// TestSnapshotV2RejectsNonCanonical: every way a version-2 file can
+// decode to a state that would not re-encode to the same bytes is an
+// error, checked against hand-built files. The well-formed file the
+// cases deviate from decodes.
+func TestSnapshotV2RejectsNonCanonical(t *testing.T) {
+	meta := Meta{Session: "s", Seq: 1}
+	// Dictionary: a, b, 5. Relation p/2 holds (a, b) and (b, 5).
+	dict := "D\x03\x02\x01a\x02\x01b\x01\x0a"
+	rel := "R\x00\x01p\x02\x02\x00\x01\x01\x02"
+	good := v2File(t, meta, dict, rel)
+	if snap, err := DecodeSnapshot(good); err != nil || snap.DB.Relation("p").Len() != 2 {
+		t.Fatalf("the well-formed file: %v", err)
+	}
+	cases := map[string][]byte{
+		"duplicate tuple":      v2File(t, meta, dict, "R\x00\x01p\x02\x03\x00\x01\x01\x02\x00\x01"),
+		"index past dict":      v2File(t, meta, dict, "R\x00\x01p\x02\x02\x00\x01\x01\x03"),
+		"unused entry":         v2File(t, meta, "D\x04\x02\x01a\x02\x01b\x01\x0a\x02\x01z", rel),
+		"repeated entry":       v2File(t, meta, "D\x03\x02\x01a\x02\x01a\x01\x0a", rel),
+		"out of first order":   v2File(t, meta, dict, "R\x00\x01p\x02\x03\x01\x00\x02\x01\x02\x00"),
+		"overlong varint":      v2File(t, meta, dict, "R\x00\x01p\x82\x00\x02\x00\x01\x01\x02"),
+		"rank column of zeros": v2File(t, meta, dict, "R\x02\x01p\x02\x02\x00\x01\x01\x02\x00\x00"),
+		"relations unsorted":   v2File(t, meta, dict, "R\x00\x01q\x02\x01\x00\x01", "R\x00\x01p\x01\x01\x02"),
+		"seed before database": v2File(t, meta, dict, "R\x01\x01p\x02\x01\x00\x01", "R\x00\x01q\x01\x01\x02"),
+		"no dictionary":        v2File(t, meta, rel),
+		"unknown flag":         v2File(t, meta, dict, "R\x04\x01p\x02\x02\x00\x01\x01\x02"),
+		"trailing rel bytes":   v2File(t, meta, dict, rel+"\x00"),
+	}
+	// A header json.Marshal would not write.
+	spaced := append(append([]byte(nil), snapMagic...), appendFrame(nil, []byte(`M{"session": "s","seq":1,"program":"","active":"","rules":0,"ics":0,"optimized":false,"generation":0}`))...)
+	cases["spaced meta"] = append(spaced, good[len(snapMagic)+8+1+len(mustMeta(t, meta)):]...)
+	// The end marker must count the relation frames.
+	cases["end count"] = appendFrame(append([]byte(nil), good[:len(good)-10]...), []byte{recEnd, 2})
+	for name, b := range cases {
+		if _, err := DecodeSnapshot(b); err == nil {
+			t.Errorf("%s: decode succeeded, want error", name)
+		}
+	}
+}
+
+func mustMeta(t *testing.T, m Meta) []byte {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
@@ -122,7 +205,7 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":       {},
 		"bad magic":   []byte("NOPE\x01rest"),
-		"bad version": append([]byte("DLSN\x02"), good[5:]...),
+		"bad version": append([]byte("DLSN\x03"), good[5:]...),
 		"truncated":   good[:len(good)-3],
 		"trailing":    append(append([]byte(nil), good...), 0, 0, 0),
 	}

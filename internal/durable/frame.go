@@ -144,9 +144,9 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // appendTuple resolves each interned value back to its term and writes
-// the original kind-tagged encoding — the on-disk v1 bytes are
-// identical to what pre-interning builds wrote, so snapshots and WAL
-// frames stay stable across the interning refactor.
+// the kind-tagged encoding — the WAL's bytes are identical to what
+// pre-interning builds wrote, so its frames stay stable across the
+// interning refactor.
 func appendTuple(dst []byte, t storage.Tuple) []byte {
 	for _, v := range t {
 		dst = appendTerm(dst, v.Term())
@@ -156,11 +156,14 @@ func appendTuple(dst []byte, t storage.Tuple) []byte {
 
 // reader is a bounds-checked cursor over one record payload. The first
 // failed read latches err; every later read returns zero values, so
-// decoders can run a whole parse and check err once.
+// decoders can run a whole parse and check err once. A strict reader
+// also fails on a varint that is not in its shortest form, which is
+// what lets a version-2 snapshot round-trip byte for byte.
 type reader struct {
-	b   []byte
-	off int
-	err error
+	b      []byte
+	off    int
+	err    error
+	strict bool
 }
 
 func (r *reader) fail() {
@@ -186,7 +189,7 @@ func (r *reader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || r.overlong(n) {
 		r.fail()
 		return 0
 	}
@@ -194,12 +197,19 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
+// overlong reports, on a strict reader, that the n-byte varint at the
+// cursor is not in its shortest form: only there can its last byte be
+// zero with more than one byte used.
+func (r *reader) overlong(n int) bool {
+	return r.strict && n > 1 && r.b[r.off+n-1] == 0
+}
+
 func (r *reader) varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || r.overlong(n) {
 		r.fail()
 		return 0
 	}

@@ -2,14 +2,20 @@ package durable
 
 import (
 	"bytes"
-	"repro/internal/storage"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // FuzzSnapshotDecode feeds arbitrary bytes to the strict snapshot
 // decoder. The contract under attack: corrupt input yields a clean
-// error — never a panic, and never a "successfully" decoded snapshot
-// that changes under a round trip.
+// error — never a panic. Accepted version-2 input re-encodes to the
+// same bytes, so the decoder can have read no state the bytes do not
+// pin down; accepted version-1 input re-encodes to version-2 bytes that
+// decode to the same header, database, seeds and ranks.
 func FuzzSnapshotDecode(f *testing.F) {
 	real, err := EncodeSnapshot(testSnapshot(42))
 	if err != nil {
@@ -23,27 +29,70 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), real...)
 	flipped[len(flipped)/2] ^= 0x40 // CRC-detectable bitflip
 	f.Add(flipped)
+	// Version 1, ranks included, and the ranked version-2 golden file.
+	seeds, _ := filepath.Glob(filepath.Join("..", "serve", "testdata", "datadir-v1", "*", "*"+SnapSuffix))
+	seeds = append(seeds, filepath.Join("testdata", "snapshot-v1.dlsn"), filepath.Join("testdata", "snapshot-v2.dlsn"))
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
 			return
 		}
-		// Accepted input must round-trip to identical bytes: the encoder
-		// is deterministic, so any drift means the decoder hallucinated
-		// state the bytes do not pin down.
 		re, err := EncodeSnapshot(snap)
 		if err != nil {
 			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
+		}
+		if data[len(snapMagic)-1] == 2 && !bytes.Equal(re, data) {
+			t.Fatal("an accepted version-2 snapshot re-encodes to different bytes")
 		}
 		again, err := DecodeSnapshot(re)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
 		}
+		m1, _ := json.Marshal(snap.Meta)
+		m2, _ := json.Marshal(again.Meta)
+		if !bytes.Equal(m1, m2) {
+			t.Fatalf("header changed across a round trip: %s vs %s", m1, m2)
+		}
 		if !snap.DB.Equal(again.DB) {
 			t.Fatal("snapshot database changed across a round trip")
 		}
+		if len(snap.Seed) != len(again.Seed) {
+			t.Fatalf("%d seed relations became %d", len(snap.Seed), len(again.Seed))
+		}
+		for p, rel := range snap.Seed {
+			if !sameTuplesAndRanks(rel, again.Seed[p]) {
+				t.Fatalf("seed relation %s changed across a round trip", p)
+			}
+		}
+		for _, p := range snap.DB.Preds() {
+			if !sameTuplesAndRanks(snap.DB.Relation(p), again.DB.Relation(p)) {
+				t.Fatalf("relation %s changed across a round trip", p)
+			}
+		}
 	})
+}
+
+// sameTuplesAndRanks reports whether b holds a's tuples, each with its
+// rank, and no others.
+func sameTuplesAndRanks(a, b *storage.Relation) bool {
+	if b == nil || a.Len() != b.Len() {
+		return false
+	}
+	for pos := 0; pos < a.Len(); pos++ {
+		t := a.At(pos)
+		if !b.Contains(t) || rankOf(a, t) != rankOf(b, t) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzWALDecode feeds arbitrary bytes to the WAL segment scanner. The

@@ -5,24 +5,41 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/storage"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden v1 format files in testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden v2 snapshot and v1 WAL files in testdata/")
 
-// goldenSnapshot and goldenSegment build the canonical v1 artifacts.
-// They must stay byte-for-byte reproducible: the encoders are
-// deterministic (sorted predicates, sorted tuples, fixed meta order).
-func goldenSnapshot(t testing.TB) []byte {
-	b, err := EncodeSnapshot(testSnapshot(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+// goldenSnapshot builds the state testdata/snapshot-v2.dlsn holds: a
+// database and a seed relation, symbols and integers (negative and past
+// 32 bits), an arity-0 relation, an empty one, and a ranked relation
+// whose seed fact is unranked.
+func goldenSnapshot() *Snapshot {
+	snap := testSnapshot(42)
+	snap.Meta.Program = ""
+	snap.Meta.Active = "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- tc(X, Y), edge(Y, Z).\n"
+	snap.Meta.Rules = 2
+	snap.Meta.HasRanks = true
+	db := snap.DB
+	db.Add("edge", ast.Sym("it's"), ast.Sym("ünï"))
+	db.Add("num", ast.Int(1<<40))
+	db.Add("tc", ast.Sym("a"), ast.Sym("c"))
+	db.Add("tc", ast.Sym("b"), ast.Sym("c"))
+	db.Ensure("flag", 0).Insert(storage.Tuple{})
+	db.Ensure("none", 3)
+	tc := db.Relation("tc")
+	tc.SetRank(tc.Pos(tup("a", "c")), 7)
+	tc.SetRank(tc.Pos(tup("b", "c")), 300)
+	return snap
 }
 
+// goldenSegment builds the canonical v1 WAL segment. The encoder is
+// deterministic (sorted predicates, fixed field order), so it must
+// stay byte-for-byte reproducible.
 func goldenSegment() []byte {
 	seg := []byte(walMagic)
 	seg = appendFrame(seg, EncodeBatch(&Batch{
@@ -36,17 +53,28 @@ func goldenSegment() []byte {
 	return seg
 }
 
-// TestGoldenFormat pins the on-disk v1 framing: encoding today's
-// structures must reproduce the checked-in bytes exactly, and the
-// checked-in bytes must decode to the expected state. Any divergence
-// is a format break — recovery of existing data directories would
-// fail — and requires a version bump, not a golden update.
+// rankOf reads the rank of t in rel (0 when unranked or absent).
+func rankOf(rel *storage.Relation, t storage.Tuple) uint32 {
+	_, r := rel.Rank(t)
+	return r
+}
+
+// TestGoldenFormat pins the on-disk formats. Encoding today's
+// structures must reproduce the checked-in v2 snapshot and v1 WAL bytes
+// exactly, and every checked-in file must decode to the expected state:
+// snapshot-v1.dlsn, which no build writes any more, included. Any
+// divergence is a format break — recovery of existing data directories
+// would fail — and requires a version bump, not a golden update.
 func TestGoldenFormat(t *testing.T) {
+	snapV2, err := EncodeSnapshot(goldenSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		file string
 		data []byte
 	}{
-		{"snapshot-v1.dlsn", goldenSnapshot(t)},
+		{"snapshot-v2.dlsn", snapV2},
 		{"wal-v1.dlwl", goldenSegment()},
 	}
 	for _, c := range cases {
@@ -65,7 +93,7 @@ func TestGoldenFormat(t *testing.T) {
 			t.Fatalf("missing golden file (run go test -update): %v", err)
 		}
 		if !bytes.Equal(c.data, want) {
-			t.Errorf("%s: encoder output diverged from the v1 golden bytes (len %d vs %d); this breaks recovery of existing data dirs",
+			t.Errorf("%s: encoder output diverged from the golden bytes (len %d vs %d); this breaks recovery of existing data dirs",
 				c.file, len(c.data), len(want))
 		}
 	}
@@ -74,24 +102,40 @@ func TestGoldenFormat(t *testing.T) {
 	}
 
 	// The golden bytes must also still DECODE correctly — byte equality
-	// above proves the writer, this proves the reader against data
+	// above proves the writers, this proves the readers against data
 	// written by past builds.
-	snapBytes, err := os.ReadFile(filepath.Join("testdata", "snapshot-v1.dlsn"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := DecodeSnapshot(snapBytes)
-	if err != nil {
-		t.Fatalf("golden snapshot no longer decodes: %v", err)
-	}
-	want := testSnapshot(42)
-	// Meta contains a slice, so compare the load-bearing scalars.
-	if snap.Meta.Session != want.Meta.Session || snap.Meta.Seq != want.Meta.Seq ||
-		snap.Meta.Program != want.Meta.Program || snap.Meta.Generation != want.Meta.Generation {
-		t.Fatalf("golden snapshot meta = %+v, want %+v", snap.Meta, want.Meta)
-	}
-	if !snap.DB.Equal(want.DB) {
-		t.Fatal("golden snapshot database differs from expected state")
+	for _, c := range []struct {
+		file string
+		want *Snapshot
+	}{
+		{"snapshot-v1.dlsn", testSnapshot(42)},
+		{"snapshot-v2.dlsn", goldenSnapshot()},
+	} {
+		b, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := DecodeSnapshot(b)
+		if err != nil {
+			t.Fatalf("%s no longer decodes: %v", c.file, err)
+		}
+		if !reflect.DeepEqual(snap.Meta, c.want.Meta) {
+			t.Fatalf("%s meta = %+v, want %+v", c.file, snap.Meta, c.want.Meta)
+		}
+		if !snap.DB.Equal(c.want.DB) {
+			t.Fatalf("%s database differs from the expected state:\n%s", c.file, snap.DB)
+		}
+		if len(snap.Seed) != 1 || snap.Seed["tc"].Len() != 1 || !snap.Seed["tc"].Contains(tup("a", "b")) {
+			t.Fatalf("%s seed = %+v", c.file, snap.Seed)
+		}
+		for _, p := range c.want.DB.Preds() {
+			want, got := c.want.DB.Relation(p), snap.DB.Relation(p)
+			for pos := 0; pos < want.Len(); pos++ {
+				if r, w := rankOf(got, want.At(pos)), rankOf(want, want.At(pos)); r != w {
+					t.Fatalf("%s: %s%v has rank %d, want %d", c.file, p, want.At(pos), r, w)
+				}
+			}
+		}
 	}
 
 	segBytes, err := os.ReadFile(filepath.Join("testdata", "wal-v1.dlwl"))

@@ -60,10 +60,11 @@ import (
 // walks.
 //
 // A ZState is valid only when it was recorded by a from-scratch
-// fixpoint (Engine.SetRankSink during Run), installed from an export
-// (InstallRanks), or maintained by ApplyZSetContext ever since, always
-// on the same database. Mutating the database through any other path
-// invalidates it; rebuild by re-running the fixpoint.
+// fixpoint (Engine.SetRankSink during Run), taken from the rank
+// columns of a decoded checkpoint (RanksOf), or maintained by
+// ApplyZSetContext ever since, always on the same database. Mutating
+// the database through any other path invalidates it; rebuild by
+// re-running the fixpoint.
 type ZState struct {
 	rels map[*storage.Relation]struct{}
 	next uint32
@@ -111,21 +112,20 @@ func (z *ZState) Export() map[string][]storage.RankedTuple {
 	return out
 }
 
-// InstallRanks is the inverse of Export: it writes exported ranks into
-// db's relations (a decoded checkpoint's ranks into its decoded
-// database) and returns the state that certifies them. A ranked tuple
-// db does not hold is skipped.
-func InstallRanks(db *storage.Database, ranks map[string][]storage.RankedTuple) *ZState {
+// RanksOf returns the state that certifies the ranks db's relations
+// already carry in their rank columns — a decoded checkpoint's: its
+// ranked relations, and a counter above every rank in them.
+func RanksOf(db *storage.Database) *ZState {
 	z := NewZState()
-	for p, rts := range ranks {
+	for _, p := range db.Preds() {
 		rel := db.Relation(p)
-		if rel == nil {
+		col := rel.RankColumn()
+		if col == nil {
 			continue
 		}
-		for _, rt := range rts {
-			if pos, _ := rel.Rank(rt.T); pos >= 0 {
-				z.set(rel, pos, rt.Rank)
-			}
+		z.rels[rel] = struct{}{}
+		for _, r := range col {
+			z.next = max(z.next, r)
 		}
 	}
 	return z

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
@@ -138,6 +139,58 @@ func BenchmarkParseFacts(b *testing.B) {
 		}
 		if n := db.Count("edge"); n == 0 {
 			b.Fatal("no edges loaded")
+		}
+	}
+}
+
+// TestParseIntoHoldsNoSourceText: no string ParseInto returns in a rule
+// or an IC points into the source text, so a loaded program does not
+// keep its (mostly fact) load text alive.
+func TestParseIntoHoldsNoSourceText(t *testing.T) {
+	for _, lt := range workload.ColdLoad(1) {
+		src := strings.Clone(lt.Src)
+		start := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		inSrc := func(s string) bool {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			return len(s) > 0 && p >= start && p < start+uintptr(len(src))
+		}
+		res, err := parser.ParseInto(src, storage.NewDatabase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var atoms []ast.Atom
+		for _, r := range res.Program.Rules {
+			atoms = append(atoms, r.Head)
+			for _, l := range r.Body {
+				atoms = append(atoms, l.Atom)
+			}
+		}
+		for _, ic := range res.ICs {
+			for _, l := range ic.Body {
+				atoms = append(atoms, l.Atom)
+			}
+			if ic.Head != nil {
+				atoms = append(atoms, *ic.Head)
+			}
+		}
+		if len(atoms) == 0 {
+			t.Fatalf("%s: no rule parsed", lt.Name)
+		}
+		for _, a := range atoms {
+			strs := []string{a.Pred}
+			for _, term := range a.Args {
+				switch x := term.(type) {
+				case ast.Var:
+					strs = append(strs, string(x))
+				case ast.Sym:
+					strs = append(strs, string(x))
+				}
+			}
+			for _, s := range strs {
+				if inSrc(s) {
+					t.Fatalf("%s: %s holds %q, a substring of the load text", lt.Name, a, s)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package parser
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -104,10 +105,32 @@ type parser struct {
 
 	// db receives the facts when set; otherwise they are returned as
 	// rules. rel and tup are the last fact's relation and a reused
-	// tuple.
-	db  *storage.Database
-	rel *storage.Relation
-	tup storage.Tuple
+	// tuple. syms memoizes the facts' symbols, so each distinct symbol
+	// goes to the process-wide interner, and takes its lock, once.
+	db   *storage.Database
+	rel  *storage.Relation
+	tup  storage.Tuple
+	syms map[string]storage.Value
+	// kept holds private copies of the strings rules and ICs keep when
+	// facts go into db: a load's text is mostly facts, and a rule's
+	// names must not pin it once the parse is over.
+	kept map[string]string
+}
+
+// keep returns the string a rule or IC may hold for token text s.
+func (p *parser) keep(s string) string {
+	if p.db == nil {
+		return s
+	}
+	c, ok := p.kept[s]
+	if !ok {
+		if p.kept == nil {
+			p.kept = map[string]string{}
+		}
+		c = strings.Clone(s)
+		p.kept[c] = c
+	}
+	return c
 }
 
 // arg is one argument of an atom: a variable, symbol or integer token.
@@ -116,14 +139,14 @@ type arg struct {
 	n   int64 // an integer's value
 }
 
-func (a arg) term() ast.Term {
+func (p *parser) argTerm(a arg) ast.Term {
 	switch a.tok.kind {
 	case tokVar:
-		return ast.Var(a.tok.text)
+		return ast.Var(p.keep(a.tok.text))
 	case tokInt:
 		return ast.Int(a.n)
 	}
-	return ast.Sym(a.tok.text)
+	return ast.Sym(p.keep(a.tok.text))
 }
 
 func (p *parser) program() (*Result, error) {
@@ -320,7 +343,7 @@ func (p *parser) literal() (ast.Literal, error) {
 	if err != nil {
 		return ast.Literal{}, err
 	}
-	return ast.Pos(ast.Atom{Pred: op.text, Args: []ast.Term{left, right}}), nil
+	return ast.Pos(ast.Atom{Pred: p.keep(op.text), Args: []ast.Term{left, right}}), nil
 }
 
 // atom reads "pred(term, ...)" into p.pred and p.args when the
@@ -361,9 +384,9 @@ func (p *parser) atom() (bool, error) {
 func (p *parser) atomTerms() ast.Atom {
 	args := make([]ast.Term, len(p.args))
 	for i, a := range p.args {
-		args[i] = a.term()
+		args[i] = p.argTerm(a)
 	}
-	return ast.Atom{Pred: p.pred.text, Args: args}
+	return ast.Atom{Pred: p.keep(p.pred.text), Args: args}
 }
 
 // fact emits the last atom read as a fact; the current token is the
@@ -395,7 +418,15 @@ func (p *parser) fact() error {
 		if a.tok.kind == tokInt {
 			p.tup = append(p.tup, storage.InternInt(a.n))
 		} else {
-			p.tup = append(p.tup, storage.InternSym(a.tok.text))
+			v, ok := p.syms[a.tok.text]
+			if !ok {
+				if p.syms == nil {
+					p.syms = map[string]storage.Value{}
+				}
+				v = storage.InternSym(a.tok.text)
+				p.syms[a.tok.text] = v
+			}
+			p.tup = append(p.tup, v)
 		}
 	}
 	p.rel.Insert(p.tup)
@@ -425,5 +456,5 @@ func (p *parser) term() (ast.Term, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.term(), nil
+	return p.argTerm(a), nil
 }

@@ -42,7 +42,6 @@ func (sess *session) checkpointImage(st *state, seq uint64) *durable.Snapshot {
 		// monotonic across restarts is the last PUBLISHED snapshot
 		// generation, so record that.
 		Generation: publishedGeneration(sess),
-		Program:    lp.source,
 		Active:     lp.active.String(),
 		SmallPreds: lp.smallPreds,
 		Rules:      lp.rules,
@@ -51,14 +50,15 @@ func (sess *session) checkpointImage(st *state, seq uint64) *durable.Snapshot {
 		Plan:       lp.plan,
 		PlanChosen: string(lp.variant),
 		// The derivation-layer certificate travels with the fixpoint it
-		// certifies, so recovery (and a bootstrapping follower) reinstates
-		// incremental maintenance without re-running the fixpoint.
+		// certifies — the encoder writes each relation's rank column — so
+		// recovery (and a bootstrapping follower) reinstates incremental
+		// maintenance without re-running the fixpoint.
 		HasRanks: true,
 	}
 	if lp.goal != nil {
 		meta.Goal = lp.goal.String()
 	}
-	return &durable.Snapshot{Meta: meta, DB: st.db, Seed: st.seedIDB, Ranks: st.zs.Export()}
+	return &durable.Snapshot{Meta: meta, DB: st.db, Seed: st.seedIDB}
 }
 
 // checkpoint writes st as the session's checkpoint at seq, rotating and

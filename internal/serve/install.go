@@ -91,9 +91,9 @@ func edbOf(db *storage.Database, seedIDB map[string]*storage.Relation, derived .
 
 // restore turns a decoded checkpoint into a state. The checkpointed
 // active program is re-parsed (programFromMeta), so a restart never
-// re-runs the optimizer. The ranks are installed into the decoded
-// relations; a checkpoint written without them is evaluated from its
-// EDB instead, which yields the same fixpoint with fresh ranks.
+// re-runs the optimizer. The decoded relations already carry their
+// ranks; a checkpoint written without them is evaluated from its EDB
+// instead, which yields the same fixpoint with fresh ranks.
 func (s *Server) restore(ctx context.Context, snap *durable.Snapshot) (*state, error) {
 	p, err := programFromMeta(snap.Meta)
 	if err != nil {
@@ -110,7 +110,7 @@ func (s *Server) restore(ctx context.Context, snap *durable.Snapshot) (*state, e
 		}
 		return st, nil
 	}
-	return &state{prog: p, db: snap.DB, zs: eval.InstallRanks(snap.DB, snap.Ranks), seedIDB: snap.Seed}, nil
+	return &state{prog: p, db: snap.DB, zs: eval.RanksOf(snap.DB), seedIDB: snap.Seed}, nil
 }
 
 // programFromMeta rebuilds a session's compiled program from a
@@ -131,7 +131,6 @@ func programFromMeta(meta durable.Meta) (*loadedProgram, error) {
 		rules:      meta.Rules,
 		ics:        meta.ICs,
 		optimized:  meta.Optimized,
-		source:     meta.Program,
 		smallPreds: meta.SmallPreds,
 		plan:       meta.Plan,
 		variant:    planner.Variant(meta.PlanChosen),

@@ -92,3 +92,53 @@ func BenchmarkColdCycle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdLoadScenario is BenchmarkColdCycle one program at a
+// time: a durable plan=auto load of one workload.ColdLoad program and
+// its drop, so a cycle that got slower names the program that did.
+func BenchmarkColdLoadScenario(b *testing.B) {
+	for _, lt := range workload.ColdLoad(1) {
+		b.Run(lt.Name, func(b *testing.B) {
+			srv := New(Config{Durability: &durable.Options{Dir: b.TempDir()}})
+			defer srv.Close()
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.LoadSession(ctx, lt.Name, LoadRequest{Program: lt.Src, Plan: "auto", Goal: lt.Goal}); err != nil {
+					b.Fatal(err)
+				}
+				if !srv.dropSession(lt.Name) {
+					b.Fatal("the session was not loaded")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRecover is the restart of read_point's session: a durable
+// 41×20 loadLayered, closed, then RecoverSessions on a fresh server
+// over the same directory — the checkpoint read, decoded and installed
+// as the serving state, with no WAL tail to replay.
+func BenchmarkRecover(b *testing.B) {
+	dir := b.TempDir()
+	srv := New(Config{Durability: &durable.Options{Dir: dir}})
+	tuples := loadLayered(b, srv, 41)
+	srv.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := New(Config{Durability: &durable.Options{Dir: dir}})
+		reports, err := fresh.RecoverSessions(ctx)
+		b.StopTimer()
+		if err != nil || len(reports) != 1 || reports[0].Err != "" {
+			b.Fatalf("recover = %+v, %v", reports, err)
+		}
+		if got := fresh.session("g").snap.Load().db.TotalTuples(); got < tuples {
+			b.Fatalf("recovered %d tuples, the load derived %d", got, tuples)
+		}
+		fresh.Close()
+		b.StartTimer()
+	}
+}

@@ -25,9 +25,7 @@ type loadedProgram struct {
 	rules     int
 	ics       int
 	optimized bool
-	// source and smallPreds echo the load request; they ride in
-	// checkpoints so a recovered session knows its provenance.
-	source     string
+	// smallPreds echoes the load request; it rides in checkpoints.
 	smallPreds []string
 	// plan is the requested plan mode ("" = planner off); decision is
 	// the planner's verdict, which the adaptive re-plan path revisits.
@@ -412,7 +410,6 @@ func (s *Server) loadState(ctx context.Context, req LoadRequest) (*state, *LoadR
 		rules:      len(prog.Rules),
 		ics:        len(parsed.ICs),
 		optimized:  resp.Optimized,
-		source:     req.Program,
 		smallPreds: req.SmallPreds,
 		plan:       planMode,
 		variant:    variant,

@@ -19,9 +19,9 @@ import (
 // the Generic Join path can order values by their numeric IDs — a total
 // order that is consistent across all relations because the interner is
 // process-global. Strings reappear only at the boundaries: printing,
-// the HTTP API, and the durable on-disk encoding (which keeps the
-// original kind-tagged term bytes, so snapshots and WAL frames are
-// stable across the interning refactor).
+// the HTTP API, and the durable on-disk encoding (kind-tagged term
+// bytes: per value in a WAL frame, once per distinct constant in a
+// checkpoint's dictionary).
 
 // Value is an interned ground term: a dense ID into the process-global
 // term table. The zero Value is reserved as "no value" (an unbound
@@ -105,6 +105,10 @@ func (in *interner) push(t ast.Term) Value {
 	}
 	return Value(id)
 }
+
+// Interned returns how many constants have been interned, so every
+// Value issued so far lies in [1, Interned()].
+func Interned() int { return len(*global.terms.Load()) }
 
 // Intern maps any ground term to its Value.
 func Intern(t ast.Term) Value {

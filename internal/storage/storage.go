@@ -166,6 +166,19 @@ func (ix *tupleIndex) insert(h uint64, pos int) {
 	ix.used++
 }
 
+// newTupleIndex returns an empty table that holds n positions without
+// growing.
+func newTupleIndex(n int) tupleIndex {
+	if n == 0 {
+		return tupleIndex{}
+	}
+	size := 8
+	for n*4 >= size*3 {
+		size *= 2
+	}
+	return tupleIndex{hashes: make([]uint64, size), slots: make([]uint32, size)}
+}
+
 // grow doubles the table and reinserts every live slot. Stored hashes
 // make the rehash a pure probe — tuples are never touched.
 func (ix *tupleIndex) grow() {
@@ -476,6 +489,37 @@ func NewRelation(name string, arity int) *Relation {
 	}
 }
 
+// BuildRelation makes a relation of n tuples from their values, laid
+// out flat in position order (arity values per tuple), and, when ranks
+// is not nil, their rank column. The relation takes both slices over.
+// Its membership table is sized once and filled in one pass over the
+// positions, so a checkpoint restore pays no table growth and no
+// per-tuple Insert. A tuple that occurs twice is an error.
+func BuildRelation(name string, arity, n int, vals []Value, ranks []uint32) (*Relation, error) {
+	if len(vals) != n*arity || ranks != nil && len(ranks) != n {
+		panic(fmt.Sprintf("storage: %d values and %d ranks for %d tuples of arity %d", len(vals), len(ranks), n, arity))
+	}
+	r := NewRelation(name, arity)
+	r.vals, r.n, r.ranks = vals, n, ranks
+	ix := newTupleIndex(n)
+	mask := uint64(len(ix.slots) - 1)
+	for pos := 0; pos < n; pos++ {
+		// One probe both looks for an equal tuple and finds the free slot.
+		t := r.At(pos)
+		h := t.Hash()
+		i := h & mask
+		for ; ix.slots[i] != 0; i = (i + 1) & mask {
+			if ix.hashes[i] == h && r.At(int(ix.slots[i]-1)).Equal(t) {
+				return nil, fmt.Errorf("storage: tuple %v occurs twice in %s", t, name)
+			}
+		}
+		ix.slots[i], ix.hashes[i] = uint32(pos+1), h
+	}
+	ix.used = n
+	r.index = ix
+	return r, nil
+}
+
 // Insert copies t in if absent; it reports whether the tuple was new.
 // The tuple must have the relation's arity.
 func (r *Relation) Insert(t Tuple) bool {
@@ -595,6 +639,16 @@ func (r *Relation) SetRank(pos int, rank uint32) {
 	}
 	r.ranks[pos] = rank
 }
+
+// RankColumn returns the rank column, aligned with the positions, or
+// nil when nothing ever ranked the relation. It is the writer's view:
+// the caller must not modify it, and it is valid until the relation's
+// next mutation.
+func (r *Relation) RankColumn() []uint32 { return r.ranks }
+
+// Values returns the tuples' values back to back in position order,
+// Arity per tuple: the flat array itself, under RankColumn's terms.
+func (r *Relation) Values() []Value { return r.vals[: r.n*r.Arity : r.n*r.Arity] }
 
 // Ranked returns the ranked tuples in relation order; the tuples are
 // At views, valid until the relation's next mutation.

@@ -271,3 +271,47 @@ func TestRelationRandomChurnAgainstReferenceSet(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildRelation: a relation built in bulk from a flat value array
+// and a rank column answers like one built by Insert and SetRank, keeps
+// the given positions, grows on later inserts, and refuses a tuple that
+// occurs twice.
+func TestBuildRelation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 5, 6, 7, 100, 3000} {
+		want := NewRelation("r", 2)
+		for want.Len() < n {
+			want.Insert(tup(ast.Int(rng.Int63n(int64(2*n))), ast.Sym(fmt.Sprint("s", rng.Intn(50)))))
+		}
+		ranks := make([]uint32, n)
+		for pos := range ranks {
+			ranks[pos] = uint32(rng.Intn(4))
+			want.SetRank(pos, ranks[pos])
+		}
+		got, err := BuildRelation("r", 2, n, append([]Value(nil), want.Values()...), ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos := 0; pos < n; pos++ {
+			tu := want.At(pos)
+			if p, r := got.Rank(tu); p != pos || r != ranks[pos] {
+				t.Fatalf("n=%d: %v at %d rank %d, want %d rank %d", n, tu, p, r, pos, ranks[pos])
+			}
+		}
+		extra := tup(ast.Sym("new"), ast.Sym("tuple"))
+		if got.Contains(extra) || !got.Insert(extra) || !got.Contains(extra) || got.Len() != n+1 {
+			t.Fatalf("n=%d: an insert after the build went wrong", n)
+		}
+	}
+
+	a, b := InternSym("a"), InternSym("b")
+	if _, err := BuildRelation("r", 2, 3, []Value{a, b, b, a, a, b}, nil); err == nil {
+		t.Fatal("a tuple that occurs twice was accepted")
+	}
+	if r, err := BuildRelation("unit", 0, 1, nil, nil); err != nil || !r.Contains(Tuple{}) {
+		t.Fatalf("arity 0: %v", err)
+	}
+	if _, err := BuildRelation("unit", 0, 2, nil, nil); err == nil {
+		t.Fatal("two empty tuples were accepted")
+	}
+}
