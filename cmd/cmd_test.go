@@ -339,13 +339,17 @@ func TestBenchJSONRecords(t *testing.T) {
 		t.Error("generated_at missing")
 	}
 	// -only selects before running: the document holds E12's two
-	// records (sweep and DRed) and nothing from any other experiment.
+	// records (sweep and recompute) and nothing from any other
+	// experiment.
 	if len(doc.Records) != 2 {
 		t.Errorf("records = %d, want E12's 2", len(doc.Records))
 	}
-	for _, r := range doc.Records {
+	for i, r := range doc.Records {
 		if r.Experiment != "E12" {
 			t.Errorf("record %s/%s: -only E12 ran another experiment", r.Experiment, r.Label)
+		}
+		if want := []string{"/zset", "/recompute"}[i%2]; !strings.HasSuffix(r.Label, want) {
+			t.Errorf("record %d label %q, want suffix %s", i, r.Label, want)
 		}
 		if r.NsPerOp <= 0 {
 			t.Errorf("record %s/%s: ns_per_op = %d", r.Experiment, r.Label, r.NsPerOp)

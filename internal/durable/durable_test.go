@@ -265,9 +265,7 @@ func reopen(t *testing.T, opts Options) (*Store, *RecoverResult) {
 func TestStoreCheckpointAppendRecover(t *testing.T) {
 	fs := newTestFS()
 	st, opts := newMemStore(t, fs, true)
-	if err := st.Checkpoint(testSnapshot(0)); err != nil {
-		t.Fatal(err)
-	}
+	fs.checkpoint(t, st, testSnapshot(0))
 	for seq := uint64(1); seq <= 3; seq++ {
 		b := &Batch{Seq: seq, Ins: map[string][]storage.Tuple{"edge": {tup(int(seq), int(seq+1))}}}
 		if _, _, err := st.Append(b); err != nil {
@@ -296,10 +294,27 @@ func TestStoreCheckpointAppendRecover(t *testing.T) {
 	}
 	st2.Close()
 	st3, res3 := reopen(t, opts)
-	defer st3.Close()
 	if len(res3.Batches) != 4 {
 		t.Fatalf("after resume-append want 4 batches, got %d", len(res3.Batches))
 	}
+	st3.Close()
+
+	// Recovery into an empty WAL opens a fresh segment for the next
+	// append; that segment must be as durable as a checkpoint's.
+	for _, n := range fs.list("data/s1") {
+		if strings.HasSuffix(n, WALSuffix) {
+			delete(fs.files, "data/s1/"+n)
+		}
+	}
+	st4, res4 := reopen(t, opts)
+	defer st4.Close()
+	if len(res4.Batches) != 0 {
+		t.Fatalf("snapshot-only directory replayed %d batches", len(res4.Batches))
+	}
+	if _, _, err := st4.Append(&Batch{Seq: 1, Ins: map[string][]storage.Tuple{"edge": {tup(1, 2)}}}); err != nil {
+		t.Fatal(err)
+	}
+	fs.checkSegmentsSynced(t)
 }
 
 // TestLegacyOptimizeHeaderRecovers: checkpoints written while loads
@@ -417,17 +432,14 @@ func TestStoreCorruptNewestSnapshotFallsBack(t *testing.T) {
 func TestStoreCheckpointRotatesAndGCs(t *testing.T) {
 	fs := newTestFS()
 	st, _ := newMemStore(t, fs, true)
-	if err := st.Checkpoint(testSnapshot(0)); err != nil {
-		t.Fatal(err)
-	}
+	fs.checkpoint(t, st, testSnapshot(0))
 	for seq := uint64(1); seq <= 3; seq++ {
 		if _, _, err := st.Append(&Batch{Seq: seq, Ins: map[string][]storage.Tuple{"edge": {tup(int(seq), 0)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Checkpoint(testSnapshot(3)); err != nil {
-		t.Fatal(err)
-	}
+	fs.checkpoint(t, st, testSnapshot(3))
+	fs.checkSegmentsSynced(t)
 	names := fs.list("data/s1")
 	var snaps, wals []string
 	for _, n := range names {
@@ -454,9 +466,7 @@ func TestStoreSegmentRotationBySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Checkpoint(testSnapshot(0)); err != nil {
-		t.Fatal(err)
-	}
+	fs.checkpoint(t, st, testSnapshot(0))
 	for seq := uint64(1); seq <= 6; seq++ {
 		if _, _, err := st.Append(&Batch{Seq: seq, Ins: map[string][]storage.Tuple{"edge": {tup(int(seq), int(seq))}}}); err != nil {
 			t.Fatal(err)
@@ -472,6 +482,7 @@ func TestStoreSegmentRotationBySize(t *testing.T) {
 	if wals < 2 {
 		t.Fatalf("want rotation to produce multiple segments, got %d", wals)
 	}
+	fs.checkSegmentsSynced(t)
 	// All six batches survive the rotation.
 	_, res := reopen(t, opts)
 	if len(res.Batches) != 6 {

@@ -12,10 +12,65 @@ import (
 // testFS is a minimal in-memory FS for the package's own unit tests.
 // The full crash-simulating implementation (testutil.FaultFS) lives
 // outside this package — it implements durable.FS, so using it here
-// would be an import cycle.
+// would be an import cycle. FaultFS treats metadata as durable the
+// moment it changes, so only testFS's op log can check that the store
+// syncs the directory where a real filesystem needs it.
 type testFS struct {
 	files map[string][]byte
 	dirs  map[string]bool
+	ops   []string // "create|write|rename|remove|syncdir <path>", in call order
+}
+
+func (m *testFS) log(op, name string) { m.ops = append(m.ops, op+" "+name) }
+
+// checkSegmentsSynced fails unless every WAL segment created so far
+// was followed by a directory sync before its first record — the
+// write after its header — went in: until that sync a power loss can
+// drop the file, fsynced records and all.
+func (m *testFS) checkSegmentsSynced(t *testing.T) {
+	t.Helper()
+	writes := map[string]int{} // segment created since the last sync -> writes to it
+	for _, op := range m.ops {
+		kind, name, _ := strings.Cut(op, " ")
+		switch {
+		case kind == "create" && strings.HasSuffix(name, WALSuffix):
+			writes[name] = 0
+		case kind == "syncdir":
+			clear(writes)
+		case kind == "write":
+			if n, ok := writes[name]; ok {
+				if n > 0 {
+					t.Fatalf("record written to %s before a directory sync; ops:\n%s", name, strings.Join(m.ops, "\n"))
+				}
+				writes[name] = n + 1
+			}
+		}
+	}
+}
+
+// checkpoint runs st.Checkpoint(snap) and fails unless it synced the
+// directory exactly once and removed nothing before that sync.
+func (m *testFS) checkpoint(t *testing.T, st *Store, snap *Snapshot) {
+	t.Helper()
+	mark := len(m.ops)
+	if err := st.Checkpoint(snap); err != nil {
+		t.Fatal(err)
+	}
+	ops := m.ops[mark:]
+	syncs := 0
+	for _, op := range ops {
+		switch kind, _, _ := strings.Cut(op, " "); kind {
+		case "syncdir":
+			syncs++
+		case "remove":
+			if syncs == 0 {
+				t.Fatalf("checkpoint removed a file before its directory sync; ops:\n%s", strings.Join(ops, "\n"))
+			}
+		}
+	}
+	if syncs != 1 {
+		t.Fatalf("checkpoint synced the directory %d times, want 1; ops:\n%s", syncs, strings.Join(ops, "\n"))
+	}
 }
 
 func newTestFS() *testFS {
@@ -74,6 +129,7 @@ type memWFile struct {
 }
 
 func (f *memWFile) Write(b []byte) (int, error) {
+	f.m.log("write", f.name)
 	f.m.files[f.name] = append(f.m.files[f.name], b...)
 	return len(b), nil
 }
@@ -81,6 +137,7 @@ func (f *memWFile) Sync() error  { return nil }
 func (f *memWFile) Close() error { return nil }
 
 func (m *testFS) Create(name string) (File, error) {
+	m.log("create", name)
 	m.files[name] = nil
 	m.mkParents(name)
 	return &memWFile{m: m, name: name}, nil
@@ -136,6 +193,7 @@ func (m *testFS) Rename(oldname, newname string) error {
 	if !ok {
 		return errors.New("memfs: rename: no such file: " + oldname)
 	}
+	m.log("rename", newname)
 	m.files[newname] = b
 	delete(m.files, oldname)
 	m.mkParents(newname)
@@ -146,6 +204,7 @@ func (m *testFS) Remove(name string) error {
 	if _, ok := m.files[name]; !ok {
 		return errors.New("memfs: remove: no such file: " + name)
 	}
+	m.log("remove", name)
 	delete(m.files, name)
 	return nil
 }
@@ -177,4 +236,7 @@ func (m *testFS) Truncate(name string, size int64) error {
 	return nil
 }
 
-func (m *testFS) SyncDir(string) error { return nil }
+func (m *testFS) SyncDir(dir string) error {
+	m.log("syncdir", dir)
+	return nil
+}

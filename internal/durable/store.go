@@ -264,12 +264,11 @@ func (st *Store) CheckpointRaw(b []byte, seq uint64) error {
 	if err := st.fs.Rename(tmp, final); err != nil {
 		return err
 	}
-	if err := st.fs.SyncDir(st.dir); err != nil {
-		return err
-	}
 
 	// Rotate: future appends land in a segment strictly above the
-	// checkpoint, so every old segment can go.
+	// checkpoint, so every old segment can go. The segment's directory
+	// sync also makes the rename durable, before gc removes anything
+	// the checkpoint supersedes.
 	if err := st.openSegment(seq + 1); err != nil {
 		return err
 	}
@@ -282,27 +281,28 @@ func (st *Store) CheckpointRaw(b []byte, seq uint64) error {
 // sequence is at or below keepSeq, except the open one. Removal
 // failures are ignored — stale files are re-collected by the next
 // checkpoint, and the at-most-once replay filter makes them harmless
-// in the meantime.
+// in the meantime. Removals need no directory sync for the same
+// reason.
 func (st *Store) gc(keepSeq uint64) {
-	if seqs, err := st.listSeqs("snap-", SnapSuffix); err == nil {
-		for _, s := range seqs {
-			if s < keepSeq {
-				_ = st.fs.Remove(path.Join(st.dir, snapName(s)))
-			}
+	names, err := st.fs.ReadDir(st.dir)
+	if err != nil {
+		return
+	}
+	for _, n := range names {
+		name := path.Join(st.dir, n)
+		if s, ok := fileSeq(n, "snap-", SnapSuffix); ok && s < keepSeq {
+			_ = st.fs.Remove(name)
+		} else if s, ok := fileSeq(n, "wal-", WALSuffix); ok && s <= keepSeq && name != st.segName {
+			_ = st.fs.Remove(name)
 		}
 	}
-	if seqs, err := st.listSeqs("wal-", WALSuffix); err == nil {
-		for _, s := range seqs {
-			if name := walName(s); s <= keepSeq && path.Join(st.dir, name) != st.segName {
-				_ = st.fs.Remove(path.Join(st.dir, name))
-			}
-		}
-	}
-	_ = st.fs.SyncDir(st.dir)
 }
 
 // openSegment closes the current segment and starts a fresh one whose
-// name carries the first sequence number it can hold.
+// name carries the first sequence number it can hold. It syncs the
+// directory before returning, whatever the fsync setting: until then a
+// power loss can drop the new file, and with it every record appended
+// to it, fsynced or not.
 func (st *Store) openSegment(firstSeq uint64) error {
 	if st.seg != nil {
 		_ = st.seg.Close()
@@ -322,6 +322,10 @@ func (st *Store) openSegment(firstSeq uint64) error {
 			f.Close()
 			return err
 		}
+	}
+	if err := st.fs.SyncDir(st.dir); err != nil {
+		f.Close()
+		return err
 	}
 	st.seg = f
 	st.segName = name

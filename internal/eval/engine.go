@@ -405,6 +405,24 @@ func (e *Engine) compileStratum(inSCC map[string]bool, rules []ast.Rule) ([]comp
 	return crs, nil
 }
 
+// sccRules gathers the component's non-fact rules, refusing negation
+// through the component's own recursion (not stratified).
+func (e *Engine) sccRules(inSCC map[string]bool) ([]ast.Rule, error) {
+	var rules []ast.Rule
+	for _, r := range e.prog.Rules {
+		if inSCC[r.Head.Pred] && !r.IsFact() {
+			for _, l := range r.Body {
+				if l.Neg && inSCC[l.Atom.Pred] {
+					return nil, fmt.Errorf("eval: rule %s negates %s inside its own recursion (not stratified)",
+						r.Label, l.Atom.Pred)
+				}
+			}
+			rules = append(rules, r)
+		}
+	}
+	return rules, nil
+}
+
 // fixpoint computes one strongly connected component of predicates to
 // fixpoint.
 func (e *Engine) fixpoint(ctx context.Context, scc []string) error {

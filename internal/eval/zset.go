@@ -16,10 +16,8 @@ import (
 // delta fixpoint that applies a mixed batch of EDB insertions (weight
 // +1) and deletions (weight −1) to a database at fixpoint and restores
 // the fixpoint exactly, returning the precise per-predicate IDB delta
-// of the batch. It replaces the asymmetric pair this engine used
-// before (delta-seeded semi-naive for inserts, delete-and-rederive for
-// deletes): DeleteAndRederiveContext survives only as the differential
-// -test oracle.
+// of the batch. It is the engine's one maintenance algorithm; its
+// reference is from-scratch evaluation over the updated EDB.
 //
 // The construction follows the DBSP treatment of incremental recursive
 // queries (Budiu et al., feldera/dbsp): the recursive fixpoint is a
@@ -38,17 +36,17 @@ import (
 // check, with no iteration: a tuple belongs to C'[t] iff some rule
 // grounding derives it whose same-component body tuples all have rank
 // < t. That well-foundedness is what makes signed weights sound under
-// recursion, and it is why the DRed over-delete cone disappears: a
-// deletion never speculatively retracts a derivation cone; it revisits
-// exactly the tuples whose support sets it touched, at exactly the
-// layer where their membership is decided, and removes only what the
-// support check refutes.
+// recursion, and it is why no over-delete cone is needed: a deletion
+// never speculatively retracts a derivation cone, as delete-and-
+// rederive (DRed) does; it revisits exactly the tuples whose support
+// sets it touched, at exactly the layer where their membership is
+// decided, and removes only what the support check refutes.
 //
 // The sweep processes layers in ascending order. Work is proportional
 // to the tuples whose support actually changed (plus the one-step
 // neighborhood consulted by the support checks) — not to the size of
-// the database, and not to the over-approximated cone DRed retracts
-// and re-derives.
+// the database, and not to an over-approximated cone retracted and
+// re-derived.
 
 // ZState is the persistent layer (rank) assignment that makes weighted
 // maintenance well-founded. The ranks themselves live in the relations,

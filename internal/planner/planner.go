@@ -5,8 +5,8 @@
 // magic-sets rewriting (internal/magic) when a bound query goal is
 // known, and a non-recursive plan when boundedness analysis proves the
 // recursion compiles away (bounded.go) — prices every candidate with a
-// cardinality-fixpoint cost model over the EDB statistics sketches
-// maintained by internal/storage (cost.go), and picks the cheapest.
+// cardinality-fixpoint cost model over the EDB relations' sizes and
+// column indexes (cost.go), and picks the cheapest.
 //
 // This closes the ROADMAP's "make semopt pay for itself" item: on
 // workloads where residue checks are non-selective the paper's
