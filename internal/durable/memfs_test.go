@@ -12,9 +12,10 @@ import (
 // testFS is a minimal in-memory FS for the package's own unit tests.
 // The full crash-simulating implementation (testutil.FaultFS) lives
 // outside this package — it implements durable.FS, so using it here
-// would be an import cycle. FaultFS treats metadata as durable the
-// moment it changes, so only testFS's op log can check that the store
-// syncs the directory where a real filesystem needs it.
+// would be an import cycle. FaultFS's KeepSynced crash mode checks
+// end to end that no acknowledged write depends on an unsynced
+// directory entry; testFS's op log checks the order of the syncs the
+// store issues.
 type testFS struct {
 	files map[string][]byte
 	dirs  map[string]bool

@@ -146,8 +146,9 @@ func matchState(states []*storage.Database, db *storage.Database) int {
 
 // TestCrashMatrix is the durability proof: for every mutating
 // filesystem operation the workload performs, crash exactly there
-// (under each keep policy for unsynced data), reboot onto the
-// surviving files, and require the recovered database to be
+// (under each keep policy for unsynced data, and under keep-synced,
+// which also undoes directory entries no SyncDir made durable), reboot
+// onto the surviving files, and require the recovered database to be
 // tuple-identical to a legal reference state.
 //
 // With fsync on, "legal" is exact: every write acknowledged before the
@@ -187,6 +188,7 @@ func TestCrashMatrix(t *testing.T) {
 		{"keep-all", testutil.KeepAll},
 		{"keep-half", testutil.KeepHalf},
 		{"keep-none", testutil.KeepNone},
+		{"keep-synced", testutil.KeepSynced},
 	}
 	for _, pol := range policies {
 		pol := pol
@@ -250,7 +252,7 @@ func TestCrashMatrixNoFsync(t *testing.T) {
 	}()
 	total := probe.Ops()
 
-	for _, keep := range []testutil.KeepPolicy{testutil.KeepHalf, testutil.KeepNone} {
+	for _, keep := range []testutil.KeepPolicy{testutil.KeepHalf, testutil.KeepNone, testutil.KeepSynced} {
 		for n := 0; n < total; n++ {
 			fs := testutil.NewFaultFS()
 			fs.CrashAt(n, keep)

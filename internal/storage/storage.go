@@ -136,19 +136,35 @@ func (t Tuple) String() string {
 
 // tupleIndex is the membership table of the flat core: an
 // open-addressed table mapping tuple hashes to positions in the flat
-// value array. Slots hold position+1 (0 = empty) with the hash
-// alongside, linear probing, and backward-shift deletion, so the hot
-// insert path touches two flat arrays and allocates nothing — no Go
-// map, no per-bucket slices. Distinct tuples that collide on the full
-// 64-bit hash simply occupy separate slots; equality is always
-// confirmed against the stored values, so correctness never depends on
-// hash quality. Every method takes the tuple's hash, so callers that
-// hold one (the semi-naive inner loop does) never pay it twice.
+// value array. Each slot is one word: the low 32 bits of the tuple's
+// hash above position+1, so 0 marks an empty slot. A table never has
+// more than 2³² slots (grow refuses to), so a slot's home h & mask lies
+// within the stored hash bits and growth and deletion rehash from the
+// slot alone. Linear probing and backward-shift deletion keep the hot
+// insert path on one flat array with no allocation — no Go map, no
+// per-bucket slices — and make a clone one memmove of 8 B per slot.
+// Distinct tuples that share a slot's hash bits simply occupy separate
+// slots; equality is always confirmed against the stored values, so
+// correctness never depends on hash quality. Every method takes the
+// tuple's hash, so callers that hold one (the semi-naive inner loop
+// does) never pay it twice.
 type tupleIndex struct {
-	hashes []uint64 // slot → tuple hash, valid where slots[i] != 0
-	slots  []uint32 // slot → position+1; 0 marks an empty slot
-	used   int
+	slots []uint64 // slot → hash<<32 | position+1; 0 marks an empty slot
+	used  int
 }
+
+// slotOf packs hash h and position pos into one slot word.
+func slotOf(h uint64, pos int) uint64 { return h<<32 | uint64(uint32(pos+1)) }
+
+// slotPos returns the position a live slot holds.
+func slotPos(s uint64) int { return int(uint32(s)) - 1 }
+
+// slotHome returns the home index of a live slot in a table of mask+1
+// slots.
+func slotHome(s, mask uint64) uint64 { return s >> 32 & mask }
+
+// hashTag reports whether live slot s carries the hash bits of h.
+func hashTag(s, h uint64) bool { return uint32(s>>32) == uint32(h) }
 
 // insert records pos under hash h. The caller has established that no
 // equal tuple is indexed.
@@ -161,8 +177,7 @@ func (ix *tupleIndex) insert(h uint64, pos int) {
 	for ix.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	ix.slots[i] = uint32(pos + 1)
-	ix.hashes[i] = h
+	ix.slots[i] = slotOf(h, pos)
 	ix.used++
 }
 
@@ -176,60 +191,70 @@ func newTupleIndex(n int) tupleIndex {
 	for n*4 >= size*3 {
 		size *= 2
 	}
-	return tupleIndex{hashes: make([]uint64, size), slots: make([]uint32, size)}
+	return tupleIndex{slots: make([]uint64, size)}
 }
 
-// grow doubles the table and reinserts every live slot. Stored hashes
-// make the rehash a pure probe — tuples are never touched.
+// grow doubles the table and reinserts every live slot. The stored hash
+// bits make the rehash a pure probe — tuples are never touched.
 func (ix *tupleIndex) grow() {
 	newCap := 8
 	if len(ix.slots) > 0 {
 		newCap = len(ix.slots) * 2
 	}
-	hashes := make([]uint64, newCap)
-	slots := make([]uint32, newCap)
+	if uint64(newCap) > 1<<32 {
+		panic("storage: a tuple set outgrew 2³² membership slots")
+	}
+	slots := make([]uint64, newCap)
 	mask := uint64(newCap - 1)
-	for i, s := range ix.slots {
+	for _, s := range ix.slots {
 		if s == 0 {
 			continue
 		}
-		h := ix.hashes[i]
-		j := h & mask
+		j := slotHome(s, mask)
 		for slots[j] != 0 {
 			j = (j + 1) & mask
 		}
 		slots[j] = s
-		hashes[j] = h
 	}
-	ix.hashes, ix.slots = hashes, slots
+	ix.slots = slots
 }
 
-// clone copies the table (the copy-on-write detach path): two memmoves.
+// clone copies the table (the copy-on-write detach path): one memmove.
 func (ix *tupleIndex) clone() tupleIndex {
 	out := tupleIndex{used: ix.used}
 	if ix.slots != nil {
-		out.hashes = append([]uint64(nil), ix.hashes...)
-		out.slots = append([]uint32(nil), ix.slots...)
+		out.slots = append([]uint64(nil), ix.slots...)
 	}
 	return out
+}
+
+// slotOfPos returns the index of the slot holding pos, probing from
+// its hash h, or -1.
+func (ix *tupleIndex) slotOfPos(h uint64, pos int) int {
+	if ix.used == 0 {
+		return -1
+	}
+	mask := uint64(len(ix.slots) - 1)
+	want := uint32(pos + 1)
+	for i := h & mask; ix.slots[i] != 0; i = (i + 1) & mask {
+		if uint32(ix.slots[i]) == want {
+			return int(i)
+		}
+	}
+	return -1
 }
 
 // dropPos removes the slot holding pos, probing from its hash h, then
 // backward-shifts displaced entries so later probes stay correct
 // without tombstones.
 func (ix *tupleIndex) dropPos(h uint64, pos int) {
-	if ix.used == 0 {
+	at := ix.slotOfPos(h, pos)
+	if at < 0 {
 		return
 	}
-	mask := uint64(len(ix.slots) - 1)
-	i := h & mask
-	for ix.slots[i] != uint32(pos+1) {
-		if ix.slots[i] == 0 {
-			return
-		}
-		i = (i + 1) & mask
-	}
 	ix.used--
+	mask := uint64(len(ix.slots) - 1)
+	i := uint64(at)
 	for {
 		ix.slots[i] = 0
 		j := i
@@ -240,7 +265,7 @@ func (ix *tupleIndex) dropPos(h uint64, pos int) {
 			}
 			// The entry at j stays put iff its home slot k lies in the
 			// cyclic interval (i, j]; otherwise it fills the hole at i.
-			k := ix.hashes[j] & mask
+			k := slotHome(ix.slots[j], mask)
 			stays := false
 			if i <= j {
 				stays = i < k && k <= j
@@ -248,7 +273,7 @@ func (ix *tupleIndex) dropPos(h uint64, pos int) {
 				stays = i < k || k <= j
 			}
 			if !stays {
-				ix.slots[i], ix.hashes[i] = ix.slots[j], ix.hashes[j]
+				ix.slots[i] = ix.slots[j]
 				i = j
 				break
 			}
@@ -260,17 +285,8 @@ func (ix *tupleIndex) dropPos(h uint64, pos int) {
 // Positions are unique across the table, so the first match is the only
 // one.
 func (ix *tupleIndex) replacePos(h uint64, old, new int) {
-	if ix.used == 0 {
-		return
-	}
-	mask := uint64(len(ix.slots) - 1)
-	i := h & mask
-	for ix.slots[i] != 0 {
-		if ix.slots[i] == uint32(old+1) {
-			ix.slots[i] = uint32(new + 1)
-			return
-		}
-		i = (i + 1) & mask
+	if at := ix.slotOfPos(h, old); at >= 0 {
+		ix.slots[at] = slotOf(h, new)
 	}
 }
 
@@ -321,8 +337,8 @@ func (f *flat) find(t Tuple, h uint64) int {
 	}
 	mask := uint64(len(ix.slots) - 1)
 	for i := h & mask; ix.slots[i] != 0; i = (i + 1) & mask {
-		if ix.hashes[i] == h && f.At(int(ix.slots[i]-1)).Equal(t) {
-			return int(ix.slots[i] - 1)
+		if s := ix.slots[i]; hashTag(s, h) && f.At(slotPos(s)).Equal(t) {
+			return slotPos(s)
 		}
 	}
 	return -1
@@ -433,26 +449,31 @@ type Relation struct {
 // detach un-shares the relation's backing structures after a snapshot:
 // the first mutation following Snapshot pays one copy, later mutations
 // are free again. Read paths never call it. The values and the
-// membership table are memmoves; each column index is copied into one
-// backing array. The value copy keeps an eighth of append headroom, so
-// the Insert that triggered the detach does not reallocate and copy the
-// relation a second time.
+// membership table are memmoves. The value copy keeps a sixteenth of
+// append headroom, so a commit that inserts up to that share of the
+// relation does not reallocate and copy it a second time.
+//
+// Each column index gets a map of its own, but no position is copied:
+// every list stays shared with the snapshot until the writer changes
+// it. A list whose capacity equals its length may be shared, so detach
+// clips each list it hands the writer; Insert's append then reallocates
+// a shared list by itself, and dropPosition and unindexSwap copy one
+// before shifting it in place.
 func (r *Relation) detach() {
 	if !r.cow {
 		return
 	}
-	r.flat = r.clone(len(r.vals)/8 + r.Arity)
+	r.flat = r.clone(len(r.vals)/16 + r.Arity)
 	for i := range r.colIndex {
 		idx := r.colIndex[i].Load()
 		if idx == nil {
 			continue
 		}
-		backing := make([]int, 0, r.n)
-		ci := make(columnIndex, len(*idx))
-		for v, positions := range *idx {
-			start := len(backing)
-			backing = append(backing, positions...)
-			ci[v] = backing[start:len(backing):len(backing)]
+		ci := maps.Clone(*idx)
+		for v, positions := range ci {
+			if cap(positions) != len(positions) {
+				ci[v] = positions[:len(positions):len(positions)]
+			}
 		}
 		r.colIndex[i].Store(&ci)
 	}
@@ -509,11 +530,11 @@ func BuildRelation(name string, arity, n int, vals []Value, ranks []uint32) (*Re
 		h := t.Hash()
 		i := h & mask
 		for ; ix.slots[i] != 0; i = (i + 1) & mask {
-			if ix.hashes[i] == h && r.At(int(ix.slots[i]-1)).Equal(t) {
+			if s := ix.slots[i]; hashTag(s, h) && r.At(slotPos(s)).Equal(t) {
 				return nil, fmt.Errorf("storage: tuple %v occurs twice in %s", t, name)
 			}
 		}
-		ix.slots[i], ix.hashes[i] = uint32(pos+1), h
+		ix.slots[i] = slotOf(h, pos)
 	}
 	ix.used = n
 	r.index = ix
@@ -593,7 +614,7 @@ func unindexSwap(idx map[Value][]int, gone, moved Value, pos, last int) {
 		return
 	}
 	dropPosition(idx, gone, pos)
-	l := idx[moved]
+	l := owned(idx, moved)
 	i := sort.SearchInts(l, pos)
 	copy(l[i+1:], l[i:len(l)-1])
 	l[i] = pos
@@ -601,13 +622,26 @@ func unindexSwap(idx map[Value][]int, gone, moved Value, pos, last int) {
 
 // dropPosition removes pos from v's ascending position list.
 func dropPosition(idx map[Value][]int, v Value, pos int) {
-	l := idx[v]
-	if len(l) == 1 {
+	if len(idx[v]) == 1 {
 		delete(idx, v)
 		return
 	}
+	l := owned(idx, v)
 	i := sort.SearchInts(l, pos)
 	idx[v] = append(l[:i], l[i+1:]...)
+}
+
+// owned returns v's position list ready to be shifted in place. A list
+// whose capacity equals its length may be shared with a snapshot (see
+// detach), so it is first replaced by a private copy with one slot of
+// headroom, which marks the copy as the writer's own.
+func owned(idx map[Value][]int, v Value) []int {
+	l := idx[v]
+	if cap(l) == len(l) {
+		l = append(make([]int, 0, len(l)+1), l...)
+		idx[v] = l
+	}
+	return l
 }
 
 // RankedTuple is a tuple with its nonzero rank: the unit in which ranks
@@ -670,7 +704,8 @@ type columnIndex = map[Value][]int
 // them, touching the hash table once per tuple; the second is pure
 // array work, filling every position list inside one backing array.
 // Each list's capacity is clipped to its length, so a later append to
-// one list reallocates it instead of running into its neighbour.
+// one list reallocates it instead of running into its neighbour, and a
+// later in-place shift copies it first (see detach's sharing rule).
 func (f *flat) buildColumnIndex(col int) columnIndex {
 	ids := make(map[Value]int32)
 	idOf := make([]int32, f.n) // tuple position → its value's number
