@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,6 +316,7 @@ func TestStoreCheckpointAppendRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.checkSegmentsSynced(t)
+	fs.checkDirsSynced(t)
 }
 
 // TestLegacyOptimizeHeaderRecovers: checkpoints written while loads
@@ -440,6 +442,7 @@ func TestStoreCheckpointRotatesAndGCs(t *testing.T) {
 	}
 	fs.checkpoint(t, st, testSnapshot(3))
 	fs.checkSegmentsSynced(t)
+	fs.checkDirsSynced(t)
 	names := fs.list("data/s1")
 	var snaps, wals []string
 	for _, n := range names {
@@ -483,11 +486,26 @@ func TestStoreSegmentRotationBySize(t *testing.T) {
 		t.Fatalf("want rotation to produce multiple segments, got %d", wals)
 	}
 	fs.checkSegmentsSynced(t)
+	fs.checkDirsSynced(t)
 	// All six batches survive the rotation.
 	_, res := reopen(t, opts)
 	if len(res.Batches) != 6 {
 		t.Fatalf("want 6 batches across segments, got %d", len(res.Batches))
 	}
+}
+
+// TestOpenSyncsDataRoot: a new session directory is synced into the
+// data root before anything is written in it, so an acknowledged load
+// cannot lose its directory to a power loss.
+func TestOpenSyncsDataRoot(t *testing.T) {
+	fs := newTestFS()
+	st, _ := newMemStore(t, fs, true)
+	defer st.Close()
+	if want := []string{"mkdir data/s1", "syncdir data"}; !slices.Equal(fs.ops, want) {
+		t.Fatalf("Open ops = %q, want %q", fs.ops, want)
+	}
+	fs.checkpoint(t, st, testSnapshot(0))
+	fs.checkDirsSynced(t)
 }
 
 func TestFreshDirectoryRecoversEmpty(t *testing.T) {

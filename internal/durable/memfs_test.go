@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"path"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ import (
 type testFS struct {
 	files map[string][]byte
 	dirs  map[string]bool
-	ops   []string // "create|write|rename|remove|syncdir <path>", in call order
+	ops   []string // "mkdir|create|write|rename|remove|syncdir <path>", in call order
 }
 
 func (m *testFS) log(op, name string) { m.ops = append(m.ops, op+" "+name) }
@@ -46,6 +47,35 @@ func (m *testFS) checkSegmentsSynced(t *testing.T) {
 				writes[name] = n + 1
 			}
 		}
+	}
+}
+
+// checkDirsSynced fails unless every directory made so far was
+// followed by a sync of its parent before a file was created in it:
+// until that sync a power loss can drop the directory, and every file
+// in it with it.
+func (m *testFS) checkDirsSynced(t *testing.T) {
+	t.Helper()
+	made := map[string]bool{} // directories made since their parent's last sync
+	for _, op := range m.ops {
+		kind, name, _ := strings.Cut(op, " ")
+		switch kind {
+		case "mkdir":
+			made[name] = true
+		case "syncdir":
+			for d := range made {
+				if path.Dir(d) == name {
+					delete(made, d)
+				}
+			}
+		case "create":
+			if made[path.Dir(name)] {
+				t.Fatalf("%s created before its directory's parent was synced; ops:\n%s", name, strings.Join(m.ops, "\n"))
+			}
+		}
+	}
+	if len(made) > 0 {
+		t.Fatalf("directories never synced into their parents: %v; ops:\n%s", made, strings.Join(m.ops, "\n"))
 	}
 }
 
@@ -119,6 +149,7 @@ func (m *testFS) mkParents(name string) {
 }
 
 func (m *testFS) MkdirAll(dir string) error {
+	m.log("mkdir", dir)
 	m.dirs[dir] = true
 	m.mkParents(dir + "/")
 	return nil

@@ -136,9 +136,11 @@ type RecoverResult struct {
 }
 
 // Open prepares the session directory (creating it if needed) and
-// clears stale temp files from an interrupted checkpoint. It does not
-// open a WAL segment; Checkpoint (fresh session) or Recover (restart)
-// does.
+// clears stale temp files from an interrupted checkpoint. It syncs the
+// data root after creating the directory, whatever the fsync setting:
+// until then a power loss can drop a new session's directory, and with
+// it every file in it, synced or not. It does not open a WAL segment;
+// Checkpoint (fresh session) or Recover (restart) does.
 func Open(opts Options, session string) (*Store, error) {
 	opts = opts.Norm()
 	st := &Store{
@@ -148,6 +150,9 @@ func Open(opts Options, session string) (*Store, error) {
 		maxSeg: opts.MaxSegmentBytes,
 	}
 	if err := st.fs.MkdirAll(st.dir); err != nil {
+		return nil, err
+	}
+	if err := st.fs.SyncDir(path.Dir(st.dir)); err != nil {
 		return nil, err
 	}
 	names, err := st.fs.ReadDir(st.dir)

@@ -27,7 +27,7 @@ func TestZSetMixedBatchDifferential(t *testing.T) {
 
 	db := storage.NewDatabase()
 	db.Ensure("edge", 2).Insert(root)
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 
 	for step := 0; step < 40; step++ {
 		// Build one batch: a few inserts of absent edges, a few deletes
@@ -68,7 +68,7 @@ func TestZSetMixedBatchDifferential(t *testing.T) {
 		}
 
 		before := db.Snapshot()
-		out, err := New(prog, db).ApplyZSetContext(context.Background(), zs,
+		out, err := New(prog, db).ApplyZSetContext(context.Background(), nil,
 			map[string]*storage.ZSet{"edge": storage.ZSetOfChanges(adds, dels)})
 		if err != nil {
 			t.Fatalf("step %d: ApplyZSetContext: %v", step, err)
@@ -98,9 +98,9 @@ func TestZSetInsertOnlyBatch(t *testing.T) {
 	for _, tu := range []storage.Tuple{edgeTuple(0, 1), edgeTuple(1, 2)} {
 		db.Ensure("edge", 2).Insert(tu)
 	}
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 
-	out, err := New(prog, db).ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
+	out, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
 		"edge": storage.ZSetOfChanges([]storage.Tuple{edgeTuple(2, 3), edgeTuple(3, 4)}, nil),
 	})
 	if err != nil {
@@ -135,11 +135,11 @@ func TestZSetNeedsRecomputeUntouched(t *testing.T) {
 	n0, n1 := storage.TupleOf(ast.Sym("n0")), storage.TupleOf(ast.Sym("n1"))
 	db.Ensure("node", 1).Insert(n0)
 	db.Ensure("node", 1).Insert(n1)
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 	before := db.Snapshot()
 
 	eng := New(prog, db)
-	out, err := eng.ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
+	out, err := eng.ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
 		"edge": storage.ZSetOfChanges([]storage.Tuple{edgeTuple(0, 0)}, []storage.Tuple{edgeTuple(1, 1)}),
 	})
 	if err != nil {
@@ -177,11 +177,11 @@ func TestZSetRelationBornInBatch(t *testing.T) {
 	one := storage.TupleOf(ast.Sym("one"))
 	db := storage.NewDatabase()
 	db.Ensure("a", 1).Insert(one)
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 	if !db.Relation("h").Contains(one) {
 		t.Fatal("h(one) should hold before the batch")
 	}
-	out, err := New(prog, db).ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
+	out, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
 		"p": storage.ZSetOfChanges([]storage.Tuple{one}, nil),
 		"q": storage.ZSetOfChanges([]storage.Tuple{one}, nil),
 	})
@@ -206,8 +206,8 @@ func TestZSetNegatedArityMismatch(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Ensure("a", 1).Insert(one)
 	db.Ensure("p", 1)
-	zs := runRanked(t, prog, db)
-	out, err := New(prog, db).ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
+	mustRun(t, prog, db)
+	out, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
 		"p": storage.ZSetOfChanges([]storage.Tuple{one}, nil),
 	})
 	if err != nil {
@@ -261,7 +261,7 @@ func TestZSetNegationGraphDifferential(t *testing.T) {
 		for i := 0; i < nodes*2; i++ {
 			put("edge", edgeTuple(rng.Intn(nodes), rng.Intn(nodes)))
 		}
-		zs := runRanked(t, prog, db)
+		mustRun(t, prog, db)
 
 		for step := 0; step < 40; step++ {
 			// Each drawn fact flips: present ones are deleted, absent
@@ -295,7 +295,7 @@ func TestZSetNegationGraphDifferential(t *testing.T) {
 				}
 			}
 			before := db.Snapshot()
-			out, err := New(prog, db).ApplyZSetContext(context.Background(), zs, changes)
+			out, err := New(prog, db).ApplyZSetContext(context.Background(), nil, changes)
 			if err != nil {
 				t.Fatalf("seed %d step %d: ApplyZSetContext: %v", seed, step, err)
 			}
@@ -321,9 +321,9 @@ func TestZSetRejectsIDBChanges(t *testing.T) {
 	prog := mustProg(t, `tc(X, Y) :- edge(X, Y).`)
 	db := storage.NewDatabase()
 	db.Add("edge", ast.Sym("a"), ast.Sym("b"))
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 	before := db.Snapshot()
-	_, err := New(prog, db).ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
+	_, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
 		"tc": storage.ZSetOfChanges([]storage.Tuple{storage.TupleOf(ast.Sym("x"), ast.Sym("y"))}, nil),
 	})
 	if err == nil || !strings.Contains(err.Error(), "tc is derived by the program") {

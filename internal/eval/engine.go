@@ -108,10 +108,8 @@ type Engine struct {
 	// transformation avoids.
 	IterationHook func(round int)
 
-	// rankSink, when non-nil, observes every successful insert of a
-	// derived tuple together with the 1-based fixpoint round of its
-	// stratum (see SetRankSink).
-	rankSink func(rel *storage.Relation, pos int, layer int)
+	// rank is the last rank Run gave a derived tuple (see RunContext).
+	rank uint32
 
 	// cost, when non-nil, refines plan-time estimates (see SetCostModel
 	// in cost.go): body ordering prefers its selectivities and the
@@ -148,19 +146,6 @@ func (e *Engine) UseNaive() { e.naive = true }
 // the binary path is their reference.
 func (e *Engine) SetJoinMode(m JoinMode) { e.joinMode = m }
 
-// SetRankSink attaches a derivation-layer observer: sink is called once
-// for every derived tuple that is actually inserted, with the relation
-// and position it landed at and the 1-based round of its stratum's
-// fixpoint at which it first appeared (round-0 derivations report layer
-// 1; layer 0 is reserved for program-stated seed facts, which never
-// pass through the sink). The recorded layers are the rank
-// stratification the Z-set maintenance path (ApplyZSetContext) relies
-// on: a tuple first inserted at layer k has a derivation whose
-// same-component body tuples all have layers < k.
-func (e *Engine) SetRankSink(sink func(rel *storage.Relation, pos int, layer int)) {
-	e.rankSink = sink
-}
-
 // Stats returns the accumulated work counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
@@ -196,6 +181,17 @@ func (e *Engine) DB() *storage.Database { return e.db }
 // singleton components, but the isolation transformation of §4
 // (Algorithm 4.1) introduces mutually recursive auxiliary predicates,
 // which this engine must evaluate.
+//
+// Run ranks every derived tuple it inserts, in its relation's rank
+// column (storage.Relation.SetRank), with a counter that starts above
+// every rank already in the database. Semi-naive evaluation inserts
+// derived tuples mid-round, so the round number does not stratify
+// supports; the insertion order does, since a tuple's grounding
+// partners are physically present before the tuple itself is
+// inserted. So each derived tuple outranks the same-component premises
+// of the grounding that derived it — the certificate the Z-set sweep
+// (ApplyZSetContext) maintains and Explain walks. Ranks need not be
+// minimal, and program-stated seed facts stay unranked (rank 0).
 func (e *Engine) Run() error { return e.RunContext(context.Background()) }
 
 // RunContext is Run with cancellation: the fixpoint checks ctx at the
@@ -212,6 +208,12 @@ func (e *Engine) RunContext(ctx context.Context) error {
 				return fmt.Errorf("eval: non-ground fact %s", r.Head)
 			}
 			e.db.AddFact(r.Head)
+		}
+	}
+	e.rank = 0
+	for _, p := range e.db.Preds() {
+		for _, r := range e.db.Relation(p).RankColumn() {
+			e.rank = max(e.rank, r)
 		}
 	}
 	for _, scc := range e.sccOrder() {
@@ -510,9 +512,8 @@ func (e *Engine) fire(cr *compiledRule, plan *compiled, delta tupleRun, onNew fu
 		t := plan.headTuple(fr)
 		if cr.headRel.Insert(t) {
 			st.Inserted++
-			if e.rankSink != nil {
-				e.rankSink(cr.headRel, cr.headRel.Len()-1, int(e.cur.Rounds))
-			}
+			e.rank++
+			cr.headRel.SetRank(cr.headRel.Len()-1, e.rank)
 			onNew(t)
 		} else {
 			st.Deduped++

@@ -52,16 +52,16 @@ func (d *Derivation) Size() int {
 var errFound = errors.New("eval: witness found")
 
 // Explain returns a proof tree for the ground goal atom, read off the
-// rank certificate of a ranked database: ranks recorded by SetRankSink
-// during Run, or maintained by ApplyZSetContext since. Every derived
+// rank certificate in the relations' rank columns: ranks Run wrote, a
+// checkpoint carried, or ApplyZSetContext maintained since. Every derived
 // tuple outranks the same-component body tuples of at least one of its
 // groundings, so at each derived tuple the walk runs its rules'
 // head-bound support checks (compileCheck, the sweep's), takes the
 // first grounding whose layer is at most the tuple's rank, and descends
 // into that grounding's positive database atoms. Ranks fall strictly
 // inside a component and components are acyclic, so the walk ends,
-// with no search. EDB tuples and unranked tuples (seed facts, and every
-// tuple of an unranked database) are leaves.
+// with no search. EDB tuples and unranked tuples (seed facts) are
+// leaves.
 func (e *Engine) Explain(goal ast.Atom) (*Derivation, error) {
 	if !goal.IsGround() {
 		return nil, fmt.Errorf("eval: Explain needs a ground atom, got %s", goal)

@@ -8,21 +8,12 @@ import (
 	"repro/internal/storage"
 )
 
-// rankedEngine evaluates prog over db recording the ranks Explain walks.
-func rankedEngine(t *testing.T, prog *ast.Program, db *storage.Database) *Engine {
-	t.Helper()
-	e := New(prog, db)
-	e.SetRankSink(NewZState().Record)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
+// TestExplainChain: Explain after a plain Run walks the ranks Run
+// wrote, down to the edge facts.
 func TestExplainChain(t *testing.T) {
 	prog := mustProgram(t, tcSrc)
 	db := chainDB(5)
-	e := rankedEngine(t, prog, db)
+	e := mustRun(t, prog, db)
 	d, err := e.Explain(ast.NewAtom("tc", ast.Sym("n0"), ast.Sym("n3")))
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +47,7 @@ func TestExplainCycle(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Add("edge", ast.Sym("c0"), ast.Sym("c1"))
 	db.Add("edge", ast.Sym("c1"), ast.Sym("c0"))
-	e := rankedEngine(t, prog, db)
+	e := mustRun(t, prog, db)
 	d, err := e.Explain(ast.NewAtom("tc", ast.Sym("c0"), ast.Sym("c0")))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +60,7 @@ func TestExplainCycle(t *testing.T) {
 func TestExplainErrors(t *testing.T) {
 	prog := mustProgram(t, tcSrc)
 	db := chainDB(3)
-	e := rankedEngine(t, prog, db)
+	e := mustRun(t, prog, db)
 	if _, err := e.Explain(ast.NewAtom("tc", ast.Var("X"), ast.Sym("n1"))); err == nil {
 		t.Error("non-ground goal must fail")
 	}
@@ -84,7 +75,7 @@ func TestExplainErrors(t *testing.T) {
 func TestExplainEDBFact(t *testing.T) {
 	prog := mustProgram(t, tcSrc)
 	db := chainDB(2)
-	e := rankedEngine(t, prog, db)
+	e := mustRun(t, prog, db)
 	d, err := e.Explain(ast.NewAtom("edge", ast.Sym("n0"), ast.Sym("n1")))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +91,7 @@ special(gold).
 shiny(X) :- special(X).
 `)
 	db := storage.NewDatabase()
-	e := rankedEngine(t, prog, db)
+	e := mustRun(t, prog, db)
 	d, err := e.Explain(ast.NewAtom("shiny", ast.Sym("gold")))
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +110,7 @@ p(X) :- b(X).
 `)
 	db := storage.NewDatabase()
 	db.Add("b", ast.Sym("v"))
-	e := rankedEngine(t, prog, db)
+	e := mustRun(t, prog, db)
 	d, err := e.Explain(ast.NewAtom("p", ast.Sym("v")))
 	if err != nil {
 		t.Fatal(err)

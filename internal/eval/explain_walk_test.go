@@ -182,16 +182,12 @@ func checkExplanations(t *testing.T, prog *ast.Program, db *storage.Database, ex
 	}
 }
 
-// rankedRun evaluates prog over db recording the ranks Explain walks.
-func rankedRun(t testing.TB, prog *ast.Program, db *storage.Database) *eval.ZState {
+// mustRun evaluates prog over db, which ranks what it derives.
+func mustRun(t testing.TB, prog *ast.Program, db *storage.Database) {
 	t.Helper()
-	zs := eval.NewZState()
-	e := eval.New(prog, db)
-	e.SetRankSink(zs.Record)
-	if err := e.Run(); err != nil {
+	if err := eval.New(prog, db).Run(); err != nil {
 		t.Fatal(err)
 	}
-	return zs
 }
 
 // TestExplainPastManyCyclicWitnesses: tc(a, d) has 40 groundings
@@ -208,7 +204,7 @@ func TestExplainPastManyCyclicWitnesses(t *testing.T) {
 	}
 	db.Add("edge", ast.Sym("a"), ast.Sym("b"))
 	db.Add("edge", ast.Sym("b"), ast.Sym("d"))
-	rankedRun(t, prog, db)
+	mustRun(t, prog, db)
 	d, err := eval.New(prog, db).Explain(ast.NewAtom("tc", ast.Sym("a"), ast.Sym("d")))
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +237,7 @@ const tcRules = `
 func TestExplainDenseRandomGraph(t *testing.T) {
 	prog := ztProg(t, tcRules)
 	db := randomGraph(300, 900, 1)
-	rankedRun(t, prog, db)
+	mustRun(t, prog, db)
 	rel := db.Relation("tc")
 	e := eval.New(prog, db)
 	var ds []*eval.Derivation
@@ -268,7 +264,7 @@ func TestExplainDenseRandomGraph(t *testing.T) {
 func BenchmarkExplain(b *testing.B) {
 	prog := ztProg(b, tcRules)
 	db := randomGraph(300, 900, 1)
-	rankedRun(b, prog, db)
+	mustRun(b, prog, db)
 	rel := db.Relation("tc")
 	goals := make([]ast.Atom, 256)
 	for i := range goals {
@@ -298,7 +294,7 @@ func TestExplainCertifiedAfterZSetBatches(t *testing.T) {
 			Arity: 2, EDBPreds: 2, RecRules: 1 + rng.Intn(2), ExitRules: 1, Negation: round%2 == 1,
 		})
 		db := testutil.RandDB(rng, arities, 5, 12)
-		zs := rankedRun(t, prog, db)
+		mustRun(t, prog, db)
 		explain := eval.New(prog, db).Explain
 		checkExplanations(t, prog, db, explain)
 		preds := make([]string, 0, len(arities))
@@ -321,7 +317,7 @@ func TestExplainCertifiedAfterZSetBatches(t *testing.T) {
 				}
 				changes[p] = storage.ZSetOfChanges(adds, dels)
 			}
-			if _, err := eval.New(prog, db).ApplyZSetContext(context.Background(), zs, changes); err != nil {
+			if _, err := eval.New(prog, db).ApplyZSetContext(context.Background(), nil, changes); err != nil {
 				t.Fatalf("round %d batch %d: %v\n%s", round, b, err, prog)
 			}
 			checkExplanations(t, prog, db, explain)

@@ -51,18 +51,16 @@ func fromScratch(t *testing.T, prog *ast.Program, edb map[string][]storage.Tuple
 	return db
 }
 
-// runRanked evaluates prog over db from scratch and returns the rank
-// state the run recorded — the starting point of every Z-set
-// maintenance sequence.
-func runRanked(t *testing.T, prog *ast.Program, db *storage.Database) *ZState {
+// mustRun evaluates prog over db from scratch — which ranks what it
+// derives, the starting point of every Z-set maintenance sequence — and
+// returns the engine.
+func mustRun(t *testing.T, prog *ast.Program, db *storage.Database) *Engine {
 	t.Helper()
-	zs := NewZState()
 	e := New(prog, db)
-	e.SetRankSink(zs.Record)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return zs
+	return e
 }
 
 // checkReportedDelta verifies that the IDB delta a maintenance call
@@ -129,7 +127,7 @@ func TestIncrementalDifferential(t *testing.T) {
 	db.Relation("edge").Insert(root)
 	edge[key(root)] = true
 	live = append(live, root)
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 
 	for step := 0; step < 60; step++ {
 		tu := edgeTuple(rng.Intn(nodes), rng.Intn(nodes))
@@ -149,7 +147,7 @@ func TestIncrementalDifferential(t *testing.T) {
 			change = storage.ZSetOfChanges(nil, []storage.Tuple{tu})
 		}
 		before := db.Snapshot()
-		out, err := New(prog, db).ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{"edge": change})
+		out, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{"edge": change})
 		if err != nil {
 			t.Fatalf("step %d: ApplyZSetContext: %v", step, err)
 		}
@@ -159,6 +157,73 @@ func TestIncrementalDifferential(t *testing.T) {
 		if !db.Equal(want) {
 			t.Fatalf("step %d: incremental state diverged from from-scratch\nincremental:\n%s\nfrom-scratch:\n%s",
 				step, db, want)
+		}
+	}
+}
+
+// TestZSetAfterPlainRun: a plain Run ranks what it derives, so a sweep
+// right after it retracts what a deletion cuts off.
+func TestZSetAfterPlainRun(t *testing.T) {
+	prog := mustProg(t, tcSrc)
+	db := storage.NewDatabase()
+	for _, tu := range []storage.Tuple{edgeTuple(0, 1), edgeTuple(1, 2), edgeTuple(2, 3)} {
+		db.Ensure("edge", 2).Insert(tu)
+	}
+	if err := New(prog, db).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
+		"edge": storage.ZSetOfChanges(nil, []storage.Tuple{edgeTuple(1, 2)}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := fromScratch(t, prog, map[string][]storage.Tuple{"edge": {edgeTuple(0, 1), edgeTuple(2, 3)}})
+	if got := db.Count("tc"); got != 2 || !db.Equal(want) {
+		t.Fatalf("after the sweep %d tc tuples:\n%s\nfrom scratch:\n%s", got, db, want)
+	}
+}
+
+// TestZSetAfterRerun: Run, EDB insertions, and a second Run on the same
+// database, then random deletion sweeps, each checked against
+// from-scratch evaluation. The second run's tuples must outrank every
+// rank the first one wrote: a tuple it derives from an old one would
+// otherwise rank below its own premise, and a cycle through both could
+// keep them alive after their last real support is gone.
+func TestZSetAfterRerun(t *testing.T) {
+	prog := mustProg(t, tcSrc)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const nodes = 8
+		var live []storage.Tuple
+		db := storage.NewDatabase()
+		add := func(tu storage.Tuple) {
+			if db.Ensure("edge", 2).Insert(tu) {
+				live = append(live, tu)
+			}
+		}
+		for i := 0; i+1 < nodes; i++ {
+			add(edgeTuple(i, i+1))
+		}
+		mustRun(t, prog, db)
+		add(edgeTuple(nodes-1, 0))
+		for i := 0; i < 3; i++ {
+			add(edgeTuple(rng.Intn(nodes), rng.Intn(nodes)))
+		}
+		mustRun(t, prog, db)
+
+		for len(live) > 0 {
+			pick := rng.Intn(len(live))
+			tu := live[pick]
+			live = append(live[:pick], live[pick+1:]...)
+			if _, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
+				"edge": storage.ZSetOfChanges(nil, []storage.Tuple{tu}),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if want := fromScratch(t, prog, map[string][]storage.Tuple{"edge": live}); !db.Equal(want) {
+				t.Fatalf("seed %d, after deleting %v: maintained state diverged from from-scratch\nmaintained:\n%s\nfrom scratch:\n%s",
+					seed, tu, db, want)
+			}
 		}
 	}
 }
@@ -183,10 +248,10 @@ func TestInsertMaintenanceDoesLessWork(t *testing.T) {
 	for _, tu := range chain {
 		db.Ensure("edge", 2).Insert(tu)
 	}
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 	extra := edgeTuple(n, n+1)
 	maint := New(prog, db)
-	_, err := maint.ApplyZSetContext(context.Background(), zs,
+	_, err := maint.ApplyZSetContext(context.Background(), nil,
 		map[string]*storage.ZSet{"edge": storage.ZSetOfChanges([]storage.Tuple{extra}, nil)})
 	if err != nil {
 		t.Fatal(err)
@@ -247,9 +312,9 @@ func TestZSetNoOverDelete(t *testing.T) {
 	del := map[string][]storage.Tuple{"edge": {storage.TupleOf(ast.Sym("a"), ast.Sym("b"))}}
 
 	zdb := mkDB()
-	zs := runRanked(t, prog, zdb)
+	mustRun(t, prog, zdb)
 	zeng := New(prog, zdb)
-	out, err := zeng.ApplyZSetContext(context.Background(), zs,
+	out, err := zeng.ApplyZSetContext(context.Background(), nil,
 		map[string]*storage.ZSet{"edge": storage.ZSetOfChanges(nil, del["edge"])})
 	if err != nil {
 		t.Fatal(err)
@@ -291,12 +356,12 @@ func TestMaintenanceThroughNegation(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Add("node", a)
 	db.Add("edge", a, b)
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 
 	apply := func(pred string, adds, dels []storage.Tuple, want map[string][]storage.Tuple) map[string]*storage.ZSet {
 		t.Helper()
 		before := db.Snapshot()
-		out, err := New(prog, db).ApplyZSetContext(context.Background(), zs,
+		out, err := New(prog, db).ApplyZSetContext(context.Background(), nil,
 			map[string]*storage.ZSet{pred: storage.ZSetOfChanges(adds, dels)})
 		if err != nil {
 			t.Fatalf("ApplyZSetContext(%s +%v -%v) = %v, want incremental maintenance", pred, adds, dels, err)
@@ -334,13 +399,13 @@ func TestMaintenanceCancellation(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		db.Ensure("edge", 2).Insert(edgeTuple(i, i+1))
 	}
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 	eng := New(prog, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel during the first processed layer: the next layer barrier
 	// must stop.
 	eng.IterationHook = func(round int) { cancel() }
-	_, err := eng.ApplyZSetContext(ctx, zs, map[string]*storage.ZSet{
+	_, err := eng.ApplyZSetContext(ctx, nil, map[string]*storage.ZSet{
 		"edge": storage.ZSetOfChanges([]storage.Tuple{edgeTuple(80, 81)}, nil),
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -353,9 +418,9 @@ func TestApplyZSetNoChanges(t *testing.T) {
 	prog := mustProg(t, `tc(X, Y) :- edge(X, Y).`)
 	db := storage.NewDatabase()
 	db.Add("edge", ast.Sym("a"), ast.Sym("b"))
-	zs := runRanked(t, prog, db)
+	mustRun(t, prog, db)
 	eng := New(prog, db)
-	out, err := eng.ApplyZSetContext(context.Background(), zs, nil)
+	out, err := eng.ApplyZSetContext(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +431,7 @@ func TestApplyZSetNoChanges(t *testing.T) {
 		t.Fatalf("no-op maintenance did work: %+v", eng.Stats())
 	}
 	// Redundant changes (insert present, delete absent) are also no-ops.
-	out, err = eng.ApplyZSetContext(context.Background(), zs, map[string]*storage.ZSet{
+	out, err = eng.ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
 		"edge": storage.ZSetOfChanges(
 			[]storage.Tuple{storage.TupleOf(ast.Sym("a"), ast.Sym("b"))},
 			[]storage.Tuple{storage.TupleOf(ast.Sym("x"), ast.Sym("y"))}),

@@ -30,8 +30,10 @@ import (
 //
 // where C[t] holds the tuples derivable within t rule applications
 // (layer 0 is reserved for program-stated seed facts). Every stored
-// tuple carries its layer (its rank) in its relation's rank column (see
-// ZState). Because layer t depends only on layer t−1 — never on itself
+// tuple carries its layer (its rank) in its relation's rank column
+// (storage.Relation.Rank/SetRank): Run writes it for every derived
+// tuple, the sweep keeps it, and an unranked tuple (rank 0) is a
+// program-stated seed fact, never retracted. Because layer t depends only on layer t−1 — never on itself
 // — membership within a layer is decidable by a single exact support
 // check, with no iteration: a tuple belongs to C'[t] iff some rule
 // grounding derives it whose same-component body tuples all have rank
@@ -48,94 +50,17 @@ import (
 // the database, and not to an over-approximated cone retracted and
 // re-derived.
 
-// ZState is the persistent layer (rank) assignment that makes weighted
-// maintenance well-founded. The ranks themselves live in the relations,
-// as a column beside the tuples (storage.Relation.Rank/SetRank): every
-// *derived* tuple carries the fixpoint layer at which it was first
-// derived, and an unranked tuple (rank 0) is a program-stated seed
-// fact, never retracted by maintenance. The state itself is the rank
-// counter and the set of relations it has ranked, which is what Export
-// walks.
-//
-// A ZState is valid only when it was recorded by a from-scratch
-// fixpoint (Engine.SetRankSink during Run), taken from the rank
-// columns of a decoded checkpoint (RanksOf), or maintained by
-// ApplyZSetContext ever since, always on the same database. Mutating
-// the database through any other path invalidates it; rebuild by
-// re-running the fixpoint.
-type ZState struct {
-	rels map[*storage.Relation]struct{}
-	next uint32
-}
-
-// NewZState returns an empty rank state.
-func NewZState() *ZState {
-	return &ZState{rels: make(map[*storage.Relation]struct{})}
-}
-
-// Record ranks the tuple just derived at rel's position pos. It has the
-// signature Engine.SetRankSink expects, but deliberately ignores the
-// engine-reported round: semi-naive evaluation inserts derived tuples
-// into their relations mid-round, so a chain of derivations can land
-// in one round and the round number does not stratify supports. The
-// global insertion order does — a tuple's grounding partners are
-// always physically present (hence already recorded) before the tuple
-// itself is inserted — so Record assigns a monotone counter. Ranks
-// need not be minimal; the sweep only relies on each derived tuple
-// outranking the same-component partners of at least one grounding.
-func (z *ZState) Record(rel *storage.Relation, pos int, _ int) {
-	z.set(rel, pos, z.next+1)
-}
-
-// set writes rank r at rel's position pos, keeping the counter at or
-// above every rank written, so later Record calls outrank it.
-func (z *ZState) set(rel *storage.Relation, pos int, r uint32) {
-	z.rels[rel] = struct{}{}
-	if r > z.next {
-		z.next = r
-	}
-	rel.SetRank(pos, r)
-}
-
-// Export renders the rank state per predicate, each relation's ranked
-// tuples in relation order, so it can be persisted alongside the
-// database it certifies.
-func (z *ZState) Export() map[string][]storage.RankedTuple {
-	out := make(map[string][]storage.RankedTuple, len(z.rels))
-	for rel := range z.rels {
-		if rts := rel.Ranked(); len(rts) > 0 {
-			out[rel.Name] = rts
-		}
-	}
-	return out
-}
-
-// RanksOf returns the state that certifies the ranks db's relations
-// already carry in their rank columns — a decoded checkpoint's: its
-// ranked relations, and a counter above every rank in them.
-func RanksOf(db *storage.Database) *ZState {
-	z := NewZState()
-	for _, p := range db.Preds() {
-		rel := db.Relation(p)
-		col := rel.RankColumn()
-		if col == nil {
-			continue
-		}
-		z.rels[rel] = struct{}{}
-		for _, r := range col {
-			z.next = max(z.next, r)
-		}
-	}
-	return z
-}
-
 // ApplyZSetContext applies one mixed batch of EDB changes — a Z-set
 // per predicate, insertions weight +1 and deletions weight −1 — to a
 // database at fixpoint for the engine's program, and incrementally
 // restores the fixpoint. Insertions of present tuples and deletions of
 // absent ones are ignored (the effective change is what is applied).
-// Changed predicates must be extensional; zs must be the rank state of
-// the current fixpoint (see ZState).
+// Changed predicates must be extensional. The database's rank columns
+// must certify its fixpoint: written by Run, decoded with a checkpoint,
+// or maintained by ApplyZSetContext ever since. Mutating the database
+// through any other path invalidates them; rebuild by re-running the
+// fixpoint. The *ZState argument is ignored (see ZState); callers in
+// this module pass nil.
 //
 // It returns the exact IDB delta of the batch: for every derived
 // predicate whose extension changed, a Z-set holding the tuples that
@@ -151,10 +76,7 @@ func RanksOf(db *storage.Database) *ZState {
 // mid-maintenance; callers must treat the state as poisoned and
 // rebuild. Only the derived-predicate rejection is reported before
 // anything is mutated.
-func (e *Engine) ApplyZSetContext(ctx context.Context, zs *ZState, changes map[string]*storage.ZSet) (map[string]*storage.ZSet, error) {
-	if zs == nil {
-		return nil, fmt.Errorf("eval: ApplyZSetContext requires a ZState")
-	}
+func (e *Engine) ApplyZSetContext(ctx context.Context, _ *ZState, changes map[string]*storage.ZSet) (map[string]*storage.ZSet, error) {
 	idb := e.prog.IDBPreds()
 	arity := make(map[string]int, len(changes))
 	for p, z := range changes {
@@ -211,7 +133,7 @@ func (e *Engine) ApplyZSetContext(ctx context.Context, zs *ZState, changes map[s
 		return out, nil
 	}
 	for _, scc := range e.sccOrder() {
-		sccOut, err := e.zsweepSCC(ctx, zs, oldDB, scc, lower)
+		sccOut, err := e.zsweepSCC(ctx, oldDB, scc, lower)
 		if err != nil {
 			return out, err
 		}
@@ -329,7 +251,6 @@ func (c *zCheck) seedFor(t storage.Tuple) bool {
 // zsweep is the per-component sweep state.
 type zsweep struct {
 	e     *Engine
-	zs    *ZState
 	oldDB *storage.Database
 	inSCC map[string]bool
 
@@ -600,7 +521,7 @@ func (w *zsweep) process(pred string, t storage.Tuple, l uint32) error {
 		if minL > l {
 			minL = l
 		}
-		w.zs.set(rel, rel.Len()-1, minL)
+		rel.SetRank(rel.Len()-1, minL)
 		w.noteOut(pred, t, 1)
 		return w.fireAdd(w.occs[pred], &w.one, minL)
 	case !present && !ok:
@@ -610,7 +531,7 @@ func (w *zsweep) process(pred string, t storage.Tuple, l uint32) error {
 		return nil
 	case ok: // present, supported at ≤ l
 		if minL < r {
-			w.zs.set(rel, pos, minL)
+			rel.SetRank(pos, minL)
 			return w.fireAdd(w.occs[pred], &w.one, minL)
 		}
 		return nil
@@ -629,7 +550,7 @@ func (w *zsweep) process(pred string, t storage.Tuple, l uint32) error {
 
 // zsweepSCC maintains one strongly connected component under the
 // accumulated lower changes, returning the component's own delta.
-func (e *Engine) zsweepSCC(ctx context.Context, zs *ZState, oldDB *storage.Database, scc []string, lower map[string]*storage.ZSet) (map[string]*storage.ZSet, error) {
+func (e *Engine) zsweepSCC(ctx context.Context, oldDB *storage.Database, scc []string, lower map[string]*storage.ZSet) (map[string]*storage.ZSet, error) {
 	inSCC := make(map[string]bool, len(scc))
 	for _, p := range scc {
 		inSCC[p] = true
@@ -654,7 +575,7 @@ func (e *Engine) zsweepSCC(ctx context.Context, zs *ZState, oldDB *storage.Datab
 	}
 
 	w := &zsweep{
-		e: e, zs: zs, oldDB: oldDB, inSCC: inSCC,
+		e: e, oldDB: oldDB, inSCC: inSCC,
 		occs:    make(map[string][]*zOcc),
 		negOccs: make(map[string][]*zOcc),
 		checks:  make(map[string][]*zCheck),

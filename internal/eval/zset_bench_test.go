@@ -62,10 +62,7 @@ func BenchmarkZSetCommit(b *testing.B) {
 					db.Ensure("node", 1).Insert(storage.TupleOf(label(i)))
 				}
 			}
-			zs := eval.NewZState()
-			e := eval.New(prog, db)
-			e.SetRankSink(zs.Record)
-			if err := e.Run(); err != nil {
+			if err := eval.New(prog, db).Run(); err != nil {
 				b.Fatal(err)
 			}
 			benchSnapshot = db.Snapshot()
@@ -86,7 +83,7 @@ func BenchmarkZSetCommit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				adds, dels := draw(&absent), draw(&present)
-				out, err := eval.New(prog, db).ApplyZSetContext(context.Background(), zs,
+				out, err := eval.New(prog, db).ApplyZSetContext(context.Background(), nil,
 					map[string]*storage.ZSet{"edge": storage.ZSetOfChanges(adds, dels)})
 				if err != nil {
 					b.Fatal(err)

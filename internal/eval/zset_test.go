@@ -43,7 +43,7 @@ func ztRandTuple(rng *rand.Rand, arity, domain int) storage.Tuple {
 }
 
 // zsetModes are the engine configurations the Z-set differential runs
-// under: the base fixpoint (which records the rank state) and the
+// under: the base fixpoint (which ranks what it derives) and the
 // maintenance sweep must agree with each other and across modes.
 var zsetModes = []struct {
 	name string
@@ -197,10 +197,8 @@ func zsetDifferentialRound(t *testing.T, rng *rand.Rand, round, nBatches int, ne
 	for _, mc := range zsetModes {
 		// Z-set-maintained engine state.
 		zdb := base.Clone()
-		zs := eval.NewZState()
 		e := eval.New(prog, zdb)
 		e.SetJoinMode(mc.mode)
-		e.SetRankSink(zs.Record)
 		if err := e.Run(); err != nil {
 			t.Fatalf("round %d (%s): base run: %v\n%s", round, mc.name, err, prog)
 		}
@@ -228,7 +226,7 @@ func zsetDifferentialRound(t *testing.T, rng *rand.Rand, round, nBatches int, ne
 			before := zdb.Snapshot()
 			eng := eval.New(prog, zdb)
 			eng.SetJoinMode(mc.mode)
-			out, err := eng.ApplyZSetContext(context.Background(), zs, changes)
+			out, err := eng.ApplyZSetContext(context.Background(), nil, changes)
 			if err != nil {
 				t.Fatalf("round %d (%s) batch %d: ApplyZSet: %v\n%s", round, mc.name, bi, err, prog)
 			}
@@ -316,14 +314,11 @@ func TestZSetDeleteHeavyBeatsRecompute(t *testing.T) {
 	}
 
 	zdb := mk()
-	zs := eval.NewZState()
-	be := eval.New(prog, zdb)
-	be.SetRankSink(zs.Record)
-	if err := be.Run(); err != nil {
+	if err := eval.New(prog, zdb).Run(); err != nil {
 		t.Fatal(err)
 	}
 	zeng := eval.New(prog, zdb)
-	if _, err := zeng.ApplyZSetContext(context.Background(), zs,
+	if _, err := zeng.ApplyZSetContext(context.Background(), nil,
 		map[string]*storage.ZSet{"edge": storage.ZSetOfChanges(adds, dels)}); err != nil {
 		t.Fatal(err)
 	}

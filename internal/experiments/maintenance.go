@@ -49,13 +49,10 @@ func E12MixedMaintenance(cfg Config) Table {
 			edb.Ensure("edge", 2).Insert(tu)
 		}
 
-		// Z-set path: seed the rank state from the initial fixpoint,
-		// then one ApplyZSetContext per batch.
+		// Z-set path: the initial fixpoint ranks what it derives, then
+		// one ApplyZSetContext per batch.
 		zdb := edb.Clone()
-		zs := eval.NewZState()
-		seed := eval.New(prog, zdb)
-		seed.SetRankSink(zs.Record)
-		if err := seed.Run(); err != nil {
+		if err := eval.New(prog, zdb).Run(); err != nil {
 			t.Notes = append(t.Notes, err.Error())
 			return t
 		}
@@ -65,7 +62,7 @@ func E12MixedMaintenance(cfg Config) Table {
 		for _, b := range batches {
 			e := eval.New(prog, zdb)
 			e.SetTracer(cfg.Tracer)
-			if _, err := e.ApplyZSetContext(context.Background(), zs,
+			if _, err := e.ApplyZSetContext(context.Background(), nil,
 				map[string]*storage.ZSet{"edge": storage.ZSetOfChanges(b.adds, b.dels)}); err != nil {
 				t.Notes = append(t.Notes, err.Error())
 				return t
@@ -76,8 +73,8 @@ func E12MixedMaintenance(cfg Config) Table {
 		zDur := time.Since(zStart)
 
 		// Recompute path: apply the batch to the EDB, then evaluate a
-		// fresh copy of it from scratch, recording ranks as the
-		// service's rebuild does so maintenance could resume from it.
+		// fresh copy of it from scratch, which ranks it as the
+		// service's rebuild does, so maintenance could resume from it.
 		var rdb *storage.Database
 		var rDerived int64
 		var rStrata []StratumRecord
@@ -94,7 +91,6 @@ func E12MixedMaintenance(cfg Config) Table {
 			rdb = edb.Clone()
 			e := eval.New(prog, rdb)
 			e.SetTracer(cfg.Tracer)
-			e.SetRankSink(eval.NewZState().Record)
 			if err := e.Run(); err != nil {
 				t.Notes = append(t.Notes, err.Error())
 				return t

@@ -85,7 +85,7 @@ func (sess *session) checkpoint(st *state, seq uint64) error {
 // checkpointLocked checkpoints the installed state at the current
 // sequence. Caller holds sess.mu.
 func (sess *session) checkpointLocked() error {
-	return sess.checkpoint(&state{prog: sess.prog.Load(), db: sess.db, zs: sess.zs, seedIDB: sess.seedIDB}, sess.seq.Load())
+	return sess.checkpoint(&state{prog: sess.prog.Load(), db: sess.db, seedIDB: sess.seedIDB}, sess.seq.Load())
 }
 
 // noteCheckpoint records a checkpoint that landed: the WAL beyond it is

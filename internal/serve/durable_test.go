@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,7 +67,7 @@ func post(t *testing.T, ts *httptest.Server, method, path string, req any) int {
 
 // runCrashWorkload drives the deterministic workload against a server
 // and returns the index of the first write that failed (len(crashWrites)
-// if all succeeded). Every write before that index was acknowledged
+// if all succeeded), or -1 when the load itself failed. Every write before that index was acknowledged
 // against the same state as the reference run, so the crashed server's
 // last acknowledged effectful state is states[first]. Writes AFTER the
 // first failure may still be acknowledged when they are no-ops against
@@ -75,7 +76,9 @@ func post(t *testing.T, ts *httptest.Server, method, path string, req any) int {
 // honest ("applied 0") and move nothing.
 func runCrashWorkload(t *testing.T, ts *httptest.Server) (first int) {
 	t.Helper()
-	post(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: crashSrc})
+	if post(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: crashSrc}) != http.StatusOK {
+		return -1
+	}
 	first = len(crashWrites)
 	for i, w := range crashWrites {
 		code := post(t, ts, "POST", "/v1/sessions/m/changes", w)
@@ -147,14 +150,15 @@ func matchState(states []*storage.Database, db *storage.Database) int {
 // TestCrashMatrix is the durability proof: for every mutating
 // filesystem operation the workload performs, crash exactly there
 // (under each keep policy for unsynced data, and under keep-synced,
-// which also undoes directory entries no SyncDir made durable), reboot
-// onto the surviving files, and require the recovered database to be
-// tuple-identical to a legal reference state.
+// which also undoes directory entries and directories no SyncDir made
+// durable), reboot onto the surviving files, and require the recovered
+// database to be tuple-identical to a legal reference state.
 //
-// With fsync on, "legal" is exact: every write acknowledged before the
-// first failure must survive (acked => durable), and at most the
-// single first-failed write may additionally appear — it may have been
-// logged before its acknowledgement was interrupted, the classic
+// An acknowledged load survives: a crash at any op after it finds the
+// session. With fsync on, "legal" is exact: every write acknowledged
+// before the first failure must survive (acked => durable), and at most
+// the single first-failed write may additionally appear — it may have
+// been logged before its acknowledgement was interrupted, the classic
 // ambiguous-outcome window.
 func TestCrashMatrix(t *testing.T) {
 	const every = 3 // force automatic checkpoints (and WAL GC) mid-workload
@@ -211,11 +215,9 @@ func TestCrashMatrix(t *testing.T) {
 				srv, _ := recoverOnto(t, fs.Recovered(), true, every)
 				sess := srv.session("m")
 				if sess == nil {
-					// The initial load's checkpoint never landed; no write
-					// can have succeeded against a missing session.
-					if first != 0 {
-						t.Fatalf("op %d: session lost but write %d had been acked", n, first-1)
-					}
+					// The initial load's checkpoint never landed: neither
+					// the load nor any write can have been acknowledged.
+					checkSessionLost(t, fmt.Sprintf("op %d", n), first)
 					continue
 				}
 				hi := first + 1
@@ -223,12 +225,25 @@ func TestCrashMatrix(t *testing.T) {
 					hi = len(crashWrites)
 				}
 				got := matchState(states, sess.snap.Load().db)
-				if got < first || got > hi {
+				if got < max(first, 0) || got > hi {
 					t.Fatalf("op %d (%s): recovered to state %d, want %d..%d",
 						n, pol.name, got, first, hi)
 				}
 			}
 		})
+	}
+}
+
+// checkSessionLost fails when the crash named by what lost the session
+// although the workload's load was acknowledged, first being
+// runCrashWorkload's result.
+func checkSessionLost(t *testing.T, what string, first int) {
+	t.Helper()
+	switch {
+	case first > 0:
+		t.Fatalf("%s: session lost but write %d had been acked", what, first-1)
+	case first == 0:
+		t.Fatalf("%s: session lost but its load had been acked", what)
 	}
 }
 
@@ -268,9 +283,7 @@ func TestCrashMatrixNoFsync(t *testing.T) {
 			srv, _ := recoverOnto(t, fs.Recovered(), false, every)
 			sess := srv.session("m")
 			if sess == nil {
-				if first != 0 {
-					t.Fatalf("keep=%d op %d: session lost but write %d had been acked", keep, n, first-1)
-				}
+				checkSessionLost(t, fmt.Sprintf("keep=%d op %d", keep, n), first)
 				continue
 			}
 			hi := first + 1

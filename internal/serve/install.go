@@ -13,32 +13,31 @@ import (
 )
 
 // One way to install a session. A session's state is its compiled
-// program, a database at that program's fixpoint, the rank certificate
-// of that fixpoint and the program's frozen IDB seed facts. A state
-// comes from one of two constructors and reaches the session through
-// one installer:
+// program, a database at that program's fixpoint and the program's
+// frozen IDB seed facts. The database's rank columns are the fixpoint's
+// rank certificate, so a state needs nothing beside it for the sweep.
+// A state comes from one of two constructors and reaches the session
+// through one installer:
 //
 //   - evaluate runs a fixpoint over extensional facts. A load evaluates
 //     the facts it parsed; applyDelta's rebuild rung, an adopted re-plan
 //     and a checkpoint without ranks evaluate a copy of an existing EDB
 //     (edbOf).
-//   - restore turns a decoded checkpoint into a state, for crash
-//     recovery and for a follower's bootstrap alike.
+//   - restore turns a decoded checkpoint, whose relations carry their
+//     decoded rank columns, into a state, for crash recovery and for a
+//     follower's bootstrap alike.
 //   - install swaps a state in under mu. reset is install for a state
 //     that does not continue the session's history (a load, a recovery,
 //     a bootstrap): it also moves the sequence and detaches the feeds.
 //
-// Whatever a state needs to be served — ranks for the sweep — is
-// therefore set up in one place, whichever way the session got it. A
-// planned session's cost model needs nothing set up: its statistics are
-// the relations and their column indexes.
+// A planned session's cost model needs nothing set up either: its
+// statistics are the relations and their column indexes.
 
 // state is one complete session state, assembled off to the side and
 // swapped in by install.
 type state struct {
 	prog    *loadedProgram
 	db      *storage.Database
-	zs      *eval.ZState
 	seedIDB map[string]*storage.Relation
 	// stats is the work of the fixpoint that built db: zero for a
 	// restored checkpoint, whose fixpoint ran elsewhere.
@@ -59,17 +58,15 @@ func (s *Server) engine(p *loadedProgram, db *storage.Database) *eval.Engine {
 }
 
 // evaluate runs p's program to fixpoint over db — extensional facts
-// plus the seed facts seedIDB freezes — recording the ranks the sweep
-// needs. db becomes the returned state's database. It touches no
+// plus the seed facts seedIDB freezes — which ranks what it derives for
+// the sweep. db becomes the returned state's database. It touches no
 // session, so a failed evaluation leaves whatever is serving untouched.
 func (s *Server) evaluate(ctx context.Context, p *loadedProgram, db *storage.Database, seedIDB map[string]*storage.Relation) (*state, error) {
-	zs := eval.NewZState()
 	eng := s.engine(p, db)
-	eng.SetRankSink(zs.Record)
 	if err := eng.RunContext(ctx); err != nil {
 		return nil, err
 	}
-	return &state{prog: p, db: db, zs: zs, seedIDB: seedIDB, stats: eng.Stats()}, nil
+	return &state{prog: p, db: db, seedIDB: seedIDB, stats: eng.Stats()}, nil
 }
 
 // edbOf copies db's extensional relations — every relation none of the
@@ -110,7 +107,7 @@ func (s *Server) restore(ctx context.Context, snap *durable.Snapshot) (*state, e
 		}
 		return st, nil
 	}
-	return &state{prog: p, db: snap.DB, zs: eval.RanksOf(snap.DB), seedIDB: snap.Seed}, nil
+	return &state{prog: p, db: snap.DB, seedIDB: snap.Seed}, nil
 }
 
 // programFromMeta rebuilds a session's compiled program from a
@@ -151,7 +148,7 @@ func programFromMeta(meta durable.Meta) (*loadedProgram, error) {
 // publishes once the state is what readers should see.
 func (sess *session) install(st *state) {
 	sess.prog.Store(st.prog)
-	sess.db, sess.zs, sess.seedIDB = st.db, st.zs, st.seedIDB
+	sess.db, sess.seedIDB = st.db, st.seedIDB
 	sess.dirty = false
 	sess.fixpointCost.Store(st.stats.Probes + st.stats.IndexProbes)
 	sess.cache.purge()

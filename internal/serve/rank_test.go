@@ -347,7 +347,7 @@ func TestRecoveredCheckpointReencodes(t *testing.T) {
 			}
 			sess := rec.session(lt.Name)
 			sess.mu.Lock()
-			img := sess.checkpointImage(&state{prog: sess.prog.Load(), db: sess.db, zs: sess.zs, seedIDB: sess.seedIDB}, sess.seq.Load())
+			img := sess.checkpointImage(&state{prog: sess.prog.Load(), db: sess.db, seedIDB: sess.seedIDB}, sess.seq.Load())
 			// The recovered session published past the checkpoint's
 			// generation; every other header field is its own.
 			img.Meta.Generation = written.Meta.Generation

@@ -75,17 +75,15 @@ type session struct {
 
 	prog atomic.Pointer[loadedProgram]
 
-	// mu guards db, zs, seedIDB and dirty. It is held by the committer
+	// mu guards db, seedIDB and dirty. It is held by the committer
 	// for the duration of one batch and by (re)loads while swapping
 	// state.
 	mu sync.Mutex
+	// db is at its program's fixpoint; its rank columns are the
+	// certificate the Z-set sweep consults to decide which derived
+	// tuples a deletion actually kills, and applyDelta's sweep keeps
+	// them current.
 	db *storage.Database
-	// zs is the rank state of db's current fixpoint — the certificate
-	// the Z-set maintenance sweep consults to decide which derived
-	// tuples a deletion actually kills. It moves with db: install swaps
-	// both in together (install.go), and applyDelta's sweep keeps it
-	// current.
-	zs *eval.ZState
 	// seedIDB preserves ground facts the source program stated for
 	// derived predicates. The update API cannot touch them, so a
 	// rebuild from the EDB (edbOf) re-seeds the IDB from this frozen
@@ -607,7 +605,7 @@ func (sess *session) applyDelta(ctx context.Context, ins, del map[string][]stora
 	if !sess.dirty {
 		sess.dirty = true // out of fixpoint until maintenance lands
 		eng := sess.srv.engine(sess.prog.Load(), sess.db)
-		if _, err = eng.ApplyZSetContext(ctx, sess.zs, zsetOfDelta(ins, del)); err == nil {
+		if _, err = eng.ApplyZSetContext(ctx, nil, zsetOfDelta(ins, del)); err == nil {
 			sess.dirty = false
 			return "incremental", eng.Stats(), nil
 		}

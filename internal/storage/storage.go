@@ -419,10 +419,12 @@ type Relation struct {
 
 	flat
 	// ranks, when non-nil, is aligned with the tuples: ranks[pos] is the
-	// derivation layer incremental maintenance certifies the tuple at
-	// pos with (eval.ZState), 0 for an unranked tuple (a seed fact). It
-	// is allocated by the first SetRank, so relations nobody ranks — the
-	// EDB — carry no column. Only the writer reads or writes it: snapshot
+	// derivation layer that certifies the tuple at pos, 0 for an
+	// unranked tuple (a seed fact). It is the only rank state there is:
+	// evaluation writes it for every tuple it derives, the Z-set sweep
+	// maintains it and a checkpoint carries it. It is allocated by the
+	// first SetRank, so relations nobody ranks — the EDB — carry no
+	// column. Only the writer reads or writes it: snapshot
 	// views never carry it, so detach never copies it.
 	ranks []uint32
 	// colIndex[i] maps a column-i value to the ascending positions of

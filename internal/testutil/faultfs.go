@@ -25,12 +25,15 @@ import (
 // on crash, the unsynced suffix of every file survives according to
 // the KeepPolicy (all of it, half of it, none of it), which is how
 // torn WAL tails and lost-but-acknowledged writes are simulated.
-// Directory entries (create, rename, remove) are applied atomically
-// and, under every policy but KeepSynced, survive the crash, as on a
-// journaled filesystem. KeepSynced also drops every entry change made
-// in a directory since that directory's last SyncDir, which is what
-// lets the matrix catch a missing directory fsync. Directories
-// themselves (MkdirAll, RemoveAll) are durable on apply. Mutating ops
+// Directory entries (create, rename, remove) and directories
+// themselves (MkdirAll, RemoveAll) are applied atomically and, under
+// every policy but KeepSynced, survive the crash, as on a journaled
+// filesystem. KeepSynced also drops every entry change made in a
+// directory since that directory's last SyncDir, and every directory
+// made since its parent's last SyncDir, with all it holds, which is
+// what lets the matrix catch a missing directory fsync. A directory
+// whose parent FaultFS never made (the data root's parent) and a
+// RemoveAll are durable on apply under every policy. Mutating ops
 // are counted in workload order, and the count is deterministic for a
 // deterministic workload, which is what lets the matrix enumerate
 // every crash point exactly once.
@@ -39,12 +42,15 @@ type FaultFS struct {
 	files map[string]*memFile
 	// synced holds each directory's entries as of its last SyncDir:
 	// the names a KeepSynced crash leaves, over the same files.
-	synced  map[string]*memFile
-	dirs    map[string]bool
-	ops     int
-	crashAt int // op index that fails; -1 = never
-	keep    KeepPolicy
-	crashed bool
+	synced map[string]*memFile
+	dirs   map[string]bool
+	// syncedDirs holds the directories in their parents' entries as of
+	// the parents' last SyncDir.
+	syncedDirs map[string]bool
+	ops        int
+	crashAt    int // op index that fails; -1 = never
+	keep       KeepPolicy
+	crashed    bool
 }
 
 // KeepPolicy selects how much of each file's unsynced suffix survives
@@ -61,7 +67,8 @@ const (
 	KeepNone
 	// KeepSynced: only what was synced survives — file data up to its
 	// last Sync, as KeepNone, and in each directory the entries as of
-	// its last SyncDir: a create, rename or remove made since is undone.
+	// its last SyncDir: a create, rename or remove made since is undone,
+	// and so is a directory made since, with everything in it.
 	KeepSynced
 )
 
@@ -78,10 +85,11 @@ var ErrCrashed = errors.New("faultfs: injected crash")
 // fault-free reference run, then read Ops).
 func NewFaultFS() *FaultFS {
 	return &FaultFS{
-		files:   map[string]*memFile{},
-		synced:  map[string]*memFile{},
-		dirs:    map[string]bool{},
-		crashAt: -1,
+		files:      map[string]*memFile{},
+		synced:     map[string]*memFile{},
+		dirs:       map[string]bool{},
+		syncedDirs: map[string]bool{},
+		crashAt:    -1,
 	}
 }
 
@@ -116,11 +124,19 @@ func (f *FaultFS) Recovered() *FaultFS {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := NewFaultFS()
-	names := f.files
+	names, dirs := f.files, f.dirs
 	if f.crashed && f.keep == KeepSynced {
-		names = f.synced
+		names, dirs = f.synced, map[string]bool{}
+		for d := range f.dirs {
+			if f.dirSurvives(d) {
+				dirs[d] = true
+			}
+		}
 	}
 	for name, mf := range names {
+		if d := path.Dir(name); f.dirs[d] && !dirs[d] {
+			continue
+		}
 		n := len(mf.data)
 		if f.crashed {
 			unsynced := n - mf.synced
@@ -134,10 +150,24 @@ func (f *FaultFS) Recovered() *FaultFS {
 		out.files[name] = &memFile{data: append([]byte(nil), mf.data[:n]...), synced: n}
 		out.synced[name] = out.files[name]
 	}
-	for d := range f.dirs {
+	for d := range dirs {
 		out.dirs[d] = true
+		out.syncedDirs[d] = true
 	}
 	return out
+}
+
+// dirSurvives reports whether directory d outlasts a KeepSynced crash:
+// it and each directory above it were in their parents' entries at the
+// parents' last SyncDir, up to one whose parent FaultFS never made.
+// Caller holds f.mu.
+func (f *FaultFS) dirSurvives(d string) bool {
+	for ; f.dirs[path.Dir(d)]; d = path.Dir(d) {
+		if !f.syncedDirs[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // Bytes returns a copy of one file's current content (for golden and
@@ -367,6 +397,7 @@ func (f *FaultFS) RemoveAll(dir string) error {
 	for d := range f.dirs {
 		if d == dir || strings.HasPrefix(d, prefix) {
 			delete(f.dirs, d)
+			delete(f.syncedDirs, d)
 		}
 	}
 	return nil
@@ -393,8 +424,8 @@ func (f *FaultFS) Truncate(name string, size int64) error {
 	return nil
 }
 
-// SyncDir implements durable.FS: dir's entries as they stand become
-// the ones a KeepSynced crash leaves.
+// SyncDir implements durable.FS: dir's entries, files and directories,
+// as they stand become the ones a KeepSynced crash leaves.
 func (f *FaultFS) SyncDir(dir string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -409,6 +440,16 @@ func (f *FaultFS) SyncDir(dir string) error {
 	for name, mf := range f.files {
 		if path.Dir(name) == dir {
 			f.synced[name] = mf
+		}
+	}
+	for d := range f.syncedDirs {
+		if path.Dir(d) == dir {
+			delete(f.syncedDirs, d)
+		}
+	}
+	for d := range f.dirs {
+		if path.Dir(d) == dir {
+			f.syncedDirs[d] = true
 		}
 	}
 	return nil

@@ -112,9 +112,8 @@ type System struct {
 	lastStats Stats
 	lastInfo  RunInfo
 
-	// ranks is the rank certificate (see eval.ZState) of the tuples
-	// the program ranked derived in DB; Explain walks it.
-	ranks  *eval.ZState
+	// ranked is the program whose run derived, and ranked, the ranked
+	// tuples in DB; Explain walks their ranks.
 	ranked *Program
 }
 
@@ -126,8 +125,8 @@ func (s *System) engine(prog *Program, db *DB) *eval.Engine {
 	return e
 }
 
-// run evaluates the active program to fixpoint over DB, recording
-// ranks, and keeps the run's counters. When the active program is not
+// run evaluates the active program to fixpoint over DB, which ranks
+// what it derives, and keeps the run's counters. When the active program is not
 // the one the ranks certify, the tuples that program derived are
 // removed first, so this run derives and ranks the new program's own.
 func (s *System) run() (*eval.Engine, error) {
@@ -144,10 +143,9 @@ func (s *System) run() (*eval.Engine, error) {
 				}
 			}
 		}
-		s.ranks, s.ranked = eval.NewZState(), prog
+		s.ranked = prog
 	}
 	e := s.engine(prog, s.DB)
-	e.SetRankSink(s.ranks.Record)
 	err := e.Run()
 	s.lastStats, s.lastInfo = e.Stats(), e.Info()
 	return e, err
