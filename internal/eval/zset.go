@@ -33,16 +33,17 @@ import (
 // tuple carries its layer (its rank) in its relation's rank column
 // (storage.Relation.Rank/SetRank): Run writes it for every derived
 // tuple, the sweep keeps it, and an unranked tuple (rank 0) is a
-// program-stated seed fact, never retracted. Because layer t depends only on layer t−1 — never on itself
-// — membership within a layer is decidable by a single exact support
-// check, with no iteration: a tuple belongs to C'[t] iff some rule
-// grounding derives it whose same-component body tuples all have rank
-// < t. That well-foundedness is what makes signed weights sound under
-// recursion, and it is why no over-delete cone is needed: a deletion
-// never speculatively retracts a derivation cone, as delete-and-
-// rederive (DRed) does; it revisits exactly the tuples whose support
-// sets it touched, at exactly the layer where their membership is
-// decided, and removes only what the support check refutes.
+// program-stated seed fact, never retracted. Because layer t depends
+// only on layer t−1 — never on itself — membership within a layer is
+// decidable by a single exact support check, with no iteration: a
+// tuple belongs to C'[t] iff some rule grounding derives it whose
+// same-component body tuples all have rank < t. That well-foundedness
+// is what makes signed weights sound under recursion, and it is why no
+// over-delete cone is needed: a deletion never speculatively retracts a
+// derivation cone, as delete-and-rederive (DRed) does; it revisits
+// exactly the tuples whose support sets it touched, at exactly the
+// layer where their membership is decided, and removes only what the
+// support check refutes.
 //
 // The sweep processes layers in ascending order. Work is proportional
 // to the tuples whose support actually changed (plus the one-step

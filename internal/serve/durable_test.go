@@ -67,13 +67,14 @@ func post(t *testing.T, ts *httptest.Server, method, path string, req any) int {
 
 // runCrashWorkload drives the deterministic workload against a server
 // and returns the index of the first write that failed (len(crashWrites)
-// if all succeeded), or -1 when the load itself failed. Every write before that index was acknowledged
-// against the same state as the reference run, so the crashed server's
-// last acknowledged effectful state is states[first]. Writes AFTER the
-// first failure may still be acknowledged when they are no-ops against
-// the rolled-back memory (the injected crash latches the store broken,
-// so no later write that changes state can be acked) — those acks are
-// honest ("applied 0") and move nothing.
+// if all succeeded), or -1 when the load itself failed. Every write
+// before that index was acknowledged against the same state as the
+// reference run, so the crashed server's last acknowledged effectful
+// state is states[first]. Writes AFTER the first failure may still be
+// acknowledged when they are no-ops against the rolled-back memory (the
+// injected crash latches the store broken, so no later write that
+// changes state can be acked) — those acks are honest ("applied 0") and
+// move nothing.
 func runCrashWorkload(t *testing.T, ts *httptest.Server) (first int) {
 	t.Helper()
 	if post(t, ts, "POST", "/v1/sessions/m", LoadRequest{Program: crashSrc}) != http.StatusOK {

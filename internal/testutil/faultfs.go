@@ -442,11 +442,6 @@ func (f *FaultFS) SyncDir(dir string) error {
 			f.synced[name] = mf
 		}
 	}
-	for d := range f.syncedDirs {
-		if path.Dir(d) == dir {
-			delete(f.syncedDirs, d)
-		}
-	}
 	for d := range f.dirs {
 		if path.Dir(d) == dir {
 			f.syncedDirs[d] = true
