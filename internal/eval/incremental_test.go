@@ -169,9 +169,7 @@ func TestZSetAfterPlainRun(t *testing.T) {
 	for _, tu := range []storage.Tuple{edgeTuple(0, 1), edgeTuple(1, 2), edgeTuple(2, 3)} {
 		db.Ensure("edge", 2).Insert(tu)
 	}
-	if err := New(prog, db).Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, prog, db)
 	if _, err := New(prog, db).ApplyZSetContext(context.Background(), nil, map[string]*storage.ZSet{
 		"edge": storage.ZSetOfChanges(nil, []storage.Tuple{edgeTuple(1, 2)}),
 	}); err != nil {
